@@ -4,9 +4,10 @@ Finite-dimensional models of the TLS family
 
     min |A - X|_{2,W}^2 + |Xx - b|_W^2            (+ |Tx|^2 regularized)
 
-with the one-variable reduction through the rank-one lift, a Dinkelbach
-solver for T = sqrt(rho) I, a semidefinite certificate of the infimum, a
-classic SVD baseline, and a laboratory of unattained-infimum constructions.
+with the one-variable reduction through the rank-one lift, an exact scalar
+dual and a Dinkelbach solver for T = sqrt(rho) I, a semidefinite
+certificate of the infimum, a classic SVD baseline, and a laboratory of
+unattained-infimum constructions.
 """
 
 from .model import (
@@ -43,7 +44,14 @@ from .solver import (
     solve_rtls_general_t,
     solve_tstar,
 )
-from .certificate import Certificate, assemble_c, certify_tstar, feasible_at_t
+from .certificate import (
+    Certificate,
+    DualSolution,
+    assemble_c,
+    certify_tstar,
+    dual_tstar,
+    feasible_at_t,
+)
 from .classic import (
     ClassicTlsSolution,
     NongenericTlsError,

@@ -1,8 +1,9 @@
 """Semidefinite characterization of the infimum t* for T = sqrt(rho) I.
 
-t* equals the largest t for which nonnegative multipliers (alpha, beta)
-exist making the symmetric operator C(t, alpha, beta) on R^{n+3} positive
-semidefinite, where in coordinates (x, z1, z2, tau):
+t* equals the largest t for which multipliers alpha >= 0 and
+beta >= -lambda_min(A^T W A) exist making the symmetric operator
+C(t, alpha, beta) on R^{n+3} positive semidefinite, where in coordinates
+(x, z1, z2, tau):
 
     x block      alpha A^T W A + beta I
     (x, tau)     -alpha A^T W b
@@ -16,21 +17,48 @@ The defining computation is the scalar expansion, for y = (x, z1, z2, 1):
     <C y, y> = z1 + rho z2^2 + (rho - t) z2 - t
                + alpha (|Ax-b|_W^2 - z1) + beta (|x|^2 - z2).
 
-Feasibility in t is monotone (every t' < t feasible with t), so the maximum
-is found by bisection on [0, |b|_W^2]; at each t the smallest eigenvalue of
-C is maximized over (alpha, beta), a concave problem since C is affine in
-the multipliers.
+With z1 = |Ax-b|_W^2 and z2 = |x|^2 it reads (1 + |x|^2)(G(x) - t), so a
+PSD C makes t a lower bound on G whatever the sign of beta.
+
+The (z1, z1) entry is zero, so a PSD C has a zero z1 row: alpha = 1 is
+forced.  In the eigenbasis A^T W A = Q diag(lam) Q^T, d = Q^T A^T W b, the
+Schur complement of C(t, 1, beta) is the concave scalar function
+
+    h_t(beta) = m(beta) - t - (rho - t - beta)^2 / (4 rho),
+    m(beta)   = |b|_W^2 - sum_i d_i^2 / (lam_i + beta)
+              = min_x |Ax - b|_W^2 + beta |x|^2,
+
+attained at x(beta) = Q d / (lam + beta).  The largest t with
+h_t(beta) >= 0 is the dual function
+
+    tau(beta) = 2 sqrt(rho F(beta)) - rho - beta,   F(beta) = beta + m(beta),
+
+and t* = max tau (Beck, Ben-Tal & Teboulle, SIAM J. Matrix Anal. Appl. 28
+(2006) 425-445).  tau is concave with decreasing derivative
+tau'(beta) = rho (1 + |x(beta)|^2) / sqrt(rho F(beta)) - 1, so its maximizer
+beta* is one bracketed scalar root, at O(n) per step after a single eigh.
+x(beta*) is a primal point, and the duality gap G(x*) - tau(beta*) >= 0
+bounds how far G(x*) lies above t*.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _golden_min
+from .model import w_vec_seminorm
+from .reduction import eval_g
+from .solver import VERDICT_CONVERGED, newton_polish, require_identity_scaled
+from .trs import min_space, trs_equality
 
 _PSD_FLOOR_REL = 1e-9
+_GAP_REL = 1e-10  # a larger duality gap, relative to 1 + t*, proves nothing
+_ROOT_STEPS = 200
+_EPS = np.finfo(float).eps
+
+VERDICT_DUALITY_GAP = "duality_gap"
 
 
 @dataclass
@@ -49,17 +77,199 @@ class Certificate:
         return self.lambda_min >= -_PSD_FLOOR_REL * (1.0 + scale)
 
 
-def _require_identity_scaled(p):
-    if p.T.kind != "identity_scaled":
-        raise ValueError("the certificate is defined for the scaled-identity regularizer")
-    return p.T.rho
+@dataclass(frozen=True)
+class DualSolution:
+    """The maximizer beta of tau and the primal point it yields.
+
+    ``t_star`` = G(x_star) bounds t* from above and ``t_dual`` = tau(beta)
+    from below.  ``steps`` counts evaluations of the scalar dual.
+    """
+
+    t_star: float
+    x_star: np.ndarray
+    t_dual: float
+    beta: float
+    steps: int
+
+    @property
+    def gap(self):
+        return self.t_star - self.t_dual
+
+    @property
+    def verdict(self):
+        """``converged`` when the gap proves t_star to 1e-10 (1 + t*)."""
+        if self.gap <= _GAP_REL * (1.0 + abs(self.t_star)):
+            return VERDICT_CONVERGED
+        return VERDICT_DUALITY_GAP
+
+
+class _Spectrum:
+    """Eigenbasis data lam, Q of A^T W A and d = Q^T A^T W b.
+
+    In the hard case (d has no component in the minimal eigenspace) that
+    component of d is dropped and beta = -lam_min becomes admissible.
+    """
+
+    def __init__(self, p):
+        self.lam, self.q = p.gram_eig
+        d = self.q.T @ p.gram_rhs
+        _, _, d_eff, gaps, self.limit_sq, self.hard = min_space(self.lam, d)
+        self.lam_min = float(self.lam[0])
+        self.d = d_eff if self.hard else d
+        self.gaps = gaps if self.hard else self.lam - self.lam_min
+        self.b_sq = p.b_norm_w_sq
+        if self.lam_min > 0.0:
+            self.m0 = self.b_sq - float(self.d @ (self.d / self.lam))
+
+    def _moments(self, v, from_zero):
+        """(z, s, s3, m) at beta = v (from_zero) or beta = v - lam_min; x = Q z."""
+        base = self.lam if from_zero else self.gaps
+        den = base + v
+        z = self.d / den
+        zz = z * z
+        if from_zero and v <= self.lam_min:
+            # m(beta) = m(0) + beta sum d_i^2 / (lam_i (lam_i + beta)) keeps
+            # its dependence on beta when beta is far below |b|_W^2; with
+            # |beta| <= lam_min each d_i^2 / lam_i is within a factor 2 of
+            # d_i^2 / (lam_i + beta), so m(0) adds no cancellation
+            m = self.m0 + v * float(self.d @ (z / base))
+        else:
+            m = self.b_sq - float(self.d @ z)
+        return z, float(zz.sum()), float((zz / den).sum()), m
+
+    def root(self, fn, beta_hi):
+        """The beta in [-lam_min, beta_hi] where a decreasing fn vanishes.
+
+        fn(beta, s, s3, m) -> (value, slope) is given s = |x(beta)|^2,
+        s3 = sum d_i^2 / (lam_i + beta)^3 and m(beta).  beta is carried
+        from the origin 0 when beta > -lam_min / 2 and from the pole
+        -lam_min otherwise, so that it keeps its relative precision and
+        lam + beta does not cancel.  Returns (beta, z, m, evaluations of fn)
+        with x(beta) = Q z.
+        """
+
+        def at(from_zero):
+            origin = 0.0 if from_zero else -self.lam_min
+
+            def g(v):
+                _, s, s3, m = self._moments(v, from_zero)
+                return fn(origin + v, s, s3, m)
+
+            return g
+
+        split = -0.5 * self.lam_min
+        steps = 0
+        if self.lam_min > 0.0:
+            steps = 1
+            if at(True)(split)[0] > 0.0:
+                v, more = _decreasing_root(at(True), split, beta_hi, False)
+                z, _, _, m = self._moments(v, True)
+                return v, z, m, steps + more
+        hi = -split if self.lam_min > 0.0 else beta_hi
+        v, more = _decreasing_root(at(False), 0.0, hi, self.hard)
+        z, _, _, m = self._moments(v, False)
+        return v - self.lam_min, z, m, steps + more
+
+
+def _decreasing_root(fn, lo, hi, closed):
+    """Root in (lo, hi] of a decreasing function fn(v) -> (value, slope).
+
+    The root is lo when ``closed`` and fn(lo) <= 0, and hi when fn(hi) >= 0.
+    Newton steps are taken while they stay inside the sign bracket and
+    shrink faster than bisection would; otherwise the bracket is bisected.
+    Returns (root, evaluations of fn).
+    """
+    steps = 1
+    if closed:
+        if fn(lo)[0] <= 0.0:
+            return lo, steps
+        steps += 1
+    y = hi
+    value, slope = fn(y)
+    if not value < 0.0:
+        return hi, steps
+    dx = dx_old = hi - lo
+    for _ in range(_ROOT_STEPS):
+        step = value / slope if slope < 0.0 else math.nan
+        if abs(step) <= 4.0 * _EPS * abs(y):
+            return y - step, steps
+        newton = y - step
+        if lo < newton < hi and abs(2.0 * value) <= abs(dx_old * slope):
+            dx_old, dx = dx, step
+            y = newton
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            y = lo + dx
+        if abs(dx) <= 4.0 * _EPS * abs(y):
+            break
+        value, slope = fn(y)
+        steps += 1
+        if value > 0.0:
+            lo = y
+        elif value < 0.0:
+            hi = y
+        else:
+            break
+    return y, steps
+
+
+def _tau(p, rho, beta, x):
+    """tau(beta) from the minimizer x = x(beta) inside m(beta).
+
+    m is taken as |Ax - b|_W^2 + beta |x|^2 rather than by the sum over the
+    spectrum, and tau as gamma + 2 (m - gamma) / (1 + sqrt(F / rho)) with
+    gamma = rho - beta, so that neither |b|_W^2 nor rho cancels.
+    """
+    m = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + beta * float(x @ x)
+    gamma = rho - beta
+    return gamma + 2.0 * (m - gamma) / (1.0 + math.sqrt(max(beta + m, 0.0)) / math.sqrt(rho))
+
+
+def dual_tstar(p):
+    """Maximize tau, recover and Newton-polish x*, and report the gap.
+
+    x* = Q d / (lam + beta*); in the hard case beta* = -lam_min and x* is
+    completed inside the minimal eigenspace by :func:`trs_equality` at
+    |x*|^2 = (t* + beta* - rho) / (2 rho).  No radius enters otherwise.
+    """
+    rho = require_identity_scaled(p, "dual_tstar")
+    b_sq = p.b_norm_w_sq
+    if b_sq == 0.0:
+        return DualSolution(0.0, np.zeros(p.shape[1]), 0.0, rho, 0)
+    spec = _Spectrum(p)
+
+    def psi(beta, s, s3, m):  # rho (1 + |x|^2)^2 - F: the sign of tau'
+        return rho * (1.0 + s) ** 2 - (beta + m), -(1.0 + s) * (1.0 + 4.0 * rho * s3)
+
+    # beta* <= rho + 2 |b|_W^2, from t* = rho + 2 rho |x*|^2 - beta* >= 0
+    # and rho |x*|^2 <= G(x*) <= G(0) = |b|_W^2
+    beta, z, m, steps = spec.root(psi, rho + 2.0 * b_sq)
+    x = spec.q @ z
+    if spec.hard and beta == -spec.lam_min:
+        r_sq = math.sqrt(max(beta + m, 0.0)) / math.sqrt(rho) - 1.0
+        x = trs_equality(None, p.gram_rhs, math.sqrt(max(r_sq, spec.limit_sq)),
+                         eig=p.gram_eig).x
+    t_dual = _tau(p, rho, beta, x)
+
+    g = eval_g(p, x).g
+    x_polished = newton_polish(p, x)
+    g_polished = eval_g(p, x_polished).g
+    if g_polished <= g + 1e-14 * (1.0 + abs(g)):
+        x, g = x_polished, g_polished
+    return DualSolution(g, x, t_dual, beta, steps)
 
 
 def assemble_c(p, t, alpha, beta):
-    """Assemble C(t, alpha, beta); alpha and beta must be nonnegative."""
-    rho = _require_identity_scaled(p)
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
+    """Assemble C(t, alpha, beta); alpha >= 0 and beta >= -lambda_min(A^T W A)."""
+    rho = require_identity_scaled(p, "assemble_c")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    lam_min = float(p.gram_eig[0][0])
+    if beta < -lam_min:
+        raise ValueError(
+            f"beta + lambda_min(A^T W A) must be nonnegative; beta={beta!r}, "
+            f"lambda_min={lam_min!r}"
+        )
     n = p.shape[1]
     c_mat = np.zeros((n + 3, n + 3))
     c_mat[:n, :n] = alpha * p.gram_matrix + beta * np.eye(n)
@@ -71,93 +281,48 @@ def assemble_c(p, t, alpha, beta):
     return c_mat
 
 
-def default_box(p):
-    """Default multiplier box 10 max(1, rho, |b|_W^2, |A^T W A|_2), squared."""
-    rho = _require_identity_scaled(p)
-    lam, _ = p.gram_eig
-    top = float(lam[-1]) if lam.size else 0.0
-    bound = 10.0 * max(1.0, rho, p.b_norm_w_sq, top)
-    return bound, bound
-
-
-def feasible_at_t(p, t, box=None, keep_c=False):
-    """Maximize lambda_min(C(t, alpha, beta)) over the multiplier box.
-
-    lambda_min of the affine family is concave in (alpha, beta), so repeated
-    coordinate golden-section passes from a few fixed starts reach the global
-    maximum; the warm start alpha = 1 is where exact feasibility lives.
-    Returns (feasible, best certificate).
-    """
-    alpha_max, beta_max = box if box is not None else default_box(p)
-    if alpha_max <= 0 or beta_max <= 0:
-        raise ValueError("search box must be positive")
-    rho = p.T.rho
-
-    def lam_min(alpha, beta):
-        return float(np.linalg.eigvalsh(assemble_c(p, t, alpha, beta))[0])
-
-    starts = [
-        (1.0, min(max(rho - t, 0.0), beta_max)),
-        (1.0, 0.0),
-        (0.5 * alpha_max, 0.5 * beta_max),
-    ]
-    best = (-np.inf, 1.0, 0.0)
-    for alpha, beta in starts:
-        for _ in range(3):
-            beta, _val = _golden_min(
-                lambda v: -lam_min(alpha, v), 0.0, beta_max, 1e-10 * (1.0 + beta_max)
-            )
-            alpha, val = _golden_min(
-                lambda u: -lam_min(u, beta), 0.0, alpha_max, 1e-10 * (1.0 + alpha_max)
-            )
-            # alpha = 1 is the only point where the z1 coupling vanishes;
-            # snap to it when the search lands nearby
-            if abs(alpha - 1.0) <= 1e-6 and 1.0 <= alpha_max:
-                alpha = 1.0
-        val = lam_min(alpha, beta)
-        if val > best[0]:
-            best = (val, alpha, beta)
-
-    val, alpha, beta = best
-    c_mat = assemble_c(p, t, alpha, beta)
+def _certificate(p, t, beta, keep_c):
+    """(feasible, Certificate) for C(t, 1, beta), from one eigvalsh."""
+    c_mat = assemble_c(p, t, 1.0, beta)
+    val = float(np.linalg.eigvalsh(c_mat)[0])
     tol_psd = _PSD_FLOOR_REL * (1.0 + float(np.linalg.norm(c_mat)))
-    cert = Certificate(t, alpha, beta, val, c_mat if keep_c else None)
-    return val >= -tol_psd, cert
+    return val >= -tol_psd, Certificate(t, 1.0, beta, val, c_mat if keep_c else None)
 
 
-def certify_tstar(p, tol_t=None, box=None, keep_c=False):
-    """Largest feasible t by bisection on [0, |b|_W^2], to width tol_t.
+def feasible_at_t(p, t, keep_c=False):
+    """Decide whether some C(t, 1, beta) is PSD; returns (feasible, certificate).
 
-    The returned certificate is the last feasible one.  An infeasible lower
-    endpoint signals that the multiplier box was too small; it is doubled up
-    to three times before giving up.
+    h_t is concave with decreasing derivative
+    h_t'(beta) = |x(beta)|^2 + (rho - t - beta) / (2 rho), so its maximizer
+    is one bracketed scalar root; one eigvalsh of C there decides.
     """
-    _require_identity_scaled(p)
-    b_sq = p.b_norm_w_sq
-    if tol_t is None:
-        tol_t = 1e-6 * (1.0 + b_sq)
-    current_box = box if box is not None else default_box(p)
+    rho = require_identity_scaled(p, "feasible_at_t")
+    spec = _Spectrum(p)
 
-    for attempt in range(4):
-        feas_hi, cert_hi = feasible_at_t(p, b_sq, box=current_box, keep_c=keep_c)
-        if feas_hi:
-            return cert_hi
-        feas_lo, cert_lo = feasible_at_t(p, 0.0, box=current_box, keep_c=keep_c)
-        if not feas_lo:
-            # t = 0 is always feasible in exact arithmetic; enlarge the box
-            current_box = (2.0 * current_box[0], 2.0 * current_box[1])
-            continue
-        lo, hi = 0.0, b_sq
-        best = cert_lo
-        while hi - lo > tol_t:
-            mid = 0.5 * (lo + hi)
-            feas, cert = feasible_at_t(p, mid, box=current_box, keep_c=keep_c)
-            if feas:
-                lo, best = mid, cert
-            else:
-                hi = mid
-        return best
-    raise RuntimeError(
-        "multiplier search box exhausted after 3 doublings; "
-        f"last box {current_box!r}"
-    )
+    def slope(beta, s, s3, m):
+        return s + (rho - t - beta) / (2.0 * rho), -2.0 * s3 - 0.5 / rho
+
+    # h_t' <= 0 there, since |x(beta)|^2 <= |b|_W^2 / beta for beta > 0
+    beta, _, _, _ = spec.root(slope, max(rho - t, 0.0) + math.sqrt(2.0 * rho * p.b_norm_w_sq))
+    return _certificate(p, t, beta, keep_c)
+
+
+def certify_tstar(p, tol_t=None, keep_c=False):
+    """Certificate at t = tau(beta*), the maximum of the scalar dual.
+
+    The dual's primal point must bring G within tol_t (default
+    1e-10 (1 + |b|_W^2)) of t, and C(t, 1, beta*) must be PSD; otherwise
+    RuntimeError names the failed check.
+    """
+    require_identity_scaled(p, "certify_tstar")
+    if tol_t is None:
+        tol_t = 1e-10 * (1.0 + p.b_norm_w_sq)
+    sol = dual_tstar(p)
+    if not sol.gap <= tol_t:
+        raise RuntimeError(f"duality gap {sol.gap!r} exceeds tol_t {tol_t!r}")
+    feasible, cert = _certificate(p, sol.t_dual, sol.beta, keep_c)
+    if not feasible:
+        raise RuntimeError(
+            f"C(t, 1, beta) is not PSD at t={sol.t_dual!r}: lambda_min {cert.lambda_min!r}"
+        )
+    return cert

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as rio
-from .certificate import certify_tstar
+from .certificate import certify_tstar, dual_tstar
 from .classic import (
     NongenericTlsError,
     RepeatedSingularValueError,
@@ -39,16 +39,13 @@ from .lab import (
 )
 from .model import (
     ProblemFormatError,
-    STATUS_HEURISTIC,
     STATUS_SOLVED,
     STATUS_TRIVIAL,
     is_trivial_rtls,
 )
 from .reduction import recover_pair
 from .solver import (
-    EXISTENCE_NOT_CERTIFIED,
-    EXISTENCE_TRIVIAL,
-    EXISTENCE_UNIQUE,
+    PAIR_STATUS,
     VERDICT_CONVERGED,
     classify_existence,
     solve_rtls_general_t,
@@ -112,25 +109,16 @@ def cmd_solve(args):
     config = RunConfig(
         "solve", problem_path=args.problem, output_path=args.out,
         format=args.format, seed=args.seed,
-        tolerances={"tol_phi": args.tol_phi},
     )
     p = rio.load_problem(config.problem_path)
     meta = {"command": "solve", "seed": config.seed}
     if p.T.kind == "identity_scaled":
-        trace = solve_tstar(p, tol_phi=args.tol_phi, max_iter=args.max_iter, grid=args.grid)
-        if trace.verdict != VERDICT_CONVERGED:
-            sys.stderr.write("solver did not converge; trace follows\n")
-            sys.stderr.write(rio.canonical_json(rio.trace_to_dict(trace)) + "\n")
-            return EXIT_ERROR
-        verdict = classify_existence(p, trace)
-        status = {
-            EXISTENCE_UNIQUE: STATUS_SOLVED,
-            EXISTENCE_TRIVIAL: STATUS_TRIVIAL,
-            EXISTENCE_NOT_CERTIFIED: STATUS_HEURISTIC,
-        }[verdict]
-        report = recover_pair(p, trace.x_star, status=status)
-        meta["t_star"] = float(trace.t_star)
-        meta["iterations"] = len(trace.iterates)
+        sol = dual_tstar(p)
+        status = PAIR_STATUS[classify_existence(p, sol)]
+        report = recover_pair(p, sol.x_star, status=status)
+        meta["t_star"] = float(sol.t_star)
+        meta["t_dual"] = float(sol.t_dual)
+        meta["dual_steps"] = sol.steps
     else:
         trivial, witness = is_trivial_rtls(p, 1e-10)
         if trivial:
@@ -145,15 +133,18 @@ def cmd_solve(args):
 
 
 def _certify_one(p, args):
+    """Certify t* and cross-check it against the Dinkelbach reference.
+
+    The two agree when they differ by at most tol_t (default
+    1e-10 (1 + |b|_W^2)).
+    """
     trace = solve_tstar(p)
     if trace.verdict != VERDICT_CONVERGED:
         raise RuntimeError("reference solver did not converge")
-    box = (args.box, args.box) if args.box is not None else None
-    cert = certify_tstar(p, tol_t=args.tol_t, box=box, keep_c=args.keep_c)
-    tol_t = args.tol_t if args.tol_t is not None else 1e-6 * (1.0 + p.b_norm_w_sq)
+    tol_t = args.tol_t if args.tol_t is not None else 1e-10 * (1.0 + p.b_norm_w_sq)
+    cert = certify_tstar(p, tol_t=tol_t, keep_c=args.keep_c)
     gap = abs(cert.t - trace.t_star)
-    agrees = gap <= max(tol_t, 1e-4 * (1.0 + abs(trace.t_star)))
-    return cert, trace, gap, agrees
+    return cert, trace, gap, gap <= tol_t
 
 
 def cmd_certify(args):
@@ -294,9 +285,6 @@ def build_parser():
     solve.add_argument("--problem", required=True)
     solve.add_argument("--out")
     solve.add_argument("--format", choices=("json",), default="json")
-    solve.add_argument("--tol-phi", type=float, default=None)
-    solve.add_argument("--grid", type=int, default=512)
-    solve.add_argument("--max-iter", type=int, default=60)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--starts", type=int, default=8)
     solve.set_defaults(func=cmd_solve)
@@ -305,7 +293,6 @@ def build_parser():
     certify.add_argument("--problem")
     certify.add_argument("--out")
     certify.add_argument("--tol-t", type=float, default=None)
-    certify.add_argument("--box", type=float, default=None)
     certify.add_argument("--keep-C", dest="keep_c", action="store_true")
     certify.add_argument("--batch", type=int, default=0)
     certify.add_argument("--seed", type=int, default=0)

@@ -10,7 +10,8 @@ Problem file layout (JSON, UTF-8):
         | {"kind": "dense", "rows": p, "cols": n, "data": [...]},
      "origin": {...}}            # optional
 
-Non-finite entries are rejected with the offending field named.  All floats
+A field of the wrong JSON type or with a non-finite entry is rejected with
+the field named.  All floats
 are emitted with 17 significant digits so identical inputs produce byte-
 identical artifacts.
 """
@@ -95,20 +96,32 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
+def _real_vector(value, name):
+    """A JSON list of finite numbers as a float vector."""
+    arr = np.asarray(value) if isinstance(value, list) else None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFormatError(f"non-finite value in field '{name}'")
+    return arr
+
+
 def _matrix_from_spec(obj, name):
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"field '{name}' must be an object")
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise ProblemFormatError(f"field '{name}.{key}' is missing")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
+    for key in ("rows", "cols"):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool) or obj[key] < 0:
+            raise ProblemFormatError(f"field '{name}.{key}' must be a nonnegative integer")
+    rows, cols = obj["rows"], obj["cols"]
+    data = _real_vector(obj["data"], f"{name}.data")
     if data.size != rows * cols:
         raise ProblemFormatError(
             f"field '{name}.data' has {data.size} entries, expected {rows * cols}"
         )
-    if not np.all(np.isfinite(data)):
-        raise ProblemFormatError(f"non-finite value in field '{name}.data'")
     return data.reshape(rows, cols)
 
 
@@ -123,17 +136,12 @@ def problem_from_dict(obj):
             raise ProblemFormatError(f"field '{key}' is missing")
 
     a_mat = _matrix_from_spec(obj["A"], "A")
-    b = np.asarray(obj["b"], dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ProblemFormatError("non-finite value in field 'b'")
+    b = _real_vector(obj["b"], "b")
 
     w_spec = obj["W"]
     kind = w_spec.get("kind") if isinstance(w_spec, dict) else None
     if kind == "diagonal":
-        data = np.asarray(w_spec.get("data", []), dtype=float)
-        if not np.all(np.isfinite(data)):
-            raise ProblemFormatError("non-finite value in field 'W.data'")
-        weight = WeightOperator.diagonal(data)
+        weight = WeightOperator.diagonal(_real_vector(w_spec.get("data", []), "W.data"))
     elif kind == "dense":
         weight = WeightOperator.dense(_matrix_from_spec(w_spec, "W"))
     else:
@@ -144,6 +152,8 @@ def problem_from_dict(obj):
     if kind == "identity_scaled":
         if "rho" not in t_spec:
             raise ProblemFormatError("field 'T.rho' is missing")
+        if not isinstance(t_spec["rho"], (int, float)) or isinstance(t_spec["rho"], bool):
+            raise ProblemFormatError("field 'T.rho' must be a number")
         reg = RegularizerSpec.identity_scaled(t_spec["rho"])
     elif kind == "dense":
         reg = RegularizerSpec.dense(_matrix_from_spec(t_spec, "T"))

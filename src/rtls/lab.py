@@ -24,14 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
+from .certificate import dual_tstar
 from .classic import min_direction
 from .model import (
     ProblemFormatError,
     ProblemSpec,
     RegularizerSpec,
-    STATUS_HEURISTIC,
-    STATUS_SOLVED,
-    STATUS_TRIVIAL,
     WeightOperator,
     is_trivial_rtls,
     is_trivial_tls,
@@ -41,12 +39,9 @@ from .model import (
 )
 from .reduction import eval_g, recover_pair
 from .solver import (
-    EXISTENCE_NOT_CERTIFIED,
-    EXISTENCE_TRIVIAL,
-    EXISTENCE_UNIQUE,
+    PAIR_STATUS,
     classify_existence,
     solve_rtls_general_t,
-    solve_tstar,
 )
 
 _INTERP_TOL = 1e-12
@@ -393,7 +388,7 @@ def _h_value(w_head, a_head, b_head, alpha, extra_norm_sq, rho):
     return num / (1.0 + total_sq) + rho * total_sq
 
 
-def diagonal_solve(a, w, b_head, rho, n, tol_phi=None):
+def diagonal_solve(a, w, b_head, rho, n):
     """Solve the truncated diagonal instance and audit its critical points.
 
     b must be supported on the first N = len(b_head) coordinates with N <= n;
@@ -417,16 +412,10 @@ def diagonal_solve(a, w, b_head, rho, n, tol_phi=None):
 
     model = DiagonalModel(a[:n], w[:n], b_head, rho=rho)
     p = model.build(n)
-    trace = solve_tstar(p, tol_phi=tol_phi)
-    verdict = classify_existence(p, trace)
-    status = {
-        EXISTENCE_UNIQUE: STATUS_SOLVED,
-        EXISTENCE_TRIVIAL: STATUS_TRIVIAL,
-        EXISTENCE_NOT_CERTIFIED: STATUS_HEURISTIC,
-    }[verdict]
-    report = recover_pair(p, trace.x_star, status=status)
+    sol = dual_tstar(p)
+    report = recover_pair(p, sol.x_star, status=PAIR_STATUS[classify_existence(p, sol)])
 
-    x = trace.x_star
+    x = sol.x_star
     wa_head = w[:head] * a[:head]
     wa_scale = float(np.max(np.abs(wa_head), initial=0.0))
     nonzero = np.abs(wa_head) > 1e-14 * max(1.0, wa_scale)
@@ -501,15 +490,14 @@ def truncation_sweep(model, n_list, rho=None, seed=0):
         previous = n
         p = model.build(n, rho=rho)
         if p.T.kind == "identity_scaled":
-            trace = solve_tstar(p)
-            verdict = classify_existence(p, trace)
+            sol = dual_tstar(p)
             rows.append(
                 SweepRow(
                     n,
-                    float(trace.t_star),
-                    float(np.linalg.norm(trace.x_star)),
-                    eval_g(p, trace.x_star).g,
-                    verdict,
+                    float(sol.t_star),
+                    float(np.linalg.norm(sol.x_star)),
+                    eval_g(p, sol.x_star).g,
+                    classify_existence(p, sol),
                 )
             )
         else:

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import STATUS_HEURISTIC, is_trivial_rtls, w_vec_seminorm
+from .model import (
+    STATUS_HEURISTIC,
+    STATUS_SOLVED,
+    STATUS_TRIVIAL,
+    is_trivial_rtls,
+    w_vec_seminorm,
+)
 from .reduction import eval_g, recover_pair
 from .trs import radial_values, trs_equality
 
@@ -42,10 +48,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EXISTENCE_UNIQUE = "unique_solution"
 EXISTENCE_TRIVIAL = "trivial"
 EXISTENCE_NOT_CERTIFIED = "not_certified"
-# label reserved for nontrivial instances whose quadratic form T^T T + A^T W A
-# is singular; the infimum is then zero and unattained, which no run of the
-# scaled-identity pipeline (rho > 0) can produce.
-EXISTENCE_NO_SOLUTION = "no_solution_nontrivial"
+
+# pair-report status claimed for each existence verdict
+PAIR_STATUS = {
+    EXISTENCE_UNIQUE: STATUS_SOLVED,
+    EXISTENCE_TRIVIAL: STATUS_TRIVIAL,
+    EXISTENCE_NOT_CERTIFIED: STATUS_HEURISTIC,
+}
 
 VERDICT_CONVERGED = "converged"
 VERDICT_MAX_ITER = "max_iter"
@@ -68,7 +77,8 @@ class DinkelbachTrace:
     verdict: str = VERDICT_MAX_ITER
 
 
-def _require_identity_scaled(p, op):
+def require_identity_scaled(p, op):
+    """Return rho of a scaled-identity regularizer; raise for any other."""
     if p.T.kind != "identity_scaled":
         raise ValueError(f"{op} requires the scaled-identity regularizer")
     return p.T.rho
@@ -168,7 +178,7 @@ def eval_phi(p, t, grid=512):
     of the one-dimensional search even in the regime t > rho where the inner
     expression is nonconvex.
     """
-    rho = _require_identity_scaled(p, "eval_phi")
+    rho = require_identity_scaled(p, "eval_phi")
     r_max0 = math.sqrt(p.b_norm_w_sq / rho) * 1.05 + 1e-9
 
     def weight(rs):
@@ -198,7 +208,7 @@ def solve_tstar(p, tol_phi=None, max_iter=60, grid=512):
     1e-9 (1 + |b|_W^2)); one extra update is then taken to polish x*.  Three
     non-improving steps switch to bisection on the maintained sign bracket.
     """
-    rho = _require_identity_scaled(p, "solve_tstar")
+    rho = require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
     if tol_phi is None:
         tol_phi = 1e-9 * (1.0 + b_sq)
@@ -272,14 +282,20 @@ def solve_tstar(p, tol_phi=None, max_iter=60, grid=512):
 def classify_existence(p, trace, tol=None):
     """Existence verdict for the scaled-identity problem.
 
+    ``trace`` is a solve result with ``t_star`` and ``verdict``: a
+    :class:`DinkelbachTrace` or a :class:`rtls.certificate.DualSolution`.
+
     trivial            b in N(W) (the regularizer is injective);
     unique_solution    rho >= t*, the convexity certificate applies;
     not_certified      rho < t*: a best point exists at finite dimension but
                        no attainment guarantee is claimed.
     """
-    rho = _require_identity_scaled(p, "classify_existence")
+    rho = require_identity_scaled(p, "classify_existence")
     if trace.verdict != VERDICT_CONVERGED:
-        raise ValueError("existence classification requires a converged trace")
+        raise ValueError(
+            "existence classification requires a converged solve, not verdict "
+            f"{trace.verdict!r} at t* = {trace.t_star!r}"
+        )
     if tol is None:
         tol = 1e-8 * (1.0 + abs(trace.t_star))
     trivial, _ = is_trivial_rtls(p, 1e-10)
@@ -309,7 +325,7 @@ def solve_rls_quartic(p, grid=512):
     The objective is convex and coercive, so the minimum always exists; when
     it is <= rho the scaled-identity problem is guaranteed a unique solution.
     """
-    rho = _require_identity_scaled(p, "solve_rls_quartic")
+    rho = require_identity_scaled(p, "solve_rls_quartic")
     r_max0 = (p.b_norm_w_sq / rho) ** 0.25 * 1.05 + 1e-9
 
     def weight(rs):

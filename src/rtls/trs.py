@@ -45,14 +45,23 @@ def _decompose(S, c, eig):
     return lam, q, d
 
 
-def _min_space(lam, d):
+def min_space(lam, d):
+    """Split eigenbasis data (lam ascending, d = Q^T c) at the minimal eigenspace.
+
+    Returns (in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate): the mask
+    of the minimal eigenspace, the norm of d inside it, d with that part
+    zeroed, the gaps lam - lam_min with ones inside it, the squared norm
+    |d_eff / gaps|^2 reached as mu -> -lam_min, and whether d has no
+    component in the minimal eigenspace (the precondition of the hard case).
+    """
     spread = max(lam[-1] - lam[0], abs(lam[0]), 1.0)
     in_min = lam - lam[0] <= _EIGENGAP_REL * spread
     d_min_norm = float(np.linalg.norm(d[in_min]))
     d_eff = np.where(in_min, 0.0, d)
     gaps = np.where(in_min, 1.0, lam - lam[0])
     limit_sq = float(np.sum((d_eff / gaps) ** 2))
-    return in_min, d_min_norm, d_eff, gaps, limit_sq
+    degenerate = d_min_norm <= _HARD_CASE_REL * max(1.0, float(np.linalg.norm(d)))
+    return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
 
 
 def trs_equality(S, c, r, eig=None):
@@ -70,11 +79,10 @@ def trs_equality(S, c, r, eig=None):
     if r == 0.0:
         return TrsSolution(0.0, np.zeros(n), float("nan"), False)
 
-    in_min, d_min_norm, d_eff, gaps, limit_sq = _min_space(lam, d)
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
     lam_min = float(lam[0])
-    d_scale = max(1.0, float(np.linalg.norm(d)))
 
-    if d_min_norm <= _HARD_CASE_REL * d_scale and limit_sq <= r * r * (1.0 + 1e-12):
+    if degenerate and limit_sq <= r * r * (1.0 + 1e-12):
         # hard case: complete with a minimal-eigenspace component
         x_eig = d_eff / gaps
         x_eig[in_min] = 0.0
@@ -90,7 +98,7 @@ def trs_equality(S, c, r, eig=None):
     def secular(mu):
         return float(np.sum((d / (lam + mu)) ** 2)) - r * r
 
-    if d_min_norm > _HARD_CASE_REL * d_scale:
+    if not degenerate:
         lo = -lam_min + d_min_norm / r  # secular(lo) >= 0 from the minimal block alone
     else:
         spread = max(lam[-1] - lam[0], abs(lam_min), 1.0)
@@ -133,14 +141,12 @@ def radial_values(lam, d, rs, iters=70):
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    in_min, d_min_norm, d_eff, gaps, limit_sq = _min_space(lam, d)
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
     lam_min = float(lam[0])
-    d_scale = max(1.0, float(np.linalg.norm(d)))
     d_norm = float(np.linalg.norm(d))
 
     out = np.zeros_like(rs)
     pos = rs > 0.0
-    degenerate = d_min_norm <= _HARD_CASE_REL * d_scale
 
     hard = pos & ((rs * rs >= limit_sq) if degenerate else np.zeros_like(pos))
     if np.any(hard):

@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import certified_instances
 from rtls import (
+    DualSolution,
+    ProblemSpec,
+    RegularizerSpec,
+    WeightOperator,
     assemble_c,
     certify_tstar,
+    classify_existence,
+    dual_tstar,
+    eval_g,
     feasible_at_t,
     solve_tstar,
 )
-from rtls.instances import closed_form_problem, random_problem
+from rtls.instances import closed_form_problem, random_problem, random_weight
+
+# derandomized so that the suite is reproducible; each example runs Dinkelbach
+dual_settings = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def scalar_expansion(p, t, alpha, beta, x, z1, z2):
@@ -144,13 +156,103 @@ class TestCertifyTstar:
         for p in certified_instances(20, dims=(3,), seed=31):
             trace = solve_tstar(p)
             cert = certify_tstar(p)
-            assert abs(cert.t - trace.t_star) <= 1e-4
-            assert abs(cert.t - trace.t_star) <= max(
-                1e-6 * (1.0 + p.b_norm_w_sq), 1e-4 * (1.0 + trace.t_star)
-            )
+            assert abs(cert.t - trace.t_star) <= 1e-10
 
     def test_keep_c_retains_matrix(self):
         p = closed_form_problem()
         cert = certify_tstar(p, tol_t=1e-3, keep_c=True)
         assert cert.C is not None
         assert cert.C.shape == (5, 5)
+
+
+def assert_dual_matches_dinkelbach(p):
+    """dual_tstar agrees with solve_tstar to 1e-12 relative, with a tight gap."""
+    sol = dual_tstar(p)
+    trace = solve_tstar(p)
+    assert trace.verdict == "converged"
+    scale = max(abs(trace.t_star), 1e-300)
+    assert abs(sol.t_star - trace.t_star) <= 1e-12 * scale
+    assert sol.t_star == eval_g(p, sol.x_star).g
+    assert abs(sol.gap) <= 1e-12 * (1.0 + abs(sol.t_star))
+    return sol
+
+
+class TestDualTstar:
+    @dual_settings
+    @given(seeds, st.sampled_from([2, 3, 5]))
+    def test_negative_multiplier(self, seed, n):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, n, m=3 * n, rho_factor=0.02)
+        sol = assert_dual_matches_dinkelbach(p)
+        assert -p.gram_eig[0][0] <= sol.beta < 0.0
+
+    @dual_settings
+    @given(seeds, st.sampled_from([0.02, 0.3, 1.5]))
+    def test_rank_deficient_a(self, seed, rho_factor):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, 4, m=5, rho_factor=rho_factor)
+        p = ProblemSpec(
+            rng.normal(size=(5, 2)) @ rng.normal(size=(2, 4)), p.b, p.W, p.T
+        )
+        assert p.gram_eig[0][0] <= 1e-12 * p.gram_eig[0][-1]
+        assert_dual_matches_dinkelbach(p)
+
+    @dual_settings
+    @given(seeds, st.sampled_from([0.02, 0.3, 1.5]), st.sampled_from(["diagonal", "dense"]))
+    def test_singular_weight(self, seed, rho_factor, kind):
+        rng = np.random.default_rng(seed)
+        weights = random_weight(rng, 5, kind="diagonal").data
+        weights[:2] = 0.0
+        if kind == "dense":
+            q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+            weight = WeightOperator.dense((q * weights) @ q.T)
+        else:
+            weight = WeightOperator.diagonal(weights)
+        wb = weight.apply_sqrt(b := rng.normal(size=5))
+        p = ProblemSpec(
+            rng.normal(size=(5, 3)), b, weight,
+            RegularizerSpec.identity_scaled(rho_factor * float(wb @ wb)),
+        )
+        assert_dual_matches_dinkelbach(p)
+
+    @dual_settings
+    @given(seeds, st.sampled_from([1e-6, 1e6]), st.sampled_from([0.02, 1.5]))
+    def test_scaled_a(self, seed, scale, rho_factor):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, 3, m=4, rho_factor=rho_factor)
+        p = ProblemSpec(scale * p.A, p.b, p.W, p.T)
+        assert_dual_matches_dinkelbach(p)
+
+    @dual_settings
+    @given(seeds, st.sampled_from([5, 7, 9]), st.sampled_from([0.02, 1.5]))
+    def test_ill_conditioned_a(self, seed, decades, rho_factor):
+        # lambda_min(A^T W A) > 0 but tiny: beta* sits next to the pole
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, 4, m=6, rho_factor=rho_factor)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        a_mat = (u * np.logspace(0.0, -decades, 4)) @ v.T
+        assert_dual_matches_dinkelbach(ProblemSpec(a_mat, p.b, p.W, p.T))
+
+    @pytest.mark.parametrize("rho", [0.25, 1.0, 9.0, 24.0, 25.0, 30.0])
+    def test_zero_operator_closed_form(self, rho):
+        # A = 0: t* = 2 sqrt(rho) |b| - rho when |b|^2 >= rho, else |b|^2
+        p = closed_form_problem(rho=rho)
+        expected = 2.0 * np.sqrt(rho) * 5.0 - rho if rho <= 25.0 else 25.0
+        sol = assert_dual_matches_dinkelbach(p)
+        assert sol.t_star == pytest.approx(expected, rel=1e-14)
+        assert sol.t_dual == pytest.approx(expected, rel=1e-14)
+
+    def test_wide_gap_is_not_classified(self):
+        p = closed_form_problem()
+        sol = DualSolution(9.0, np.array([2.0, 0.0]), 8.0, 0.0, 1)
+        assert sol.verdict == "duality_gap"
+        with pytest.raises(ValueError, match="duality_gap"):
+            classify_existence(p, sol)
+
+    def test_zero_data_exact(self):
+        p = random_problem(np.random.default_rng(0), 3)
+        p = ProblemSpec(p.A, np.zeros(3), p.W, p.T)
+        sol = dual_tstar(p)
+        assert (sol.t_star, sol.t_dual, sol.gap) == (0.0, 0.0, 0.0)
+        assert not np.any(sol.x_star)

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import main
-from rtls.instances import closed_form_problem
+from rtls.instances import closed_form_problem, random_problem
 from rtls import io as rio
 
 
@@ -20,6 +21,11 @@ def workdir(tmp_path):
         RegularizerSpec.identity_scaled(2.0),
     )
     rio.save_problem(tmp_path / "trivial.json", trivial)
+    # rho = 0.02 |b|_W^2 with a tall A: the multiplier beta* is negative
+    rio.save_problem(
+        tmp_path / "negative_beta.json",
+        random_problem(np.random.default_rng(5), 3, m=6, rho_factor=0.02),
+    )
     (tmp_path / "diag_default.json").write_text(json.dumps(
         {"a": {"formula": "1/k", "zeros": 1}, "w": "1/k^2", "b": [1.0], "rho": 1.0}
     ))
@@ -73,6 +79,48 @@ class TestSolveCommand:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name", ["closedform", "certified", "trivial", "negative_beta"]
+    )
+    def test_meta_duality_gap(self, workdir, name):
+        out = workdir / "rep.json"
+        main(["solve", "--problem", str(workdir / f"{name}.json"), "--out", str(out)])
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["dual_steps"] >= 0
+        assert abs(meta["t_star"] - meta["t_dual"]) <= 1e-12 * (1.0 + meta["t_star"])
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("b", {"x": 1}, "'b'"),
+        ("b", ["1.0", 2.0], "'b'"),
+        ("A", {"rows": "2", "cols": 2, "data": [0.0] * 4}, "'A.rows'"),
+        ("A", {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}, "'A.data'"),
+        ("W", {"kind": "diagonal", "data": [None, 1.0]}, "'W.data'"),
+        ("T", {"kind": "identity_scaled", "rho": {"v": 1.0}}, "'T.rho'"),
+    ])
+    def test_wrong_json_type_exit_one(self, workdir, capsys, field, value, named):
+        obj = rio.problem_to_dict(closed_form_problem())
+        obj[field] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["solve", "--problem", str(bad)]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_subnormal_scale_rho_solves_quietly(self, workdir):
+        tiny = ProblemSpec(
+            np.ones((1, 1)), np.ones(1),
+            WeightOperator.diagonal([1.0]),
+            RegularizerSpec.identity_scaled(1e-300),
+        )
+        rio.save_problem(workdir / "tiny.json", tiny)
+        out = workdir / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["solve", "--problem", str(workdir / "tiny.json"), "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "solved"
+        assert report["objective"] == pytest.approx(1e-300, rel=1e-12)
+
 
 class TestCertifyCommand:
     def test_closed_form(self, workdir):
@@ -91,6 +139,15 @@ class TestCertifyCommand:
         batch = json.loads(out.read_text())["batch"]
         assert len(batch) == 5
         assert all(entry["agrees"] for entry in batch)
+
+    def test_negative_multiplier_agrees(self, workdir):
+        out = workdir / "cert.json"
+        code = main(["certify", "--problem", str(workdir / "negative_beta.json"),
+                     "--out", str(out)])
+        assert code == 0
+        cert = json.loads(out.read_text())
+        assert cert["alpha"] == 1.0 and cert["beta"] < 0
+        assert cert["meta"]["agreement_gap"] <= 1e-10
 
     def test_keep_c(self, workdir):
         out = workdir / "cert.json"
