@@ -18,20 +18,17 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import io as rio
 from .certificate import certify_tstar, dual_tstar
-from .classic import (
-    NongenericTlsError,
-    RepeatedSingularValueError,
-    solve_classic_tls,
-)
+from .classic import solve_classic_tls
 from .instances import random_problem
 from .lab import (
+    DiagonalModel,
     diagonal_solve,
+    load_model_file,
     nonexistence_rtls_sequence,
     nonexistence_tls_sequence,
     truncation_sweep,
@@ -59,22 +56,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    problem_path: str | None = None
-    model_path: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for path in (self.problem_path, self.model_path):
-            if path is not None and not os.path.exists(path):
-                raise ProblemFormatError(f"input file does not exist: {path}")
-
-
 def _parse_floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -92,12 +73,7 @@ def _emit(obj, out, fmt="json", rows=None):
         if out:
             rio.write_csv(out, header, table)
         else:
-            lines = [",".join(header)]
-            for row in table:
-                lines.append(",".join(
-                    format(v, ".17g") if isinstance(v, float) else str(v) for v in row
-                ))
-            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.write(rio.csv_text(header, table))
         return
     if out:
         rio.write_json(out, obj)
@@ -106,12 +82,8 @@ def _emit(obj, out, fmt="json", rows=None):
 
 
 def cmd_solve(args):
-    config = RunConfig(
-        "solve", problem_path=args.problem, output_path=args.out,
-        format=args.format, seed=args.seed,
-    )
-    p = rio.load_problem(config.problem_path)
-    meta = {"command": "solve", "seed": config.seed}
+    p = rio.load_problem(args.problem)
+    meta = {"command": "solve", "seed": args.seed}
     if p.T.kind == "identity_scaled":
         sol = dual_tstar(p)
         status = PAIR_STATUS[classify_existence(p, sol)]
@@ -128,7 +100,7 @@ def cmd_solve(args):
         meta["starts"] = args.starts
     out = rio.pair_report_to_dict(report)
     out["meta"] = meta
-    _emit(out, config.output_path, config.format)
+    _emit(out, args.out)
     return EXIT_OK if report.status in (STATUS_SOLVED, STATUS_TRIVIAL) else EXIT_NOT_CERTIFIED
 
 
@@ -148,10 +120,6 @@ def _certify_one(p, args):
 
 
 def cmd_certify(args):
-    config = RunConfig(
-        "certify", problem_path=args.problem, output_path=args.out, seed=args.seed,
-        tolerances={"tol_t": args.tol_t},
-    )
     if not args.batch and not args.problem:
         raise ProblemFormatError("certify needs --problem or --batch")
     if args.batch:
@@ -170,10 +138,10 @@ def cmd_certify(args):
                 "agrees": agrees,
             })
             results.append(entry)
-        _emit({"batch": results, "meta": {"seed": args.seed}}, config.output_path)
+        _emit({"batch": results, "meta": {"seed": args.seed}}, args.out)
         return EXIT_OK if all_agree else EXIT_NOT_CERTIFIED
 
-    p = rio.load_problem(config.problem_path)
+    p = rio.load_problem(args.problem)
     cert, trace, gap, agrees = _certify_one(p, args)
     out = rio.certificate_to_dict(cert, keep_c=args.keep_c)
     out["meta"] = {
@@ -181,13 +149,12 @@ def cmd_certify(args):
         "t_dinkelbach": float(trace.t_star),
         "agreement_gap": gap,
     }
-    _emit(out, config.output_path)
+    _emit(out, args.out)
     return EXIT_OK if agrees else EXIT_NOT_CERTIFIED
 
 
 def cmd_classic_tls(args):
-    config = RunConfig("classic-tls", problem_path=args.problem, output_path=args.out)
-    p = rio.load_problem(config.problem_path)
+    p = rio.load_problem(args.problem)
     if p.W.kind != "diagonal" or not np.allclose(p.W.data, 1.0):
         logger.warning("classic-tls ignores the weight and regularizer of the problem file")
     solution = solve_classic_tls(p.A, p.b)
@@ -197,17 +164,13 @@ def cmd_classic_tls(args):
         "objective": float(solution.sigma_min**2),
         "constraint_residual": float(solution.residual),
     }
-    _emit(out, config.output_path)
+    _emit(out, args.out)
     return EXIT_OK
 
 
 def cmd_demo(args):
-    config = RunConfig(
-        "demo:" + args.demo_command, model_path=getattr(args, "model", None),
-        output_path=args.out, format=args.format, seed=getattr(args, "seed", 0),
-    )
     if args.demo_command in ("nonexist-tls", "nonexist-rtls"):
-        model = rio.load_model_file(config.model_path)
+        model = load_model_file(args.model)
         p = model.build(args.N)
         run = (
             nonexistence_tls_sequence
@@ -219,27 +182,18 @@ def cmd_demo(args):
             logger.info("eps=%g skipped: %s", eps, reason)
         _emit(
             rio.sequence_result_to_dict(result),
-            config.output_path,
-            config.format,
+            args.out,
+            args.format,
             rows=rio.sequence_result_rows(result),
         )
         return EXIT_OK
     if args.demo_command == "diagonal":
-        model = rio.load_model_file(config.model_path)
-        from .lab import DiagonalModel, _sequence  # local: validates model kind
-
+        model = load_model_file(args.model)
         if not isinstance(model, DiagonalModel) or model.rho is None:
             raise ProblemFormatError(
                 "the diagonal demo needs a diagonal model with a scaled-identity 'rho'"
             )
-        n = args.N
-        report, audit = diagonal_solve(
-            _sequence(model.a, n, "a"),
-            _sequence(model.w, n, "w"),
-            np.asarray(model.b, dtype=float),
-            model.rho,
-            n,
-        )
+        report, audit = diagonal_solve(model.a, model.w, model.b, model.rho, args.N)
         out = rio.pair_report_to_dict(report)
         out["audit"] = {
             "head": audit.head,
@@ -250,15 +204,15 @@ def cmd_demo(args):
                 None if audit.rebalance_gap is None else float(audit.rebalance_gap)
             ),
         }
-        _emit(out, config.output_path)
+        _emit(out, args.out)
         return EXIT_OK
     if args.demo_command == "sweep":
-        model = rio.load_model_file(config.model_path)
-        rows = truncation_sweep(model, _parse_ints(args.N), seed=config.seed)
+        model = load_model_file(args.model)
+        rows = truncation_sweep(model, _parse_ints(args.N), seed=args.seed)
         _emit(
             rio.sweep_to_dict(rows),
-            config.output_path,
-            config.format,
+            args.out,
+            args.format,
             rows=rio.sweep_rows(rows),
         )
         return EXIT_OK
@@ -266,8 +220,8 @@ def cmd_demo(args):
         rows = weak_continuity_demo(_parse_ints(args.n), quad_points=args.quad_points)
         _emit(
             rio.weakcont_to_dict(rows),
-            config.output_path,
-            config.format,
+            args.out,
+            args.format,
             rows=rio.weakcont_rows(rows),
         )
         return EXIT_OK
@@ -348,10 +302,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFormatError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except (NongenericTlsError, RepeatedSingularValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        # every rtls error (ProblemFormatError, the classic-TLS and secular
+        # bracketing errors) derives from one of these
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -10,10 +10,11 @@ Problem file layout (JSON, UTF-8):
         | {"kind": "dense", "rows": p, "cols": n, "data": [...]},
      "origin": {...}}            # optional
 
-A field of the wrong JSON type or with a non-finite entry is rejected with
-the field named.  All floats
-are emitted with 17 significant digits so identical inputs produce byte-
-identical artifacts.
+A field of the wrong JSON type (a boolean counts as one in a numeric
+field) or with a non-finite entry is rejected with the field named, and a
+file that cannot be read or parsed with its path.  All floats are emitted
+with 17 significant digits so identical inputs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -75,17 +76,19 @@ def write_json(path, obj):
     return text
 
 
-def write_csv(path, header, rows):
+def csv_text(header, rows):
+    """CSV lines with floats at 17 significant digits."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(_format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+        lines.append(",".join(
+            _format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+            for v in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows):
+    text = csv_text(header, rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
@@ -96,15 +99,43 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-def _real_vector(value, name):
+def real_vector(value, name):
     """A JSON list of finite numbers as a float vector."""
     arr = np.asarray(value) if isinstance(value, list) else None
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
         raise ProblemFormatError(f"field '{name}' must be a list of numbers")
     arr = arr.astype(float)
+    # numpy turns JSON booleans mixed with numbers into 0.0 and 1.0, so only
+    # those entries need their type looked at; when there are many, one
+    # C-level pass over the whole list is cheaper than indexing them
+    suspects = np.flatnonzero((arr == 0.0) | (arr == 1.0))
+    if suspects.size > 256:
+        types = set(map(type, value))
+    else:
+        types = {type(value[i]) for i in suspects.tolist()}
+    if bool in types:
+        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"non-finite value in field '{name}'")
     return arr
+
+
+def real_number(value, name):
+    """A JSON number (not a boolean) as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProblemFormatError(f"field '{name}' must be a number")
+    return float(value)
+
+
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file names its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read input file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _matrix_from_spec(obj, name):
@@ -117,7 +148,7 @@ def _matrix_from_spec(obj, name):
         if not isinstance(obj[key], int) or isinstance(obj[key], bool) or obj[key] < 0:
             raise ProblemFormatError(f"field '{name}.{key}' must be a nonnegative integer")
     rows, cols = obj["rows"], obj["cols"]
-    data = _real_vector(obj["data"], f"{name}.data")
+    data = real_vector(obj["data"], f"{name}.data")
     if data.size != rows * cols:
         raise ProblemFormatError(
             f"field '{name}.data' has {data.size} entries, expected {rows * cols}"
@@ -136,12 +167,12 @@ def problem_from_dict(obj):
             raise ProblemFormatError(f"field '{key}' is missing")
 
     a_mat = _matrix_from_spec(obj["A"], "A")
-    b = _real_vector(obj["b"], "b")
+    b = real_vector(obj["b"], "b")
 
     w_spec = obj["W"]
     kind = w_spec.get("kind") if isinstance(w_spec, dict) else None
     if kind == "diagonal":
-        weight = WeightOperator.diagonal(_real_vector(w_spec.get("data", []), "W.data"))
+        weight = WeightOperator.diagonal(real_vector(w_spec.get("data", []), "W.data"))
     elif kind == "dense":
         weight = WeightOperator.dense(_matrix_from_spec(w_spec, "W"))
     else:
@@ -152,9 +183,7 @@ def problem_from_dict(obj):
     if kind == "identity_scaled":
         if "rho" not in t_spec:
             raise ProblemFormatError("field 'T.rho' is missing")
-        if not isinstance(t_spec["rho"], (int, float)) or isinstance(t_spec["rho"], bool):
-            raise ProblemFormatError("field 'T.rho' must be a number")
-        reg = RegularizerSpec.identity_scaled(t_spec["rho"])
+        reg = RegularizerSpec.identity_scaled(real_number(t_spec["rho"], "T.rho"))
     elif kind == "dense":
         reg = RegularizerSpec.dense(_matrix_from_spec(t_spec, "T"))
     else:
@@ -167,12 +196,7 @@ def problem_from_dict(obj):
 
 
 def load_problem(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_dict(obj)
+    return problem_from_dict(read_json(path))
 
 
 def problem_to_dict(p):
@@ -323,14 +347,3 @@ def weakcont_to_dict(rows):
             for r in rows
         ]
     }
-
-
-def load_model_file(path):
-    from .lab import model_from_dict
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return model_from_dict(obj)

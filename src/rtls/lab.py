@@ -13,6 +13,7 @@ Three phenomena are reproduced at finite truncation:
 * A bilinear-map counterexample: I_n = int_0^{2pi} (2+cos nt)(2-cos nt) dt
   equals 7 pi for every n while the product of the weak limits integrates to
   8 pi; the persistent pi gap is the failure of joint weak continuity.
+  The integrals use a numpy composite Simpson rule (:func:`simpson`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .certificate import dual_tstar
 from .classic import min_direction
+from .io import read_json, real_number, real_vector
 from .model import (
     ProblemFormatError,
     ProblemSpec,
@@ -183,32 +184,65 @@ _DIAGONAL_KEYS = {"a", "w", "b", "rho", "t"}
 _INTEGRAL_KEYS = {"kernel", "grid", "w", "b", "rho"}
 
 
+def _check_sequence_spec(value, name):
+    """Reject a sequence spec of the wrong JSON type, naming the field."""
+    if isinstance(value, str):
+        return
+    if isinstance(value, list):
+        real_vector(value, name)
+    elif isinstance(value, dict):
+        if "formula" in value:
+            _check_sequence_spec(value["formula"], f"{name}.formula")
+        zeros = value.get("zeros", 0)
+        if not isinstance(zeros, int) or isinstance(zeros, bool) or zeros < 0:
+            raise ProblemFormatError(f"field '{name}.zeros' must be a nonnegative integer")
+    else:
+        real_number(value, name)
+
+
 def model_from_dict(obj):
+    """A DiagonalModel or IntegralModel from a parsed model file.
+
+    Every field is type-checked here, so a wrong JSON type fails with the
+    field named before any truncation is built.
+    """
     if not isinstance(obj, dict):
         raise ProblemFormatError("model spec must be a JSON object")
-    if "kernel" in obj:
-        unknown = set(obj) - _INTEGRAL_KEYS
-        if unknown:
-            raise ProblemFormatError(f"unknown model keys {sorted(unknown)!r}")
-        return IntegralModel(
-            obj["kernel"],
-            int(obj.get("grid", 16)),
-            w=obj.get("w", "1/k^2"),
-            b=obj.get("b", (1.0,)),
-            rho=float(obj.get("rho", 1.0)),
-        )
-    unknown = set(obj) - _DIAGONAL_KEYS
+    allowed = _INTEGRAL_KEYS if "kernel" in obj else _DIAGONAL_KEYS
+    unknown = set(obj) - allowed
     if unknown:
         raise ProblemFormatError(f"unknown model keys {sorted(unknown)!r}")
+    for key in ("a", "w"):
+        if key in obj:
+            _check_sequence_spec(obj[key], key)
+    if obj.get("t") is not None:
+        _check_sequence_spec(obj["t"], "t")
+    if "b" in obj:
+        real_vector(obj["b"], "b")
+    rho = obj.get("rho")
+    if rho is not None:
+        rho = real_number(rho, "rho")
+    if "kernel" in obj:
+        if not isinstance(obj["kernel"], str):
+            raise ProblemFormatError("field 'kernel' must be a string")
+        grid = obj.get("grid", 16)
+        if not isinstance(grid, int) or isinstance(grid, bool):
+            raise ProblemFormatError("field 'grid' must be an integer")
+        return IntegralModel(
+            obj["kernel"],
+            grid,
+            w=obj.get("w", "1/k^2"),
+            b=obj.get("b", (1.0,)),
+            rho=1.0 if rho is None else rho,
+        )
     missing = {"a", "w", "b"} - set(obj)
     if missing:
         raise ProblemFormatError(f"model spec missing keys {sorted(missing)!r}")
-    rho = obj.get("rho")
-    return DiagonalModel(
-        obj["a"], obj["w"], obj["b"],
-        rho=float(rho) if rho is not None else None,
-        t=obj.get("t"),
-    )
+    return DiagonalModel(obj["a"], obj["w"], obj["b"], rho=rho, t=obj.get("t"))
+
+
+def load_model_file(path):
+    return model_from_dict(read_json(path))
 
 
 def default_diagonal_model(rho=1.0):
@@ -391,18 +425,18 @@ def _h_value(w_head, a_head, b_head, alpha, extra_norm_sq, rho):
 def diagonal_solve(a, w, b_head, rho, n):
     """Solve the truncated diagonal instance and audit its critical points.
 
-    b must be supported on the first N = len(b_head) coordinates with N <= n;
+    a and w are sequence specs as in a model file (a number, a "1/k^p"
+    formula, a formula object, or at least n explicit terms).  b must be
+    supported on the first N = len(b_head) coordinates with N <= n;
     when every head coefficient w_j a_j is nonzero the minimizer carries no
     mass beyond the head (enforced to 1e-8 of |x*|^2), and when some vanish
     the pooled objective is invariant under moving that mass onto any such
     coordinate (the reported rebalance gap).
     """
-    a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
+    a = _sequence(a, n, "a")
+    w = _sequence(w, n, "w")
     b_head = np.asarray(b_head, dtype=float)
     head = b_head.shape[0]
-    if a.shape[0] < n or w.shape[0] < n:
-        raise ValueError(f"sequences a, w must provide at least n={n} terms")
     if head > n:
         raise ValueError("b support exceeds the truncation order")
     if rho <= 0:
@@ -410,7 +444,7 @@ def diagonal_solve(a, w, b_head, rho, n):
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
 
-    model = DiagonalModel(a[:n], w[:n], b_head, rho=rho)
+    model = DiagonalModel(a, w, b_head, rho=rho)
     p = model.build(n)
     sol = dual_tstar(p)
     report = recover_pair(p, sol.x_star, status=PAIR_STATUS[classify_existence(p, sol)])
@@ -519,6 +553,29 @@ def truncation_sweep(model, n_list, rho=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
+def simpson(y, x):
+    """Composite Simpson rule for samples y at an odd number of nodes x.
+
+    Each panel [x_2i, x_2i+2] gets the parabola through its three samples,
+    with the node spacings h0, h1 allowed to differ; the arithmetic follows
+    scipy.integrate.simpson's ``x=`` branch term for term, so the sums are
+    bit-identical to it.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float))
+    if y.shape[0] % 2 == 0 or h.shape[0] != y.shape[0] - 1:
+        raise ValueError("simpson needs an odd number of samples, one per node")
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    terms = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+        + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(terms))
+
+
 @dataclass(frozen=True)
 class WeakContinuityRow:
     n: int
@@ -543,13 +600,13 @@ def weak_continuity_demo(n_list, quad_points=8193):
             f"insufficient quadrature resolution: need an odd count >= {required}"
         )
     t = np.linspace(0.0, 2.0 * math.pi, quad_points)
-    limit = float(simpson(np.full_like(t, 4.0), x=t))
+    limit = simpson(np.full_like(t, 4.0), t)
     if abs(limit - 8.0 * math.pi) > 1e-12:
         raise RuntimeError(f"limit integral {limit!r} is not 8 pi to 1e-12")
     rows = []
     for n in n_list:
         integrand = (2.0 + np.cos(n * t)) * (2.0 - np.cos(n * t))
-        value = float(simpson(integrand, x=t))
+        value = simpson(integrand, t)
         if abs(value - 7.0 * math.pi) > 1e-8:
             raise RuntimeError(f"I_{n} = {value!r} is not 7 pi to 1e-8")
         rows.append(WeakContinuityRow(n, value, limit))

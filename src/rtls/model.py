@@ -123,10 +123,6 @@ class WeightOperator:
             return w * z
         return self.sqrt_data @ z
 
-    def sqrt_times(self, X):
-        """W^{1/2} X for a matrix X."""
-        return self.apply_sqrt(X)
-
 
 @dataclass(frozen=True)
 class RegularizerSpec:
@@ -304,7 +300,7 @@ def w_hs_seminorm(W, X):
     """|X|_{2,W} = Frobenius norm of W^{1/2} X."""
     X = np.asarray(X, dtype=float)
     _check_weight_dim(W, X, "w_hs_seminorm")
-    return float(np.linalg.norm(W.sqrt_times(X)))
+    return float(np.linalg.norm(W.apply_sqrt(X)))
 
 
 def _check_pair_dims(p, X, x):
@@ -340,7 +336,7 @@ def is_trivial_tls(p, tol):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    wa = p.W.sqrt_times(p.A)
+    wa = p.W.apply_sqrt(p.A)
     wb = p.W.apply_sqrt(p.b)
     x, *_ = np.linalg.lstsq(wa, wb, rcond=None)
     resid = np.linalg.norm(wa @ x - wb)
@@ -371,7 +367,7 @@ def is_trivial_rtls(p, tol):
         t_mat = p.T.as_matrix(n)
         smax = np.linalg.norm(t_mat, 2) if t_mat.size else 0.0
         basis = nullspace_basis(t_mat, tol * max(1.0, smax))
-    wa = p.W.sqrt_times(p.A @ basis)
+    wa = p.W.apply_sqrt(p.A @ basis)
     wb = p.W.apply_sqrt(p.b)
     coeffs, *_ = np.linalg.lstsq(wa, wb, rcond=None)
     resid = np.linalg.norm(wa @ coeffs - wb)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     STATUS_HEURISTIC,
@@ -430,6 +429,16 @@ def _armijo_descent(p, x0, max_iter=400, tol_grad=1e-12):
             break
         x, g_val = x_new, g_new
     return x, g_val
+
+
+def minimize(fun, x0, **kw):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Only the dense-T polish uses it, so ``import rtls`` stays numpy-only.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kw)
 
 
 def solve_rtls_general_t(p, starts=8, seed=0, max_iter=400):

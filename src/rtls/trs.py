@@ -10,14 +10,19 @@ secular equation
 When d has no component in the minimal eigenspace the secular curve may top
 out below r (the hard case); the solution is then completed with a component
 inside that eigenspace at mu = -lam_min.
+
+The secular root is found by :func:`brentq`, a pure-Python port of the
+Brent-Dekker method (R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973, ch. 4) step for step as in scipy's ``brentq.c``, so the
+roots are bit-identical to ``scipy.optimize.brentq`` without importing scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
 _HARD_CASE_REL = 1e-13  # |d| components below this are treated as zero
@@ -33,6 +38,71 @@ class TrsSolution:
     x: np.ndarray
     lam: float
     hard_case: bool
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """A root of f in the bracket [a, b] by Brent's method.
+
+    Each step takes the inverse-quadratic (or secant) step when it is short
+    enough and bisects otherwise; it stops once the bracket is narrower than
+    2 delta with delta = (xtol + rtol |x|) / 2.  Raises ValueError when f(a)
+    and f(b) have the same sign or f returns NaN, and RuntimeError after
+    ``maxiter`` steps without convergence.
+    """
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _decompose(S, c, eig):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,8 +73,10 @@ class TestSolveCommand:
         assert code == 1
         assert "A.data" in capsys.readouterr().err
 
-    def test_missing_file_exit_one(self, workdir):
-        assert main(["solve", "--problem", str(workdir / "nope.json")]) == 1
+    def test_missing_file_exit_one(self, workdir, capsys):
+        missing = str(workdir / "nope.json")
+        assert main(["solve", "--problem", missing]) == 1
+        assert missing in capsys.readouterr().err
 
     def test_deterministic_bytes(self, workdir):
         out1, out2 = workdir / "a.json", workdir / "b.json"
@@ -96,6 +102,8 @@ class TestSolveCommand:
         ("A", {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}, "'A.data'"),
         ("W", {"kind": "diagonal", "data": [None, 1.0]}, "'W.data'"),
         ("T", {"kind": "identity_scaled", "rho": {"v": 1.0}}, "'T.rho'"),
+        ("W", {"kind": "diagonal", "data": [True, 1.0]}, "'W.data'"),
+        ("A", {"rows": 2, "cols": 2, "data": [0.0, False, 0.0, 0.0]}, "'A.data'"),
     ])
     def test_wrong_json_type_exit_one(self, workdir, capsys, field, value, named):
         obj = rio.problem_to_dict(closed_form_problem())
@@ -209,6 +217,47 @@ class TestDemoCommands:
         artifact = json.loads(out.read_text())
         assert artifact["audit"]["tail_mass_fraction"] <= 1e-8
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho", {"x": 1}),
+        ("rho", True),
+        ("b", [1.0, "2"]),
+        ("b", [True]),
+        ("a", None),
+        ("a", [[1.0]]),
+        ("w", {"formula": [1.0, {}]}),
+        ("w", {"formula": "1/k", "zeros": 1.5}),
+        ("t", True),
+    ])
+    def test_model_wrong_json_type_exit_one(self, workdir, capsys, field, value):
+        spec = {"a": "1/k", "w": "1/k^2", "b": [1.0], "rho": 1.0}
+        spec[field] = value
+        model = workdir / "bad_model.json"
+        model.write_text(json.dumps(spec))
+        assert main(["demo", "diagonal", "--model", str(model)]) == 1
+        assert f"'{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("kernel", 3), ("grid", "16"), ("grid", 16.0)])
+    def test_integral_model_wrong_json_type_exit_one(self, workdir, capsys, field, value):
+        spec = {"kernel": "named:gaussian", "grid": 16}
+        spec[field] = value
+        model = workdir / "bad_model.json"
+        model.write_text(json.dumps(spec))
+        assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_missing_model_file_exit_one(self, workdir, capsys):
+        missing = str(workdir / "nope.json")
+        assert main(["demo", "diagonal", "--model", missing]) == 1
+        assert missing in capsys.readouterr().err
+
+    def test_csv_to_stdout_matches_file(self, workdir, capsys):
+        out = workdir / "w.csv"
+        argv = ["demo", "weakcont", "--n", "1,3", "--quad-points", "257", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_trivial_model_demo_errors(self, workdir):
         # invertible diagonal model: the sequence refuses (exit 1)
         code = main(["demo", "nonexist-tls", "--model", str(workdir / "diag_b_e1.json"),
@@ -235,3 +284,19 @@ class TestClassicCommand:
     def test_degenerate_exits_one(self, workdir):
         code = main(["classic-tls", "--problem", str(workdir / "closedform.json")])
         assert code == 1
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter imports rtls and its CLI with numpy alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, rtls, rtls.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

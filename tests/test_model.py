@@ -189,7 +189,7 @@ class TestTriviality:
         flag, witness = is_trivial_tls(p, 1e-6)
         assert not flag and witness is None
         # normal-equations oracle: QR projection residual
-        wa = p.W.sqrt_times(p.A)
+        wa = p.W.apply_sqrt(p.A)
         q_mat, _ = qr(wa, mode="economic")
         wb = p.W.apply_sqrt(p.b)
         resid = np.linalg.norm(wb - q_mat @ (q_mat.T @ wb))

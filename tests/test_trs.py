@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from rtls import trs_equality
-from rtls.trs import radial_values
+from rtls.trs import brentq, radial_values
 
 
 class TestTrsEquality:
@@ -100,3 +102,43 @@ class TestRadialValues:
         lam = np.array([0.5, 2.0])
         vals = radial_values(lam, np.zeros(2), np.array([0.0, 1.0, 2.0]))
         assert_allclose(vals, [0.0, 0.5, 2.0], rtol=1e-12)
+
+
+class TestBrentq:
+    def test_bit_identical_to_scipy_on_secular_equations(self):
+        scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = np.random.default_rng(1973)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            lam = np.sort(np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-4, 4))
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4)
+            for r in 10.0 ** rng.uniform(-4, 4, size=2):
+                def secular(mu):
+                    return float(np.sum((d / (lam + mu)) ** 2)) - r * r
+
+                # the bracket trs_equality uses when d has a minimal-eigenspace part
+                lo = -lam[0] + abs(d[0]) / r
+                hi = -lam[0] + float(np.linalg.norm(d)) / r
+                if not secular(lo) > 0.0 > secular(hi):
+                    continue
+                kw = dict(xtol=1e-30, rtol=8.9e-16, maxiter=200)
+                assert brentq(secular, lo, hi, **kw) == scipy_brentq(secular, lo, hi, **kw)
+                checked += 1
+        assert checked >= 400
+
+    def test_same_sign_bracket_raises_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_maxiter_exhausted_raises_runtime_error(self):
+        with pytest.raises(RuntimeError, match="failed to converge after 3"):
+            brentq(lambda x: x**3 - 2.0, 0.0, 4.0, maxiter=3)
+
+    def test_nan_value_raises_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+
+    def test_endpoint_root_returned_exactly(self):
+        assert brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+        assert brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
