@@ -105,15 +105,9 @@ def real_vector(value, name):
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
         raise ProblemFormatError(f"field '{name}' must be a list of numbers")
     arr = arr.astype(float)
-    # numpy turns JSON booleans mixed with numbers into 0.0 and 1.0, so only
-    # those entries need their type looked at; when there are many, one
-    # C-level pass over the whole list is cheaper than indexing them
-    suspects = np.flatnonzero((arr == 0.0) | (arr == 1.0))
-    if suspects.size > 256:
-        types = set(map(type, value))
-    else:
-        types = {type(value[i]) for i in suspects.tolist()}
-    if bool in types:
+    # numpy turns JSON booleans mixed with numbers into 0.0 and 1.0, so only a
+    # list holding such a value needs the types of its entries looked at
+    if np.any((arr == 0.0) | (arr == 1.0)) and bool in set(map(type, value)):
         raise ProblemFormatError(f"field '{name}' must be a list of numbers")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"non-finite value in field '{name}'")

@@ -13,7 +13,8 @@ Three phenomena are reproduced at finite truncation:
 * A bilinear-map counterexample: I_n = int_0^{2pi} (2+cos nt)(2-cos nt) dt
   equals 7 pi for every n while the product of the weak limits integrates to
   8 pi; the persistent pi gap is the failure of joint weak continuity.
-  The integrals use a numpy composite Simpson rule (:func:`simpson`).
+  The integrals use scipy's composite Simpson rule, imported on first use so
+  that ``import rtls`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ def _sequence(spec_val, n, name):
 
     Accepts a number (constant sequence), a string "1/k^p", an object
     ``{"formula": ..., "zeros": j}`` that zeroes the first j terms, or an
-    explicit list of length >= n.
+    explicit list (or array) of length >= n.  A wrong JSON type fails with
+    the field named.
     """
-    if isinstance(spec_val, (int, float)):
+    if isinstance(spec_val, (int, float)) and not isinstance(spec_val, bool):
         return np.full(n, float(spec_val))
     if isinstance(spec_val, str):
         match = _POWER_RE.match(spec_val.strip())
@@ -82,16 +84,25 @@ def _sequence(spec_val, n, name):
             )
         if "formula" not in spec_val:
             raise ProblemFormatError(f"field '{name}' is missing its 'formula'")
-        base = _sequence(spec_val["formula"], n, name)
-        zeros = int(spec_val.get("zeros", 0))
+        zeros = spec_val.get("zeros", 0)
+        if not isinstance(zeros, int) or isinstance(zeros, bool) or zeros < 0:
+            raise ProblemFormatError(f"field '{name}.zeros' must be a nonnegative integer")
+        base = _sequence(spec_val["formula"], n, f"{name}.formula")
         base[:zeros] = 0.0
         return base
-    arr = np.asarray(spec_val, dtype=float)
+    if isinstance(spec_val, np.ndarray):
+        arr = spec_val
+    elif isinstance(spec_val, list):
+        arr = real_vector(spec_val, name)
+    else:
+        raise ProblemFormatError(
+            f"field '{name}' must be a number, a formula or a list of numbers"
+        )
     if arr.ndim != 1 or arr.shape[0] < n:
         raise ProblemFormatError(
             f"field '{name}' must provide at least {n} terms"
         )
-    return arr[:n].copy()
+    return arr[:n].astype(float)
 
 
 def _padded_head(values, n, name):
@@ -184,27 +195,12 @@ _DIAGONAL_KEYS = {"a", "w", "b", "rho", "t"}
 _INTEGRAL_KEYS = {"kernel", "grid", "w", "b", "rho"}
 
 
-def _check_sequence_spec(value, name):
-    """Reject a sequence spec of the wrong JSON type, naming the field."""
-    if isinstance(value, str):
-        return
-    if isinstance(value, list):
-        real_vector(value, name)
-    elif isinstance(value, dict):
-        if "formula" in value:
-            _check_sequence_spec(value["formula"], f"{name}.formula")
-        zeros = value.get("zeros", 0)
-        if not isinstance(zeros, int) or isinstance(zeros, bool) or zeros < 0:
-            raise ProblemFormatError(f"field '{name}.zeros' must be a nonnegative integer")
-    else:
-        real_number(value, name)
-
-
 def model_from_dict(obj):
     """A DiagonalModel or IntegralModel from a parsed model file.
 
-    Every field is type-checked here, so a wrong JSON type fails with the
-    field named before any truncation is built.
+    The scalar fields and ``b`` are type-checked here; the sequence specs
+    ``a``, ``w`` and ``t`` are checked by :func:`_sequence` when a truncation
+    is built.  Either way a wrong JSON type fails with the field named.
     """
     if not isinstance(obj, dict):
         raise ProblemFormatError("model spec must be a JSON object")
@@ -212,11 +208,6 @@ def model_from_dict(obj):
     unknown = set(obj) - allowed
     if unknown:
         raise ProblemFormatError(f"unknown model keys {sorted(unknown)!r}")
-    for key in ("a", "w"):
-        if key in obj:
-            _check_sequence_spec(obj[key], key)
-    if obj.get("t") is not None:
-        _check_sequence_spec(obj["t"], "t")
     if "b" in obj:
         real_vector(obj["b"], "b")
     rho = obj.get("rho")
@@ -553,29 +544,6 @@ def truncation_sweep(model, n_list, rho=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def simpson(y, x):
-    """Composite Simpson rule for samples y at an odd number of nodes x.
-
-    Each panel [x_2i, x_2i+2] gets the parabola through its three samples,
-    with the node spacings h0, h1 allowed to differ; the arithmetic follows
-    scipy.integrate.simpson's ``x=`` branch term for term, so the sums are
-    bit-identical to it.
-    """
-    y = np.asarray(y, dtype=float)
-    h = np.diff(np.asarray(x, dtype=float))
-    if y.shape[0] % 2 == 0 or h.shape[0] != y.shape[0] - 1:
-        raise ValueError("simpson needs an odd number of samples, one per node")
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    terms = hsum / 6.0 * (
-        y[0:-2:2] * (2.0 - 1.0 / h0divh1)
-        + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - h0divh1)
-    )
-    return float(np.sum(terms))
-
-
 @dataclass(frozen=True)
 class WeakContinuityRow:
     n: int
@@ -599,14 +567,16 @@ def weak_continuity_demo(n_list, quad_points=8193):
         raise ValueError(
             f"insufficient quadrature resolution: need an odd count >= {required}"
         )
+    from scipy.integrate import simpson
+
     t = np.linspace(0.0, 2.0 * math.pi, quad_points)
-    limit = simpson(np.full_like(t, 4.0), t)
+    limit = float(simpson(np.full_like(t, 4.0), x=t))
     if abs(limit - 8.0 * math.pi) > 1e-12:
         raise RuntimeError(f"limit integral {limit!r} is not 8 pi to 1e-12")
     rows = []
     for n in n_list:
         integrand = (2.0 + np.cos(n * t)) * (2.0 - np.cos(n * t))
-        value = simpson(integrand, t)
+        value = float(simpson(integrand, x=t))
         if abs(value - 7.0 * math.pi) > 1e-8:
             raise RuntimeError(f"I_{n} = {value!r} is not 7 pi to 1e-8")
         rows.append(WeakContinuityRow(n, value, limit))

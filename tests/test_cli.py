@@ -236,6 +236,19 @@ class TestDemoCommands:
         assert main(["demo", "diagonal", "--model", str(model)]) == 1
         assert f"'{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", True),
+        ("t", [1.0, True, 0.5, 0.25]),
+        ("a", {"formula": "1/k", "zeros": True}),
+    ])
+    def test_sweep_model_wrong_sequence_type_exit_one(self, workdir, capsys, field, value):
+        spec = {"a": "1/k", "w": "1/k^2", "b": [1.0], "t": "1/k^2"}
+        spec[field] = value
+        model = workdir / "bad_model.json"
+        model.write_text(json.dumps(spec))
+        assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
+        assert f"'{field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("kernel", 3), ("grid", "16"), ("grid", 16.0)])
     def test_integral_model_wrong_json_type_exit_one(self, workdir, capsys, field, value):
         spec = {"kernel": "named:gaussian", "grid": 16}

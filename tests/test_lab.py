@@ -20,7 +20,6 @@ from rtls.lab import (
     default_tls_nonexistence_model,
     diagonal_solve,
     model_from_dict,
-    simpson,
 )
 from rtls.solver import EXISTENCE_UNIQUE
 
@@ -247,22 +246,3 @@ class TestWeakContinuity:
             weak_continuity_demo([32], 1025)
         with pytest.raises(ValueError, match="resolution"):
             weak_continuity_demo([1], 1024)  # even count
-
-
-class TestSimpson:
-    @pytest.mark.parametrize("quad_points", [129, 2049, 8193])
-    def test_bit_identical_to_scipy_on_weakcont_grids(self, quad_points):
-        scipy_simpson = pytest.importorskip("scipy.integrate").simpson
-        t = np.linspace(0.0, 2.0 * math.pi, quad_points)
-        samples = [np.full_like(t, 4.0)]
-        samples += [(2.0 + np.cos(n * t)) * (2.0 - np.cos(n * t)) for n in (1, 2, 8, 32)]
-        for y in samples:
-            assert simpson(y, t) == float(scipy_simpson(y, x=t))
-
-    def test_uneven_nodes_exact_for_quadratics(self):
-        x = np.array([0.0, 0.3, 1.0, 1.1, 2.0])
-        assert simpson(x**2, x) == pytest.approx(8.0 / 3.0, rel=1e-14)
-
-    def test_even_sample_count_rejected(self):
-        with pytest.raises(ValueError, match="odd number"):
-            simpson(np.ones(4), np.arange(4.0))
