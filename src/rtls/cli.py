@@ -96,8 +96,7 @@ def cmd_solve(args):
         if trivial:
             report = recover_pair(p, witness, status=STATUS_TRIVIAL)
         else:
-            report = solve_rtls_general_t(p, starts=args.starts, seed=args.seed)
-        meta["starts"] = args.starts
+            report = solve_rtls_general_t(p)
     out = rio.pair_report_to_dict(report)
     out["meta"] = meta
     _emit(out, args.out)
@@ -208,7 +207,7 @@ def cmd_demo(args):
         return EXIT_OK
     if args.demo_command == "sweep":
         model = load_model_file(args.model)
-        rows = truncation_sweep(model, _parse_ints(args.N), seed=args.seed)
+        rows = truncation_sweep(model, _parse_ints(args.N))
         _emit(
             rio.sweep_to_dict(rows),
             args.out,
@@ -240,7 +239,6 @@ def build_parser():
     solve.add_argument("--out")
     solve.add_argument("--format", choices=("json",), default="json")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--starts", type=int, default=8)
     solve.set_defaults(func=cmd_solve)
 
     certify = sub.add_parser("certify", help="certify the infimum")
@@ -276,7 +274,6 @@ def build_parser():
     d = demo_sub.add_parser("sweep")
     d.add_argument("--model", required=True)
     d.add_argument("--N", required=True)
-    d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
     d.set_defaults(func=cmd_demo)

@@ -69,11 +69,18 @@ def canonical_json(obj, indent=0):
     return json.dumps(str(obj))
 
 
-def write_json(path, obj):
-    text = canonical_json(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_text(path, text):
+    """Write an output file; a failed write names its path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot write output file {path}: {exc.strerror}") from exc
     return text
+
+
+def write_json(path, obj):
+    return _write_text(path, canonical_json(obj) + "\n")
 
 
 def csv_text(header, rows):
@@ -88,10 +95,7 @@ def csv_text(header, rows):
 
 
 def write_csv(path, header, rows):
-    text = csv_text(header, rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
+    return _write_text(path, csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------

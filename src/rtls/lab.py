@@ -499,13 +499,13 @@ class SweepRow:
     status: str
 
 
-def truncation_sweep(model, n_list, rho=None, seed=0):
+def truncation_sweep(model, n_list, rho=None):
     """Solve the model at each truncation order and tabulate the results.
 
     Every truncated instance is coercive, hence solvable; the sweep records
     how the infimum and minimizer norm drift with the order without asserting
     any limit.  Scaled-identity instances run the certified solver; dense
-    regularizers fall back to the seeded multi-start descent.
+    regularizers run the global alpha search of ``solve_rtls_general_t``.
     """
     rows = []
     previous = 0
@@ -526,7 +526,7 @@ def truncation_sweep(model, n_list, rho=None, seed=0):
                 )
             )
         else:
-            report = solve_rtls_general_t(p, starts=6, seed=seed)
+            report = solve_rtls_general_t(p)
             rows.append(
                 SweepRow(
                     n,

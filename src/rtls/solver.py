@@ -1,4 +1,4 @@
-"""Dinkelbach solver for the scaled-identity regularizer, plus helpers.
+"""Global solvers for the reduced objective G, plus helpers.
 
 With T = sqrt(rho) I the reduced objective is
 
@@ -19,6 +19,9 @@ monotonically to t*; a bisection fallback on [0, |b|_W^2] guards against
 stagnation.  If rho >= t* the inner problem at t* is strictly convex, the
 minimizer of G is unique and the recovered pair is certified; for rho < t*
 the best point found is reported without an attainment claim.
+
+A general dense T fixes alpha = |x|^2 instead, and the same grid and
+golden-section driver searches alpha (:func:`solve_rtls_general_t`).
 """
 
 from __future__ import annotations
@@ -37,11 +40,16 @@ from .model import (
     w_vec_seminorm,
 )
 from .reduction import eval_g, recover_pair
-from .trs import radial_values, trs_equality
+from .trs import radial_solutions, radial_values, trs_equality
 
 logger = logging.getLogger("rtls.solver")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# dense-T search: grid points in u = log1p(|x|^2); largest |x|^2 it scans
+# when T^T T is singular
+_ALPHA_GRID = 128
+_ALPHA_CAP = 1e8
 
 # existence classification labels
 EXISTENCE_UNIQUE = "unique_solution"
@@ -118,56 +126,60 @@ def _local_min_brackets(rs, vals):
     return brackets
 
 
-def _radial_value(p, r):
-    """min_{|x|=r} |Ax - b|_W^2 via the shared eigendecomposition."""
-    sol = trs_equality(None, p.gram_rhs, r, eig=p.gram_eig)
-    x = sol.x
-    return float(x @ p.gram_matrix @ x - 2.0 * p.gram_rhs @ x) + p.b_norm_w_sq
+def _global_min(values, scalar, s_max, s_cap, grid):
+    """Globally minimize a function of s >= 0 by grid scan + refinement.
 
-
-def _minimize_radial(p, weight_fn, r_max0, grid):
-    """Globally minimize r -> m(r) + weight_fn(r) by grid scan + refinement.
-
-    Doubles the scan interval whenever the minimizer lands within 1% of its
-    upper end, so the a-priori radius bound never silently truncates the
-    search.  Returns (r, value, hit_cap) where hit_cap reports that the
-    interval stopped growing at the hard cap.
+    ``values`` maps an array of points to their values, ``scalar`` one point
+    to its value.  The scan interval [0, s_max] doubles whenever the grid
+    minimizer lands within 1% of its upper end, up to ``s_cap``.  Returns
+    (s, value, hit_cap) where hit_cap reports that the minimizer still sat
+    at the upper end of the interval [0, s_cap].
     """
-    lam, q = p.gram_eig
-    d = q.T @ p.gram_rhs
-    b_sq = p.b_norm_w_sq
-    r_max = r_max0
     hit_cap = False
     for _ in range(64):
-        rs = np.linspace(0.0, r_max, grid)
-        vals = radial_values(lam, d, rs) + b_sq + weight_fn(rs)
+        ss = np.linspace(0.0, s_max, grid)
+        vals = values(ss)
         i_best = int(np.argmin(vals))
-        if rs[i_best] <= 0.99 * r_max:
+        if ss[i_best] <= 0.99 * s_max:
             break
-        if r_max > 1e15 * (r_max0 + 1.0):
+        if s_max >= s_cap:
             hit_cap = True
             break
-        r_max *= 2.0
-
-    def scalar(r):
-        return _radial_value(p, r) + float(weight_fn(np.array([r]))[0])
+        s_max = min(2.0 * s_max, s_cap)
 
     # coarse refinement of every grid-local minimum, then full precision on
     # the winner only
-    best_r, best_val = rs[i_best], vals[i_best]
-    coarse = max(1e-6 * r_max, 1e-300)
+    best_s, best_val = ss[i_best], vals[i_best]
+    coarse = max(1e-6 * s_max, 1e-300)
     candidates = []
-    for lo_i, hi_i in _local_min_brackets(rs, vals):
-        r_ref, v_ref = _golden_min(scalar, rs[lo_i], rs[hi_i], coarse)
-        candidates.append((v_ref, r_ref, rs[lo_i], rs[hi_i]))
+    for lo_i, hi_i in _local_min_brackets(ss, vals):
+        s_ref, v_ref = _golden_min(scalar, ss[lo_i], ss[hi_i], coarse)
+        candidates.append((v_ref, s_ref, ss[lo_i], ss[hi_i]))
     if candidates:
-        v_ref, r_ref, lo, hi = min(candidates)
-        r_fine, v_fine = _golden_min(scalar, lo, hi, max(1e-12 * r_max, 1e-300))
+        v_ref, s_ref, lo, hi = min(candidates)
+        s_fine, v_fine = _golden_min(scalar, lo, hi, max(1e-12 * s_max, 1e-300))
         if v_fine < best_val:
-            best_r, best_val = r_fine, v_fine
+            best_s, best_val = s_fine, v_fine
         if v_ref < best_val:
-            best_r, best_val = r_ref, v_ref
-    return float(best_r), float(best_val), hit_cap
+            best_s, best_val = s_ref, v_ref
+    return float(best_s), float(best_val), hit_cap
+
+
+def _minimize_radial(p, weight_fn, r_max0, grid):
+    """(r, value, hit_cap) of min_r m(r) + weight_fn(r), m(r) = min_{|x|=r} |Ax-b|_W^2."""
+    lam, q = p.gram_eig
+    d = q.T @ p.gram_rhs
+    b_sq = p.b_norm_w_sq
+
+    def values(rs):
+        return radial_values(lam, d, rs) + b_sq + weight_fn(rs)
+
+    def scalar(r):
+        x = trs_equality(None, p.gram_rhs, r, eig=p.gram_eig).x
+        m = float(x @ p.gram_matrix @ x - 2.0 * p.gram_rhs @ x) + b_sq
+        return m + float(weight_fn(np.array([r]))[0])
+
+    return _global_min(values, scalar, r_max0, 1e15 * (r_max0 + 1.0), grid)
 
 
 def eval_phi(p, t, grid=512):
@@ -408,69 +420,65 @@ def newton_polish(p, x, iters=8):
     return x
 
 
-def _armijo_descent(p, x0, max_iter=400, tol_grad=1e-12):
-    """Gradient descent with Armijo backtracking on G."""
-    x = np.asarray(x0, dtype=float).copy()
-    g_val = eval_g(p, x).g
-    step = 1.0
-    for _ in range(max_iter):
-        grad = grad_g(p, x)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol_grad * (1.0 + abs(g_val)):
-            break
-        step = min(step * 1.3, 1e6)
-        while step > 1e-18:
-            x_new = x - step * grad
-            g_new = eval_g(p, x_new).g
-            if g_new <= g_val - 1e-4 * step * gnorm * gnorm:
-                break
-            step *= 0.5
-        else:
-            break
-        x, g_val = x_new, g_new
-    return x, g_val
-
-
 def minimize(fun, x0, **kw):
     """scipy.optimize.minimize, imported on the first call.
 
-    Only the dense-T polish uses it, so ``import rtls`` stays numpy-only.
+    No solver in rtls calls it; ``perfbench/tracing.py`` wraps it by this
+    name.  ``import rtls`` stays numpy-only.
     """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **kw)
 
 
-def solve_rtls_general_t(p, starts=8, seed=0, max_iter=400):
-    """Multi-start descent on G for a general (dense) regularizer.
+def solve_rtls_general_t(p):
+    """Global 1-D search over alpha = |x|^2 for a general (dense) regularizer.
 
-    Deterministic seeded starts, Armijo line search, then an L-BFGS polish of
-    the best point.  Always returns the best pair found, flagged heuristic;
-    the attached first-order residual is the caller's quality signal.
+    On the sphere |x|^2 = alpha, min G is an equality trust-region
+    subproblem with S = A^T W A + (1 + alpha) T^T T and c = A^T W b (Beck &
+    Ben-Tal, SIAM J. Optim. 17 (2006) 98-118).  G at its minimizers is
+    scanned on a grid in u = log1p(alpha) from one batched eigh, refined by
+    golden section (one eigh and one TRS solve per step) and Newton-polished.
+    G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha* by |b|_W^2 /
+    lambda_min(T^T T); for a singular T^T T that bounds only the part of x*
+    in its range, and the scan grows up to |x|^2 = 1e8.  A grid proves
+    no global minimum, so the pair is flagged heuristic.
     """
     n = p.shape[1]
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + math.sqrt(p.b_norm_w_sq)
-    candidates = [np.zeros(n)]
-    for i in range(max(starts - 1, 0)):
-        candidates.append(rng.normal(size=n) * scale * 0.5 * 2.0 ** (i % 4 - 1))
+    b_sq = p.b_norm_w_sq
+    if b_sq == 0.0:  # G >= 0 = G(0)
+        return recover_pair(p, np.zeros(n), status=STATUS_HEURISTIC)
+    gram, c = p.gram_matrix, p.gram_rhs
+    t_gram = p.T.gram(n)
 
-    best_x, best_g = None, np.inf
-    for x0 in candidates:
-        x, g_val = _armijo_descent(p, x0, max_iter=max_iter)
-        if g_val < best_g:
-            best_x, best_g = x, g_val
+    def stack(alpha):
+        return gram + np.multiply.outer(1.0 + alpha, t_gram)
 
-    res = minimize(
-        lambda z: eval_g(p, z).g,
-        best_x,
-        jac=lambda z: grad_g(p, z),
-        method="L-BFGS-B",
-        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-14},
+    def values(us):
+        alpha = np.expm1(us)
+        lam, q = np.linalg.eigh(stack(alpha))
+        _, z = radial_solutions(np.clip(lam, 0.0, None), c @ q, np.sqrt(alpha))
+        # G at the minimizers (columns) as eval_g forms it: the TRS values
+        # carry the eigenvalue error of S, which grows with alpha
+        xs = (q @ z[..., None])[..., 0].T
+        wr, tx = p.W.apply_sqrt(p.A @ xs - p.b[:, None]), p.T.apply(xs)
+        return (wr * wr).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
+
+    def trs_x(u):
+        alpha = math.expm1(u)
+        return trs_equality(stack(alpha), c, math.sqrt(alpha)).x
+
+    lam_t = np.linalg.eigvalsh(t_gram)
+    positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
+    u_max = math.log1p(b_sq / positive[0] if positive.size else 1.0)
+    u_cap = u_max if positive.size == n else max(u_max, math.log1p(_ALPHA_CAP))
+    u, g_best, hit_cap = _global_min(
+        values, lambda u: eval_g(p, trs_x(u)).g, u_max, u_cap, _ALPHA_GRID
     )
-    if res.fun <= best_g:
-        best_x, best_g = res.x, float(res.fun)
-    x_polished = newton_polish(p, best_x)
-    if eval_g(p, x_polished).g <= best_g + 1e-14 * (1.0 + abs(best_g)):
-        best_x = x_polished
-    return recover_pair(p, best_x, status=STATUS_HEURISTIC)
+    if hit_cap:
+        logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
+    x = trs_x(u)
+    x_polished = newton_polish(p, x)
+    if eval_g(p, x_polished).g <= g_best + 1e-14 * (1.0 + abs(g_best)):
+        x = x_polished
+    return recover_pair(p, x, status=STATUS_HEURISTIC)

@@ -154,11 +154,8 @@ def trs_equality(S, c, r, eig=None):
 
     if degenerate and limit_sq <= r * r * (1.0 + 1e-12):
         # hard case: complete with a minimal-eigenspace component
-        x_eig = d_eff / gaps
-        x_eig[in_min] = 0.0
-        tau = np.sqrt(max(r * r - limit_sq, 0.0))
-        k = int(np.argmax(in_min))
-        x_eig[k] = tau
+        x_eig = d_eff / gaps  # zero on the minimal eigenspace
+        x_eig[0] = np.sqrt(max(r * r - limit_sq, 0.0))
         x = q @ x_eig
         nrm = np.linalg.norm(x)
         if nrm > 0:
@@ -206,46 +203,67 @@ def radial_values(lam, d, rs, iters=70):
     Same reduction as :func:`trs_equality` (eigenbasis data lam, d), solved by
     bisection on the secular equation simultaneously for all radii.  Radii in
     the hard-case regime use the closed form with a minimal-eigenspace
-    completion.
+    completion.  ``lam`` and ``d`` may carry leading batch axes, one S per
+    entry; ``rs`` broadcasts against them, so one S can be scanned over many
+    radii or a stack of S each taken at its own radius.
     """
+    return radial_solutions(lam, d, rs, iters)[0]
+
+
+def radial_solutions(lam, d, rs, iters=70):
+    """(values, z) as in :func:`radial_values`; the minimizers are x = Q z."""
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
-    lam_min = float(lam[0])
-    d_norm = float(np.linalg.norm(d))
+    batch, n = lam.shape[:-1], lam.shape[-1]
+    rows = zip(lam.reshape(-1, n), d.reshape(-1, n))
+    per_s = zip(*((*min_space(l, v), np.linalg.norm(v)) for l, v in rows))
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = (
+        np.reshape(v, batch + np.shape(v[0])) for v in per_s
+    )
+    lam_min = lam[..., 0]
+    shape = np.broadcast_shapes(batch, np.shape(rs))
+    rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
 
-    out = np.zeros_like(rs)
+    def at(v, mask):
+        """The entries of a per-S array at the radii selected by mask."""
+        return np.broadcast_to(v, shape + np.shape(v)[len(batch):])[mask]
+
+    out = np.zeros(shape)
+    z = np.zeros(shape + (n,))
     pos = rs > 0.0
 
-    hard = pos & ((rs * rs >= limit_sq) if degenerate else np.zeros_like(pos))
+    hard = pos & degenerate & (rs * rs >= limit_sq)
     if np.any(hard):
         x_bar = d_eff / gaps
-        x_bar[in_min] = 0.0
-        base = float(np.sum(lam * x_bar**2) - 2.0 * np.sum(d * x_bar))
-        out[hard] = base + lam_min * (rs[hard] ** 2 - limit_sq)
+        base = np.sum(lam * x_bar**2, axis=-1) - 2.0 * np.sum(d * x_bar, axis=-1)
+        out[hard] = (base + lam_min * (rs**2 - limit_sq))[hard]
+        z_hard = at(x_bar, hard)
+        z_hard[:, 0] = np.sqrt(np.maximum(rs[hard] ** 2 - at(limit_sq, hard), 0.0))
+        z[hard] = z_hard
 
     solve = pos & ~hard
     if np.any(solve):
         r = rs[solve]
-        if degenerate:
-            spread = max(lam[-1] - lam[0], abs(lam_min), 1.0)
-            lo = np.full(r.shape, -lam_min + 1e-15 * spread)
-        else:
-            lo = -lam_min + d_min_norm / r
-        hi = -lam_min + d_norm / r
-        lam_row = lam[None, :]
-        d_sq = (d * d)[None, :]
+        lam_s, d_s, lam_min_s = at(lam, solve), at(d, solve), at(lam_min, solve)
+        spread = np.maximum(np.maximum(lam[..., -1] - lam_min, np.abs(lam_min)), 1.0)
+        lo = np.where(
+            at(degenerate, solve),
+            -lam_min_s + 1e-15 * at(spread, solve),
+            -lam_min_s + at(d_min_norm, solve) / r,
+        )
+        hi = -lam_min_s + at(d_norm, solve) / r
+        d_sq = d_s * d_s
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            g = np.sum(d_sq / (lam_row + mid[:, None]) ** 2, axis=1)
+            g = np.sum(d_sq / (lam_s + mid[:, None]) ** 2, axis=1)
             too_big = g > r * r
             lo = np.where(too_big, mid, lo)
             hi = np.where(too_big, hi, mid)
         mu = 0.5 * (lo + hi)
-        x = d[None, :] / (lam_row + mu[:, None])
+        x = d_s / (lam_s + mu[:, None])
         # rescale onto the sphere exactly before evaluating
         norms = np.linalg.norm(x, axis=1)
         x *= (r / norms)[:, None]
-        out[solve] = np.sum(lam_row * x * x, axis=1) - 2.0 * np.sum(d[None, :] * x, axis=1)
-    return out
+        out[solve] = np.sum(lam_s * x * x, axis=1) - 2.0 * np.sum(d_s * x, axis=1)
+        z[solve] = x
+    return out, z

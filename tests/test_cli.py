@@ -30,6 +30,9 @@ def workdir(tmp_path):
         tmp_path / "negative_beta.json",
         random_problem(np.random.default_rng(5), 3, m=6, rho_factor=0.02),
     )
+    base = random_problem(np.random.default_rng(9), 4, m=6)
+    dense_t = RegularizerSpec.dense(np.random.default_rng(10).normal(size=(4, 4)))
+    rio.save_problem(tmp_path / "dense_t.json", ProblemSpec(base.A, base.b, base.W, dense_t))
     (tmp_path / "diag_default.json").write_text(json.dumps(
         {"a": {"formula": "1/k", "zeros": 1}, "w": "1/k^2", "b": [1.0], "rho": 1.0}
     ))
@@ -112,6 +115,25 @@ class TestSolveCommand:
         bad.write_text(json.dumps(obj))
         assert main(["solve", "--problem", str(bad)]) == 1
         assert named in capsys.readouterr().err
+
+    def test_dense_t_heuristic_exit_two(self, workdir):
+        out = workdir / "rep.json"
+        code = main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "heuristic"
+        assert "starts" not in report["meta"]
+        assert report["residual_normal_eq"] <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "{dir}/certified.json"],
+        ["demo", "weakcont", "--n", "1", "--quad-points", "65", "--format", "csv"],
+    ])
+    def test_unwritable_out_exit_one(self, workdir, capsys, argv):
+        out = str(workdir / "missing_dir" / "out.txt")
+        argv = [a.format(dir=workdir) for a in argv] + ["--out", out]
+        assert main(argv) == 1
+        assert f"cannot write output file {out}" in capsys.readouterr().err
 
     def test_subnormal_scale_rho_solves_quietly(self, workdir):
         tiny = ProblemSpec(
@@ -299,17 +321,25 @@ class TestClassicCommand:
         assert code == 1
 
 
-def test_import_loads_no_scipy():
-    """A fresh interpreter imports rtls and its CLI with numpy alone."""
+def _scipy_modules_after(code):
+    """Run code in a fresh interpreter; return the scipy modules it loaded."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    code = (
-        "import sys, rtls, rtls.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter imports rtls and its CLI with numpy alone."""
+    assert _scipy_modules_after("import sys, rtls, rtls.cli") == "[]"
+
+
+def test_dense_t_solve_loads_no_scipy(workdir):
+    argv = ["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(workdir / "r.json")]
+    code = f"import sys, rtls.cli; assert rtls.cli.main({argv!r}) == 2"
+    assert _scipy_modules_after(code) == "[]"

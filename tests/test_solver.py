@@ -19,7 +19,9 @@ from rtls import (
     solve_rtls_general_t,
     solve_tstar,
 )
-from rtls.instances import closed_form_problem, random_problem
+from rtls.certificate import dual_tstar
+from rtls.instances import closed_form_problem, random_problem, random_weight
+from rtls.lab import default_rtls_nonexistence_model
 from rtls.solver import (
     EXISTENCE_NOT_CERTIFIED,
     EXISTENCE_TRIVIAL,
@@ -245,7 +247,7 @@ class TestGeneralT:
             WeightOperator.diagonal(np.ones(2)),
             RegularizerSpec.dense(np.eye(2)),
         )
-        report = solve_rtls_general_t(p, starts=4, seed=1)
+        report = solve_rtls_general_t(p)
         assert report.objective <= 1e-20
         assert np.linalg.norm(report.x) <= 1e-10
 
@@ -255,14 +257,96 @@ class TestGeneralT:
             inner = np.random.default_rng(seed + 100)
             p = random_problem(inner, 4, rho_factor=1.7)
             trace = solve_tstar(p)
+            dual = dual_tstar(p)
             dense = ProblemSpec(
                 p.A, p.b, p.W,
                 RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(4)),
             )
-            report = solve_rtls_general_t(dense, starts=6, seed=seed)
-            assert report.objective == pytest.approx(trace.t_star, abs=1e-6)
+            report = solve_rtls_general_t(dense)
+            assert report.objective == pytest.approx(dual.t_star, rel=1e-12)
+            assert report.objective == pytest.approx(trace.t_star, rel=1e-12)
             assert report.residual_normal_eq <= 1e-7
             assert report.status == "heuristic"
+
+
+def _multistart_reference(p, starts=8, seed=0):
+    """min G by scipy L-BFGS from seeded starts, each Newton-polished."""
+    from scipy.optimize import minimize
+
+    n = p.shape[1]
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + math.sqrt(p.b_norm_w_sq)
+    best = math.inf
+    for i in range(starts):
+        x0 = np.zeros(n) if i == 0 else rng.normal(size=n) * scale * 2.0 ** (i % 4 - 2)
+        res = minimize(
+            lambda z: eval_g(p, z).g, x0, jac=lambda z: grad_g(p, z),
+            method="L-BFGS-B", options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14},
+        )
+        best = min(best, eval_g(p, newton_polish(p, res.x)).g)
+    return best
+
+
+def _dense_t_family(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hard_case":
+        # b = e1 diagonal family: c = A^T W b misses the minimal eigenspace
+        order = 4 * 2 ** (seed % 4)
+        k = np.arange(1.0, order + 1.0)
+        b = np.zeros(order)
+        b[0] = 1.0
+        return ProblemSpec(
+            np.diag(1.0 / k), b, WeightOperator.diagonal(k**-2.0),
+            RegularizerSpec.dense(np.diag(k**-2.0)),
+        )
+    n = int(rng.integers(3, 21))
+    # m > n: generic data admit no exact fit Ax = b, Tx = 0, so G* > 0 and
+    # the relative comparison with the reference is meaningful
+    m = int(rng.integers(n + 1, n + 5))
+    a_mat, b = rng.normal(size=(m, n)), rng.normal(size=m)
+    weight = random_weight(rng, m)
+    t_mat = rng.normal(size=(n, n)) * rng.uniform(0.1, 2.0)
+    if kind == "rank_deficient":
+        t_mat[int(rng.integers(1, n)):] = 0.0
+    if kind == "singular_w":
+        w_diag = rng.uniform(0.2, 2.0, size=m)
+        w_diag[: max(1, m // 3)] = 0.0
+        weight = WeightOperator.diagonal(w_diag)
+    return ProblemSpec(a_mat, b, weight, RegularizerSpec.dense(t_mat))
+
+
+class TestGeneralTGlobal:
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case"])
+    def test_never_worse_than_multistart(self, kind):
+        for seed in range(4):
+            p = _dense_t_family(kind, seed)
+            report = solve_rtls_general_t(p)
+            reference = _multistart_reference(p)
+            assert report.objective <= reference * (1.0 + 1e-12)
+            assert report.objective == pytest.approx(eval_g(p, report.x).g, rel=1e-12)
+            assert report.status == "heuristic"
+
+    def test_unattained_infimum_stops_at_cap(self):
+        # T^T T misses e8, where G -> a_8^2 w_8 = 1/4096 only as |x| -> inf
+        k = np.arange(1.0, 9.0)
+        b = np.zeros(8)
+        b[0] = 1.0
+        t_diag = k**-2.0
+        t_diag[-1] = 0.0
+        p = ProblemSpec(
+            np.diag(1.0 / k), b, WeightOperator.diagonal(k**-2.0),
+            RegularizerSpec.dense(np.diag(t_diag)),
+        )
+        report = solve_rtls_general_t(p)
+        assert 1.0 / 4096.0 < report.objective <= (1.0 + 1e-4) / 4096.0
+        assert float(report.x @ report.x) <= 2e8
+        assert report.status == "heuristic"
+
+    @pytest.mark.parametrize("order", [32, 64])
+    def test_nonexistence_model_is_stationary(self, order):
+        p = default_rtls_nonexistence_model().build(order)
+        report = solve_rtls_general_t(p)
+        assert report.residual_normal_eq <= 1e-12
 
 
 class TestDegenerateInstances:

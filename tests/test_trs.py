@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import trs_equality
-from rtls.trs import brentq, radial_values
+from rtls.trs import brentq, radial_solutions, radial_values
 
 
 class TestTrsEquality:
@@ -102,6 +102,22 @@ class TestRadialValues:
         lam = np.array([0.5, 2.0])
         vals = radial_values(lam, np.zeros(2), np.array([0.0, 1.0, 2.0]))
         assert_allclose(vals, [0.0, 0.5, 2.0], rtol=1e-12)
+
+    def test_batch_matches_one_at_a_time(self, rng):
+        # a stack of S, each at its own radius; every third misses the
+        # minimal eigenspace, so large radii take the hard-case branch
+        lam = np.sort(rng.uniform(0.0, 5.0, size=(30, 5)), axis=1)
+        d = rng.normal(size=(30, 5))
+        d[::3, 0] = 0.0
+        rs = rng.uniform(0.0, 6.0, size=30)
+        rs[0] = 0.0
+        vals, z = radial_solutions(lam, d, rs)
+        for k in range(30):
+            one, z_one = radial_solutions(lam[k], d[k], rs[k : k + 1])
+            assert vals[k] == one[0]
+            assert_array_equal(z[k], z_one[0])
+            sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
+            assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
 
 
 class TestBrentq:
