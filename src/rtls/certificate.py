@@ -39,6 +39,10 @@ tau'(beta) = rho (1 + |x(beta)|^2) / sqrt(rho F(beta)) - 1, so its maximizer
 beta* is one bracketed scalar root, at O(n) per step after a single eigh.
 x(beta*) is a primal point, and the duality gap G(x*) - tau(beta*) >= 0
 bounds how far G(x*) lies above t*.
+
+The Dinkelbach reference of ``rtls certify`` shares the one eigh of
+A^T W A with this module and no other computed value: it takes each phi(t)
+from its own secular root in :mod:`rtls.trs`, without tau or _Spectrum.
 """
 
 from __future__ import annotations

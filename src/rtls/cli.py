@@ -107,7 +107,8 @@ def _certify_one(p, args):
     """Certify t* and cross-check it against the Dinkelbach reference.
 
     The two agree when they differ by at most tol_t (default
-    1e-10 (1 + |b|_W^2)).
+    1e-10 (1 + |b|_W^2)).  The routes share no computed value but the eigh
+    of A^T W A.
     """
     trace = solve_tstar(p)
     if trace.verdict != VERDICT_CONVERGED:

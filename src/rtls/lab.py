@@ -567,7 +567,10 @@ def weak_continuity_demo(n_list, quad_points=8193):
         raise ValueError(
             f"insufficient quadrature resolution: need an odd count >= {required}"
         )
-    from scipy.integrate import simpson
+    try:
+        from scipy.integrate import simpson
+    except ImportError as exc:
+        raise RuntimeError("demo weakcont needs scipy: install the rtls[weakcont] extra") from exc
 
     t = np.linspace(0.0, 2.0 * math.pi, quad_points)
     limit = float(simpson(np.full_like(t, 4.0), x=t))

@@ -260,7 +260,6 @@ class RankOneLift:
 
 # status of a candidate pair
 STATUS_SOLVED = "solved"
-STATUS_INFIMUM_ONLY = "infimum_only"
 STATUS_TRIVIAL = "trivial"
 STATUS_HEURISTIC = "heuristic"
 

@@ -11,16 +11,18 @@ parametric function
            = inf_x (1 + |x|^2)(G(x) - t).
 
 phi(t) is evaluated globally through a spherical reduction: the inner
-minimum over each sphere |x| = r is an equality trust-region subproblem, and
-the remaining one-dimensional problem in r is scanned on a dense grid and
-refined by golden section.  The classical Dinkelbach update t <- G(x_t)
-(started at t0 = G(0) = |b|_W^2, which is always >= t*) then converges
-monotonically to t*; a bisection fallback on [0, |b|_W^2] guards against
-stagnation.  If rho >= t* the inner problem at t* is strictly convex, the
-minimizer of G is unique and the recovered pair is certified; for rho < t*
-the best point found is reported without an attainment claim.
+minimum m(s) over each sphere |x|^2 = s is an equality trust-region
+subproblem, convex in s by strong duality, so the remaining problem in s
+has one stationary point, a single monotone secular root in the TRS
+multiplier (:func:`rtls.trs.quartic_minimizer`).  The classical Dinkelbach
+update t <- G(x_t) (started at t0 = G(0) = |b|_W^2, which is always >= t*)
+then converges monotonically to t*; a bisection fallback on [0, |b|_W^2]
+takes over when G(x_t) stops decreasing in floating point.  If rho >= t*
+the inner problem at t* is strictly convex, the minimizer of G is unique
+and the recovered pair is certified; for rho < t* the best point found is
+reported without an attainment claim.
 
-A general dense T fixes alpha = |x|^2 instead, and the same grid and
+A general dense T fixes alpha = |x|^2 instead, and a grid and
 golden-section driver searches alpha (:func:`solve_rtls_general_t`).
 """
 
@@ -40,7 +42,8 @@ from .model import (
     w_vec_seminorm,
 )
 from .reduction import eval_g, recover_pair
-from .trs import radial_solutions, radial_values, trs_equality
+from .trs import quartic_minimizer, radial_solutions, trs_equality
+from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
 
 logger = logging.getLogger("rtls.solver")
 
@@ -165,59 +168,28 @@ def _global_min(values, scalar, s_max, s_cap, grid):
     return float(best_s), float(best_val), hit_cap
 
 
-def _minimize_radial(p, weight_fn, r_max0, grid):
-    """(r, value, hit_cap) of min_r m(r) + weight_fn(r), m(r) = min_{|x|=r} |Ax-b|_W^2."""
-    lam, q = p.gram_eig
-    d = q.T @ p.gram_rhs
-    b_sq = p.b_norm_w_sq
-
-    def values(rs):
-        return radial_values(lam, d, rs) + b_sq + weight_fn(rs)
-
-    def scalar(r):
-        x = trs_equality(None, p.gram_rhs, r, eig=p.gram_eig).x
-        m = float(x @ p.gram_matrix @ x - 2.0 * p.gram_rhs @ x) + b_sq
-        return m + float(weight_fn(np.array([r]))[0])
-
-    return _global_min(values, scalar, r_max0, 1e15 * (r_max0 + 1.0), grid)
-
-
-def eval_phi(p, t, grid=512):
+def eval_phi(p, t):
     """Evaluate phi(t) globally; returns (phi, argmin x).
 
-    The spherical reduction makes the evaluation exact up to the resolution
-    of the one-dimensional search even in the regime t > rho where the inner
-    expression is nonconvex.
+    Up to constants the inner objective is <Sx,x> - 2<c,x> + rho |x|^4 +
+    (rho - t)|x|^2 with S = A^T W A, c = A^T W b; its one stationary point
+    is global also for t > rho, where it is nonconvex in x.
     """
     rho = require_identity_scaled(p, "eval_phi")
-    r_max0 = math.sqrt(p.b_norm_w_sq / rho) * 1.05 + 1e-9
-
-    def weight(rs):
-        return rho * rs**4 + (rho - t) * rs**2 - t
-
-    r_star, _, hit_cap = _minimize_radial(p, weight, r_max0, grid)
-    if hit_cap:
-        raise RuntimeError(f"radial search for phi({t}) diverged; instance unbounded?")
-    lam, q = p.gram_eig
-    sol = trs_equality(None, p.gram_rhs, r_star, eig=(lam, q))
-    x = sol.x
+    x = quartic_minimizer(p.gram_eig, p.gram_rhs, rho, rho - t)
     r2 = float(x @ x)
-    phi = (
-        w_vec_seminorm(p.W, p.A @ x - p.b) ** 2
-        + rho * r2 * r2
-        + (rho - t) * r2
-        - t
-    )
+    phi = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + rho * r2 * r2 + (rho - t) * r2 - t
     return float(phi), x
 
 
-def solve_tstar(p, tol_phi=None, max_iter=60, grid=512):
+def solve_tstar(p, tol_phi=None, max_iter=60):
     """Find t* = inf G and a minimizer via Dinkelbach iteration on phi.
 
     Starts at t0 = G(0) = |b|_W^2, iterates t <- G(x_t) where x_t is the
     global inner minimizer at t, and stops once |phi(t)| <= tol_phi (default
     1e-9 (1 + |b|_W^2)); one extra update is then taken to polish x*.  Three
-    non-improving steps switch to bisection on the maintained sign bracket.
+    non-improving steps switch to bisection on the maintained sign bracket:
+    G(x_t) can round to t far above t* (A = b = W = 1, rho = 1e-300).
     """
     rho = require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
@@ -238,11 +210,10 @@ def solve_tstar(p, tol_phi=None, max_iter=60, grid=512):
     stall = 0
     prev_abs_phi = np.inf
     polish_left = 2
-    bisecting = False
 
     for _ in range(max_iter):
         try:
-            phi, x = eval_phi(p, t, grid=grid)
+            phi, x = eval_phi(p, t)
         except RuntimeError as exc:
             logger.warning("inner minimization flagged: %s", exc)
             trace.t_star, trace.x_star = best_g, best_x
@@ -269,8 +240,6 @@ def solve_tstar(p, tol_phi=None, max_iter=60, grid=512):
             stall += 1
         prev_abs_phi = abs(phi)
         if stall >= 3:
-            bisecting = True
-        if bisecting:
             if hi - lo <= 1e-15 * (1.0 + hi):
                 trace.verdict = VERDICT_CONVERGED
                 break
@@ -330,23 +299,14 @@ class QuarticSolution:
         return self.a_star <= self.rho_used
 
 
-def solve_rls_quartic(p, grid=512):
-    """Solve min_x |Ax - b|_W^2 + rho |x|^4 by the spherical reduction.
+def solve_rls_quartic(p):
+    """Solve min_x |Ax - b|_W^2 + rho |x|^4 by one secular root.
 
     The objective is convex and coercive, so the minimum always exists; when
     it is <= rho the scaled-identity problem is guaranteed a unique solution.
     """
     rho = require_identity_scaled(p, "solve_rls_quartic")
-    r_max0 = (p.b_norm_w_sq / rho) ** 0.25 * 1.05 + 1e-9
-
-    def weight(rs):
-        return rho * rs**4
-
-    r_star, _, hit_cap = _minimize_radial(p, weight, r_max0, grid)
-    if hit_cap:
-        raise RuntimeError("radial search for the quartic problem diverged")
-    lam, q = p.gram_eig
-    x = trs_equality(None, p.gram_rhs, r_star, eig=(lam, q)).x
+    x = quartic_minimizer(p.gram_eig, p.gram_rhs, rho)
     r2 = float(x @ x)
     a_star = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + rho * r2 * r2
     return QuarticSolution(float(a_star), x, rho_used=rho)

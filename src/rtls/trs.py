@@ -105,16 +105,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _decompose(S, c, eig):
-    if eig is None:
-        lam, q = np.linalg.eigh(np.asarray(S, dtype=float))
-        lam = np.clip(lam, 0.0, None)
-    else:
-        lam, q = eig
-    d = q.T @ np.asarray(c, dtype=float)
-    return lam, q, d
-
-
 def min_space(lam, d):
     """Split eigenbasis data (lam ascending, d = Q^T c) at the minimal eigenspace.
 
@@ -141,7 +131,11 @@ def trs_equality(S, c, r, eig=None):
     (ascending); S itself is then ignored.  r = 0 returns x = 0 with the
     multiplier undefined (NaN).
     """
-    lam, q, d = _decompose(S, c, eig)
+    if eig is None:
+        lam, q = np.linalg.eigh(np.asarray(S, dtype=float))
+        eig = np.clip(lam, 0.0, None), q
+    lam, q = eig
+    d = q.T @ np.asarray(c, dtype=float)
     n = lam.shape[0]
     r = float(r)
     if r < 0:
@@ -168,8 +162,7 @@ def trs_equality(S, c, r, eig=None):
     if not degenerate:
         lo = -lam_min + d_min_norm / r  # secular(lo) >= 0 from the minimal block alone
     else:
-        spread = max(lam[-1] - lam[0], abs(lam_min), 1.0)
-        lo = -lam_min + 1e-15 * spread
+        lo = -lam_min + 1e-15 * max(lam[-1] - lam[0], abs(lam_min), 1.0)
     hi = -lam_min + float(np.linalg.norm(d)) / r  # secular(hi) <= 0
     f_lo, f_hi = secular(lo), secular(hi)
     if f_lo == 0.0:
@@ -197,21 +190,60 @@ def trs_equality(S, c, r, eig=None):
     return TrsSolution(r, x, float(mu), False)
 
 
+def quartic_minimizer(eig, c, rho, shift=0.0):
+    """Global minimizer of <Sx,x> - 2<c,x> + rho |x|^4 + shift |x|^2, rho > 0.
+
+    ``eig`` is the ascending eigenpair of S.  The TRS minimum m(s) over
+    |x|^2 = s is convex in s (strong duality), so there is one stationary
+    point: x = Q d / (lam - lam_min + nu) at the root of the increasing
+    nu - lam_min - shift - 2 rho |x|^2, with the minimal eigenspace lumped
+    into one eigenvalue.  In the hard case (d misses that eigenspace and
+    the root lies below nu = 0) x is completed there at nu = 0.
+    """
+    lam, q = eig
+    d = q.T @ np.asarray(c, dtype=float)
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
+    floor = float(lam[0]) + shift
+    if degenerate:
+        s_hard = -floor / (2.0 * rho)
+        if s_hard >= limit_sq:
+            return trs_equality(None, c, math.sqrt(s_hard), eig=eig).x
+        d = d_eff
+    else:
+        gaps = np.where(in_min, 0.0, gaps)
+
+    def slope(nu):
+        z = d / (gaps + nu)
+        return nu - floor - 2.0 * rho * float(z @ z)
+
+    # |x|^2 <= |d|^2 / nu^2 makes slope >= 0 here, up to rounding, and the
+    # minimal block alone makes slope(lo) <= 0
+    nu = max(floor, 0.0) + (2.0 * rho) ** (1 / 3) * float(np.linalg.norm(d)) ** (2 / 3)
+    if slope(nu) > 0.0:
+        lo = 0.0 if degenerate else d_min_norm * math.sqrt(2.0 * rho / (nu - floor))
+        if slope(lo) < 0.0:
+            nu = brentq(slope, lo, nu, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        else:
+            nu = lo
+    return q @ (d / (gaps + nu))
+
+
 def radial_values(lam, d, rs, iters=70):
-    """Vectorized values of min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
+    """The values of :func:`radial_solutions`."""
+    return radial_solutions(lam, d, rs, iters)[0]
+
+
+def radial_solutions(lam, d, rs, iters=70):
+    """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
     Same reduction as :func:`trs_equality` (eigenbasis data lam, d), solved by
     bisection on the secular equation simultaneously for all radii.  Radii in
     the hard-case regime use the closed form with a minimal-eigenspace
     completion.  ``lam`` and ``d`` may carry leading batch axes, one S per
     entry; ``rs`` broadcasts against them, so one S can be scanned over many
-    radii or a stack of S each taken at its own radius.
+    radii or a stack of S each taken at its own radius.  Returns
+    (values, z); the minimizers are x = Q z.
     """
-    return radial_solutions(lam, d, rs, iters)[0]
-
-
-def radial_solutions(lam, d, rs, iters=70):
-    """(values, z) as in :func:`radial_values`; the minimizers are x = Q z."""
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
     batch, n = lam.shape[:-1], lam.shape[-1]

@@ -24,21 +24,15 @@ def elementwise_objective(p, X, x, regularized=True):
     return total
 
 
-def grid_tstar_oracle(p, points=100_000, iters=60):
-    """Brute-force minimum of G over the spherical reduction.
+def _radial_misfit(p, rs, iters=60):
+    """m(r) = min_{|x| = r} |Ax - b|_W^2 at each radius r > 0 in rs.
 
-    Independent of the solver path: its own bisection on the secular
-    equation, on a dense radial grid.  Generic instances only (no minimal-
-    eigenspace degeneracy handling).
+    Plain bisection on the secular equation, vectorized over the radii.
+    Generic instances only (no minimal-eigenspace degeneracy handling).
     """
-    rho = p.T.rho
     lam, q = np.linalg.eigh(p.gram_matrix)
     lam = np.clip(lam, 0.0, None)
     d = q.T @ p.gram_rhs
-    b_sq = p.b_norm_w_sq
-    r_max = math.sqrt(b_sq / rho) * 1.05 + 1e-9
-    rs = np.linspace(0.0, r_max, points)[1:]
-
     lam_min = lam[0]
     d_norm = np.linalg.norm(d)
     lo = -lam_min + max(abs(d[0]), 1e-300) / rs
@@ -54,10 +48,35 @@ def grid_tstar_oracle(p, points=100_000, iters=60):
     mu = 0.5 * (lo + hi)
     x = d[None, :] / (lam_row + mu[:, None])
     x *= (rs / np.linalg.norm(x, axis=1))[:, None]
-    m_vals = np.sum(lam_row * x * x, axis=1) - 2.0 * x @ d + b_sq
-    g_vals = m_vals / (1.0 + rs * rs) + rho * rs * rs
-    best = float(np.min(g_vals))
-    return min(best, b_sq)  # include r = 0
+    return np.sum(lam_row * x * x, axis=1) - 2.0 * x @ d + p.b_norm_w_sq
+
+
+def grid_tstar_oracle(p, points=100_000, iters=60):
+    """Brute-force minimum of G over the spherical reduction.
+
+    Independent of the solver path: its own bisection on the secular
+    equation, on a dense radial grid.
+    """
+    rho = p.T.rho
+    b_sq = p.b_norm_w_sq
+    r_max = math.sqrt(b_sq / rho) * 1.05 + 1e-9
+    rs = np.linspace(0.0, r_max, points)[1:]
+    g_vals = _radial_misfit(p, rs, iters) / (1.0 + rs * rs) + rho * rs * rs
+    return min(float(np.min(g_vals)), b_sq)  # include r = 0
+
+
+def grid_phi_oracle(p, t, points=100_000, iters=60):
+    """Brute-force phi(t) = min_r m(r) + rho r^4 + (rho - t) r^2 - t on a radial grid.
+
+    The minimizer has rho s^2 - t s <= |b|_W^2 for s = r^2 (the value at
+    r = 0 bounds it and m >= 0), which bounds the grid.
+    """
+    rho = p.T.rho
+    b_sq = p.b_norm_w_sq
+    s_max = (t + math.sqrt(t * t + 4.0 * rho * b_sq)) / (2.0 * rho)
+    rs = np.linspace(0.0, math.sqrt(s_max) * 1.05 + 1e-9, points)[1:]
+    vals = _radial_misfit(p, rs, iters) + rho * rs**4 + (rho - t) * rs**2 - t
+    return min(float(np.min(vals)), b_sq - t)  # include r = 0
 
 
 def certified_instances(count, dims=(2, 3, 4, 5, 6), seed=20240404):

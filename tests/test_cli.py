@@ -179,6 +179,24 @@ class TestCertifyCommand:
         assert cert["alpha"] == 1.0 and cert["beta"] < 0
         assert cert["meta"]["agreement_gap"] <= 1e-10
 
+    def test_subnormal_scale_rho_certifies_quietly(self, workdir):
+        # the Dinkelbach reference stalls at t = G(x) = 1 in floating point
+        # and reaches t* = rho through its bisection fallback
+        tiny = ProblemSpec(
+            np.ones((1, 1)), np.ones(1),
+            WeightOperator.diagonal([1.0]),
+            RegularizerSpec.identity_scaled(1e-300),
+        )
+        rio.save_problem(workdir / "tiny.json", tiny)
+        out = workdir / "cert.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["certify", "--problem", str(workdir / "tiny.json"), "--out", str(out)])
+        assert code == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["t_dinkelbach"] == pytest.approx(1e-300, rel=1e-12)
+        assert meta["agreement_gap"] <= 1e-10 * (1.0 + tiny.b_norm_w_sq)
+
     def test_keep_c(self, workdir):
         out = workdir / "cert.json"
         code = main(["certify", "--problem", str(workdir / "trivial.json"),
@@ -201,6 +219,12 @@ class TestDemoCommands:
     def test_weakcont_insufficient_resolution(self, workdir):
         code = main(["demo", "weakcont", "--n", "32", "--quad-points", "129"])
         assert code == 1
+
+    def test_weakcont_without_scipy_names_the_extra(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)  # import fails
+        code = main(["demo", "weakcont", "--n", "1", "--quad-points", "129"])
+        assert code == 1
+        assert "rtls[weakcont]" in capsys.readouterr().err
 
     def test_nonexist_tls(self, workdir):
         out = workdir / "seq.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import certified_instances, grid_tstar_oracle
+from conftest import certified_instances, grid_phi_oracle, grid_tstar_oracle
 from rtls import (
     ProblemSpec,
     RegularizerSpec,
@@ -52,6 +52,18 @@ class TestEvalPhi:
         values = [eval_phi(p, t)[0] for t in ts]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-10
+
+    def test_never_above_brute_force(self, rng):
+        # any radial grid bounds phi(t) from above, so the root may not exceed it
+        for i in range(8):
+            n = int(rng.integers(2, 7))
+            p = random_problem(rng, n, rho_factor=(0.02, 0.3, 1.5)[i % 3])
+            scale = 1.0 + p.b_norm_w_sq
+            for t in np.linspace(0.0, p.b_norm_w_sq, 4):
+                phi, _ = eval_phi(p, t)
+                oracle = grid_phi_oracle(p, t)
+                assert phi <= oracle + 1e-12 * scale
+                assert phi >= oracle - 1e-6 * scale
 
     def test_requires_identity_scaled(self, rng):
         p = ProblemSpec(
@@ -130,10 +142,25 @@ class TestSolveTstar:
 
     def test_independent_runs_agree(self, rng):
         for p in certified_instances(6, seed=77):
-            first = solve_tstar(p, grid=512)
-            second = solve_tstar(p, grid=701)
-            assert np.linalg.norm(first.x_star - second.x_star) <= 1e-6
-            assert abs(first.t_star - second.t_star) <= 1e-9 * (1 + first.t_star)
+            trace = solve_tstar(p)
+            dual = dual_tstar(p)
+            assert np.linalg.norm(trace.x_star - dual.x_star) <= 1e-6
+            assert abs(trace.t_star - dual.t_star) <= 1e-9 * (1 + trace.t_star)
+
+    def test_bisection_fallback_fires_when_g_rounds_to_t(self):
+        # A = b = W = 1, rho = 1e-300: at t = 1 the inner minimizer sits at
+        # |x| ~ 1e100, where G(x) = 1 - 2/|x| + ... rounds to 1, so the
+        # classical update stalls and only bisection on [0, 1] reaches t*
+        p = ProblemSpec(
+            np.ones((1, 1)), np.ones(1),
+            WeightOperator.diagonal([1.0]),
+            RegularizerSpec.identity_scaled(1e-300),
+        )
+        trace = solve_tstar(p)
+        ts = [it.t for it in trace.iterates]
+        assert ts[:5] == [1.0, 1.0, 1.0, 1.0, 0.5]
+        assert trace.verdict == VERDICT_CONVERGED
+        assert trace.t_star == pytest.approx(1e-300, rel=1e-12)
 
     def test_argmin_equivalence_at_tstar(self, rng):
         # the inner argmin at t* matches the direct minimizer of G
@@ -141,6 +168,44 @@ class TestSolveTstar:
         trace = solve_tstar(p)
         _, x_inner = eval_phi(p, trace.t_star)
         assert eval_g(p, x_inner).g == pytest.approx(trace.t_star, abs=1e-6)
+
+
+def _hard_case_family(order, rho):
+    """b = e1, A = diag(1/k) with its smallest entry repeated, W = diag(1/k^2).
+
+    c = A^T W b misses the two-dimensional minimal eigenspace of A^T W A.
+    """
+    k = np.arange(1.0, order + 1.0)
+    a = 1.0 / k
+    a[-1] = a[-2]
+    b = np.zeros(order)
+    b[0] = 1.0
+    return ProblemSpec(
+        np.diag(a), b, WeightOperator.diagonal(k**-2.0),
+        RegularizerSpec.identity_scaled(rho),
+    )
+
+
+class TestHardCase:
+    @pytest.mark.parametrize("order", [4, 8, 16, 32])
+    @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 5.0])
+    def test_matches_dual(self, order, rho):
+        p = _hard_case_family(order, rho)
+        trace = solve_tstar(p)
+        assert trace.verdict == VERDICT_CONVERGED
+        assert abs(trace.t_star - dual_tstar(p).t_star) <= 1e-12 * trace.t_star
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.1])
+    def test_phi_completes_in_minimal_eigenspace(self, rho):
+        # at t = |b|_W^2, s = (t - rho - lam_min) / (2 rho) exceeds the
+        # secular limit, so the minimizer has a part that c cannot produce
+        p = _hard_case_family(8, rho)
+        t = p.b_norm_w_sq
+        phi, x = eval_phi(p, t)
+        s = (t - rho - p.gram_eig[0][0]) / (2.0 * rho)
+        assert float(x @ x) == pytest.approx(s, rel=1e-12)
+        assert np.linalg.norm(x[-2:]) >= 0.3
+        assert phi <= grid_phi_oracle(p, t) + 1e-12 * (1.0 + t)
 
 
 class TestClassification:

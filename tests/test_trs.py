@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import trs_equality
-from rtls.trs import brentq, radial_solutions, radial_values
+from rtls.trs import brentq, quartic_minimizer, radial_solutions, radial_values
 
 
 class TestTrsEquality:
@@ -118,6 +118,49 @@ class TestRadialValues:
             assert_array_equal(z[k], z_one[0])
             sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
             assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
+
+
+class TestQuarticMinimizer:
+    @staticmethod
+    def objective(s_mat, c, rho, shift, x):
+        r2 = x @ x
+        return x @ s_mat @ x - 2.0 * c @ x + rho * r2 * r2 + shift * r2
+
+    def test_hard_case_closed_form(self):
+        # S = diag(0, 0, 1), c = e3, rho = 1, shift = -5: mu = 2 |x|^2 - 5
+        # stays at -lam_min = 0, so x3 = 1 and the minimal eigenspace carries
+        # the rest of |x|^2 = 5/2
+        s_mat = np.diag([0.0, 0.0, 1.0])
+        c = np.array([0.0, 0.0, 1.0])
+        x = quartic_minimizer(np.linalg.eigh(s_mat), c, 1.0, -5.0)
+        assert x[2] == pytest.approx(1.0, rel=1e-14)
+        assert float(x @ x) == pytest.approx(2.5, rel=1e-14)
+        assert self.objective(s_mat, c, 1.0, -5.0, x) == pytest.approx(-7.25, rel=1e-14)
+
+    def test_zero_rhs(self):
+        s_mat = np.diag([1.0, 3.0])
+        eig = np.linalg.eigh(s_mat)
+        assert_array_equal(quartic_minimizer(eig, np.zeros(2), 1.0, 0.5), np.zeros(2))
+        x = quartic_minimizer(eig, np.zeros(2), 1.0, -3.0)  # |x|^2 = (3 - 1) / 2
+        assert float(x @ x) == pytest.approx(1.0, rel=1e-14)
+        assert abs(x[1]) <= 1e-15
+
+    def test_stationary_and_below_samples(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            basis = rng.normal(size=(n, n))
+            s_mat = basis.T @ basis
+            c = rng.normal(size=n)
+            rho = float(10.0 ** rng.uniform(-3, 1))
+            shift = float(rng.uniform(-5.0, 5.0))
+            x = quartic_minimizer(np.linalg.eigh(s_mat), c, rho, shift)
+            mu = 2.0 * rho * float(x @ x) + shift
+            resid = (s_mat + mu * np.eye(n)) @ x - c
+            assert np.linalg.norm(resid) <= 1e-9 * (1.0 + np.linalg.norm(c) + abs(mu))
+            best = self.objective(s_mat, c, rho, shift, x)
+            scale = 1.0 + abs(best)
+            for z in x + rng.normal(size=(50, n)) * rng.uniform(0.01, 3.0, size=(50, 1)):
+                assert self.objective(s_mat, c, rho, shift, z) >= best - 1e-12 * scale
 
 
 class TestBrentq:
