@@ -54,7 +54,8 @@ import numpy as np
 
 from .model import w_vec_seminorm
 from .reduction import eval_g
-from .solver import VERDICT_CONVERGED, newton_polish, require_identity_scaled
+from . import solver
+from .solver import VERDICT_CONVERGED, require_identity_scaled
 from .trs import min_space, trs_equality
 
 _PSD_FLOOR_REL = 1e-9
@@ -235,6 +236,8 @@ def dual_tstar(p):
     x* = Q d / (lam + beta*); in the hard case beta* = -lam_min and x* is
     completed inside the minimal eigenspace by :func:`trs_equality` at
     |x*|^2 = (t* + beta* - rho) / (2 rho).  No radius enters otherwise.
+    The polish (:func:`rtls.solver.newton_polish`) takes O(n^2) steps from
+    the same eigendecomposition; it is kept only if it does not raise G.
     """
     rho = require_identity_scaled(p, "dual_tstar")
     b_sq = p.b_norm_w_sq
@@ -256,7 +259,7 @@ def dual_tstar(p):
     t_dual = _tau(p, rho, beta, x)
 
     g = eval_g(p, x).g
-    x_polished = newton_polish(p, x)
+    x_polished = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
     g_polished = eval_g(p, x_polished).g
     if g_polished <= g + 1e-14 * (1.0 + abs(g)):
         x, g = x_polished, g_polished

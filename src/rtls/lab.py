@@ -166,7 +166,6 @@ class IntegralModel:
     """
 
     kernel: str
-    grid: int
     w: object = "1/k^2"
     b: object = (1.0,)
     rho: float = 1.0
@@ -192,7 +191,7 @@ class IntegralModel:
 
 
 _DIAGONAL_KEYS = {"a", "w", "b", "rho", "t"}
-_INTEGRAL_KEYS = {"kernel", "grid", "w", "b", "rho"}
+_INTEGRAL_KEYS = {"kernel", "w", "b", "rho"}
 
 
 def model_from_dict(obj):
@@ -216,12 +215,8 @@ def model_from_dict(obj):
     if "kernel" in obj:
         if not isinstance(obj["kernel"], str):
             raise ProblemFormatError("field 'kernel' must be a string")
-        grid = obj.get("grid", 16)
-        if not isinstance(grid, int) or isinstance(grid, bool):
-            raise ProblemFormatError("field 'grid' must be an integer")
         return IntegralModel(
             obj["kernel"],
-            grid,
             w=obj.get("w", "1/k^2"),
             b=obj.get("b", (1.0,)),
             rho=1.0 if rho is None else rho,

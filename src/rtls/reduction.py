@@ -158,12 +158,16 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
     equation shows A_x^T W (A_x - A) equals the rank-one matrix (T^T T x) x^T
     at any critical point of G, which degenerates to zero exactly when the
     regularizer annihilates x (in particular in the unregularized problem).
+    With A_x - A = c x^T that matrix is (A^T W c + (c^T W c) x - T^T T x) x^T,
+    so its norm costs O(mn + m^2) without materializing A_x.
     """
     x = _check_x(p, x)
     lift = lift_operator(p, x)
     gval = eval_g(p, x)
-    ax = lift.materialize()
-    ortho = ax.T @ p.W.apply(ax - p.A) - np.outer(p.T.gram_dot(x), x)
+    c = lift.correction_vector
+    wc = p.W.apply(c)
+    ortho = p.A.T @ wc + float(c @ wc) * x - p.T.gram_dot(x)
+    ortho_norm = float(np.linalg.norm(ortho) * np.linalg.norm(x))
     return PairReport(
         x=x,
         lift=lift,
@@ -172,6 +176,6 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
         reg_term=gval.reg_term,
         residual_normal_eq=normal_residual(p, x),
         residual_rank_one=rank_one_stationarity_residual(p, x),
-        residual_orthogonality=float(np.linalg.norm(ortho)) / _report_scale(p),
+        residual_orthogonality=ortho_norm / _report_scale(p),
         status=status,
     )

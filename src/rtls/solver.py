@@ -312,30 +312,33 @@ def solve_rls_quartic(p):
     return QuarticSolution(float(a_star), x, rho_used=rho)
 
 
+def _gradient_parts(p, x):
+    """(grad G, grad u, u, v) at x, for G = u / v + |Tx|^2.
+
+    u = |Ax - b|_W^2 and v = 1 + |x|^2; the Newton step reuses all four.
+    """
+    v = 1.0 + float(x @ x)
+    resid = p.A @ x - p.b
+    u = w_vec_seminorm(p.W, resid) ** 2
+    grad_u = 2.0 * (p.A.T @ p.W.apply(resid))
+    grad = (grad_u * v - 2.0 * u * x) / v**2 + 2.0 * p.T.gram_dot(x)
+    return grad, grad_u, u, v
+
+
 def grad_g(p, x):
     """Analytic gradient of G for any regularizer:
 
         grad G = [2 A^T W (Ax-b) (1+|x|^2) - 2 |Ax-b|_W^2 x] / (1+|x|^2)^2
                  + 2 T^T T x.
     """
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    resid = p.A @ x - p.b
-    misfit = w_vec_seminorm(p.W, resid) ** 2
-    quotient = (
-        2.0 * (p.A.T @ p.W.apply(resid)) * (1.0 + r2) - 2.0 * misfit * x
-    ) / (1.0 + r2) ** 2
-    return quotient + 2.0 * p.T.gram_dot(x)
+    return _gradient_parts(p, np.asarray(x, dtype=float))[0]
 
 
 def hess_g(p, x):
     """Analytic Hessian of G (quotient rule on |Ax-b|_W^2 / (1+|x|^2))."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    v = 1.0 + float(x @ x)
-    resid = p.A @ x - p.b
-    u = w_vec_seminorm(p.W, resid) ** 2
-    grad_u = 2.0 * (p.A.T @ p.W.apply(resid))
+    _, grad_u, u, v = _gradient_parts(p, x)
     grad_v = 2.0 * x
     hess_u = 2.0 * p.gram_matrix
     cross = np.outer(grad_u, grad_v)
@@ -348,31 +351,72 @@ def hess_g(p, x):
     return quotient + 2.0 * p.T.gram(n)
 
 
+def newton_step(p, x, parts=None):
+    """The Newton step hess_g(p, x)^{-1} grad G(x).
+
+    For T = sqrt(rho) I, with A^T W A = Q diag(lam) Q^T, grad_u = 2 A^T W
+    (Ax - b) and grad_v = 2x, the Hessian is diagonal in Q up to rank two:
+
+        hess_g = Q D Q^T + U C U^T,   D = diag(2 lam / v + 2 rho - 2 u / v^2),
+        U = [grad_u, grad_v],         C = [[0, -1/v^2], [-1/v^2, 2 u / v^3]],
+
+    so the step costs one n x 3 and one n x 1 product with the shared
+    ``p.gram_eig`` plus a 2 x 2 Woodbury solve in closed form: O(n^2).  D
+    equals (2/v)(lam + rho v - u/v), positive near a minimizer except in the
+    hard case; where an entry vanishes the step comes out non-finite.  A
+    dense T solves with the assembled Hessian in O(n^3).  ``parts`` is
+    ``_gradient_parts(p, x)`` when the caller has it.  Raises LinAlgError or
+    ZeroDivisionError when a solve meets an exactly singular matrix.
+    """
+    x = np.asarray(x, dtype=float)
+    grad, grad_u, u, v = _gradient_parts(p, x) if parts is None else parts
+    if p.T.kind != "identity_scaled":
+        return np.linalg.solve(hess_g(p, x), grad)
+    lam, q = p.gram_eig
+    with np.errstate(divide="ignore", invalid="ignore"):  # hard case: D singular
+        proj = q.T @ np.column_stack((grad, grad_u, 2.0 * x))
+        y = proj / ((2.0 / v) * lam + (2.0 * p.T.rho - 2.0 * u / v**2))[:, None]
+        # r_i = <U_i, D^-1 grad> and m_ij = <U_i, D^-1 U_j> in the eigenbasis
+        (r1, m11, m12), (r2, m21, m22) = (proj[:, 1:].T @ y).tolist()
+        c12, c22 = -1.0 / v**2, 2.0 * u / v**3
+        # w = (I + C M)^-1 C r; the step is D^-1 grad - D^-1 U w
+        k11, k12 = 1.0 + c12 * m21, c12 * m22
+        k21, k22 = c12 * m11 + c22 * m21, 1.0 + c12 * m12 + c22 * m22
+        s1, s2 = c12 * r2, c12 * r1 + c22 * r2
+        det = k11 * k22 - k12 * k21
+        w1, w2 = (k22 * s1 - k12 * s2) / det, (k11 * s2 - k21 * s1) / det
+        return q @ (y[:, 0] - w1 * y[:, 1] - w2 * y[:, 2])
+
+
 def newton_polish(p, x, iters=8):
     """Guarded Newton refinement of a near-critical point of G.
 
-    Each step is accepted only if it shrinks the gradient norm; the analytic
-    gradient/Hessian push the first-order residual to machine precision,
-    which grid-plus-golden searches cannot reach through the fp noise floor
-    of objective differences.
+    Each step is accepted only if it shrinks the gradient norm, after up to
+    12 halvings; the analytic gradient/Hessian push the first-order residual
+    to machine precision, which grid-plus-golden searches cannot reach
+    through the fp noise floor of objective differences.  Steps come from
+    :func:`newton_step`: O(n^2) from the shared eigendecomposition of
+    A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
+    A non-finite step (hard case) is rejected by the same guard.
     """
     x = np.asarray(x, dtype=float).copy()
-    gnorm = float(np.linalg.norm(grad_g(p, x)))
+    parts = _gradient_parts(p, x)
+    gnorm = float(np.linalg.norm(parts[0]))
     for _ in range(iters):
         if gnorm == 0.0:
             break
-        grad = grad_g(p, x)
         try:
-            step = np.linalg.solve(hess_g(p, x), grad)
-        except np.linalg.LinAlgError:
+            step = newton_step(p, x, parts)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             break
         accepted = False
         scale = 1.0
         for _ in range(12):
             x_new = x - scale * step
-            gnorm_new = float(np.linalg.norm(grad_g(p, x_new)))
+            parts_new = _gradient_parts(p, x_new)
+            gnorm_new = float(np.linalg.norm(parts_new[0]))
             if gnorm_new < gnorm:
-                x, gnorm, accepted = x_new, gnorm_new, True
+                x, parts, gnorm, accepted = x_new, parts_new, gnorm_new, True
                 break
             scale *= 0.5
         if not accepted:

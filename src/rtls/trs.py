@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
-_HARD_CASE_REL = 1e-13  # |d| components below this are treated as zero
+_HARD_CASE_REL = 1e-13  # d's minimal-eigenspace part below this times |d| counts as zero
 
 
 class SecularBracketError(RuntimeError):
@@ -114,13 +114,13 @@ def min_space(lam, d):
     |d_eff / gaps|^2 reached as mu -> -lam_min, and whether d has no
     component in the minimal eigenspace (the precondition of the hard case).
     """
-    spread = max(lam[-1] - lam[0], abs(lam[0]), 1.0)
+    spread = max(lam[-1] - lam[0], abs(lam[0]))
     in_min = lam - lam[0] <= _EIGENGAP_REL * spread
     d_min_norm = float(np.linalg.norm(d[in_min]))
     d_eff = np.where(in_min, 0.0, d)
     gaps = np.where(in_min, 1.0, lam - lam[0])
     limit_sq = float(np.sum((d_eff / gaps) ** 2))
-    degenerate = d_min_norm <= _HARD_CASE_REL * max(1.0, float(np.linalg.norm(d)))
+    degenerate = d_min_norm <= _HARD_CASE_REL * float(np.linalg.norm(d))
     return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
 
 

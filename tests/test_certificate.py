@@ -223,6 +223,21 @@ class TestDualTstar:
         p = ProblemSpec(scale * p.A, p.b, p.W, p.T)
         assert_dual_matches_dinkelbach(p)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-7])
+    def test_scale_invariance(self, scale):
+        # A, b -> sA, sb and rho -> s^2 rho scale t* and tau by s^2; the
+        # hard-case test on d and the minimal eigenspace must not see s
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = random_problem(rng, 2, m=3, rho_factor=float(rng.uniform(0.02, 2.0)))
+            p_s = ProblemSpec(
+                scale * p.A, scale * p.b, p.W, RegularizerSpec.identity_scaled(scale**2 * p.T.rho)
+            )
+            sol, sol_s = dual_tstar(p), dual_tstar(p_s)
+            assert sol_s.t_star / scale**2 == pytest.approx(sol.t_star, rel=1e-12)
+            assert sol_s.t_dual / scale**2 == pytest.approx(sol.t_dual, rel=1e-12)
+            assert solve_tstar(p_s).t_star / scale**2 == pytest.approx(sol.t_star, rel=1e-12)
+
     @dual_settings
     @given(seeds, st.sampled_from([5, 7, 9]), st.sampled_from([0.02, 1.5]))
     def test_ill_conditioned_a(self, seed, decades, rho_factor):

@@ -295,14 +295,22 @@ class TestDemoCommands:
         assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
         assert f"'{field}" in capsys.readouterr().err
 
+    # "grid" is no longer a model key: any value of it fails with the key named
     @pytest.mark.parametrize("field, value", [("kernel", 3), ("grid", "16"), ("grid", 16.0)])
     def test_integral_model_wrong_json_type_exit_one(self, workdir, capsys, field, value):
-        spec = {"kernel": "named:gaussian", "grid": 16}
+        spec = {"kernel": "named:gaussian"}
         spec[field] = value
         model = workdir / "bad_model.json"
         model.write_text(json.dumps(spec))
         assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
         assert f"'{field}'" in capsys.readouterr().err
+
+    def test_integral_model_grid_key_rejected(self, workdir, capsys):
+        # the kernel is discretized at N nodes; a grid size was never read
+        model = workdir / "grid_model.json"
+        model.write_text(json.dumps({"kernel": "named:gaussian", "grid": 16}))
+        assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
+        assert "unknown model keys ['grid']" in capsys.readouterr().err
 
     def test_missing_model_file_exit_one(self, workdir, capsys):
         missing = str(workdir / "nope.json")

@@ -54,14 +54,14 @@ class TestModels:
             DiagonalModel("1/k", "1/k", [1.0])
 
     def test_integral_model_shapes(self):
-        model = IntegralModel("named:gaussian", 8, rho=2.0)
+        model = IntegralModel("named:gaussian", rho=2.0)
         p = model.build(6)
         assert p.A.shape == (6, 6)
         assert p.origin == {"model_kind": "integral", "truncation_order": 6}
 
     def test_unknown_kernel(self):
         with pytest.raises(ProblemFormatError, match="kernel"):
-            IntegralModel("named:nope", 8)
+            IntegralModel("named:nope")
 
 
 class TestNonexistenceTls:
@@ -216,7 +216,7 @@ class TestTruncationSweep:
             truncation_sweep(default_diagonal_model(), [4, 4])
 
     def test_integral_model_rows_solve(self):
-        rows = truncation_sweep(IntegralModel("named:gaussian", 8, rho=2.0), [5, 9])
+        rows = truncation_sweep(IntegralModel("named:gaussian", rho=2.0), [5, 9])
         assert all(r.status == EXISTENCE_UNIQUE for r in rows)
 
 

@@ -16,6 +16,7 @@ from rtls import (
 )
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import DiagonalModel
+from rtls.reduction import _report_scale
 
 
 def one_variable_oracle(b_norm_sq, rho, u_max=100.0, points=2_000_001):
@@ -218,6 +219,20 @@ class TestRecoverPair:
         ax = lift_operator(p, x).materialize()
         raw = ax.T @ p.W.apply(ax - p.A)
         assert_allclose(raw, np.outer(p.T.gram_dot(x), x), atol=1e-12)
+
+    def test_orthogonality_matches_materialized_formula(self, rng):
+        # the O(mn + m^2) form against A_x^T W (A_x - A) - (T^T T x) x^T
+        for k in range(40):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 12))
+            p = random_problem(rng, n, m=m, weight_kind=("diagonal", "dense")[k % 2])
+            if k % 4 >= 2:
+                p = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(rng.normal(size=(n, n))))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            ax = lift_operator(p, x).materialize()
+            raw = ax.T @ p.W.apply(ax - p.A) - np.outer(p.T.gram_dot(x), x)
+            expected = np.linalg.norm(raw) / _report_scale(p)
+            assert abs(recover_pair(p, x).residual_orthogonality - expected) <= 1e-12
 
     def test_nonminimizing_x_reports_residual(self, rng):
         p = closed_form_problem()

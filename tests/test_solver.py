@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rtls.solver import (
     VERDICT_CONVERGED,
     hess_g,
     newton_polish,
+    newton_step,
 )
 
 
@@ -206,6 +208,20 @@ class TestHardCase:
         assert float(x @ x) == pytest.approx(s, rel=1e-12)
         assert np.linalg.norm(x[-2:]) >= 0.3
         assert phi <= grid_phi_oracle(p, t) + 1e-12 * (1.0 + t)
+
+    @pytest.mark.parametrize("order", [4, 8, 16, 32])
+    @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 5.0])
+    def test_polish_never_raises_or_climbs(self, order, rho):
+        # the spectral step divides by lam + beta, which the minimal
+        # eigenspace can bring to zero; the guard must reject such steps
+        p = _hard_case_family(order, rho)
+        rng = np.random.default_rng(order)
+        x_dual = dual_tstar(p).x_star
+        starts = [x_dual, solve_tstar(p).x_star]
+        starts += [x_dual + eps * rng.normal(size=order) for eps in (1e-8, 1e-4, 1e-2)]
+        for x0 in starts:
+            g0 = eval_g(p, x0).g
+            assert eval_g(p, newton_polish(p, x0)).g <= g0
 
 
 class TestClassification:
@@ -441,6 +457,34 @@ class TestDegenerateInstances:
             worst = max(worst, rep.residual_normal_eq)
             assert trace.t_star <= p.b_norm_w_sq + 1e-9
         assert worst <= 1e-10
+
+
+class TestSpectralStep:
+    def test_matches_dense_solve(self, rng):
+        # near the minimizer, where the polish runs, and at random points
+        for k in range(60):
+            n = int(rng.integers(2, 61))
+            kind = ("diagonal", "dense")[k % 2]
+            p = random_problem(rng, n, rho_factor=float(rng.uniform(0.01, 2.0)), weight_kind=kind)
+            x_star = dual_tstar(p).x_star
+            near = x_star + 1e-3 * (1.0 + np.linalg.norm(x_star)) * rng.normal(size=n)
+            for x in (x_star, near, rng.normal(size=n)):
+                dense = np.linalg.solve(hess_g(p, x), grad_g(p, x))
+                step = newton_step(p, x)
+                assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_singular_diagonal_step_is_rejected_by_the_guard(self):
+        # lam = (0, 1), x = e1: rho v^2 = u exactly, so D has a zero entry
+        # and the step is not finite; the polish keeps x and stays silent
+        p = ProblemSpec(
+            np.diag([0.0, 1.0]), np.array([3.0, 4.0]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.identity_scaled(6.25),
+        )
+        x = np.array([1.0, 0.0])
+        assert not np.all(np.isfinite(newton_step(p, x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(newton_polish(p, x), x)
 
 
 class TestNewtonPolish:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import trs_equality
-from rtls.trs import brentq, quartic_minimizer, radial_solutions, radial_values
+from rtls.trs import brentq, min_space, quartic_minimizer, radial_solutions, radial_values
 
 
 class TestTrsEquality:
@@ -161,6 +161,17 @@ class TestQuarticMinimizer:
             scale = 1.0 + abs(best)
             for z in x + rng.normal(size=(50, n)) * rng.uniform(0.01, 3.0, size=(50, 1)):
                 assert self.objective(s_mat, c, rho, shift, z) >= best - 1e-12 * scale
+
+
+class TestMinSpace:
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e8])
+    def test_invariant_under_scaling(self, scale):
+        # lam -> s^2 lam, d -> s d: the same eigenspace and the same verdict
+        lam = np.array([1e-3, 1e-3, 0.5, 2.0])
+        for d, hard in (([0.0, 0.0, 0.3, 0.4], True), ([1e-6, 0.0, 0.3, 0.4], False)):
+            in_min, _, _, _, _, degenerate = min_space(scale**2 * lam, scale * np.array(d))
+            assert_array_equal(in_min, [True, True, False, False])
+            assert degenerate == hard
 
 
 class TestBrentq:
