@@ -314,16 +314,22 @@ def feasible_at_t(p, t, keep_c=False):
     return _certificate(p, t, beta, keep_c)
 
 
+def default_tol_t(p):
+    """1e-10 |b|_W^2, relative to G(0): it scales with t* under A, b -> sA, sb,
+    rho -> s^2 rho, where an absolute floor would not."""
+    return 1e-10 * p.b_norm_w_sq
+
+
 def certify_tstar(p, tol_t=None, keep_c=False):
     """Certificate at t = tau(beta*), the maximum of the scalar dual.
 
     The dual's primal point must bring G within tol_t (default
-    1e-10 (1 + |b|_W^2)) of t, and C(t, 1, beta*) must be PSD; otherwise
+    :func:`default_tol_t`) of t, and C(t, 1, beta*) must be PSD; otherwise
     RuntimeError names the failed check.
     """
     require_identity_scaled(p, "certify_tstar")
     if tol_t is None:
-        tol_t = 1e-10 * (1.0 + p.b_norm_w_sq)
+        tol_t = default_tol_t(p)
     sol = dual_tstar(p)
     if not sol.gap <= tol_t:
         raise RuntimeError(f"duality gap {sol.gap!r} exceeds tol_t {tol_t!r}")

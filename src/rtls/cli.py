@@ -10,6 +10,13 @@ Commands
 Exit codes: 0 success (status solved or trivial, assertions passed),
 2 best-effort result whose existence/uniqueness is not certified,
 1 any error.  RTLS_LOG={debug,info,warning} controls verbosity.
+
+Each command's arguments are declared by one function in ``COMMANDS``.
+When the first token of argv names a command, ``main`` builds that branch
+alone: a small solve would otherwise spend more time setting up argparse
+for all ten sub-parsers than solving.  Any other first token (``--help``,
+an unknown command, an option) builds the full tree, so help, usage and
+error texts are the same either way.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import sys
 import numpy as np
 
 from . import io as rio
-from .certificate import certify_tstar, dual_tstar
+from .certificate import certify_tstar, default_tol_t, dual_tstar
 from .classic import solve_classic_tls
 from .instances import random_problem
 from .lab import (
@@ -107,13 +114,13 @@ def _certify_one(p, args):
     """Certify t* and cross-check it against the Dinkelbach reference.
 
     The two agree when they differ by at most tol_t (default
-    1e-10 (1 + |b|_W^2)).  The routes share no computed value but the eigh
-    of A^T W A.
+    1e-10 |b|_W^2).  The routes share no computed value but the eigh of
+    A^T W A.
     """
     trace = solve_tstar(p)
     if trace.verdict != VERDICT_CONVERGED:
         raise RuntimeError("reference solver did not converge")
-    tol_t = args.tol_t if args.tol_t is not None else 1e-10 * (1.0 + p.b_norm_w_sq)
+    tol_t = default_tol_t(p) if args.tol_t is None else args.tol_t
     cert = certify_tstar(p, tol_t=tol_t, keep_c=args.keep_c)
     gap = abs(cert.t - trace.t_star)
     return cert, trace, gap, gap <= tol_t
@@ -228,36 +235,32 @@ def cmd_demo(args):
     raise ProblemFormatError(f"unknown demo {args.demo_command!r}")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="rtls",
-        description="weighted/regularized total least squares solver and lab",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_solve(p):
+    p.add_argument("--problem", required=True)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("json",), default="json")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_solve)
 
-    solve = sub.add_parser("solve", help="solve a problem file")
-    solve.add_argument("--problem", required=True)
-    solve.add_argument("--out")
-    solve.add_argument("--format", choices=("json",), default="json")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.set_defaults(func=cmd_solve)
 
-    certify = sub.add_parser("certify", help="certify the infimum")
-    certify.add_argument("--problem")
-    certify.add_argument("--out")
-    certify.add_argument("--tol-t", type=float, default=None)
-    certify.add_argument("--keep-C", dest="keep_c", action="store_true")
-    certify.add_argument("--batch", type=int, default=0)
-    certify.add_argument("--seed", type=int, default=0)
-    certify.set_defaults(func=cmd_certify)
+def _add_certify(p):
+    p.add_argument("--problem")
+    p.add_argument("--out")
+    p.add_argument("--tol-t", type=float, default=None)
+    p.add_argument("--keep-C", dest="keep_c", action="store_true")
+    p.add_argument("--batch", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_certify)
 
-    classic = sub.add_parser("classic-tls", help="unweighted SVD baseline")
-    classic.add_argument("--problem", required=True)
-    classic.add_argument("--out")
-    classic.set_defaults(func=cmd_classic_tls)
 
-    demo = sub.add_parser("demo", help="lab artifacts")
-    demo_sub = demo.add_subparsers(dest="demo_command", required=True)
+def _add_classic_tls(p):
+    p.add_argument("--problem", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_classic_tls)
+
+
+def _add_demo(p):
+    demo_sub = p.add_subparsers(dest="demo_command", required=True)
     for name in ("nonexist-tls", "nonexist-rtls"):
         d = demo_sub.add_parser(name)
         d.add_argument("--model", required=True)
@@ -284,6 +287,37 @@ def build_parser():
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
     d.set_defaults(func=cmd_demo)
+
+
+# command -> (help, builder of its sub-parser)
+COMMANDS = {
+    "solve": ("solve a problem file", _add_solve),
+    "certify": ("certify the infimum", _add_certify),
+    "classic-tls": ("unweighted SVD baseline", _add_classic_tls),
+    "demo": ("lab artifacts", _add_demo),
+}
+
+
+def build_parser(commands=COMMANDS):
+    """The rtls parser with a sub-parser for each name in ``commands``.
+
+    A partial tree lists every command in its metavar, so its usage line is
+    the full tree's; the full tree keeps argparse's "command" in the errors
+    that name the argument, which only it can raise.
+    """
+    parser = argparse.ArgumentParser(
+        prog="rtls",
+        description="weighted/regularized total least squares solver and lab",
+    )
+    partial = len(commands) < len(COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if partial else None,
+    )
+    for name in commands:
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -296,8 +330,10 @@ def _configure_logging():
 
 def main(argv=None):
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    commands = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(commands).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

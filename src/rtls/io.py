@@ -132,6 +132,9 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read input file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"input file {path} is not UTF-8: {exc.reason} "
+                                 f"at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
 

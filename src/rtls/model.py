@@ -15,7 +15,8 @@ objective, b in A(N(T)) + N(W) for the regularized one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,17 +49,18 @@ def _as_matrix(data, name):
 
 @dataclass(frozen=True)
 class WeightOperator:
-    """PSD weight with its square root cached at construction.
+    """PSD weight; its square root is built on first use.
 
     ``data`` is a nonnegative vector for kind ``"diagonal"`` or a symmetric
     PSD matrix for kind ``"dense"``.  Eigenvalues within
     ``eig_floor * lambda_max`` below zero are clamped to zero when the square
-    root is formed; anything more negative is rejected.
+    root is formed; anything more negative is rejected at construction.
+    Only ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are
+    taken as ``<W z, z>``.
     """
 
     kind: str
     data: np.ndarray
-    sqrt_data: np.ndarray = field(repr=False)
     lam_max: float = 0.0
     eig_floor: float = 1e-12
 
@@ -69,8 +71,7 @@ class WeightOperator:
         floor = eig_floor * max(lam_max, 1.0)
         if np.any(w < -floor):
             raise ProblemFormatError("field 'W.data' has a negative diagonal weight")
-        w = np.clip(w, 0.0, None)
-        return cls("diagonal", w, np.sqrt(w), lam_max, eig_floor)
+        return cls("diagonal", np.clip(w, 0.0, None), lam_max, eig_floor)
 
     @classmethod
     def dense(cls, matrix, eig_floor=1e-12):
@@ -81,17 +82,24 @@ class WeightOperator:
         if np.max(np.abs(w - w.T), initial=0.0) > 1e-12 * max(scale, 1.0):
             raise ProblemFormatError("field 'W.data' is not symmetric")
         w = 0.5 * (w + w.T)
-        lam, q = np.linalg.eigh(w)
+        lam = np.linalg.eigvalsh(w)
         lam_max = float(lam[-1]) if lam.size else 0.0
         if lam.size and lam[0] < -eig_floor * max(lam_max, 1.0):
             raise ProblemFormatError("field 'W.data' is not positive semidefinite")
-        lam = np.clip(lam, 0.0, None)
-        root = (q * np.sqrt(lam)) @ q.T
-        # construction self-check: the cached root must reproduce W
-        err = np.linalg.norm(root @ root - w)
-        if err > 1e-10 * max(np.linalg.norm(w), 1e-30):
+        return cls("dense", w, lam_max, eig_floor)
+
+    @cached_property
+    def sqrt_data(self):
+        """sqrt of the diagonal, or the symmetric root W^{1/2}."""
+        if self.kind == "diagonal":
+            return np.sqrt(self.data)
+        lam, q = np.linalg.eigh(self.data)
+        root = (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.T
+        # self-check: the root must reproduce W
+        err = np.linalg.norm(root @ root - self.data)
+        if err > 1e-10 * max(np.linalg.norm(self.data), 1e-30):
             raise ProblemFormatError("square root of 'W' failed to reproduce it")
-        return cls("dense", w, root, lam_max, eig_floor)
+        return root
 
     @property
     def dim(self):
@@ -238,9 +246,8 @@ class ProblemSpec:
 
     @cached_property
     def b_norm_w_sq(self):
-        """|b|_W^2."""
-        wb = self.W.apply_sqrt(self.b)
-        return float(wb @ wb)
+        """|b|_W^2 = <W b, b>."""
+        return max(float(self.W.apply(self.b) @ self.b), 0.0)
 
 
 @dataclass(frozen=True)
@@ -289,10 +296,10 @@ def _check_weight_dim(W, z, op):
 
 
 def w_vec_seminorm(W, z):
-    """|z|_W = |W^{1/2} z|_2."""
+    """|z|_W = <W z, z>^{1/2}."""
     z = np.asarray(z, dtype=float)
     _check_weight_dim(W, z, "w_vec_seminorm")
-    return float(np.linalg.norm(W.apply_sqrt(z)))
+    return math.sqrt(max(float(W.apply(z) @ z), 0.0))
 
 
 def w_hs_seminorm(W, X):
@@ -359,13 +366,16 @@ def is_trivial_rtls(p, tol):
     """Test b in A(N(T)) + N(W); returns (flag, witness x or None)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m, n = p.shape
+    n = p.shape[1]
     if p.T.kind == "identity_scaled":
-        basis = np.zeros((n, 0))
-    else:
-        t_mat = p.T.as_matrix(n)
-        smax = np.linalg.norm(t_mat, 2) if t_mat.size else 0.0
-        basis = nullspace_basis(t_mat, tol * max(1.0, smax))
+        # N(T) = {0}: trivial exactly when |b|_W = 0
+        b_norm = math.sqrt(p.b_norm_w_sq)
+        if b_norm <= tol * (1.0 + b_norm):
+            return True, np.zeros(n)
+        return False, None
+    t_mat = p.T.as_matrix(n)
+    smax = np.linalg.norm(t_mat, 2) if t_mat.size else 0.0
+    basis = nullspace_basis(t_mat, tol * max(1.0, smax))
     wa = p.W.apply_sqrt(p.A @ basis)
     wb = p.W.apply_sqrt(p.b)
     coeffs, *_ = np.linalg.lstsq(wa, wb, rcond=None)

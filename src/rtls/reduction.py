@@ -143,11 +143,13 @@ def rank_one_stationarity_residual(p, x):
 
     The lift satisfies this identity for every x, so the value measures
     numerical consistency of the construction rather than optimality of x.
+    With A_x - A = c x^T the matrix is W(c + A_x x - b) x^T, so its norm
+    costs O(m^2 + mn) without materializing A_x.
     """
     x = _check_x(p, x)
-    ax = lift_operator(p, x).materialize()
-    residual = p.W.apply(ax - p.A) + np.outer(p.W.apply(ax @ x - p.b), x)
-    return float(np.linalg.norm(residual)) / _report_scale(p)
+    lift = lift_operator(p, x)
+    residual = p.W.apply(lift.correction_vector + lift.apply(x) - p.b)
+    return float(np.linalg.norm(residual) * np.linalg.norm(x)) / _report_scale(p)
 
 
 def recover_pair(p, x, status=STATUS_HEURISTIC):

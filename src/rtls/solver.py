@@ -187,14 +187,15 @@ def solve_tstar(p, tol_phi=None, max_iter=60):
 
     Starts at t0 = G(0) = |b|_W^2, iterates t <- G(x_t) where x_t is the
     global inner minimizer at t, and stops once |phi(t)| <= tol_phi (default
-    1e-9 (1 + |b|_W^2)); one extra update is then taken to polish x*.  Three
-    non-improving steps switch to bisection on the maintained sign bracket:
-    G(x_t) can round to t far above t* (A = b = W = 1, rho = 1e-300).
+    1e-9 |b|_W^2, which scales with phi); one extra update is then taken to
+    polish x*.  Three non-improving steps switch to bisection on the
+    maintained sign bracket: G(x_t) can round to t far above t* (A = b = W
+    = 1, rho = 1e-300).
     """
     rho = require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
     if tol_phi is None:
-        tol_phi = 1e-9 * (1.0 + b_sq)
+        tol_phi = 1e-9 * b_sq
     trace = DinkelbachTrace()
 
     n = p.shape[1]
@@ -465,8 +466,8 @@ def solve_rtls_general_t(p):
         # G at the minimizers (columns) as eval_g forms it: the TRS values
         # carry the eigenvalue error of S, which grows with alpha
         xs = (q @ z[..., None])[..., 0].T
-        wr, tx = p.W.apply_sqrt(p.A @ xs - p.b[:, None]), p.T.apply(xs)
-        return (wr * wr).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
+        r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
+        return (r * p.W.apply(r)).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
 
     def trs_x(u):
         alpha = math.expm1(u)

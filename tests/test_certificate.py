@@ -238,6 +238,21 @@ class TestDualTstar:
             assert sol_s.t_dual / scale**2 == pytest.approx(sol.t_dual, rel=1e-12)
             assert solve_tstar(p_s).t_star / scale**2 == pytest.approx(sol.t_star, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (5, 3), (8, 8)])
+    def test_default_tolerances_scale_with_b(self, shape):
+        # |b|_W^2 << 1: an absolute floor in tol_phi stops Dinkelbach early
+        # (seed 6 at 3x2 gave t*/s^2 = 0.729 where the dual gives 0.188)
+        m, n = shape
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            p = random_problem(rng, n, m=m, rho_factor=0.02)
+            for s in (1e-5, 1e-6, 3e-7):
+                p_s = ProblemSpec(
+                    s * p.A, s * p.b, p.W, RegularizerSpec.identity_scaled(s**2 * p.T.rho)
+                )
+                t_dual = dual_tstar(p_s).t_star
+                assert solve_tstar(p_s).t_star == pytest.approx(t_dual, rel=1e-12, abs=0.0)
+
     @dual_settings
     @given(seeds, st.sampled_from([5, 7, 9]), st.sampled_from([0.02, 1.5]))
     def test_ill_conditioned_a(self, seed, decades, rho_factor):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
-from rtls.cli import main
+from rtls.cli import COMMANDS, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
 from rtls import io as rio
 
@@ -67,6 +68,22 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out.read_text())["status"] == "trivial"
 
+    def test_dense_w_solve_makes_one_eigh(self, workdir, monkeypatch):
+        # W's PSD check takes eigenvalues only and its root is never needed:
+        # the one eigh is that of A^T W A
+        p = random_problem(np.random.default_rng(3), 5, m=7, weight_kind="dense")
+        rio.save_problem(workdir / "dense_w.json", p)
+        shapes, real_eigh = [], np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = workdir / "rep.json"
+        assert main(["solve", "--problem", str(workdir / "dense_w.json"), "--out", str(out)]) == 0
+        assert shapes == [(5, 5)]
+
     def test_parse_error_exit_one(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text('{"A": {"rows": 1, "cols": 1, "data": [NaN]}, "b": [1.0],'
@@ -80,6 +97,13 @@ class TestSolveCommand:
         missing = str(workdir / "nope.json")
         assert main(["solve", "--problem", missing]) == 1
         assert missing in capsys.readouterr().err
+
+    def test_non_utf8_file_names_path_exit_one(self, workdir, capsys):
+        utf16 = workdir / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert main(["solve", "--problem", str(utf16)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: input file {utf16} is not UTF-8: invalid start byte at byte 0\n"
 
     def test_deterministic_bytes(self, workdir):
         out1, out2 = workdir / "a.json", workdir / "b.json"
@@ -330,6 +354,76 @@ class TestDemoCommands:
         code = main(["demo", "nonexist-tls", "--model", str(workdir / "diag_b_e1.json"),
                      "--eps", "1e-2", "--N", "50"])
         assert code == 1
+
+
+# one argv per command and demo sub-command, options included
+BRANCH_ARGV = [
+    ["solve", "--problem", "p.json", "--seed", "3", "--out", "r.json"],
+    ["certify", "--batch", "4", "--keep-C", "--tol-t", "1e-8"],
+    ["classic-tls", "--problem", "p.json"],
+    ["demo", "nonexist-tls", "--model", "m.json", "--eps", "0.1,0.01"],
+    ["demo", "nonexist-rtls", "--model", "m.json", "--eps", "0.1", "--N", "5"],
+    ["demo", "diagonal", "--model", "m.json"],
+    ["demo", "sweep", "--model", "m.json", "--N", "4,8", "--format", "csv"],
+    ["demo", "weakcont", "--n", "1,2", "--quad-points", "33"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits, else the Namespace."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    return result
+
+
+class TestParser:
+    """main builds only the branch its first token names; nothing it prints may differ."""
+
+    def test_every_branch_is_covered(self):
+        assert {argv[0] for argv in BRANCH_ARGV} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", BRANCH_ARGV, ids=lambda a: "-".join(a[:2]))
+    def test_branch_parses_like_full_tree(self, argv):
+        assert build_parser(argv[:1]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", BRANCH_ARGV, ids=lambda a: "-".join(a[:2]))
+    def test_branch_help_matches_full_tree(self, argv, capsys):
+        for head in [argv[:1], argv[:2]] if argv[0] == "demo" else [argv[:1]]:
+            branch = _parse_outcome(build_parser(argv[:1]).parse_args, head + ["-h"], capsys)
+            full = _parse_outcome(build_parser().parse_args, head + ["-h"], capsys)
+            assert branch == full
+            assert branch[0] == 0 and branch[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        [],
+        ["bogus"],
+        ["--seed", "1", "solve"],
+        ["solve"],
+        ["solve", "--problem", "p.json", "extra"],
+        ["certify", "--batch", "x"],
+        ["demo"],
+        ["demo", "sweep", "--model", "m.json"],
+    ])
+    def test_usage_and_errors_match_full_tree(self, argv, capsys):
+        code, out, err = _parse_outcome(main, argv, capsys)
+        assert (code, out, err) == _parse_outcome(build_parser().parse_args, argv, capsys)
+        assert code in (0, 2) and (out or err)
+
+    def test_solve_registers_one_sub_parser(self, workdir, monkeypatch):
+        names, real_add_parser = [], argparse._SubParsersAction.add_parser
+
+        def recording_add_parser(self, name, **kwargs):
+            names.append(name)
+            return real_add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+        argv = ["solve", "--problem", str(workdir / "certified.json"), "--out", str(workdir / "r.json")]
+        assert main(argv) == 0
+        assert names == ["solve"]
 
 
 class TestClassicCommand:

@@ -220,8 +220,9 @@ class TestRecoverPair:
         raw = ax.T @ p.W.apply(ax - p.A)
         assert_allclose(raw, np.outer(p.T.gram_dot(x), x), atol=1e-12)
 
-    def test_orthogonality_matches_materialized_formula(self, rng):
-        # the O(mn + m^2) form against A_x^T W (A_x - A) - (T^T T x) x^T
+    @staticmethod
+    def _materialized_cases(rng):
+        """(p, x, A_x) over diagonal/dense W and scaled/dense T."""
         for k in range(40):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 12))
@@ -229,10 +230,21 @@ class TestRecoverPair:
             if k % 4 >= 2:
                 p = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(rng.normal(size=(n, n))))
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
-            ax = lift_operator(p, x).materialize()
+            yield p, x, lift_operator(p, x).materialize()
+
+    def test_orthogonality_matches_materialized_formula(self, rng):
+        # the O(mn + m^2) form against A_x^T W (A_x - A) - (T^T T x) x^T
+        for p, x, ax in self._materialized_cases(rng):
             raw = ax.T @ p.W.apply(ax - p.A) - np.outer(p.T.gram_dot(x), x)
             expected = np.linalg.norm(raw) / _report_scale(p)
             assert abs(recover_pair(p, x).residual_orthogonality - expected) <= 1e-12
+
+    def test_rank_one_matches_materialized_formula(self, rng):
+        # the O(m^2 + mn) form against W(A_x - A) + W(A_x x - b) x^T
+        for p, x, ax in self._materialized_cases(rng):
+            raw = p.W.apply(ax - p.A) + np.outer(p.W.apply(ax @ x - p.b), x)
+            expected = np.linalg.norm(raw) / _report_scale(p)
+            assert abs(recover_pair(p, x).residual_rank_one - expected) <= 1e-12
 
     def test_nonminimizing_x_reports_residual(self, rng):
         p = closed_form_problem()
