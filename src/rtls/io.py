@@ -37,6 +37,17 @@ def _format_float(x):
     return format(float(x), ".17g")
 
 
+_SCALARS = (bool, np.bool_, int, np.integer, float, np.floating)
+
+
+def _scalar_json(obj):
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    return str(int(obj))
+
+
 def canonical_json(obj, indent=0):
     """Serialize dict/list/scalars with fixed float formatting."""
     pad = "  " * indent
@@ -53,17 +64,12 @@ def canonical_json(obj, indent=0):
         values = list(obj)
         if not values:
             return "[]"
-        scalars = all(isinstance(v, (int, float, np.floating, np.integer)) for v in values)
+        if all(isinstance(v, _SCALARS) for v in values):
+            return "[" + ", ".join(map(_scalar_json, values)) + "]"
         parts = [canonical_json(v, indent + 1) for v in values]
-        if scalars:
-            return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + s for s in parts) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+    if isinstance(obj, _SCALARS):
+        return _scalar_json(obj)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -104,15 +110,18 @@ def write_csv(path, header, rows):
 
 
 def real_vector(value, name):
-    """A JSON list of finite numbers as a float vector."""
-    arr = np.asarray(value) if isinstance(value, list) else None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
-    arr = arr.astype(float)
-    # numpy turns JSON booleans mixed with numbers into 0.0 and 1.0, so only a
-    # list holding such a value needs the types of its entries looked at
-    if np.any((arr == 0.0) | (arr == 1.0)) and bool in set(map(type, value)):
-        raise ProblemFormatError(f"field '{name}' must be a list of numbers")
+    """A JSON list of finite numbers (or read_json's array of one) as a float vector."""
+    if isinstance(value, np.ndarray):
+        arr = value
+    else:
+        arr = np.asarray(value) if isinstance(value, list) else None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+            raise ProblemFormatError(f"field '{name}' must be a list of numbers")
+        arr = arr.astype(float)
+        # numpy turns JSON booleans mixed with numbers into 0.0 and 1.0, so only a
+        # list holding such a value needs the types of its entries looked at
+        if np.any((arr == 0.0) | (arr == 1.0)) and bool in set(map(type, value)):
+            raise ProblemFormatError(f"field '{name}' must be a list of numbers")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"non-finite value in field '{name}'")
     return arr
@@ -126,17 +135,86 @@ def real_number(value, name):
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable or malformed file names its path."""
+    """Parse a JSON file; an unreadable or malformed file names its path.
+
+    Each flat array of JSON floats comes back as a float ndarray (see
+    :func:`_loads_float_arrays`); every other value, and every error, is
+    exactly what ``json.load`` on the file opened as UTF-8 text gives.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read input file {path}: {exc.strerror}") from exc
+    obj = _loads_float_arrays(raw)
+    if obj is not _UNPARSED:
+        return obj
+    try:
+        # text mode turns \r\n and \r into \n, which moves the positions
+        # that a JSONDecodeError reports
+        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"input file {path} is not UTF-8: {exc.reason} "
                                  f"at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+_UNPARSED = object()
+_ARRAY_KEY = "\0"
+
+
+def _loads_float_arrays(raw):
+    """``json.loads(raw)`` with each flat all-float array as a float ndarray.
+
+    orjson parses each ``[...]`` span on its own, so no DOM of the whole
+    file is ever built; the skeleton left between the spans, with
+    ``{"\u0000": k}`` in place of array k, goes to ``json.loads``.  A ``[``
+    after an odd number of ``"`` sits inside a string.  A file with a
+    backslash could hold the key ``"\u0000"`` itself, and its escaped quotes
+    would throw that count off; it returns ``_UNPARSED``, as does any file
+    the skeleton parse rejects, so that the caller parses it whole.
+    """
+    if b"\\" in raw:
+        return _UNPARSED
+    import orjson
+
+    view = memoryview(raw)
+    arrays, pieces = [], []
+    copied = counted = quotes = 0
+    i, j = raw.find(b"["), -1
+    while i >= 0:
+        # j, the first "]" after i, stays the same across a run of nested "["
+        if j < i:
+            j = raw.find(b"]", i)
+            if j < 0:
+                break
+        k = raw.find(b"[", i + 1)
+        quotes += raw.count(b'"', counted, i)
+        counted = i
+        values = None
+        # only a span with no nested array goes to orjson, so each byte goes once
+        if quotes % 2 == 0 and not 0 <= k < j:
+            try:
+                values = orjson.loads(view[i : j + 1])
+            except orjson.JSONDecodeError:
+                pass
+        # orjson rejects NaN, Infinity and 1e400, so such an array stays a
+        # list and real_vector names its field
+        if values and set(map(type, values)) == {float}:
+            pieces += (raw[copied:i], b'{"\\u0000": %d}' % len(arrays))
+            arrays.append(np.fromiter(values, float, len(values)))
+            copied = counted = j + 1
+        i = k
+    pieces.append(raw[copied:])
+
+    def restore(d):
+        return arrays[d[_ARRAY_KEY]] if _ARRAY_KEY in d else d
+
+    try:
+        return json.loads(b"".join(pieces).decode("utf-8"), object_hook=restore)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return _UNPARSED
 
 
 def _matrix_from_spec(obj, name):

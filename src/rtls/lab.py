@@ -90,9 +90,7 @@ def _sequence(spec_val, n, name):
         base = _sequence(spec_val["formula"], n, f"{name}.formula")
         base[:zeros] = 0.0
         return base
-    if isinstance(spec_val, np.ndarray):
-        arr = spec_val
-    elif isinstance(spec_val, list):
+    if isinstance(spec_val, (list, np.ndarray)):
         arr = real_vector(spec_val, name)
     else:
         raise ProblemFormatError(

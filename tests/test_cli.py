@@ -447,13 +447,13 @@ class TestClassicCommand:
         assert code == 1
 
 
-def _scipy_modules_after(code):
-    """Run code in a fresh interpreter; return the scipy modules it loaded."""
+def _modules_after(code, packages=("scipy", "orjson")):
+    """Run code in a fresh interpreter; return the modules of ``packages`` it loaded."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += f"; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -461,11 +461,11 @@ def _scipy_modules_after(code):
 
 
 def test_import_loads_no_scipy():
-    """A fresh interpreter imports rtls and its CLI with numpy alone."""
-    assert _scipy_modules_after("import sys, rtls, rtls.cli") == "[]"
+    """A fresh interpreter imports rtls and its CLI with numpy alone: no scipy, no orjson."""
+    assert _modules_after("import sys, rtls, rtls.cli") == "[]"
 
 
 def test_dense_t_solve_loads_no_scipy(workdir):
     argv = ["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(workdir / "r.json")]
     code = f"import sys, rtls.cli; assert rtls.cli.main({argv!r}) == 2"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, ("scipy",)) == "[]"

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rtls import ProblemFormatError, recover_pair, solve_tstar
+from rtls.cli import main
 from rtls.instances import closed_form_problem, random_problem
 from rtls import io as rio
+
+# derandomized so that the suite is reproducible
+oracle_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def valid_problem_dict():
@@ -104,6 +109,30 @@ class TestCanonicalJson:
     def test_nan_refused(self):
         with pytest.raises(ProblemFormatError, match="NaN"):
             rio.canonical_json({"v": float("nan")})
+        with pytest.raises(ProblemFormatError, match="NaN"):
+            rio.canonical_json({"v": [1.0, np.float64("nan")]})
+
+    def test_numpy_bool_is_json_bool(self):
+        text = rio.canonical_json({"a": np.bool_(True), "b": [np.bool_(False), 1]})
+        assert text == '{\n  "a": true,\n  "b": [false, 1]\n}'
+
+    def test_scalar_lists_one_line(self):
+        obj = {"v": [1, 2.5, np.float64(1.0) / 3.0, np.int64(-7), True, -0.0],
+               "w": np.array([1e-300, 2.0**60]),
+               "m": [[1.0, 2.0], [], {"k": 3}]}
+        assert rio.canonical_json(obj) == (
+            '{\n'
+            '  "v": [1, 2.5, 0.33333333333333331, -7, true, -0],\n'
+            '  "w": [1e-300, 1.152921504606847e+18],\n'
+            '  "m": [\n'
+            '    [1, 2],\n'
+            '    [],\n'
+            '    {\n'
+            '      "k": 3\n'
+            '    }\n'
+            '  ]\n'
+            '}'
+        )
 
 
 class TestArtifactSerializers:
@@ -131,3 +160,218 @@ class TestArtifactSerializers:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "a,b"
         assert lines[2].startswith("0.66666666666666663")
+
+
+# ---------------------------------------------------------------------------
+# read_json against json.load
+# ---------------------------------------------------------------------------
+
+
+def reference_read_json(path):
+    """The plain loader: json.load on the file opened as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"input file {path} is not UTF-8: {exc.reason} "
+                                 f"at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def assert_same_value(got, want):
+    """Equal JSON values; an ndarray must be bit-equal to np.array of the list."""
+    if isinstance(got, np.ndarray):
+        assert isinstance(want, list)
+        ref = np.array(want)
+        assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        return
+    assert type(got) is type(want)
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            assert_same_value(got[key], want[key])
+    elif isinstance(got, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+    elif isinstance(got, float):
+        assert got.hex() == want.hex() or (got != got and want != want)
+    else:
+        assert got == want
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ProblemFormatError as exc:
+        return None, str(exc)
+
+
+def assert_loads_like_json(path):
+    got, got_err = _outcome(rio.read_json, path)
+    want, want_err = _outcome(reference_read_json, path)
+    assert got_err == want_err
+    if want_err is None:
+        assert_same_value(got, want)
+    return got, want
+
+
+_FLOAT_FORMATS = (repr, "%.17g".__mod__, "%.17e".__mod__, "%.3g".__mod__)
+_SEPARATORS = (", ", ",", ",\n  ", ",\r\n", " , ")
+
+float_tokens = st.one_of(
+    st.builds(lambda fmt, x: fmt(x), st.sampled_from(_FLOAT_FORMATS),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.sampled_from(["-0.0", "1e400", "-1e400", "1e-400", "4.9e-324", "1E5", "0.1e1",
+                     "3.14159265358979323846264338327950288419716939937510582097494459",
+                     "NaN", "Infinity", "-Infinity"]),
+)
+string_tokens = st.one_of(
+    st.text(alphabet="ab 1.5,[]{}:\u00e9\u2028").map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.sampled_from(['"[1.5]"', '"]"', '"["', '"a\\"[1.5]"', '"\\\\"', '"\\u005b2.5]"', '"\\u0000"']),
+)
+scalar_tokens = st.one_of(
+    float_tokens,
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["true", "false", "null", "-0"]),
+    string_tokens,
+)
+
+
+def _array(items, sep):
+    return "[" + sep.join(items) + "]"
+
+
+def _object(pairs, sep):
+    return "{" + sep.join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+documents = st.recursive(
+    st.one_of(scalar_tokens, st.builds(_array, st.lists(float_tokens, min_size=1, max_size=12),
+                                       st.sampled_from(_SEPARATORS))),
+    lambda children: st.one_of(
+        st.builds(_array, st.lists(children, max_size=6), st.sampled_from(_SEPARATORS)),
+        st.builds(_object, st.lists(st.tuples(string_tokens, children), max_size=6),
+                  st.sampled_from(_SEPARATORS)),
+    ),
+    max_leaves=30,
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle") / "doc.json"
+
+
+class TestReadJson:
+    @oracle_settings
+    @given(doc=documents)
+    def test_matches_json_load(self, oracle_path, doc):
+        oracle_path.write_bytes(doc.encode("utf-8"))
+        assert_loads_like_json(oracle_path)
+
+    @oracle_settings
+    @given(seed=st.integers(0, 2**32 - 1), edits=st.lists(st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.floats(0.0, 1.0),
+        st.sampled_from(list(b'[]"{},:.0-e\\\r\n\xff\xef')),
+    ), min_size=1, max_size=3))
+    def test_byte_mutations_of_problem_file(self, oracle_path, seed, edits):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, 3, m=4, weight_kind=("diagonal", "dense")[seed % 2])
+        raw = bytearray(rio.canonical_json(rio.problem_to_dict(p)).encode())
+        for op, where, byte in edits:
+            pos = int(where * len(raw))
+            if op == "insert":
+                raw[pos:pos] = bytes([byte])
+            elif pos < len(raw):
+                raw[pos:pos + 1] = b"" if op == "delete" else bytes([byte])
+        oracle_path.write_bytes(bytes(raw))
+        got, want = assert_loads_like_json(oracle_path)
+        if got is not None:
+            got_p, got_err = _outcome(rio.problem_from_dict, got)
+            want_p, want_err = _outcome(rio.problem_from_dict, want)
+            assert got_err == want_err
+            if want_err is None:
+                for name in ("A", "b"):
+                    assert getattr(got_p, name).tobytes() == getattr(want_p, name).tobytes()
+                assert got_p.W.as_matrix().tobytes() == want_p.W.as_matrix().tobytes()
+
+    def test_float_arrays_come_back_as_arrays(self, tmp_path):
+        path = tmp_path / "p.json"
+        rio.save_problem(path, random_problem(np.random.default_rng(1), 3, m=4,
+                                              weight_kind="dense"))
+        text = path.read_text()
+        path.write_text(text[:-2] + ',\n  "origin": {"s": "[1.5] ]", "v": [[0.5], [1, 2.5]]}\n}\n')
+        obj, _ = assert_loads_like_json(path)
+        for arr in (obj["A"]["data"], obj["b"], obj["W"]["data"], obj["origin"]["v"][0]):
+            assert isinstance(arr, np.ndarray)
+        assert obj["origin"]["s"] == "[1.5] ]"
+        assert obj["origin"]["v"][1] == [1, 2.5]
+
+    @pytest.mark.parametrize("text, value", [
+        ('{"s": "a\\"[1.5]", "v": [0.5, 1.5]}', {"s": 'a"[1.5]', "v": [0.5, 1.5]}),
+        ('{"v": [0.5, 1.5], "w": {"\\u0000": 0}}', {"v": [0.5, 1.5], "w": {"\0": 0}}),
+    ])
+    def test_file_with_backslash_parsed_whole(self, tmp_path, text, value):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        obj, _ = assert_loads_like_json(path)
+        assert obj == value
+
+    def test_crlf_error_position_as_text_mode(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{"a": [1.5,\r\n 2.5],\r\n "b": [0.5]]}')
+        _, err = _outcome(rio.read_json, path)
+        assert err == (f"invalid JSON in {path}: Expecting ',' delimiter: "
+                       "line 3 column 12 (char 30)")
+        assert_loads_like_json(path)
+
+
+class TestMalformedProblemExitOne:
+    def _solve(self, path, capsys):
+        code = main(["solve", "--problem", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_in_a_data(self, tmp_path, capsys, token):
+        path = tmp_path / "p.json"
+        path.write_text('{"A": {"rows": 1, "cols": 2, "data": [0.5, ' + token + ']},'
+                        ' "b": [1.0], "W": {"kind": "diagonal", "data": [1.0]},'
+                        ' "T": {"kind": "identity_scaled", "rho": 1.0}}')
+        assert self._solve(path, capsys) == (1, "error: non-finite value in field 'A.data'\n")
+
+    def test_true_in_w_data(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"A": {"rows": 2, "cols": 1, "data": [0.5, 1.5]}, "b": [1.0, 2.0],'
+                        ' "W": {"kind": "diagonal", "data": [true, 1.5]},'
+                        ' "T": {"kind": "identity_scaled", "rho": 1.0}}')
+        assert self._solve(path, capsys) == (1, "error: field 'W.data' must be a list of numbers\n")
+
+    def _problem_bytes(self, tmp_path):
+        path = tmp_path / "p.json"
+        rio.save_problem(path, random_problem(np.random.default_rng(2), 3, m=4))
+        return path, path.read_bytes()
+
+    def test_truncated_file(self, tmp_path, capsys):
+        path, raw = self._problem_bytes(tmp_path)
+        path.write_bytes(raw[: raw.index(b"]") - 3])
+        _, want = _outcome(reference_read_json, path)
+        assert want.startswith(f"invalid JSON in {path}: ")
+        assert self._solve(path, capsys) == (1, f"error: {want}\n")
+
+    def test_bom(self, tmp_path, capsys):
+        path, raw = self._problem_bytes(tmp_path)
+        path.write_bytes(b"\xef\xbb\xbf" + raw)
+        assert self._solve(path, capsys) == (
+            1, f"error: invalid JSON in {path}: Unexpected UTF-8 BOM "
+               "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+
+    def test_non_utf8_byte_inside_array(self, tmp_path, capsys):
+        path, raw = self._problem_bytes(tmp_path)
+        at = raw.index(b"[") + 4
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        assert self._solve(path, capsys) == (
+            1, f"error: input file {path} is not UTF-8: invalid start byte at byte {at}\n")

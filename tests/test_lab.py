@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import (
     ProblemFormatError,
@@ -19,6 +20,7 @@ from rtls.lab import (
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
     diagonal_solve,
+    load_model_file,
     model_from_dict,
 )
 from rtls.solver import EXISTENCE_UNIQUE
@@ -30,6 +32,26 @@ class TestModels:
         p = model.build(4)
         assert_allclose(np.diag(p.A), [1.0, 0.25, 1.0 / 9.0, 0.0625])
         assert_allclose(p.W.data, 0.5 * np.ones(4))
+
+    @pytest.mark.parametrize("reg", ["rho", "t"])
+    def test_model_file_float_lists(self, tmp_path, reg):
+        # read_json hands the explicit lists over as float arrays
+        spec = {"a": [1.5, 0.5, 0.25, 0.125, 2.5], "w": [0.5, 1.5, 1.0, 2.0, 0.75],
+                "b": [1.0, -0.5], reg: 0.7 if reg == "rho" else [0.5, 0.25, 0.125, 1.5, 1.0]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        model = load_model_file(path)
+        assert isinstance(model.a, np.ndarray) and isinstance(model.b, np.ndarray)
+        for n in (3, 5):
+            got, want = model.build(n), model_from_dict(spec).build(n)
+            for name in ("A", "b"):
+                assert_array_equal(getattr(got, name), getattr(want, name))
+            assert_array_equal(got.W.data, want.W.data)
+            assert got.T.kind == want.T.kind and got.origin == want.origin
+            if reg == "t":
+                assert_array_equal(got.T.matrix, want.T.matrix)
+            else:
+                assert got.T.rho == want.T.rho
 
     def test_explicit_list_too_short(self):
         model = DiagonalModel([1.0, 2.0], [1.0, 1.0], [1.0], rho=1.0)
