@@ -22,6 +22,7 @@ error texts are the same either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -103,7 +104,8 @@ def cmd_solve(args):
         if trivial:
             report = recover_pair(p, witness, status=STATUS_TRIVIAL)
         else:
-            report = solve_rtls_general_t(p)
+            report, search = solve_rtls_general_t(p)
+            meta["alpha_search"] = dataclasses.asdict(search)
     out = rio.pair_report_to_dict(report)
     out["meta"] = meta
     _emit(out, args.out)

@@ -139,7 +139,8 @@ def read_json(path):
 
     Each flat array of JSON floats comes back as a float ndarray (see
     :func:`_loads_float_arrays`); every other value, and every error, is
-    exactly what ``json.load`` on the file opened as UTF-8 text gives.
+    exactly what ``json.load`` on the file opened as UTF-8 text gives,
+    except that nesting too deep for its recursion is invalid JSON too.
     """
     try:
         with open(path, "rb") as fh:
@@ -158,6 +159,8 @@ def read_json(path):
                                  f"at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError(f"invalid JSON in {path}: nesting too deep") from exc
 
 
 _UNPARSED = object()
@@ -165,7 +168,10 @@ _ARRAY_KEY = "\0"
 
 
 def _loads_float_arrays(raw):
-    """``json.loads(raw)`` with each flat all-float array as a float ndarray.
+    """``json.loads(raw)`` with each flat array of floats as a float ndarray.
+
+    An array qualifies when it holds at least one float and otherwise only
+    ints, which become the floats ``np.asarray(list, float)`` gives.
 
     orjson parses each ``[...]`` span on its own, so no DOM of the whole
     file is ever built; the skeleton left between the spans, with
@@ -199,9 +205,11 @@ def _loads_float_arrays(raw):
                 values = orjson.loads(view[i : j + 1])
             except orjson.JSONDecodeError:
                 pass
-        # orjson rejects NaN, Infinity and 1e400, so such an array stays a
-        # list and real_vector names its field
-        if values and set(map(type, values)) == {float}:
+        # orjson rejects NaN, Infinity and 1e400 (an int too large for a
+        # float among them), so such an array stays a list and real_vector
+        # names its field; an array of ints alone, or with a bool, does too
+        types = set(map(type, values)) if values else set()
+        if float in types and types <= {float, int}:
             pieces += (raw[copied:i], b'{"\\u0000": %d}' % len(arrays))
             arrays.append(np.fromiter(values, float, len(values)))
             copied = counted = j + 1
@@ -213,7 +221,7 @@ def _loads_float_arrays(raw):
 
     try:
         return json.loads(b"".join(pieces).decode("utf-8"), object_hook=restore)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return _UNPARSED
 
 

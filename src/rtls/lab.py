@@ -519,7 +519,7 @@ def truncation_sweep(model, n_list, rho=None):
                 )
             )
         else:
-            report = solve_rtls_general_t(p)
+            report, _ = solve_rtls_general_t(p)
             rows.append(
                 SweepRow(
                     n,

@@ -22,8 +22,11 @@ the inner problem at t* is strictly convex, the minimizer of G is unique
 and the recovered pair is certified; for rho < t* the best point found is
 reported without an attainment claim.
 
-A general dense T fixes alpha = |x|^2 instead, and a grid and
-golden-section driver searches alpha (:func:`solve_rtls_general_t`).
+A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
+log1p(alpha) finds each local minimum of g(u) = min G over the sphere, and
+a Brent root of the closed-form slope dg/du = |Tx|^2 - mu - g refines it
+(:func:`sphere_min`, :func:`solve_rtls_general_t`), with golden section on
+the values as the fallback where the slope does not change sign.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .model import (
     w_vec_seminorm,
 )
 from .reduction import eval_g, recover_pair
-from .trs import quartic_minimizer, radial_solutions, trs_equality
+from .trs import brentq, quartic_minimizer, radial_solutions, trs_equality
 from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
 
 logger = logging.getLogger("rtls.solver")
@@ -117,7 +120,7 @@ def _golden_min(f, a, b, tol):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _local_min_brackets(rs, vals):
+def _local_min_brackets(vals):
     """Index brackets around every discrete local minimum, endpoints included."""
     k = len(vals)
     brackets = []
@@ -130,16 +133,20 @@ def _local_min_brackets(rs, vals):
 
 
 def _global_min(values, scalar, s_max, s_cap, grid):
-    """Globally minimize a function of s >= 0 by grid scan + refinement.
+    """Globally minimize a function of s >= 0 by grid scan + slope root.
 
     ``values`` maps an array of points to their values, ``scalar`` one point
-    to its value.  The scan interval [0, s_max] doubles whenever the grid
-    minimizer lands within 1% of its upper end, up to ``s_cap``.  Returns
-    (s, value, hit_cap) where hit_cap reports that the minimizer still sat
-    at the upper end of the interval [0, s_cap].
+    to (value, slope), the slope NaN where it is undefined.  The scan
+    interval [0, s_max] doubles whenever the grid minimizer lands within 1%
+    of its upper end, up to ``s_cap``.  Each grid-local minimum is refined
+    by a brentq root of the slope when the slope rises through zero across
+    its bracket, and by golden section on the values otherwise; the least
+    value seen anywhere wins.  Returns (s, value, scan), where scan holds
+    the counts ``grid_points``, ``doublings`` and ``golden_fallbacks`` and
+    ``hit_cap``: the minimizer still sat at the upper end of [0, s_cap].
     """
     hit_cap = False
-    for _ in range(64):
+    for scans in range(1, 65):
         ss = np.linspace(0.0, s_max, grid)
         vals = values(ss)
         i_best = int(np.argmin(vals))
@@ -150,22 +157,31 @@ def _global_min(values, scalar, s_max, s_cap, grid):
             break
         s_max = min(2.0 * s_max, s_cap)
 
-    # coarse refinement of every grid-local minimum, then full precision on
-    # the winner only
     best_s, best_val = ss[i_best], vals[i_best]
-    coarse = max(1e-6 * s_max, 1e-300)
-    candidates = []
-    for lo_i, hi_i in _local_min_brackets(ss, vals):
-        s_ref, v_ref = _golden_min(scalar, ss[lo_i], ss[hi_i], coarse)
-        candidates.append((v_ref, s_ref, ss[lo_i], ss[hi_i]))
-    if candidates:
-        v_ref, s_ref, lo, hi = min(candidates)
-        s_fine, v_fine = _golden_min(scalar, lo, hi, max(1e-12 * s_max, 1e-300))
-        if v_fine < best_val:
-            best_s, best_val = s_fine, v_fine
-        if v_ref < best_val:
-            best_s, best_val = s_ref, v_ref
-    return float(best_s), float(best_val), hit_cap
+
+    def seen(s):
+        nonlocal best_s, best_val
+        value, slope = scalar(s)
+        if value < best_val:
+            best_s, best_val = s, value
+        return value, slope
+
+    tol = max(1e-12 * s_max, 1e-300)
+    fallbacks = 0
+    for lo_i, hi_i in _local_min_brackets(vals):
+        lo, hi = ss[lo_i], ss[hi_i]
+        if seen(lo)[1] < 0.0 < seen(hi)[1]:
+            brentq(lambda s: seen(s)[1], lo, hi, xtol=tol)
+        else:
+            fallbacks += 1
+            _golden_min(lambda s: seen(s)[0], lo, hi, tol)
+    scan = {
+        "grid_points": scans * grid,
+        "doublings": scans - 1,
+        "golden_fallbacks": fallbacks,
+        "hit_cap": hit_cap,
+    }
+    return float(best_s), float(best_val), scan
 
 
 def eval_phi(p, t):
@@ -436,32 +452,76 @@ def minimize(fun, x0, **kw):
     return scipy_minimize(fun, x0, **kw)
 
 
+@dataclass(frozen=True)
+class AlphaSearch:
+    """What one dense-T alpha search did; deterministic, for the report meta.
+
+    grid_points       G values taken on the grid, over every scan
+    doublings         rescans after the scan interval doubled
+    trs_solves        scalar equality-TRS solves (one per point refined)
+    golden_fallbacks  brackets refined by golden section, where the slope
+                      does not rise through zero across them
+    hit_cap           the minimizer still sat at the largest |x|^2 scanned
+    alpha             |x|^2 of the point found, before the Newton polish
+    """
+
+    grid_points: int
+    doublings: int
+    trs_solves: int
+    golden_fallbacks: int
+    hit_cap: bool
+    alpha: float
+
+
+def sphere_min(p, u):
+    """Minimize G over the sphere |x|^2 = alpha = expm1(u); returns (x, g, dg/du).
+
+    On the sphere (1 + alpha) G(x) = <Sx,x> - 2<c,x> + |b|_W^2 with S = A^T
+    W A + (1 + alpha) T^T T and c = A^T W b, an equality trust-region
+    subproblem.  With mu its multiplier and x its minimizer, the envelope
+    theorem gives the slope of g(u) = min G in closed form:
+
+        dg/du = |T x|^2 - mu - g,
+
+    NaN at u = 0, where mu is undefined.
+    """
+    n = p.shape[1]
+    alpha = math.expm1(u)
+    sol = trs_equality(
+        p.gram_matrix + (1.0 + alpha) * p.T.gram(n), p.gram_rhs, math.sqrt(alpha)
+    )
+    value = eval_g(p, sol.x)
+    return sol.x, value.g, value.reg_term - sol.lam - value.g
+
+
 def solve_rtls_general_t(p):
     """Global 1-D search over alpha = |x|^2 for a general (dense) regularizer.
 
     On the sphere |x|^2 = alpha, min G is an equality trust-region
-    subproblem with S = A^T W A + (1 + alpha) T^T T and c = A^T W b (Beck &
-    Ben-Tal, SIAM J. Optim. 17 (2006) 98-118).  G at its minimizers is
-    scanned on a grid in u = log1p(alpha) from one batched eigh, refined by
-    golden section (one eigh and one TRS solve per step) and Newton-polished.
-    G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha* by |b|_W^2 /
-    lambda_min(T^T T); for a singular T^T T that bounds only the part of x*
-    in its range, and the scan grows up to |x|^2 = 1e8.  A grid proves
-    no global minimum, so the pair is flagged heuristic.
+    subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
+    (2006) 98-118).  G at its minimizers is scanned on a grid in u =
+    log1p(alpha) from one batched eigh.  Each grid-local minimum is refined
+    by a brentq root of the closed-form slope dg/du, one eigh and one TRS
+    solve per step; golden section on the values is the fallback where the
+    slope does not change sign across the bracket (a left end at u = 0, or
+    the scan's upper end).  The best point is Newton-polished.  G(x) >=
+    |Tx|^2 and G(x*) <= G(0) bound alpha* by |b|_W^2 / lambda_min(T^T T);
+    for a singular T^T T that bounds only the part of x* in its range, and
+    the scan grows up to |x|^2 = 1e8.  A grid proves no global minimum, so
+    the pair is flagged heuristic.  Returns (pair report, :class:`AlphaSearch`).
     """
     n = p.shape[1]
     b_sq = p.b_norm_w_sq
     if b_sq == 0.0:  # G >= 0 = G(0)
-        return recover_pair(p, np.zeros(n), status=STATUS_HEURISTIC)
+        return recover_pair(p, np.zeros(n), status=STATUS_HEURISTIC), AlphaSearch(
+            0, 0, 0, 0, False, 0.0
+        )
     gram, c = p.gram_matrix, p.gram_rhs
     t_gram = p.T.gram(n)
 
-    def stack(alpha):
-        return gram + np.multiply.outer(1.0 + alpha, t_gram)
-
     def values(us):
         alpha = np.expm1(us)
-        lam, q = np.linalg.eigh(stack(alpha))
+        lam, q = np.linalg.eigh(gram + np.multiply.outer(1.0 + alpha, t_gram))
         _, z = radial_solutions(np.clip(lam, 0.0, None), c @ q, np.sqrt(alpha))
         # G at the minimizers (columns) as eval_g forms it: the TRS values
         # carry the eigenvalue error of S, which grows with alpha
@@ -469,21 +529,25 @@ def solve_rtls_general_t(p):
         r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
         return (r * p.W.apply(r)).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
 
-    def trs_x(u):
-        alpha = math.expm1(u)
-        return trs_equality(stack(alpha), c, math.sqrt(alpha)).x
+    points = {}  # u -> sphere_min(p, u), each solved once
+
+    def point(u):
+        if u not in points:
+            points[u] = sphere_min(p, u)
+        return points[u]
 
     lam_t = np.linalg.eigvalsh(t_gram)
     positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
     u_max = math.log1p(b_sq / positive[0] if positive.size else 1.0)
     u_cap = u_max if positive.size == n else max(u_max, math.log1p(_ALPHA_CAP))
-    u, g_best, hit_cap = _global_min(
-        values, lambda u: eval_g(p, trs_x(u)).g, u_max, u_cap, _ALPHA_GRID
+    u, g_best, scan = _global_min(
+        values, lambda u: point(u)[1:], u_max, u_cap, _ALPHA_GRID
     )
-    if hit_cap:
+    if scan["hit_cap"]:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
-    x = trs_x(u)
+    x = point(u)[0]
+    search = AlphaSearch(trs_solves=len(points), alpha=math.expm1(u), **scan)
     x_polished = newton_polish(p, x)
     if eval_g(p, x_polished).g <= g_best + 1e-14 * (1.0 + abs(g_best)):
         x = x_polished
-    return recover_pair(p, x, status=STATUS_HEURISTIC)
+    return recover_pair(p, x, status=STATUS_HEURISTIC), search

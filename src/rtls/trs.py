@@ -124,6 +124,26 @@ def min_space(lam, d):
     return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
 
 
+def min_space_rows(lam, d):
+    """:func:`min_space` of each row of ``lam`` and ``d`` at once, plus |d|.
+
+    The same operations over the leading axes: every row comes out as
+    min_space gives it, except that the two norms may differ in the last
+    bit (a sum of squares in place of a BLAS dot product).
+    """
+    lam_min = lam[..., 0]
+    low = lam - lam_min[..., None]
+    spread = np.maximum(lam[..., -1] - lam_min, np.abs(lam_min))
+    in_min = low <= _EIGENGAP_REL * spread[..., None]
+    d_min_norm = np.sqrt(np.sum(np.where(in_min, d, 0.0) ** 2, axis=-1))
+    d_eff = np.where(in_min, 0.0, d)
+    gaps = np.where(in_min, 1.0, low)
+    limit_sq = np.sum((d_eff / gaps) ** 2, axis=-1)
+    d_norm = np.linalg.norm(d, axis=-1)
+    degenerate = d_min_norm <= _HARD_CASE_REL * d_norm
+    return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm
+
+
 def trs_equality(S, c, r, eig=None):
     """Minimize <Sx,x> - 2<c,x> subject to |x| = r.
 
@@ -247,11 +267,7 @@ def radial_solutions(lam, d, rs, iters=70):
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
     batch, n = lam.shape[:-1], lam.shape[-1]
-    rows = zip(lam.reshape(-1, n), d.reshape(-1, n))
-    per_s = zip(*((*min_space(l, v), np.linalg.norm(v)) for l, v in rows))
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = (
-        np.reshape(v, batch + np.shape(v[0])) for v in per_s
-    )
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = min_space_rows(lam, d)
     lam_min = lam[..., 0]
     shape = np.broadcast_shapes(batch, np.shape(rs))
     rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)

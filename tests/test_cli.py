@@ -105,6 +105,19 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == f"error: input file {utf16} is not UTF-8: invalid start byte at byte 0\n"
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"b": "\\u005b", "A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["array", "field", "escaped"])
+    def test_deep_nesting_exit_one(self, workdir, capsys, text):
+        # the first two reach the per-array skeleton parse, the escaped one
+        # only the whole-file parse
+        deep = workdir / "deep.json"
+        deep.write_text(text)
+        assert main(["solve", "--problem", str(deep)]) == 1
+        assert capsys.readouterr().err == f"error: invalid JSON in {deep}: nesting too deep\n"
+
     def test_deterministic_bytes(self, workdir):
         out1, out2 = workdir / "a.json", workdir / "b.json"
         argv = ["solve", "--problem", str(workdir / "certified.json"), "--seed", "7"]
@@ -148,6 +161,24 @@ class TestSolveCommand:
         assert report["status"] == "heuristic"
         assert "starts" not in report["meta"]
         assert report["residual_normal_eq"] <= 1e-12
+        search = report["meta"]["alpha_search"]
+        assert list(search) == [
+            "grid_points", "doublings", "trs_solves", "golden_fallbacks", "hit_cap", "alpha"
+        ]
+        assert search["grid_points"] == 128 * (1 + search["doublings"])
+        assert 0 < search["trs_solves"] <= 12
+        assert search["golden_fallbacks"] == 0 and search["hit_cap"] is False
+        x = np.array(report["x"])
+        assert search["alpha"] == pytest.approx(float(x @ x), rel=1e-6)
+        again = workdir / "again.json"
+        main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(again)])
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_scaled_identity_meta_has_no_search_record(self, workdir):
+        out = workdir / "rep.json"
+        main(["solve", "--problem", str(workdir / "certified.json"), "--out", str(out)])
+        meta = json.loads(out.read_text())["meta"]
+        assert list(meta) == ["command", "seed", "t_star", "t_dual", "dual_steps"]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "{dir}/certified.json"],

@@ -180,11 +180,16 @@ def reference_read_json(path):
 
 
 def assert_same_value(got, want):
-    """Equal JSON values; an ndarray must be bit-equal to np.array of the list."""
+    """Equal JSON values; an ndarray must be bit-equal to the list as floats.
+
+    Only a list of ints and floats, one float at least, may come back as one.
+    """
     if isinstance(got, np.ndarray):
         assert isinstance(want, list)
-        ref = np.array(want)
-        assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+        types = set(map(type, want))
+        assert float in types and types <= {float, int}
+        ref = np.asarray(want, dtype=float)
+        assert got.dtype == np.float64 and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
         return
     assert type(got) is type(want)
@@ -232,9 +237,14 @@ string_tokens = st.one_of(
     st.text(alphabet="ab 1.5,[]{}:\u00e9\u2028").map(lambda t: json.dumps(t, ensure_ascii=False)),
     st.sampled_from(['"[1.5]"', '"]"', '"["', '"a\\"[1.5]"', '"\\\\"', '"\\u005b2.5]"', '"\\u0000"']),
 )
+int_tokens = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["0", "-0", "1", str(2**53 + 1), str(2**63), str(2**64 - 1), str(2**64),
+                     str(-(2**63) - 1), "1" + "0" * 400]),
+)
 scalar_tokens = st.one_of(
     float_tokens,
-    st.integers(-(2**70), 2**70).map(str),
+    int_tokens,
     st.sampled_from(["true", "false", "null", "-0"]),
     string_tokens,
 )
@@ -249,8 +259,14 @@ def _object(pairs, sep):
 
 
 documents = st.recursive(
-    st.one_of(scalar_tokens, st.builds(_array, st.lists(float_tokens, min_size=1, max_size=12),
-                                       st.sampled_from(_SEPARATORS))),
+    st.one_of(
+        scalar_tokens,
+        st.builds(_array, st.lists(float_tokens, min_size=1, max_size=12),
+                  st.sampled_from(_SEPARATORS)),
+        # ints among the floats, as %.17g writes an integral float
+        st.builds(_array, st.lists(st.one_of(float_tokens, int_tokens), min_size=1, max_size=12),
+                  st.sampled_from(_SEPARATORS)),
+    ),
     lambda children: st.one_of(
         st.builds(_array, st.lists(children, max_size=6), st.sampled_from(_SEPARATORS)),
         st.builds(_object, st.lists(st.tuples(string_tokens, children), max_size=6),
@@ -304,12 +320,44 @@ class TestReadJson:
         rio.save_problem(path, random_problem(np.random.default_rng(1), 3, m=4,
                                               weight_kind="dense"))
         text = path.read_text()
-        path.write_text(text[:-2] + ',\n  "origin": {"s": "[1.5] ]", "v": [[0.5], [1, 2.5]]}\n}\n')
+        path.write_text(text[:-2] + ',\n  "origin": {"s": "[1.5] ]", "v": [[0.5], [1, 2.5], [1, 2]]}\n}\n')
         obj, _ = assert_loads_like_json(path)
-        for arr in (obj["A"]["data"], obj["b"], obj["W"]["data"], obj["origin"]["v"][0]):
+        v = obj["origin"]["v"]
+        for arr in (obj["A"]["data"], obj["b"], obj["W"]["data"], v[0], v[1]):
             assert isinstance(arr, np.ndarray)
         assert obj["origin"]["s"] == "[1.5] ]"
-        assert obj["origin"]["v"][1] == [1, 2.5]
+        assert v[2] == [1, 2]
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[0.5, 0, 7, -0, 2.5]", np.ndarray),
+        ("[1.5, %d, %d, %d]" % (2**53 + 1, 2**64 - 1, 2**64), np.ndarray),
+        ("[0, 1, 2]", list),
+        ("[0.5, true, 1]", list),
+        ("[0.5, 1" + "0" * 400 + "]", list),
+    ], ids=["small-ints", "wide-ints", "all-ints", "bool", "int-overflows-float"])
+    def test_ints_among_floats(self, tmp_path, text, kind):
+        path = tmp_path / "p.json"
+        path.write_text('{"v": ' + text + "}")
+        obj, _ = assert_loads_like_json(path)
+        assert type(obj["v"]) is kind
+
+    def test_integral_entry_loads_like_the_list_path(self, tmp_path):
+        # canonical_json writes 0.0 as 0, so a saved problem can hold int tokens
+        p = random_problem(np.random.default_rng(3), 3, m=4)
+        obj = rio.problem_to_dict(p)
+        obj["A"]["data"][0] = 0
+        obj["W"]["data"][1] = 2
+        path = tmp_path / "p.json"
+        rio.write_json(path, obj)
+        assert ', 2, ' in path.read_text() and '[0, ' in path.read_text()
+        assert isinstance(rio.read_json(path)["A"]["data"], np.ndarray)
+        got = rio.load_problem(path)
+        with open(path, encoding="utf-8") as fh:
+            want = rio.problem_from_dict(json.load(fh))
+        assert got.A.tobytes() == want.A.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+        assert got.W.as_matrix().tobytes() == want.W.as_matrix().tobytes()
+        assert got.A[0, 0] == 0.0 and got.W.as_matrix()[1, 1] == 2.0
 
     @pytest.mark.parametrize("text, value", [
         ('{"s": "a\\"[1.5]", "v": [0.5, 1.5]}', {"s": 'a"[1.5]', "v": [0.5, 1.5]}),

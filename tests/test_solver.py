@@ -23,6 +23,7 @@ from rtls import (
 from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
+from rtls import solver
 from rtls.solver import (
     EXISTENCE_NOT_CERTIFIED,
     EXISTENCE_TRIVIAL,
@@ -31,7 +32,9 @@ from rtls.solver import (
     hess_g,
     newton_polish,
     newton_step,
+    sphere_min,
 )
+from rtls.trs import trs_equality
 
 
 class TestEvalPhi:
@@ -328,7 +331,7 @@ class TestGeneralT:
             WeightOperator.diagonal(np.ones(2)),
             RegularizerSpec.dense(np.eye(2)),
         )
-        report = solve_rtls_general_t(p)
+        report, _ = solve_rtls_general_t(p)
         assert report.objective <= 1e-20
         assert np.linalg.norm(report.x) <= 1e-10
 
@@ -343,7 +346,7 @@ class TestGeneralT:
                 p.A, p.b, p.W,
                 RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(4)),
             )
-            report = solve_rtls_general_t(dense)
+            report, _ = solve_rtls_general_t(dense)
             assert report.objective == pytest.approx(dual.t_star, rel=1e-12)
             assert report.objective == pytest.approx(trace.t_star, rel=1e-12)
             assert report.residual_normal_eq <= 1e-7
@@ -401,7 +404,7 @@ class TestGeneralTGlobal:
     def test_never_worse_than_multistart(self, kind):
         for seed in range(4):
             p = _dense_t_family(kind, seed)
-            report = solve_rtls_general_t(p)
+            report, _ = solve_rtls_general_t(p)
             reference = _multistart_reference(p)
             assert report.objective <= reference * (1.0 + 1e-12)
             assert report.objective == pytest.approx(eval_g(p, report.x).g, rel=1e-12)
@@ -418,15 +421,86 @@ class TestGeneralTGlobal:
             np.diag(1.0 / k), b, WeightOperator.diagonal(k**-2.0),
             RegularizerSpec.dense(np.diag(t_diag)),
         )
-        report = solve_rtls_general_t(p)
+        report, search = solve_rtls_general_t(p)
         assert 1.0 / 4096.0 < report.objective <= (1.0 + 1e-4) / 4096.0
         assert float(report.x @ report.x) <= 2e8
         assert report.status == "heuristic"
+        # the slope stays negative up to the cap: one golden bracket there
+        assert search.hit_cap and search.golden_fallbacks == 1
+
+    def test_diagonal_family_makes_few_trs_solves(self, monkeypatch):
+        # the dense-T benchmark's diag-N32 instance
+        k = np.arange(1.0, 33.0)
+        b = np.zeros(32)
+        b[0] = 1.0
+        p = ProblemSpec(
+            np.diag(1.0 / k), b, WeightOperator.diagonal(k**-2.0),
+            RegularizerSpec.dense(np.diag(k**-2.0)),
+        )
+        calls = []
+        trs_equality = solver.trs_equality
+        monkeypatch.setattr(
+            solver, "trs_equality", lambda *a, **kw: calls.append(a) or trs_equality(*a, **kw)
+        )
+        report, search = solve_rtls_general_t(p)
+        assert len(calls) == search.trs_solves <= 12
+        assert search.golden_fallbacks == 0 and not search.hit_cap
+        assert search.grid_points == 128 * (1 + search.doublings)
+        assert report.residual_normal_eq <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "hard_case"])
+    def test_slope_matches_central_differences(self, kind):
+        for seed in range(4):
+            p = _dense_t_family(kind, seed)
+            n = p.shape[1]
+            lam_t = np.linalg.eigvalsh(p.T.gram(n))
+            assert (lam_t[0] <= 1e-12 * lam_t[-1]) == (kind == "rank_deficient")
+            u_max = math.log1p(p.b_norm_w_sq / max(lam_t[0], 1e-3 * lam_t[-1]))
+            hard = 0
+            for u in np.linspace(0.05, 1.5, 7) * u_max:
+                x, g, slope = sphere_min(p, u)
+                # the terms of the slope set the scale of its rounding
+                mu = p.T.value(x) - g - slope
+                scale = p.T.value(x) + abs(mu) + g
+                h = 1e-5 * u
+                fd = (sphere_min(p, u + h)[1] - sphere_min(p, u - h)[1]) / (2.0 * h)
+                assert abs(fd - slope) <= 1e-7 * scale
+                alpha = math.expm1(u)
+                s_mat = p.gram_matrix + (1.0 + alpha) * p.T.gram(n)
+                hard += trs_equality(s_mat, p.gram_rhs, math.sqrt(alpha)).hard_case
+            assert (hard > 0) == (kind == "hard_case")
+        assert math.isnan(sphere_min(p, 0.0)[2])
+
+    def test_slope_root_matches_golden_reference(self):
+        # the same grid, each bracket refined by a slope root and, with the
+        # slope hidden, by golden section alone
+        for seed in range(44):
+            p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
+                                seed)
+            n = p.shape[1]
+            lam_t = np.linalg.eigvalsh(p.T.gram(n))
+            full = lam_t[0] > n * np.finfo(float).eps * lam_t[-1]
+            u_max = math.log1p(p.b_norm_w_sq / lam_t[0] if full else 1.0)
+            u_cap = u_max if full else max(u_max, math.log1p(1e8))
+
+            def values(us):
+                return np.array([sphere_min(p, u)[1] for u in us])
+
+            def scalar(u):
+                return sphere_min(p, u)[1:]
+
+            _, g_root, scan = solver._global_min(values, scalar, u_max, u_cap, 128)
+            _, g_golden, ref = solver._global_min(
+                values, lambda u: (scalar(u)[0], math.nan), u_max, u_cap, 128
+            )
+            assert scan["golden_fallbacks"] < ref["golden_fallbacks"]
+            assert g_root <= g_golden * (1.0 + 1e-12)
+            assert g_root == pytest.approx(g_golden, rel=1e-12)
 
     @pytest.mark.parametrize("order", [32, 64])
     def test_nonexistence_model_is_stationary(self, order):
         p = default_rtls_nonexistence_model().build(order)
-        report = solve_rtls_general_t(p)
+        report, _ = solve_rtls_general_t(p)
         assert report.residual_normal_eq <= 1e-12
 
 

@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import trs_equality
-from rtls.trs import brentq, min_space, quartic_minimizer, radial_solutions, radial_values
+from rtls.trs import (
+    brentq,
+    min_space,
+    min_space_rows,
+    quartic_minimizer,
+    radial_solutions,
+    radial_values,
+)
 
 
 class TestTrsEquality:
@@ -118,6 +125,29 @@ class TestRadialValues:
             assert_array_equal(z[k], z_one[0])
             sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
             assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
+
+
+    def test_rows_split_like_min_space(self, rng):
+        # clustered spectra widen the minimal eigenspace; zeroed leading
+        # entries of d make it degenerate
+        for trial in range(200):
+            n, rows = int(rng.integers(1, 25)), int(rng.integers(1, 40))
+            lam = np.sort(rng.uniform(0.0, 5.0, size=(rows, n)), axis=1)
+            if trial % 2:
+                lam[:, : n // 3 + 1] = lam[:, :1] * (1.0 + 1e-14 * rng.uniform(size=(rows, 1)))
+            lam *= 10.0 ** rng.uniform(-8, 8)
+            d = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-8, 8)
+            if trial % 3 == 0:
+                d[:, : n // 3 + 1] = 0.0
+            in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = min_space_rows(lam, d)
+            for k in range(rows):
+                want = min_space(lam[k], d[k])
+                for got, exact in zip((d_eff, gaps, limit_sq, degenerate), want[2:]):
+                    assert_array_equal(got[k], exact)
+                assert_array_equal(in_min[k], want[0])
+                # the norms round as a sum of squares, not as a BLAS dot
+                assert_allclose(d_min_norm[k], want[1], rtol=1e-15)
+                assert_allclose(d_norm[k], np.linalg.norm(d[k]), rtol=1e-15)
 
 
 class TestQuarticMinimizer:
