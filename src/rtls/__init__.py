@@ -37,7 +37,6 @@ from .trs import SecularBracketError, TrsSolution, trs_equality
 from .solver import (
     DinkelbachTrace,
     QuarticSolution,
-    classify_existence,
     eval_phi,
     grad_g,
     solve_rls_quartic,
@@ -49,6 +48,7 @@ from .certificate import (
     DualSolution,
     assemble_c,
     certify_tstar,
+    classify_existence,
     dual_tstar,
     feasible_at_t,
 )

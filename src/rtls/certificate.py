@@ -40,6 +40,12 @@ beta* is one bracketed scalar root, at O(n) per step after a single eigh.
 x(beta*) is a primal point, and the duality gap G(x*) - tau(beta*) >= 0
 bounds how far G(x*) lies above t*.
 
+Each "proven" rule here is relative to the problem's own scale, so no
+result depends on the units of (A, b, rho) or of (W, rho): the gap proves
+t* when it is at most 1e-10 |b|_W^2 (:func:`default_tol_t`), C counts as
+PSD when lambda_min >= -1e-9 |C|_F, and :func:`classify_existence` turns
+a proven t* into the status ``trivial``, ``solved`` or ``heuristic``.
+
 The Dinkelbach reference of ``rtls certify`` shares the one eigh of
 A^T W A with this module and no other computed value: it takes each phi(t)
 from its own secular root in :mod:`rtls.trs`, without tau or _Spectrum.
@@ -52,18 +58,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import w_vec_seminorm
+from .model import STATUS_HEURISTIC, STATUS_SOLVED, STATUS_TRIVIAL, w_vec_seminorm
 from .reduction import eval_g
 from . import solver
-from .solver import VERDICT_CONVERGED, require_identity_scaled
+from .solver import require_identity_scaled
 from .trs import min_space, trs_equality
 
 _PSD_FLOOR_REL = 1e-9
-_GAP_REL = 1e-10  # a larger duality gap, relative to 1 + t*, proves nothing
 _ROOT_STEPS = 200
 _EPS = np.finfo(float).eps
-
-VERDICT_DUALITY_GAP = "duality_gap"
 
 
 @dataclass
@@ -75,11 +78,6 @@ class Certificate:
     beta: float
     lambda_min: float
     C: np.ndarray | None = None
-
-    @property
-    def feasible(self):
-        scale = 1.0 if self.C is None else float(np.linalg.norm(self.C))
-        return self.lambda_min >= -_PSD_FLOOR_REL * (1.0 + scale)
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,6 @@ class DualSolution:
     @property
     def gap(self):
         return self.t_star - self.t_dual
-
-    @property
-    def verdict(self):
-        """``converged`` when the gap proves t_star to 1e-10 (1 + t*)."""
-        if self.gap <= _GAP_REL * (1.0 + abs(self.t_star)):
-            return VERDICT_CONVERGED
-        return VERDICT_DUALITY_GAP
 
 
 class _Spectrum:
@@ -289,10 +280,14 @@ def assemble_c(p, t, alpha, beta):
 
 
 def _certificate(p, t, beta, keep_c):
-    """(feasible, Certificate) for C(t, 1, beta), from one eigvalsh."""
+    """(PSD, Certificate) for C(t, 1, beta), from one eigvalsh.
+
+    C counts as PSD when lambda_min >= -1e-9 |C|_F, a floor relative to C's
+    own scale.
+    """
     c_mat = assemble_c(p, t, 1.0, beta)
     val = float(np.linalg.eigvalsh(c_mat)[0])
-    tol_psd = _PSD_FLOOR_REL * (1.0 + float(np.linalg.norm(c_mat)))
+    tol_psd = _PSD_FLOOR_REL * float(np.linalg.norm(c_mat))
     return val >= -tol_psd, Certificate(t, 1.0, beta, val, c_mat if keep_c else None)
 
 
@@ -320,6 +315,36 @@ def default_tol_t(p):
     return 1e-10 * p.b_norm_w_sq
 
 
+def _require_gap(sol, tol_t):
+    """Raise RuntimeError unless the duality gap of ``sol`` is at most tol_t."""
+    if not sol.gap <= tol_t:
+        raise RuntimeError(f"duality gap {sol.gap!r} exceeds tol_t {tol_t!r}")
+
+
+def classify_existence(p, sol):
+    """The status that the :class:`DualSolution` ``sol`` of p proves.
+
+    trivial    |b|_W^2 = 0: G(0) = 0 (T = sqrt(rho) I is injective, so
+               b in N(W));
+    solved     rho >= t* (1 - 1e-8): the inner problem at t* is convex, so
+               a minimizer exists and is unique;
+    heuristic  rho < t*: a best point exists at finite dimension, but no
+               attainment is claimed.
+
+    Both rules are relative to the problem's own scale, so the status is
+    invariant under (A, b, rho) -> (sA, sb, s^2 rho) and (W, rho) ->
+    (cW, c rho).  Raises RuntimeError when the duality gap exceeds
+    :func:`default_tol_t`: then t* itself is not proven.
+    """
+    rho = require_identity_scaled(p, "classify_existence")
+    _require_gap(sol, default_tol_t(p))
+    if p.b_norm_w_sq == 0.0:
+        return STATUS_TRIVIAL
+    if rho >= sol.t_star * (1.0 - 1e-8):
+        return STATUS_SOLVED
+    return STATUS_HEURISTIC
+
+
 def certify_tstar(p, tol_t=None, keep_c=False):
     """Certificate at t = tau(beta*), the maximum of the scalar dual.
 
@@ -328,13 +353,10 @@ def certify_tstar(p, tol_t=None, keep_c=False):
     RuntimeError names the failed check.
     """
     require_identity_scaled(p, "certify_tstar")
-    if tol_t is None:
-        tol_t = default_tol_t(p)
     sol = dual_tstar(p)
-    if not sol.gap <= tol_t:
-        raise RuntimeError(f"duality gap {sol.gap!r} exceeds tol_t {tol_t!r}")
-    feasible, cert = _certificate(p, sol.t_dual, sol.beta, keep_c)
-    if not feasible:
+    _require_gap(sol, default_tol_t(p) if tol_t is None else tol_t)
+    psd, cert = _certificate(p, sol.t_dual, sol.beta, keep_c)
+    if not psd:
         raise RuntimeError(
             f"C(t, 1, beta) is not PSD at t={sol.t_dual!r}: lambda_min {cert.lambda_min!r}"
         )

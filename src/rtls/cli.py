@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import io as rio
-from .certificate import certify_tstar, default_tol_t, dual_tstar
+from .certificate import certify_tstar, classify_existence, default_tol_t, dual_tstar
 from .classic import solve_classic_tls
 from .instances import random_problem
 from .lab import (
@@ -42,20 +42,9 @@ from .lab import (
     truncation_sweep,
     weak_continuity_demo,
 )
-from .model import (
-    ProblemFormatError,
-    STATUS_SOLVED,
-    STATUS_TRIVIAL,
-    is_trivial_rtls,
-)
+from .model import ProblemFormatError, STATUS_SOLVED, STATUS_TRIVIAL
 from .reduction import recover_pair
-from .solver import (
-    PAIR_STATUS,
-    VERDICT_CONVERGED,
-    classify_existence,
-    solve_rtls_general_t,
-    solve_tstar,
-)
+from .solver import VERDICT_CONVERGED, solve_rtls_general_t, solve_tstar
 
 logger = logging.getLogger("rtls.cli")
 
@@ -94,17 +83,13 @@ def cmd_solve(args):
     meta = {"command": "solve", "seed": args.seed}
     if p.T.kind == "identity_scaled":
         sol = dual_tstar(p)
-        status = PAIR_STATUS[classify_existence(p, sol)]
-        report = recover_pair(p, sol.x_star, status=status)
+        report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
         meta["t_star"] = float(sol.t_star)
         meta["t_dual"] = float(sol.t_dual)
         meta["dual_steps"] = sol.steps
     else:
-        trivial, witness = is_trivial_rtls(p, 1e-10)
-        if trivial:
-            report = recover_pair(p, witness, status=STATUS_TRIVIAL)
-        else:
-            report, search = solve_rtls_general_t(p)
+        report, search = solve_rtls_general_t(p)
+        if search is not None:
             meta["alpha_search"] = dataclasses.asdict(search)
     out = rio.pair_report_to_dict(report)
     out["meta"] = meta
@@ -139,7 +124,7 @@ def cmd_certify(args):
             p = random_problem(rng, 3)
             cert, trace, gap, agrees = _certify_one(p, args)
             all_agree &= agrees
-            entry = rio.certificate_to_dict(cert, keep_c=args.keep_c)
+            entry = rio.certificate_to_dict(cert)
             entry.update({
                 "instance": index,
                 "t_dinkelbach": float(trace.t_star),
@@ -152,7 +137,7 @@ def cmd_certify(args):
 
     p = rio.load_problem(args.problem)
     cert, trace, gap, agrees = _certify_one(p, args)
-    out = rio.certificate_to_dict(cert, keep_c=args.keep_c)
+    out = rio.certificate_to_dict(cert)
     out["meta"] = {
         "command": "certify",
         "t_dinkelbach": float(trace.t_star),

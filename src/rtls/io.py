@@ -340,31 +340,14 @@ def pair_report_to_dict(report):
     }
 
 
-def trace_to_dict(trace):
-    return {
-        "iterates": [
-            {
-                "t": float(it.t),
-                "r": float(it.r),
-                "x": [float(v) for v in it.x],
-                "phi": float(it.phi),
-            }
-            for it in trace.iterates
-        ],
-        "t_star": float(trace.t_star),
-        "x_star": [float(v) for v in trace.x_star],
-        "verdict": trace.verdict,
-    }
-
-
-def certificate_to_dict(cert, keep_c=False):
+def certificate_to_dict(cert):
     out = {
         "t": float(cert.t),
         "alpha": float(cert.alpha),
         "beta": float(cert.beta),
         "lambda_min": float(cert.lambda_min),
     }
-    if keep_c and cert.C is not None:
+    if cert.C is not None:
         out["C"] = [[float(v) for v in row] for row in cert.C]
     return out
 
@@ -402,19 +385,12 @@ def sweep_rows(rows):
     return header, table
 
 
+def _rows_to_dict(header, table):
+    return {"rows": [dict(zip(header, row)) for row in table]}
+
+
 def sweep_to_dict(rows):
-    return {
-        "rows": [
-            {
-                "N": int(r.n),
-                "t_star": float(r.t_star),
-                "x_norm": float(r.x_norm),
-                "objective": float(r.objective),
-                "status": r.status,
-            }
-            for r in rows
-        ]
-    }
+    return _rows_to_dict(*sweep_rows(rows))
 
 
 def weakcont_rows(rows):
@@ -424,13 +400,4 @@ def weakcont_rows(rows):
 
 
 def weakcont_to_dict(rows):
-    return {
-        "rows": [
-            {
-                "n": int(r.n),
-                "integral": float(r.integral),
-                "limit_integral": float(r.limit_integral),
-            }
-            for r in rows
-        ]
-    }
+    return _rows_to_dict(*weakcont_rows(rows))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import dual_tstar
+from .certificate import classify_existence, dual_tstar
 from .classic import min_direction
 from .io import read_json, real_number, real_vector
 from .model import (
@@ -40,11 +40,7 @@ from .model import (
     w_vec_seminorm,
 )
 from .reduction import eval_g, recover_pair
-from .solver import (
-    PAIR_STATUS,
-    classify_existence,
-    solve_rtls_general_t,
-)
+from .solver import solve_rtls_general_t
 
 _INTERP_TOL = 1e-12
 _BOUND_SLACK = 1e-8
@@ -431,7 +427,7 @@ def diagonal_solve(a, w, b_head, rho, n):
     model = DiagonalModel(a, w, b_head, rho=rho)
     p = model.build(n)
     sol = dual_tstar(p)
-    report = recover_pair(p, sol.x_star, status=PAIR_STATUS[classify_existence(p, sol)])
+    report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
 
     x = sol.x_star
     wa_head = w[:head] * a[:head]
@@ -497,8 +493,10 @@ def truncation_sweep(model, n_list, rho=None):
 
     Every truncated instance is coercive, hence solvable; the sweep records
     how the infimum and minimizer norm drift with the order without asserting
-    any limit.  Scaled-identity instances run the certified solver; dense
-    regularizers run the global alpha search of ``solve_rtls_general_t``.
+    any limit.  Scaled-identity instances run the scalar dual and dense
+    regularizers the triviality test and global alpha search of
+    ``solve_rtls_general_t``; the status is the one ``rtls solve`` reports
+    for the same truncation.
     """
     rows = []
     previous = 0

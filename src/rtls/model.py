@@ -47,46 +47,50 @@ def _as_matrix(data, name):
     return arr
 
 
+# W's eigenvalues within this fraction of lambda_max below zero are clamped
+# to zero; anything more negative is rejected
+_EIG_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class WeightOperator:
     """PSD weight; its square root is built on first use.
 
     ``data`` is a nonnegative vector for kind ``"diagonal"`` or a symmetric
-    PSD matrix for kind ``"dense"``.  Eigenvalues within
-    ``eig_floor * lambda_max`` below zero are clamped to zero when the square
-    root is formed; anything more negative is rejected at construction.
-    Only ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are
-    taken as ``<W z, z>``.
+    PSD matrix for kind ``"dense"``.  Both checks are relative to W's own
+    scale, so W and cW pass or fail together: an entry of W - W^T beyond
+    1e-12 max|W| is asymmetric, and an eigenvalue below -1e-12 lambda_max is
+    negative.  Smaller negative eigenvalues are clamped to zero.  Only
+    ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are taken
+    as ``<W z, z>``.
     """
 
     kind: str
     data: np.ndarray
     lam_max: float = 0.0
-    eig_floor: float = 1e-12
 
     @classmethod
-    def diagonal(cls, values, eig_floor=1e-12):
+    def diagonal(cls, values):
         w = _as_vector(values, "W.data")
         lam_max = float(np.max(w, initial=0.0))
-        floor = eig_floor * max(lam_max, 1.0)
-        if np.any(w < -floor):
+        if np.any(w < -_EIG_FLOOR * lam_max):
             raise ProblemFormatError("field 'W.data' has a negative diagonal weight")
-        return cls("diagonal", np.clip(w, 0.0, None), lam_max, eig_floor)
+        return cls("diagonal", np.clip(w, 0.0, None), lam_max)
 
     @classmethod
-    def dense(cls, matrix, eig_floor=1e-12):
+    def dense(cls, matrix):
         w = _as_matrix(matrix, "W.data")
         if w.shape[0] != w.shape[1]:
             raise ProblemFormatError("field 'W.data' must be square")
         scale = float(np.max(np.abs(w), initial=0.0))
-        if np.max(np.abs(w - w.T), initial=0.0) > 1e-12 * max(scale, 1.0):
+        if np.max(np.abs(w - w.T), initial=0.0) > 1e-12 * scale:
             raise ProblemFormatError("field 'W.data' is not symmetric")
         w = 0.5 * (w + w.T)
         lam = np.linalg.eigvalsh(w)
         lam_max = float(lam[-1]) if lam.size else 0.0
-        if lam.size and lam[0] < -eig_floor * max(lam_max, 1.0):
+        if lam.size and lam[0] < -_EIG_FLOOR * lam_max:
             raise ProblemFormatError("field 'W.data' is not positive semidefinite")
-        return cls("dense", w, lam_max, eig_floor)
+        return cls("dense", w, lam_max)
 
     @cached_property
     def sqrt_data(self):
@@ -338,7 +342,8 @@ def is_trivial_tls(p, tol):
     """Test b in R(A) + N(W); returns (flag, witness x or None).
 
     Membership is decided by the least squares residual of W^{1/2} b against
-    the columns of W^{1/2} A, measured relative to 1 + |W^{1/2} b|.
+    the columns of W^{1/2} A: at most tol |W^{1/2} b|, a bound relative to
+    the data, so that (A, b) and (sA, sb) are decided alike.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -346,7 +351,7 @@ def is_trivial_tls(p, tol):
     wb = p.W.apply_sqrt(p.b)
     x, *_ = np.linalg.lstsq(wa, wb, rcond=None)
     resid = np.linalg.norm(wa @ x - wb)
-    if resid <= tol * (1.0 + np.linalg.norm(wb)):
+    if resid <= tol * np.linalg.norm(wb):
         return True, x
     return False, None
 
@@ -363,24 +368,28 @@ def nullspace_basis(M, cutoff):
 
 
 def is_trivial_rtls(p, tol):
-    """Test b in A(N(T)) + N(W); returns (flag, witness x or None)."""
+    """Test b in A(N(T)) + N(W); returns (flag, witness x or None).
+
+    N(T) is spanned by the right singular vectors of T with singular values
+    at most tol |T|_2, and b is a member when the least squares residual of
+    W^{1/2} b against W^{1/2} A N(T) is at most tol |W^{1/2} b|.  Both are
+    relative to the data, as in :func:`is_trivial_tls`.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = p.shape[1]
     if p.T.kind == "identity_scaled":
         # N(T) = {0}: trivial exactly when |b|_W = 0
-        b_norm = math.sqrt(p.b_norm_w_sq)
-        if b_norm <= tol * (1.0 + b_norm):
+        if p.b_norm_w_sq == 0.0:
             return True, np.zeros(n)
         return False, None
     t_mat = p.T.as_matrix(n)
-    smax = np.linalg.norm(t_mat, 2) if t_mat.size else 0.0
-    basis = nullspace_basis(t_mat, tol * max(1.0, smax))
+    basis = nullspace_basis(t_mat, tol * np.linalg.norm(t_mat, 2))
     wa = p.W.apply_sqrt(p.A @ basis)
     wb = p.W.apply_sqrt(p.b)
     coeffs, *_ = np.linalg.lstsq(wa, wb, rcond=None)
     resid = np.linalg.norm(wa @ coeffs - wb)
-    if resid <= tol * (1.0 + np.linalg.norm(wb)):
+    if resid <= tol * np.linalg.norm(wb):
         return True, basis @ coeffs
     return False, None
 

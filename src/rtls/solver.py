@@ -18,15 +18,17 @@ multiplier (:func:`rtls.trs.quartic_minimizer`).  The classical Dinkelbach
 update t <- G(x_t) (started at t0 = G(0) = |b|_W^2, which is always >= t*)
 then converges monotonically to t*; a bisection fallback on [0, |b|_W^2]
 takes over when G(x_t) stops decreasing in floating point.  If rho >= t*
-the inner problem at t* is strictly convex, the minimizer of G is unique
-and the recovered pair is certified; for rho < t* the best point found is
-reported without an attainment claim.
+the inner problem at t* is strictly convex and the minimizer of G is
+unique; :func:`rtls.certificate.classify_existence` turns that, and the
+duality gap that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) finds each local minimum of g(u) = min G over the sphere, and
 a Brent root of the closed-form slope dg/du = |Tx|^2 - mu - g refines it
 (:func:`sphere_min`, :func:`solve_rtls_general_t`), with golden section on
-the values as the fallback where the slope does not change sign.
+the values as the fallback where the slope does not change sign.  A grid
+proves no global minimum, so those pairs are ``heuristic`` unless the
+instance is trivial.
 """
 
 from __future__ import annotations
@@ -37,13 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    STATUS_HEURISTIC,
-    STATUS_SOLVED,
-    STATUS_TRIVIAL,
-    is_trivial_rtls,
-    w_vec_seminorm,
-)
+from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls, w_vec_seminorm
 from .reduction import eval_g, recover_pair
 from .trs import brentq, quartic_minimizer, radial_solutions, trs_equality
 from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
@@ -56,18 +52,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # when T^T T is singular
 _ALPHA_GRID = 128
 _ALPHA_CAP = 1e8
-
-# existence classification labels
-EXISTENCE_UNIQUE = "unique_solution"
-EXISTENCE_TRIVIAL = "trivial"
-EXISTENCE_NOT_CERTIFIED = "not_certified"
-
-# pair-report status claimed for each existence verdict
-PAIR_STATUS = {
-    EXISTENCE_UNIQUE: STATUS_SOLVED,
-    EXISTENCE_TRIVIAL: STATUS_TRIVIAL,
-    EXISTENCE_NOT_CERTIFIED: STATUS_HEURISTIC,
-}
 
 VERDICT_CONVERGED = "converged"
 VERDICT_MAX_ITER = "max_iter"
@@ -276,33 +260,6 @@ def solve_tstar(p, tol_phi=None, max_iter=60):
     return trace
 
 
-def classify_existence(p, trace, tol=None):
-    """Existence verdict for the scaled-identity problem.
-
-    ``trace`` is a solve result with ``t_star`` and ``verdict``: a
-    :class:`DinkelbachTrace` or a :class:`rtls.certificate.DualSolution`.
-
-    trivial            b in N(W) (the regularizer is injective);
-    unique_solution    rho >= t*, the convexity certificate applies;
-    not_certified      rho < t*: a best point exists at finite dimension but
-                       no attainment guarantee is claimed.
-    """
-    rho = require_identity_scaled(p, "classify_existence")
-    if trace.verdict != VERDICT_CONVERGED:
-        raise ValueError(
-            "existence classification requires a converged solve, not verdict "
-            f"{trace.verdict!r} at t* = {trace.t_star!r}"
-        )
-    if tol is None:
-        tol = 1e-8 * (1.0 + abs(trace.t_star))
-    trivial, _ = is_trivial_rtls(p, 1e-10)
-    if trivial:
-        return EXISTENCE_TRIVIAL
-    if rho >= trace.t_star - tol:
-        return EXISTENCE_UNIQUE
-    return EXISTENCE_NOT_CERTIFIED
-
-
 @dataclass(frozen=True)
 class QuarticSolution:
     """Minimum of |Ax-b|_W^2 + rho |x|^4; certifies uniqueness when <= rho."""
@@ -508,9 +465,14 @@ def solve_rtls_general_t(p):
     |Tx|^2 and G(x*) <= G(0) bound alpha* by |b|_W^2 / lambda_min(T^T T);
     for a singular T^T T that bounds only the part of x* in its range, and
     the scan grows up to |x|^2 = 1e8.  A grid proves no global minimum, so
-    the pair is flagged heuristic.  Returns (pair report, :class:`AlphaSearch`).
+    the pair is flagged heuristic.  Returns (pair report, :class:`AlphaSearch`),
+    or (trivial pair report, None) without a search when b lies in
+    A(N(T)) + N(W) (:func:`rtls.model.is_trivial_rtls` at 1e-10).
     """
     n = p.shape[1]
+    trivial, witness = is_trivial_rtls(p, 1e-10)
+    if trivial:
+        return recover_pair(p, witness, status=STATUS_TRIVIAL), None
     b_sq = p.b_norm_w_sq
     if b_sq == 0.0:  # G >= 0 = G(0)
         return recover_pair(p, np.zeros(n), status=STATUS_HEURISTIC), AlphaSearch(

@@ -144,7 +144,7 @@ class TestCertifyTstar:
         )
         cert = certify_tstar(p)
         assert cert.t == 0.0
-        assert cert.feasible
+        assert cert.lambda_min >= 0.0
 
     def test_closed_form(self):
         p = closed_form_problem()
@@ -274,11 +274,16 @@ class TestDualTstar:
         assert sol.t_dual == pytest.approx(expected, rel=1e-14)
 
     def test_wide_gap_is_not_classified(self):
+        # |b|_W^2 = 25: a gap above 2.5e-9 proves no t*
         p = closed_form_problem()
-        sol = DualSolution(9.0, np.array([2.0, 0.0]), 8.0, 0.0, 1)
-        assert sol.verdict == "duality_gap"
-        with pytest.raises(ValueError, match="duality_gap"):
-            classify_existence(p, sol)
+        x = np.array([2.0, 0.0])
+        for t_dual in (8.0, 9.0 - 3e-9):
+            with pytest.raises(RuntimeError, match="duality gap .* exceeds tol_t 2.5e-09"):
+                classify_existence(p, DualSolution(9.0, x, t_dual, 0.0, 1))
+        assert classify_existence(p, DualSolution(9.0, x, 9.0 - 2e-9, 0.0, 1)) == "heuristic"
+        sol = dual_tstar(p)
+        assert 0.0 <= sol.gap <= 1e-10 * p.b_norm_w_sq
+        assert classify_existence(p, sol) == "heuristic"
 
     def test_zero_data_exact(self):
         p = random_problem(np.random.default_rng(0), 3)

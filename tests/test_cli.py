@@ -12,6 +12,7 @@ import pytest
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import COMMANDS, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
+from rtls.lab import load_model_file
 from rtls import io as rio
 
 
@@ -261,6 +262,62 @@ class TestCertifyCommand:
         assert "C" in cert and len(cert["C"]) == 5
 
 
+def _run(workdir, command, p):
+    """Exit code and report of ``rtls <command>`` on problem p."""
+    rio.save_problem(workdir / "p.json", p)
+    out = workdir / "out.json"
+    code = main([command, "--problem", str(workdir / "p.json"), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+# scales s of (A, b, rho) -> (sA, sb, s^2 rho) and c of (W, rho) -> (cW, c rho)
+SCALES = (1e-7, 1e-5, 1e-3, 1e3, 1e6)
+
+
+class TestScaleInvariance:
+    def test_statuses_and_exit_codes(self, workdir):
+        # 102 instances 8 x 5, rho = f |b|_W^2: the solve status and exit code
+        # and the certify exit code (agreement) are those of the unscaled data
+        rng = np.random.default_rng(12)
+        statuses = set()
+        for index in range(102):
+            p = random_problem(rng, 5, m=8, rho_factor=(0.02, 0.2, 1.5)[index % 3])
+            rho = p.T.rho
+            variants = [
+                ProblemSpec(s * p.A, s * p.b, p.W, RegularizerSpec.identity_scaled(s * s * rho))
+                for s in SCALES
+            ] + [
+                ProblemSpec(p.A, p.b, getattr(WeightOperator, p.W.kind)(c * p.W.data),
+                            RegularizerSpec.identity_scaled(c * rho))
+                for c in SCALES
+            ]
+            code, report = _run(workdir, "solve", p)
+            cert_code, _ = _run(workdir, "certify", p)
+            statuses.add(report["status"])
+            for q in variants:
+                q_code, q_report = _run(workdir, "solve", q)
+                assert (q_code, q_report["status"]) == (code, report["status"]), index
+                assert _run(workdir, "certify", q)[0] == cert_code, index
+        assert statuses == {"solved", "heuristic"}
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    def test_dense_t_triviality(self, workdir, s):
+        # b misses A(N(T)) by 1e-4 of |b|: heuristic at every scale
+        rng = np.random.default_rng(4)
+        a_mat = rng.normal(size=(4, 3))
+        t_mat = rng.normal(size=(2, 3))
+        u = np.linalg.svd(t_mat)[2][-1]  # N(T) = span(u)
+        au = a_mat @ u
+        v = rng.normal(size=4)
+        v -= (v @ au) / (au @ au) * au
+        b = (au + 1e-4 * np.linalg.norm(au) * v / np.linalg.norm(v)) / np.linalg.norm(au)
+        p = ProblemSpec(s * a_mat / np.linalg.norm(au), s * b,
+                        WeightOperator.diagonal(np.ones(4)), RegularizerSpec.dense(s * t_mat))
+        code, report = _run(workdir, "solve", p)
+        assert (code, report["status"]) == (2, "heuristic")
+        assert "alpha_search" in report["meta"]
+
+
 class TestDemoCommands:
     def test_weakcont_csv(self, workdir):
         out = workdir / "w.csv"
@@ -308,7 +365,23 @@ class TestDemoCommands:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "N,t_star,x_norm,objective,status"
-        assert all(line.endswith("unique_solution") for line in lines[1:])
+        assert all(line.endswith(",solved") for line in lines[1:])
+
+    def test_sweep_agrees_with_solve_on_trivial_dense_t(self, workdir):
+        # t_1 = 0: N(T) = span(e1) and A e1 = b, so every truncation is trivial
+        spec = {"a": "1/k", "w": "1/k^2", "b": [1.0], "t": {"formula": "1/k^2", "zeros": 1}}
+        (workdir / "triv.json").write_text(json.dumps(spec))
+        out = workdir / "sweep.json"
+        assert main(["demo", "sweep", "--model", str(workdir / "triv.json"),
+                     "--N", "4,8", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        model = load_model_file(workdir / "triv.json")
+        for row in rows:
+            code, report = _run(workdir, "solve", model.build(row["N"]))
+            assert (code, report["status"]) == (0, "trivial")
+            assert "alpha_search" not in report["meta"]
+            assert row["status"] == "trivial"
+            assert row["objective"] == report["objective"] == 0.0
 
     def test_diagonal(self, workdir):
         out = workdir / "diag.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rtls import ProblemFormatError, recover_pair, solve_tstar
+from rtls import ProblemFormatError, recover_pair
 from rtls.cli import main
 from rtls.instances import closed_form_problem, random_problem
 from rtls import io as rio
@@ -145,14 +145,6 @@ class TestArtifactSerializers:
             "residual_normal_eq", "residual_rank_one", "status",
         }
         assert obj["objective"] == pytest.approx(9.0)
-
-    def test_trace_serialization(self):
-        p = closed_form_problem()
-        trace = solve_tstar(p)
-        obj = rio.trace_to_dict(trace)
-        assert obj["verdict"] == "converged"
-        assert len(obj["iterates"]) == len(trace.iterates)
-        assert obj["t_star"] == pytest.approx(9.0, abs=1e-6)
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -109,6 +109,19 @@ class TestWeightOperator:
         with pytest.raises(ProblemFormatError, match="negative"):
             WeightOperator.diagonal([1.0, -0.1])
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e6])
+    def test_checks_are_relative_to_w(self, c):
+        # W and cW pass or fail together, for both kinds
+        with pytest.raises(ProblemFormatError, match="negative"):
+            WeightOperator.diagonal(c * np.array([1.0, -1e-7]))
+        with pytest.raises(ProblemFormatError, match="positive semidefinite"):
+            WeightOperator.dense(c * np.diag([1.0, -1e-7]))
+        with pytest.raises(ProblemFormatError, match="symmetric"):
+            WeightOperator.dense(c * np.array([[1.0, 1e-11], [0.0, 1.0]]))
+        assert WeightOperator.diagonal(c * np.array([1.0, -1e-13])).data[1] == 0.0
+        w = WeightOperator.dense(c * np.array([[1.0, 1e-13], [0.0, -1e-13]]))
+        assert w.lam_max == pytest.approx(c, rel=1e-12)
+
 
 class TestProblemSpec:
     def test_shape_validation(self):
@@ -194,6 +207,21 @@ class TestTriviality:
         wb = p.W.apply_sqrt(p.b)
         resid = np.linalg.norm(wb - q_mat @ (q_mat.T @ wb))
         assert resid == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+    def test_residual_is_relative_to_b(self, s):
+        # b misses R(A) by 1e-4 of |b|, and A(N(T)) likewise: nontrivial at
+        # every scale of (A, b, T)
+        p = make_problem([[s], [0.0]], [s, 1e-4 * s], [1.0, 1.0])
+        assert not is_trivial_tls(p, 1e-10)[0]
+        t_mat = s * np.array([[0.0, 1.0]])
+        p = ProblemSpec(
+            s * np.array([[1.0, 0.0], [0.0, 1.0]]), s * np.array([1.0, 1e-4]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(t_mat),
+        )
+        assert not is_trivial_rtls(p, 1e-10)[0]
+        p = ProblemSpec(p.A, s * np.array([1.0, 0.0]), p.W, p.T)
+        assert is_trivial_rtls(p, 1e-10)[0]
 
     def test_rtls_injective_regularizer(self):
         p = make_problem(np.eye(2), [3.0, 4.0], np.ones(2), rho=2.0)

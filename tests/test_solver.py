@@ -24,10 +24,8 @@ from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
 from rtls import solver
+from rtls.certificate import DualSolution
 from rtls.solver import (
-    EXISTENCE_NOT_CERTIFIED,
-    EXISTENCE_TRIVIAL,
-    EXISTENCE_UNIQUE,
     VERDICT_CONVERGED,
     hess_g,
     newton_polish,
@@ -230,8 +228,7 @@ class TestHardCase:
 class TestClassification:
     def test_certified_regime(self, rng):
         p = random_problem(rng, 3, rho_factor=1.5)
-        trace = solve_tstar(p)
-        assert classify_existence(p, trace) == EXISTENCE_UNIQUE
+        assert classify_existence(p, dual_tstar(p)) == "solved"
 
     def test_trivial(self):
         p = ProblemSpec(
@@ -239,22 +236,38 @@ class TestClassification:
             WeightOperator.diagonal(np.array([1.0, 0.0])),
             RegularizerSpec.identity_scaled(1.0),
         )
-        trace = solve_tstar(p)
-        assert classify_existence(p, trace) == EXISTENCE_TRIVIAL
+        assert classify_existence(p, dual_tstar(p)) == "trivial"
 
     def test_low_rho_not_certified(self):
         p = closed_form_problem(rho=1.0)
-        trace = solve_tstar(p)
-        assert trace.t_star == pytest.approx(9.0, abs=1e-6)
-        assert classify_existence(p, trace) == EXISTENCE_NOT_CERTIFIED
+        sol = dual_tstar(p)
+        assert sol.t_star == pytest.approx(9.0, rel=1e-14)
+        assert classify_existence(p, sol) == "heuristic"
 
     def test_rho_above_bound_always_certified(self, rng):
         # rho >= |b|_W^2 >= t* certifies without reading t*
         for _ in range(5):
             p = random_problem(rng, 3, rho_factor=float(rng.uniform(1.0, 4.0)))
-            trace = solve_tstar(p)
             assert p.T.rho >= p.b_norm_w_sq - 1e-12
-            assert classify_existence(p, trace) == EXISTENCE_UNIQUE
+            assert classify_existence(p, dual_tstar(p)) == "solved"
+
+    @pytest.mark.parametrize("t_star", [1e-300, 2e-12, 1.0, 1e12])
+    def test_rule_is_relative_to_t_star(self, t_star):
+        # solved iff rho >= t* (1 - 1e-8), whatever the scale of t*
+        x = np.zeros(2)
+        for margin, status in ((0.5e-8, "solved"), (2e-8, "heuristic")):
+            p = closed_form_problem(rho=t_star * (1.0 - margin))
+            assert classify_existence(p, DualSolution(t_star, x, t_star, 0.0, 1)) == status
+
+    def test_subnormal_rho_is_not_trivial(self):
+        # G(x*) = rho |x*|^2 rounds to 0 although b is not in N(W)
+        p = ProblemSpec(
+            np.ones((1, 1)), np.array([0.5]),
+            WeightOperator.diagonal([1.0]), RegularizerSpec.identity_scaled(5e-324),
+        )
+        sol = dual_tstar(p)
+        assert sol.t_star == 0.0
+        assert classify_existence(p, sol) == "solved"
 
 
 class TestQuartic:
