@@ -33,13 +33,11 @@ from .reduction import (
     recover_pair,
     verify_lift_identities,
 )
-from .trs import SecularBracketError, TrsSolution, trs_equality
+from .trs import TrsSolution, trs_equality
 from .solver import (
-    DinkelbachTrace,
-    QuarticSolution,
+    DinkelbachSolution,
     eval_phi,
     grad_g,
-    solve_rls_quartic,
     solve_rtls_general_t,
     solve_tstar,
 )

@@ -228,7 +228,7 @@ def dual_tstar(p):
     completed inside the minimal eigenspace by :func:`trs_equality` at
     |x*|^2 = (t* + beta* - rho) / (2 rho).  No radius enters otherwise.
     The polish (:func:`rtls.solver.newton_polish`) takes O(n^2) steps from
-    the same eigendecomposition; it is kept only if it does not raise G.
+    the same eigendecomposition and is kept by its own rule.
     """
     rho = require_identity_scaled(p, "dual_tstar")
     b_sq = p.b_norm_w_sq
@@ -249,12 +249,8 @@ def dual_tstar(p):
                          eig=p.gram_eig).x
     t_dual = _tau(p, rho, beta, x)
 
-    g = eval_g(p, x).g
-    x_polished = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
-    g_polished = eval_g(p, x_polished).g
-    if g_polished <= g + 1e-14 * (1.0 + abs(g)):
-        x, g = x_polished, g_polished
-    return DualSolution(g, x, t_dual, beta, steps)
+    x = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
+    return DualSolution(eval_g(p, x).g, x, t_dual, beta, steps)
 
 
 def assemble_c(p, t, alpha, beta):

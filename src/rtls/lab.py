@@ -411,7 +411,9 @@ def diagonal_solve(a, w, b_head, rho, n):
     when every head coefficient w_j a_j is nonzero the minimizer carries no
     mass beyond the head (enforced to 1e-8 of |x*|^2), and when some vanish
     the pooled objective is invariant under moving that mass onto any such
-    coordinate (the reported rebalance gap).
+    coordinate (the reported rebalance gap).  Each audit threshold is
+    relative, to max |w_j a_j|, |x*|, |b_j / a_j| or the pooled objective,
+    so that (W, rho) and (cW, c rho) audit alike.
     """
     a = _sequence(a, n, "a")
     w = _sequence(w, n, "w")
@@ -432,7 +434,7 @@ def diagonal_solve(a, w, b_head, rho, n):
     x = sol.x_star
     wa_head = w[:head] * a[:head]
     wa_scale = float(np.max(np.abs(wa_head), initial=0.0))
-    nonzero = np.abs(wa_head) > 1e-14 * max(1.0, wa_scale)
+    nonzero = np.abs(wa_head) > 1e-14 * wa_scale
     zero_indices = [int(i) for i in np.nonzero(~nonzero)[0]]
 
     norm_sq = float(x @ x)
@@ -443,8 +445,8 @@ def diagonal_solve(a, w, b_head, rho, n):
         targets = np.where(nonzero, b_head / np.where(a[:head] == 0, 1.0, a[:head]), 0.0)
     deviations = np.where(nonzero, np.abs(x[:head] - targets), 0.0)
     s_norm = math.sqrt(tail_mass)
-    critical_ok = s_norm <= 1e-8 * (1.0 + math.sqrt(norm_sq)) or bool(
-        np.all(deviations <= 1e-6 * (1.0 + np.abs(targets)))
+    critical_ok = s_norm <= 1e-8 * math.sqrt(norm_sq) or bool(
+        np.all(deviations <= 1e-6 * np.linalg.norm(targets))
     )
 
     rebalance_gap = None
@@ -456,7 +458,8 @@ def diagonal_solve(a, w, b_head, rho, n):
         alpha_hat[zero_indices] = 0.0
         alpha_hat[zero_indices[0]] = math.sqrt(pooled_sq)
         h_pooled = _h_value(w[:head], a[:head], b_head, alpha_hat, 0.0, rho)
-        rebalance_gap = abs(h_pooled - h_spread) / max(abs(h_pooled), 1.0)
+        gap = abs(h_pooled - h_spread)
+        rebalance_gap = gap / h_pooled if gap else 0.0
     elif tail_fraction > 1e-8:
         raise RuntimeError(
             "minimizer carries tail mass although every head coefficient "

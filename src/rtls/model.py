@@ -373,15 +373,15 @@ def is_trivial_rtls(p, tol):
     N(T) is spanned by the right singular vectors of T with singular values
     at most tol |T|_2, and b is a member when the least squares residual of
     W^{1/2} b against W^{1/2} A N(T) is at most tol |W^{1/2} b|.  Both are
-    relative to the data, as in :func:`is_trivial_tls`.
+    relative to the data, as in :func:`is_trivial_tls`.  |b|_W^2 = 0 is
+    trivial for every T, with witness x = 0, however W^{1/2} b rounds.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = p.shape[1]
-    if p.T.kind == "identity_scaled":
-        # N(T) = {0}: trivial exactly when |b|_W = 0
-        if p.b_norm_w_sq == 0.0:
-            return True, np.zeros(n)
+    if p.b_norm_w_sq == 0.0:  # G(0) = 0 whatever T is
+        return True, np.zeros(n)
+    if p.T.kind == "identity_scaled":  # N(T) = {0}
         return False, None
     t_mat = p.T.as_matrix(n)
     basis = nullspace_basis(t_mat, tol * np.linalg.norm(t_mat, 2))

@@ -14,13 +14,14 @@ phi(t) is evaluated globally through a spherical reduction: the inner
 minimum m(s) over each sphere |x|^2 = s is an equality trust-region
 subproblem, convex in s by strong duality, so the remaining problem in s
 has one stationary point, a single monotone secular root in the TRS
-multiplier (:func:`rtls.trs.quartic_minimizer`).  The classical Dinkelbach
-update t <- G(x_t) (started at t0 = G(0) = |b|_W^2, which is always >= t*)
-then converges monotonically to t*; a bisection fallback on [0, |b|_W^2]
-takes over when G(x_t) stops decreasing in floating point.  If rho >= t*
-the inner problem at t* is strictly convex and the minimizer of G is
-unique; :func:`rtls.certificate.classify_existence` turns that, and the
-duality gap that proves t*, into the pair status.
+multiplier (:func:`rtls.trs.quartic_minimizer`).  Since phi'(t) = -(1 +
+|x_t|^2) at the inner minimizer x_t, the classical Dinkelbach update t <-
+G(x_t) is exactly Newton's step on phi; :func:`solve_tstar` takes it inside
+the sign bracket [0, |b|_W^2] and bisects where it would leave the bracket
+or shrink it more slowly than bisection.  If rho >= t* the inner problem
+at t* is strictly convex and the minimizer of G is unique;
+:func:`rtls.certificate.classify_existence` turns that, and the duality gap
+that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) finds each local minimum of g(u) = min G over the sphere, and
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +54,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ALPHA_GRID = 128
 _ALPHA_CAP = 1e8
 
-VERDICT_CONVERGED = "converged"
-VERDICT_MAX_ITER = "max_iter"
-VERDICT_INNER_FLAGGED = "nonconvex_inner_flagged"
+# the polished point is kept unless G rises above this relative margin
+_POLISH_REL = 1e-14
 
 
 @dataclass(frozen=True)
-class DinkelbachIterate:
-    t: float
-    r: float
-    x: np.ndarray
-    phi: float
+class DinkelbachSolution:
+    """t* = G(x_star) from :func:`solve_tstar`, after ``iterations`` phi values."""
 
-
-@dataclass
-class DinkelbachTrace:
-    iterates: list[DinkelbachIterate] = field(default_factory=list)
-    t_star: float = float("nan")
-    x_star: np.ndarray | None = None
-    verdict: str = VERDICT_MAX_ITER
+    t_star: float
+    x_star: np.ndarray
+    iterations: int
 
 
 def require_identity_scaled(p, op):
@@ -172,118 +165,67 @@ def eval_phi(p, t):
     """Evaluate phi(t) globally; returns (phi, argmin x).
 
     Up to constants the inner objective is <Sx,x> - 2<c,x> + rho |x|^4 +
-    (rho - t)|x|^2 with S = A^T W A, c = A^T W b; its one stationary point
-    is global also for t > rho, where it is nonconvex in x.
+    (rho - t)|x|^2 with S = A^T W A = Q diag(lam) Q^T, c = A^T W b; its one
+    stationary point is global also for t > rho, where it is nonconvex in x.
+    phi is summed in the eigenbasis, z = Q^T x, with the |x|^2 terms grouped
+    as (lam + rho - t) z^2: apart, |Ax - b|_W^2 and -t |x|^2 cancel where
+    |x| is large.  phi(rho) + rho is min |Ax - b|_W^2 + rho |x|^4, so phi(rho)
+    <= 0 proves a unique minimizer of G.
     """
     rho = require_identity_scaled(p, "eval_phi")
+    lam, q = p.gram_eig
     x = quartic_minimizer(p.gram_eig, p.gram_rhs, rho, rho - t)
+    z = q.T @ x
     r2 = float(x @ x)
-    phi = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + rho * r2 * r2 + (rho - t) * r2 - t
-    return float(phi), x
+    quad = float((lam + (rho - t)) @ (z * z)) - 2.0 * float(p.gram_rhs @ x)
+    return quad + rho * r2 * r2 + (p.b_norm_w_sq - t), x
 
 
 def solve_tstar(p, tol_phi=None, max_iter=60):
-    """Find t* = inf G and a minimizer via Dinkelbach iteration on phi.
+    """Find t* = inf G and a minimizer by a safeguarded Dinkelbach iteration.
 
-    Starts at t0 = G(0) = |b|_W^2, iterates t <- G(x_t) where x_t is the
-    global inner minimizer at t, and stops once |phi(t)| <= tol_phi (default
-    1e-9 |b|_W^2, which scales with phi); one extra update is then taken to
-    polish x*.  Three non-improving steps switch to bisection on the
-    maintained sign bracket: G(x_t) can round to t far above t* (A = b = W
-    = 1, rho = 1e-300).
+    phi is decreasing with phi(0) >= 0 >= phi(|b|_W^2), and its Newton step
+    from t is the Dinkelbach update G(x_t).  Starting at t = |b|_W^2, the
+    update is taken when it lands strictly inside the sign bracket and
+    shrinks it at least as fast as bisection would: by the rtsafe test, it
+    is at most half the step before last, so the first two always pass.
+    Otherwise the bracket is bisected.  G(x_t) can round to t far above t*
+    (A = b = W = 1, rho = 1e-300), where only bisection moves on.  The
+    iteration stops when |phi(t)| <= tol_phi (default 1e-9 |b|_W^2, which
+    scales with phi) or the bracket is narrower than 1e-15 of its upper end;
+    x_t is then Newton-polished.  Raises RuntimeError after ``max_iter``
+    phi values.
     """
-    rho = require_identity_scaled(p, "solve_tstar")
+    require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
+    if b_sq == 0.0:
+        return DinkelbachSolution(0.0, np.zeros(p.shape[1]), 0)
     if tol_phi is None:
         tol_phi = 1e-9 * b_sq
-    trace = DinkelbachTrace()
-
-    n = p.shape[1]
-    best_x = np.zeros(n)
-    best_g = b_sq  # G(0)
-    if b_sq == 0.0:
-        trace.iterates.append(DinkelbachIterate(0.0, 0.0, best_x, 0.0))
-        trace.t_star, trace.x_star, trace.verdict = 0.0, best_x, VERDICT_CONVERGED
-        return trace
-
+    lo, hi = 0.0, b_sq
     t = b_sq
-    lo, hi = 0.0, b_sq  # phi(0) >= 0 and phi(|b|_W^2) <= 0 always
-    stall = 0
-    prev_abs_phi = np.inf
-    polish_left = 2
-
-    for _ in range(max_iter):
-        try:
-            phi, x = eval_phi(p, t)
-        except RuntimeError as exc:
-            logger.warning("inner minimization flagged: %s", exc)
-            trace.t_star, trace.x_star = best_g, best_x
-            trace.verdict = VERDICT_INNER_FLAGGED
-            return trace
-        trace.iterates.append(DinkelbachIterate(t, float(np.linalg.norm(x)), x, phi))
-        g = eval_g(p, x).g
-        if g < best_g:
-            best_g, best_x = g, x
-        if phi > 0:
-            lo = max(lo, t)
-        elif phi < 0:
-            hi = min(hi, t)
-
+    step = step_old = math.inf
+    for k in range(1, max_iter + 1):
+        phi, x = eval_phi(p, t)
         if abs(phi) <= tol_phi:
-            if polish_left > 0 and abs(best_g - t) > 1e-15 * (1.0 + abs(t)):
-                polish_left -= 1
-                t = best_g
-                continue
-            trace.verdict = VERDICT_CONVERGED
             break
-
-        if abs(phi) >= prev_abs_phi:
-            stall += 1
-        prev_abs_phi = abs(phi)
-        if stall >= 3:
-            if hi - lo <= 1e-15 * (1.0 + hi):
-                trace.verdict = VERDICT_CONVERGED
-                break
-            t = 0.5 * (lo + hi)
+        if phi > 0.0:
+            lo = t
         else:
-            # classical update; g <= t with equality only at the root
-            t = min(g, t)
+            hi = t
+        if hi - lo <= 1e-15 * hi:
+            break
+        g = eval_g(p, x).g
+        if lo < g < hi and 2.0 * abs(g - t) <= step_old:
+            step_old, step = step, abs(g - t)
+            t = g
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            t = lo + step
     else:
-        trace.verdict = VERDICT_MAX_ITER
-
-    if trace.verdict == VERDICT_CONVERGED:
-        x_polished = newton_polish(p, best_x)
-        g_polished = eval_g(p, x_polished).g
-        if g_polished <= best_g + 1e-14 * (1.0 + abs(best_g)):
-            best_x, best_g = x_polished, g_polished
-    trace.t_star, trace.x_star = best_g, best_x
-    return trace
-
-
-@dataclass(frozen=True)
-class QuarticSolution:
-    """Minimum of |Ax-b|_W^2 + rho |x|^4; certifies uniqueness when <= rho."""
-
-    a_star: float
-    x: np.ndarray
-    rho_used: float = 0.0
-
-    @property
-    def certifies_unique(self):
-        return self.a_star <= self.rho_used
-
-
-def solve_rls_quartic(p):
-    """Solve min_x |Ax - b|_W^2 + rho |x|^4 by one secular root.
-
-    The objective is convex and coercive, so the minimum always exists; when
-    it is <= rho the scaled-identity problem is guaranteed a unique solution.
-    """
-    rho = require_identity_scaled(p, "solve_rls_quartic")
-    x = quartic_minimizer(p.gram_eig, p.gram_rhs, rho)
-    r2 = float(x @ x)
-    a_star = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + rho * r2 * r2
-    return QuarticSolution(float(a_star), x, rho_used=rho)
+        raise RuntimeError(f"Dinkelbach iteration did not converge in {max_iter} steps")
+    x = newton_polish(p, x)
+    return DinkelbachSolution(eval_g(p, x).g, x, k)
 
 
 def _gradient_parts(p, x):
@@ -371,10 +313,14 @@ def newton_polish(p, x, iters=8):
     through the fp noise floor of objective differences.  Steps come from
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
-    A non-finite step (hard case) is rejected by the same guard.
+    A non-finite step (hard case) is rejected by the same guard.  Returns
+    the polished point when G there is at most G(x) (1 + 1e-14), and x
+    otherwise: the one rule by which every route keeps a polish.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x0 = np.asarray(x, dtype=float)
+    x = x0.copy()
     parts = _gradient_parts(p, x)
+    g0 = parts[2] / parts[3] + p.T.value(x)  # G(x), as eval_g forms it
     gnorm = float(np.linalg.norm(parts[0]))
     for _ in range(iters):
         if gnorm == 0.0:
@@ -395,7 +341,7 @@ def newton_polish(p, x, iters=8):
             scale *= 0.5
         if not accepted:
             break
-    return x
+    return x if parts[2] / parts[3] + p.T.value(x) <= g0 + _POLISH_REL * abs(g0) else x0
 
 
 def minimize(fun, x0, **kw):
@@ -473,11 +419,6 @@ def solve_rtls_general_t(p):
     trivial, witness = is_trivial_rtls(p, 1e-10)
     if trivial:
         return recover_pair(p, witness, status=STATUS_TRIVIAL), None
-    b_sq = p.b_norm_w_sq
-    if b_sq == 0.0:  # G >= 0 = G(0)
-        return recover_pair(p, np.zeros(n), status=STATUS_HEURISTIC), AlphaSearch(
-            0, 0, 0, 0, False, 0.0
-        )
     gram, c = p.gram_matrix, p.gram_rhs
     t_gram = p.T.gram(n)
 
@@ -500,16 +441,11 @@ def solve_rtls_general_t(p):
 
     lam_t = np.linalg.eigvalsh(t_gram)
     positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
-    u_max = math.log1p(b_sq / positive[0] if positive.size else 1.0)
+    u_max = math.log1p(p.b_norm_w_sq / positive[0] if positive.size else 1.0)
     u_cap = u_max if positive.size == n else max(u_max, math.log1p(_ALPHA_CAP))
-    u, g_best, scan = _global_min(
-        values, lambda u: point(u)[1:], u_max, u_cap, _ALPHA_GRID
-    )
+    u, _, scan = _global_min(values, lambda u: point(u)[1:], u_max, u_cap, _ALPHA_GRID)
     if scan["hit_cap"]:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
-    x = point(u)[0]
     search = AlphaSearch(trs_solves=len(points), alpha=math.expm1(u), **scan)
-    x_polished = newton_polish(p, x)
-    if eval_g(p, x_polished).g <= g_best + 1e-14 * (1.0 + abs(g_best)):
-        x = x_polished
+    x = newton_polish(p, point(u)[0])
     return recover_pair(p, x, status=STATUS_HEURISTIC), search

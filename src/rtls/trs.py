@@ -26,10 +26,7 @@ import numpy as np
 
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
 _HARD_CASE_REL = 1e-13  # d's minimal-eigenspace part below this times |d| counts as zero
-
-
-class SecularBracketError(RuntimeError):
-    """The secular root could not be bracketed (diagnostics in message)."""
+_BISECTIONS = 70  # secular bisection steps of radial_solutions
 
 
 @dataclass(frozen=True)
@@ -113,35 +110,17 @@ def min_space(lam, d):
     zeroed, the gaps lam - lam_min with ones inside it, the squared norm
     |d_eff / gaps|^2 reached as mu -> -lam_min, and whether d has no
     component in the minimal eigenspace (the precondition of the hard case).
+    ``lam`` and ``d`` may carry leading batch axes, one S per entry.
     """
-    spread = max(lam[-1] - lam[0], abs(lam[0]))
-    in_min = lam - lam[0] <= _EIGENGAP_REL * spread
-    d_min_norm = float(np.linalg.norm(d[in_min]))
-    d_eff = np.where(in_min, 0.0, d)
-    gaps = np.where(in_min, 1.0, lam - lam[0])
-    limit_sq = float(np.sum((d_eff / gaps) ** 2))
-    degenerate = d_min_norm <= _HARD_CASE_REL * float(np.linalg.norm(d))
-    return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
-
-
-def min_space_rows(lam, d):
-    """:func:`min_space` of each row of ``lam`` and ``d`` at once, plus |d|.
-
-    The same operations over the leading axes: every row comes out as
-    min_space gives it, except that the two norms may differ in the last
-    bit (a sum of squares in place of a BLAS dot product).
-    """
-    lam_min = lam[..., 0]
-    low = lam - lam_min[..., None]
-    spread = np.maximum(lam[..., -1] - lam_min, np.abs(lam_min))
-    in_min = low <= _EIGENGAP_REL * spread[..., None]
-    d_min_norm = np.sqrt(np.sum(np.where(in_min, d, 0.0) ** 2, axis=-1))
+    low = lam - lam[..., :1]
+    spread = np.maximum(lam[..., -1:] - lam[..., :1], np.abs(lam[..., :1]))
+    in_min = low <= _EIGENGAP_REL * spread
+    d_min_norm = np.linalg.norm(np.where(in_min, d, 0.0), axis=-1)
     d_eff = np.where(in_min, 0.0, d)
     gaps = np.where(in_min, 1.0, low)
     limit_sq = np.sum((d_eff / gaps) ** 2, axis=-1)
-    d_norm = np.linalg.norm(d, axis=-1)
-    degenerate = d_min_norm <= _HARD_CASE_REL * d_norm
-    return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm
+    degenerate = d_min_norm <= _HARD_CASE_REL * np.linalg.norm(d, axis=-1)
+    return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
 
 
 def trs_equality(S, c, r, eig=None):
@@ -179,27 +158,19 @@ def trs_equality(S, c, r, eig=None):
     def secular(mu):
         return float(np.sum((d / (lam + mu)) ** 2)) - r * r
 
+    # secular(lo) >= 0 from the minimal block alone and secular(hi) <= 0; an
+    # end that rounding puts on the wrong side is taken as the root, and lo
+    # stays above the pole -lam_min, where lam + mu would divide by zero
     if not degenerate:
-        lo = -lam_min + d_min_norm / r  # secular(lo) >= 0 from the minimal block alone
+        lo = -lam_min + d_min_norm / r
     else:
-        lo = -lam_min + 1e-15 * max(lam[-1] - lam[0], abs(lam_min), 1.0)
-    hi = -lam_min + float(np.linalg.norm(d)) / r  # secular(hi) <= 0
-    f_lo, f_hi = secular(lo), secular(hi)
-    if f_lo == 0.0:
+        lo = -lam_min + 1e-15 * max(lam[-1] - lam_min, abs(lam_min))
+    lo = max(lo, math.nextafter(-lam_min, math.inf))
+    hi = -lam_min + float(np.linalg.norm(d)) / r
+    if secular(lo) <= 0.0:
         mu = lo
-    elif f_hi == 0.0:
+    elif secular(hi) >= 0.0:
         mu = hi
-    elif f_lo < 0.0 or f_hi > 0.0:
-        if abs(f_lo) <= 1e-10 * r * r:
-            mu = lo
-        elif abs(f_hi) <= 1e-10 * r * r:
-            mu = hi
-        else:
-            raise SecularBracketError(
-                "secular equation not bracketed: "
-                f"r={r!r}, lam_min={lam_min!r}, |d|={np.linalg.norm(d)!r}, "
-                f"limit={np.sqrt(limit_sq)!r}, f(lo)={f_lo!r}, f(hi)={f_hi!r}"
-            )
     else:
         mu = brentq(secular, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
 
@@ -248,12 +219,12 @@ def quartic_minimizer(eig, c, rho, shift=0.0):
     return q @ (d / (gaps + nu))
 
 
-def radial_values(lam, d, rs, iters=70):
+def radial_values(lam, d, rs):
     """The values of :func:`radial_solutions`."""
-    return radial_solutions(lam, d, rs, iters)[0]
+    return radial_solutions(lam, d, rs)[0]
 
 
-def radial_solutions(lam, d, rs, iters=70):
+def radial_solutions(lam, d, rs):
     """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
     Same reduction as :func:`trs_equality` (eigenbasis data lam, d), solved by
@@ -267,7 +238,8 @@ def radial_solutions(lam, d, rs, iters=70):
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
     batch, n = lam.shape[:-1], lam.shape[-1]
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = min_space_rows(lam, d)
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
+    d_norm = np.linalg.norm(d, axis=-1)
     lam_min = lam[..., 0]
     shape = np.broadcast_shapes(batch, np.shape(rs))
     rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
@@ -293,15 +265,16 @@ def radial_solutions(lam, d, rs, iters=70):
     if np.any(solve):
         r = rs[solve]
         lam_s, d_s, lam_min_s = at(lam, solve), at(d, solve), at(lam_min, solve)
-        spread = np.maximum(np.maximum(lam[..., -1] - lam_min, np.abs(lam_min)), 1.0)
+        spread = np.maximum(lam[..., -1] - lam_min, np.abs(lam_min))
         lo = np.where(
             at(degenerate, solve),
             -lam_min_s + 1e-15 * at(spread, solve),
             -lam_min_s + at(d_min_norm, solve) / r,
         )
+        lo = np.maximum(lo, np.nextafter(-lam_min_s, np.inf))  # above the pole
         hi = -lam_min_s + at(d_norm, solve) / r
         d_sq = d_s * d_s
-        for _ in range(iters):
+        for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             g = np.sum(d_sq / (lam_s + mid[:, None]) ** 2, axis=1)
             too_big = g > r * r

