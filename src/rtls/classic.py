@@ -51,8 +51,8 @@ def solve_classic_tls(A, b):
     sigmas = np.zeros(n + 1)
     sigmas[: s.shape[0]] = s
 
-    scale = max(1.0, sigmas[0])
-    if sigmas[-2] - sigmas[-1] <= _TIE_REL * scale:
+    # relative to sigma_max, so that (A, b) and (sA, sb) tie alike
+    if sigmas[-2] - sigmas[-1] <= _TIE_REL * sigmas[0]:
         candidates = []
         for v in (vt[-2], vt[-1]) if vt.shape[0] >= 2 else (vt[-1],):
             if abs(v[-1]) > _LAST_COORD_TOL:

@@ -9,7 +9,7 @@ Commands
 
 Exit codes: 0 success (status solved or trivial, assertions passed),
 2 best-effort result whose existence/uniqueness is not certified,
-1 any error.  RTLS_LOG={debug,info,warning} controls verbosity.
+1 any error, usage errors included.  RTLS_LOG={debug,info,warning} controls verbosity.
 
 Each command's arguments are declared by one function in ``COMMANDS``.
 When the first token of argv names a command, ``main`` builds that branch
@@ -187,15 +187,7 @@ def cmd_demo(args):
             )
         report, audit = diagonal_solve(model.a, model.w, model.b, model.rho, args.N)
         out = rio.pair_report_to_dict(report)
-        out["audit"] = {
-            "head": audit.head,
-            "zero_indices": audit.zero_indices,
-            "tail_mass_fraction": float(audit.tail_mass_fraction),
-            "critical_condition_ok": audit.critical_condition_ok,
-            "rebalance_gap": (
-                None if audit.rebalance_gap is None else float(audit.rebalance_gap)
-            ),
-        }
+        out["audit"] = dataclasses.asdict(audit)
         _emit(out, args.out)
         return EXIT_OK
     if args.demo_command == "sweep":
@@ -283,6 +275,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: rtls gives code 2 to uncertified results."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser(commands=COMMANDS):
     """The rtls parser with a sub-parser for each name in ``commands``.
 
@@ -290,7 +290,7 @@ def build_parser(commands=COMMANDS):
     the full tree's; the full tree keeps argparse's "command" in the errors
     that name the argument, which only it can raise.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtls",
         description="weighted/regularized total least squares solver and lab",
     )

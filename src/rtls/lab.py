@@ -39,7 +39,7 @@ from .model import (
     objective_tls,
     w_vec_seminorm,
 )
-from .reduction import eval_g, recover_pair
+from .reduction import recover_pair
 from .solver import solve_rtls_general_t
 
 _INTERP_TOL = 1e-12
@@ -128,14 +128,14 @@ class DiagonalModel:
         if (self.rho is None) == (self.t is None):
             raise ProblemFormatError("diagonal model needs exactly one of 'rho', 't'")
 
-    def build(self, n, rho=None):
+    def build(self, n):
         a = _sequence(self.a, n, "a")
         w = _sequence(self.w, n, "w")
         b = _padded_head(self.b, n, "b")
         if self.t is not None:
             reg = RegularizerSpec.dense(np.diag(_sequence(self.t, n, "t")))
         else:
-            reg = RegularizerSpec.identity_scaled(rho if rho is not None else self.rho)
+            reg = RegularizerSpec.identity_scaled(self.rho)
         return ProblemSpec(
             np.diag(a),
             b,
@@ -168,7 +168,7 @@ class IntegralModel:
         if self.kernel not in _KERNELS:
             raise ProblemFormatError(f"unknown kernel {self.kernel!r}")
 
-    def build(self, n, rho=None):
+    def build(self, n):
         lo, hi, fun = _KERNELS[self.kernel]
         nodes = np.linspace(lo, hi, n)
         weights = np.full(n, (hi - lo) / max(n - 1, 1))
@@ -179,7 +179,7 @@ class IntegralModel:
             a_mat,
             _padded_head(self.b, n, "b"),
             WeightOperator.diagonal(_sequence(self.w, n, "w")),
-            RegularizerSpec.identity_scaled(rho if rho is not None else self.rho),
+            RegularizerSpec.identity_scaled(self.rho),
             origin={"model_kind": "integral", "truncation_order": n},
         )
 
@@ -206,6 +206,8 @@ def model_from_dict(obj):
     rho = obj.get("rho")
     if rho is not None:
         rho = real_number(rho, "rho")
+        if not 0.0 < rho < math.inf:
+            raise ProblemFormatError("field 'rho' must be a positive real")
     if "kernel" in obj:
         if not isinstance(obj["kernel"], str):
             raise ProblemFormatError("field 'kernel' must be a string")
@@ -278,15 +280,42 @@ class SequenceResult:
 
 
 def _feasible_pair(p, x_dir, eps):
-    """The exactly interpolating pair (X0, x/eps) with X0 = A + eps (b - Ax/eps) x^T."""
+    """The exactly interpolating pair (X0, x/eps) with X0 = A + eps (b - Ax/eps) x^T.
+
+    The residual X0 (x/eps) - b cancels terms of size |A| |x/eps| + |b|, so
+    it is held to 1e-12 of their largest component.
+    """
     x_scaled = x_dir / eps
     x0_mat = p.A + eps * np.outer(p.b - p.A @ x_scaled, x_dir)
     interp = float(np.max(np.abs(x0_mat @ x_scaled - p.b), initial=0.0))
-    if interp > _INTERP_TOL:
+    scale = float(np.max(np.abs(p.A) @ np.abs(x_scaled) + np.abs(p.b), initial=0.0))
+    if interp > _INTERP_TOL * scale:
         raise RuntimeError(
             f"interpolation identity violated: |X0 (x/eps) - b| = {interp!r}"
         )
     return x0_mat, x_scaled, interp
+
+
+def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unavailable):
+    """One pair per eps with value < floor(eps), its objective held below bound(eps).
+
+    Other eps are skipped; if none qualifies the construction is unavailable.
+    """
+    result = SequenceResult(direction_value=value)
+    for eps in eps_list:
+        if not value < floor(eps):
+            result.skipped.append((eps, f"minimal direction value {value:.6e} >= {label}"))
+            continue
+        x0_mat, x_scaled, interp = _feasible_pair(p, x_dir, eps)
+        obj, limit = objective(p, x0_mat, x_scaled), bound(eps)
+        if obj > limit * (1.0 + _BOUND_SLACK):
+            raise RuntimeError(
+                f"objective {obj!r} exceeds its bound {limit!r} at eps={eps!r}"
+            )
+        result.points.append(SequencePoint(eps, x_scaled, obj, limit, interp))
+    if eps_list and not result.points:
+        raise RuntimeError(f"construction unavailable: {unavailable}")
+    return result
 
 
 def nonexistence_tls_sequence(p, eps_list):
@@ -303,27 +332,12 @@ def nonexistence_tls_sequence(p, eps_list):
     x_dir, value = min_direction(p.gram_matrix)
     x_dir = x_dir / np.linalg.norm(x_dir)
     wb = math.sqrt(p.b_norm_w_sq)
-    result = SequenceResult(direction_value=value)
-    for eps in eps_list:
-        if not value < eps:
-            result.skipped.append(
-                (eps, f"minimal direction value {value:.6e} >= eps")
-            )
-            continue
-        x0_mat, x_scaled, interp = _feasible_pair(p, x_dir, eps)
-        objective = objective_tls(p, x0_mat, x_scaled)
-        bound = eps**2 * (wb + 1.0) ** 2
-        if objective > bound * (1.0 + _BOUND_SLACK):
-            raise RuntimeError(
-                f"objective {objective!r} exceeds its bound {bound!r} at eps={eps!r}"
-            )
-        result.points.append(SequencePoint(eps, x_scaled, objective, bound, interp))
-    if eps_list and not result.points:
-        raise RuntimeError(
-            "construction unavailable: weighted operator bounded below at this "
-            f"truncation (minimal direction value {value:.6e} >= all requested eps)"
-        )
-    return result
+    return _exact_pairs(
+        p, eps_list, x_dir, value, lambda eps: eps, "eps", objective_tls,
+        lambda eps: eps**2 * (wb + 1.0) ** 2,
+        "weighted operator bounded below at this truncation "
+        f"(minimal direction value {value:.6e} >= all requested eps)",
+    )
 
 
 def nonexistence_rtls_sequence(p, eps_list):
@@ -350,28 +364,12 @@ def nonexistence_rtls_sequence(p, eps_list):
             "direction comparison failed: "
             f"|Tx|={t_norm!r}, |W^(1/2)Ax|={wa_norm!r}, value={value!r}"
         )
-
-    result = SequenceResult(direction_value=value)
-    for eps in eps_list:
-        if not value < eps * eps:
-            result.skipped.append(
-                (eps, f"minimal direction value {value:.6e} >= eps^2")
-            )
-            continue
-        x0_mat, x_scaled, interp = _feasible_pair(p, x_dir, eps)
-        objective = objective_rtls(p, x0_mat, x_scaled)
-        bound = eps**2 * (1.0 + (wb + eps**2) ** 2)
-        if objective > bound * (1.0 + _BOUND_SLACK):
-            raise RuntimeError(
-                f"objective {objective!r} exceeds its bound {bound!r} at eps={eps!r}"
-            )
-        result.points.append(SequencePoint(eps, x_scaled, objective, bound, interp))
-    if eps_list and not result.points:
-        raise RuntimeError(
-            "construction unavailable: combined quadratic form bounded below at "
-            f"this truncation (minimal direction value {value:.6e} >= all eps^2)"
-        )
-    return result
+    return _exact_pairs(
+        p, eps_list, x_dir, value, lambda eps: eps * eps, "eps^2", objective_rtls,
+        lambda eps: eps**2 * (1.0 + (wb + eps**2) ** 2),
+        "combined quadratic form bounded below at this truncation "
+        f"(minimal direction value {value:.6e} >= all eps^2)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,6 @@ class DiagonalAudit:
     head: int
     zero_indices: list[int]
     tail_mass_fraction: float
-    alpha_deviations: np.ndarray
     critical_condition_ok: bool
     rebalance_gap: float | None
 
@@ -400,6 +397,14 @@ def _h_value(w_head, a_head, b_head, alpha, extra_norm_sq, rho):
     num = float(np.sum(w_head * (a_head * alpha - b_head) ** 2))
     total_sq = float(alpha @ alpha) + extra_norm_sq
     return num / (1.0 + total_sq) + rho * total_sq
+
+
+def _solve(p):
+    """The pair report ``rtls solve`` gives for p, status included."""
+    if p.T.kind == "identity_scaled":
+        sol = dual_tstar(p)
+        return recover_pair(p, sol.x_star, status=classify_existence(p, sol))
+    return solve_rtls_general_t(p)[0]
 
 
 def diagonal_solve(a, w, b_head, rho, n):
@@ -413,25 +418,16 @@ def diagonal_solve(a, w, b_head, rho, n):
     the pooled objective is invariant under moving that mass onto any such
     coordinate (the reported rebalance gap).  Each audit threshold is
     relative, to max |w_j a_j|, |x*|, |b_j / a_j| or the pooled objective,
-    so that (W, rho) and (cW, c rho) audit alike.
+    so that (W, rho) and (cW, c rho) audit alike.  The data are checked
+    by :meth:`DiagonalModel.build`, as for every other demo.
     """
-    a = _sequence(a, n, "a")
-    w = _sequence(w, n, "w")
-    b_head = np.asarray(b_head, dtype=float)
-    head = b_head.shape[0]
-    if head > n:
-        raise ValueError("b support exceeds the truncation order")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    p = DiagonalModel(a, w, b_head, rho=rho).build(n)
+    report = _solve(p)
+    a, w, rho = np.diag(p.A), p.W.data, p.T.rho
+    head = np.shape(b_head)[0]
+    b_head = p.b[:head]
 
-    model = DiagonalModel(a, w, b_head, rho=rho)
-    p = model.build(n)
-    sol = dual_tstar(p)
-    report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
-
-    x = sol.x_star
+    x = report.x
     wa_head = w[:head] * a[:head]
     wa_scale = float(np.max(np.abs(wa_head), initial=0.0))
     nonzero = np.abs(wa_head) > 1e-14 * wa_scale
@@ -470,7 +466,6 @@ def diagonal_solve(a, w, b_head, rho, n):
         head=head,
         zero_indices=zero_indices,
         tail_mass_fraction=tail_fraction,
-        alpha_deviations=deviations,
         critical_condition_ok=critical_ok,
         rebalance_gap=rebalance_gap,
     )
@@ -491,15 +486,13 @@ class SweepRow:
     status: str
 
 
-def truncation_sweep(model, n_list, rho=None):
+def truncation_sweep(model, n_list):
     """Solve the model at each truncation order and tabulate the results.
 
     Every truncated instance is coercive, hence solvable; the sweep records
     how the infimum and minimizer norm drift with the order without asserting
-    any limit.  Scaled-identity instances run the scalar dual and dense
-    regularizers the triviality test and global alpha search of
-    ``solve_rtls_general_t``; the status is the one ``rtls solve`` reports
-    for the same truncation.
+    any limit.  Each row is the report ``rtls solve`` gives for the same
+    truncation, whose objective is t* = G(x*).
     """
     rows = []
     previous = 0
@@ -507,29 +500,9 @@ def truncation_sweep(model, n_list, rho=None):
         if n <= previous:
             raise ValueError("truncation orders must be strictly increasing")
         previous = n
-        p = model.build(n, rho=rho)
-        if p.T.kind == "identity_scaled":
-            sol = dual_tstar(p)
-            rows.append(
-                SweepRow(
-                    n,
-                    float(sol.t_star),
-                    float(np.linalg.norm(sol.x_star)),
-                    eval_g(p, sol.x_star).g,
-                    classify_existence(p, sol),
-                )
-            )
-        else:
-            report, _ = solve_rtls_general_t(p)
-            rows.append(
-                SweepRow(
-                    n,
-                    float(report.objective),
-                    float(np.linalg.norm(report.x)),
-                    float(report.objective),
-                    report.status,
-                )
-            )
+        report = _solve(model.build(n))
+        t_star, x_norm = float(report.objective), float(np.linalg.norm(report.x))
+        rows.append(SweepRow(n, t_star, x_norm, t_star, report.status))
     return rows
 
 

@@ -44,6 +44,19 @@ class TestClassicTls:
         else:
             pytest.fail("expected RepeatedSingularValueError")
 
+    def test_tie_rule_is_relative_to_sigma_max(self):
+        # (sA, sb) has the singular values of (A, b) times s and the same x;
+        # an absolute tie floor called every instance tied once s <= 1e-11
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 9))
+            n = int(rng.integers(1, m))
+            a_mat, b = rng.normal(size=(m, n)), rng.normal(size=m)
+            x = solve_classic_tls(a_mat, b).x
+            for s in (1e-12, 1e-9, 1e-6, 1e3, 1e6, 1e12):
+                x_s = solve_classic_tls(s * a_mat, s * b).x
+                assert np.linalg.norm(x_s - x) <= 1e-8 * np.linalg.norm(x)
+
     def test_nongeneric_errors(self):
         # (A|b) is diagonal with sigma_min on the second column of A, so the
         # minimal right singular vector is e2 with zero last coordinate

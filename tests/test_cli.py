@@ -470,6 +470,30 @@ class TestDemoCommands:
         assert main(["demo", "sweep", "--model", str(model), "--N", "4"]) == 1
         assert "unknown model keys ['grid']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, error", [
+        # -1e-14 is rounding of a zero weight: clamped, so both demos run
+        ('{"a": [1, 0.5, 0.25, 0.125], "w": [1, 1, 1, -1e-14], "b": [1, 0.5], "rho": 1.2}',
+         None),
+        ('{"a": "1/k", "w": 1, "b": [1, 2, 3, 4, 5], "rho": 1}',
+         "error: field 'b' must be a vector of length <= truncation order 4\n"),
+        ('{"a": "1/k", "w": [1, -0.5, 1, 1], "b": [1], "rho": 1}',
+         "error: field 'W.data' has a negative diagonal weight\n"),
+        ('{"a": "1/k", "w": 1, "b": [1], "rho": -1}',
+         "error: field 'rho' must be a positive real\n"),
+        ('{"a": "1/k", "w": 1, "b": [1], "rho": 0}',
+         "error: field 'rho' must be a positive real\n"),
+        ('{"a": "1/k", "w": 1, "b": [1], "rho": 1e400}',
+         "error: field 'rho' must be a positive real\n"),
+    ])
+    def test_diagonal_and_sweep_share_the_model_rules(self, workdir, capsys, text, error):
+        model = workdir / "model.json"
+        model.write_text(text)
+        outcomes = []
+        for demo in ("diagonal", "sweep"):
+            code = main(["demo", demo, "--model", str(model), "--N", "4"])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes == [(0, "")] * 2 if error is None else [(1, error)] * 2
+
     def test_missing_model_file_exit_one(self, workdir, capsys):
         missing = str(workdir / "nope.json")
         assert main(["demo", "diagonal", "--model", missing]) == 1
@@ -545,7 +569,7 @@ class TestParser:
     def test_usage_and_errors_match_full_tree(self, argv, capsys):
         code, out, err = _parse_outcome(main, argv, capsys)
         assert (code, out, err) == _parse_outcome(build_parser().parse_args, argv, capsys)
-        assert code in (0, 2) and (out or err)
+        assert code in (0, 1) and (out or err)
 
     def test_solve_registers_one_sub_parser(self, workdir, monkeypatch):
         names, real_add_parser = [], argparse._SubParsersAction.add_parser

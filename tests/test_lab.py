@@ -80,6 +80,21 @@ class TestModels:
         assert p.A.shape == (6, 6)
         assert p.origin == {"model_kind": "integral", "truncation_order": 6}
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, math.inf, math.nan])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        # a model file has no 'T': the field it names is 'rho'
+        for spec in ({"a": "1/k", "w": 1.0, "b": [1.0], "rho": rho},
+                     {"kernel": "named:gaussian", "rho": rho}):
+            with pytest.raises(ProblemFormatError, match="field 'rho' must be a positive real"):
+                model_from_dict(spec)
+
+    def test_null_rho_is_absent(self):
+        assert model_from_dict({"kernel": "named:gaussian", "rho": None}).rho == 1.0
+        with pytest.raises(ProblemFormatError, match="exactly one"):
+            model_from_dict({"a": "1/k", "w": 1.0, "b": [1.0], "rho": None})
+        model = model_from_dict({"a": "1/k", "w": 1.0, "b": [1.0], "rho": None, "t": "1/k"})
+        assert model.rho is None and model.build(3).T.kind == "dense"
+
     def test_unknown_kernel(self):
         with pytest.raises(ProblemFormatError, match="kernel"):
             IntegralModel("named:nope")
@@ -125,6 +140,29 @@ class TestNonexistenceTls:
         seq = nonexistence_tls_sequence(p, [1e-4, 0.5])
         assert [pt.eps for pt in seq.points] == [0.5]
         assert [eps for eps, _ in seq.skipped] == [1e-4]
+
+
+class TestInterpolationCheck:
+    """The interpolation residual is bounded relative to the terms that cancel."""
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("model, run", [
+        (lambda s: IntegralModel("named:gaussian", b=(s,)), nonexistence_tls_sequence),
+        (lambda s: DiagonalModel({"formula": "1/k", "zeros": 1}, "1/k^2", (s,), rho=1.0),
+         nonexistence_tls_sequence),
+        (lambda s: DiagonalModel("1/k", "1/k^2", (s,), t="1/k^2"), nonexistence_rtls_sequence),
+    ], ids=["gaussian-tls", "diagonal-tls", "diagonal-rtls"])
+    def test_data_scale_and_small_eps(self, model, run, s):
+        eps_list = [10.0**-k for k in range(1, 9)]
+        result = run(model(s).build(40), eps_list)
+        assert result.points
+        for pt in result.points:
+            assert pt.interp_residual <= 1e-12 * max(s, 1.0 / pt.eps)
+
+    def test_default_gaussian_at_small_eps(self):
+        # the absolute 1e-12 rule rejected a 3.6e-12 residual here
+        result = nonexistence_tls_sequence(IntegralModel("named:gaussian").build(200), [1e-6])
+        assert len(result.points) == 1
 
 
 class TestNonexistenceRtls:
@@ -202,7 +240,7 @@ class TestDiagonalSolve:
             assert on_head == pytest.approx(on_tail, rel=1e-12)
 
     def test_head_support_violation_raises(self):
-        with pytest.raises(ValueError, match="support"):
+        with pytest.raises(ValueError, match="truncation order"):
             diagonal_solve(np.ones(2), np.ones(2), np.ones(3), 1.0, 2)
 
 

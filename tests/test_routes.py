@@ -4,7 +4,9 @@ Three routes reach t*: the scalar dual (``dual_tstar``), the Dinkelbach
 reference (``solve_tstar``) and the dense-T alpha search
 (``solve_rtls_general_t``) with T = sqrt(rho) I passed as a matrix.  They
 must agree, and each must carry the invariance (W, rho) -> (cW, c rho),
-t* -> c t*.
+t* -> c t*.  The dual and Dinkelbach must also carry orthogonal changes of
+basis, a column permutation among them, and the dense-T search must find
+the same t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.
 """
 
 import math
@@ -54,3 +56,32 @@ def test_routes_agree_and_scale_with_w(p, log_c):
     assert dense == pytest.approx(dual, rel=1e-12, abs=0.0)
     for t, t_scaled in zip((dual, dinkelbach, dense), route_tstars(scaled)):
         assert t_scaled == pytest.approx(c * t, rel=1e-12, abs=0.0)
+
+
+def orthogonal(rng, k, kind):
+    """A random rotation, or the permutation matrix of a random order."""
+    if kind == "permutation":
+        return np.eye(k)[rng.permutation(k)]
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(0, 2**32 - 1), st.sampled_from(["rotation", "permutation"]))
+def test_orthogonal_change_of_basis(p, seed, kind):
+    # A -> U A V^T, b -> U b, W -> U W U^T keeps t* and moves x* -> V x*;
+    # a permutation V with U = I permutes the columns of A and so x*
+    rng = np.random.default_rng(seed)
+    m, n = p.shape
+    u = orthogonal(rng, m, "rotation") if kind == "rotation" else np.eye(m)
+    v = orthogonal(rng, n, kind)
+    w_moved = WeightOperator.dense(u @ p.W.as_matrix() @ u.T)
+    moved = ProblemSpec(u @ p.A @ v.T, u @ p.b, w_moved, p.T)
+    for route in (dual_tstar, solve_tstar):
+        sol, sol_moved = route(p), route(moved)
+        assert sol_moved.t_star == pytest.approx(sol.t_star, rel=1e-12, abs=0.0)
+        moved_x = v @ sol.x_star
+        assert np.linalg.norm(sol_moved.x_star - moved_x) <= 1e-9 * np.linalg.norm(moved_x)
+    rotated = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * v))
+    report, _ = solve_rtls_general_t(rotated)
+    assert report.objective == pytest.approx(dual_tstar(p).t_star, rel=1e-12, abs=0.0)
