@@ -139,7 +139,7 @@ class DiagonalModel:
         return ProblemSpec(
             np.diag(a),
             b,
-            WeightOperator.diagonal(w),
+            WeightOperator.diagonal(w, "w"),
             reg,
             origin={"model_kind": "diagonal", "truncation_order": n},
         )
@@ -178,7 +178,7 @@ class IntegralModel:
         return ProblemSpec(
             a_mat,
             _padded_head(self.b, n, "b"),
-            WeightOperator.diagonal(_sequence(self.w, n, "w")),
+            WeightOperator.diagonal(_sequence(self.w, n, "w"), "w"),
             RegularizerSpec.identity_scaled(self.rho),
             origin={"model_kind": "integral", "truncation_order": n},
         )

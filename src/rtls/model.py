@@ -70,11 +70,11 @@ class WeightOperator:
     lam_max: float = 0.0
 
     @classmethod
-    def diagonal(cls, values):
-        w = _as_vector(values, "W.data")
+    def diagonal(cls, values, field="W.data"):
+        w = _as_vector(values, field)
         lam_max = float(np.max(w, initial=0.0))
         if np.any(w < -_EIG_FLOOR * lam_max):
-            raise ProblemFormatError("field 'W.data' has a negative diagonal weight")
+            raise ProblemFormatError(f"field '{field}' has a negative diagonal weight")
         return cls("diagonal", np.clip(w, 0.0, None), lam_max)
 
     @classmethod

@@ -26,8 +26,9 @@ that proves t*, into the pair status.
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) finds each local minimum of g(u) = min G over the sphere, and
 a Brent root of the closed-form slope dg/du = |Tx|^2 - mu - g refines it
-(:func:`sphere_min`, :func:`solve_rtls_general_t`), with golden section on
-the values as the fallback where the slope does not change sign.  A grid
+where the slope rises through zero (:func:`sphere_min`,
+:func:`solve_rtls_general_t`); where it does not, G is taken to be
+monotone across the bracket, whose ends are already evaluated.  A grid
 proves no global minimum, so those pairs are ``heuristic`` unless the
 instance is trivial.
 """
@@ -46,8 +47,6 @@ from .trs import brentq, quartic_minimizer, radial_solutions, trs_equality
 from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
 
 logger = logging.getLogger("rtls.solver")
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # dense-T search: grid points in u = log1p(|x|^2); largest |x|^2 it scans
 # when T^T T is singular
@@ -72,93 +71,6 @@ def require_identity_scaled(p, op):
     if p.T.kind != "identity_scaled":
         raise ValueError(f"{op} requires the scaled-identity regularizer")
     return p.T.rho
-
-
-def _golden_min(f, a, b, tol):
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = b - _GOLDEN * h
-    d = a + _GOLDEN * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _GOLDEN * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _GOLDEN * h
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def _local_min_brackets(vals):
-    """Index brackets around every discrete local minimum, endpoints included."""
-    k = len(vals)
-    brackets = []
-    for i in range(k):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < k - 1 else np.inf
-        if vals[i] <= left and vals[i] <= right:
-            brackets.append((max(i - 1, 0), min(i + 1, k - 1)))
-    return brackets
-
-
-def _global_min(values, scalar, s_max, s_cap, grid):
-    """Globally minimize a function of s >= 0 by grid scan + slope root.
-
-    ``values`` maps an array of points to their values, ``scalar`` one point
-    to (value, slope), the slope NaN where it is undefined.  The scan
-    interval [0, s_max] doubles whenever the grid minimizer lands within 1%
-    of its upper end, up to ``s_cap``.  Each grid-local minimum is refined
-    by a brentq root of the slope when the slope rises through zero across
-    its bracket, and by golden section on the values otherwise; the least
-    value seen anywhere wins.  Returns (s, value, scan), where scan holds
-    the counts ``grid_points``, ``doublings`` and ``golden_fallbacks`` and
-    ``hit_cap``: the minimizer still sat at the upper end of [0, s_cap].
-    """
-    hit_cap = False
-    for scans in range(1, 65):
-        ss = np.linspace(0.0, s_max, grid)
-        vals = values(ss)
-        i_best = int(np.argmin(vals))
-        if ss[i_best] <= 0.99 * s_max:
-            break
-        if s_max >= s_cap:
-            hit_cap = True
-            break
-        s_max = min(2.0 * s_max, s_cap)
-
-    best_s, best_val = ss[i_best], vals[i_best]
-
-    def seen(s):
-        nonlocal best_s, best_val
-        value, slope = scalar(s)
-        if value < best_val:
-            best_s, best_val = s, value
-        return value, slope
-
-    tol = max(1e-12 * s_max, 1e-300)
-    fallbacks = 0
-    for lo_i, hi_i in _local_min_brackets(vals):
-        lo, hi = ss[lo_i], ss[hi_i]
-        if seen(lo)[1] < 0.0 < seen(hi)[1]:
-            brentq(lambda s: seen(s)[1], lo, hi, xtol=tol)
-        else:
-            fallbacks += 1
-            _golden_min(lambda s: seen(s)[0], lo, hi, tol)
-    scan = {
-        "grid_points": scans * grid,
-        "doublings": scans - 1,
-        "golden_fallbacks": fallbacks,
-        "hit_cap": hit_cap,
-    }
-    return float(best_s), float(best_val), scan
 
 
 def eval_phi(p, t):
@@ -309,7 +221,7 @@ def newton_polish(p, x, iters=8):
 
     Each step is accepted only if it shrinks the gradient norm, after up to
     12 halvings; the analytic gradient/Hessian push the first-order residual
-    to machine precision, which grid-plus-golden searches cannot reach
+    to machine precision, which a search on values alone cannot reach
     through the fp noise floor of objective differences.  Steps come from
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
@@ -359,19 +271,16 @@ def minimize(fun, x0, **kw):
 class AlphaSearch:
     """What one dense-T alpha search did; deterministic, for the report meta.
 
-    grid_points       G values taken on the grid, over every scan
-    doublings         rescans after the scan interval doubled
-    trs_solves        scalar equality-TRS solves (one per point refined)
-    golden_fallbacks  brackets refined by golden section, where the slope
-                      does not rise through zero across them
-    hit_cap           the minimizer still sat at the largest |x|^2 scanned
-    alpha             |x|^2 of the point found, before the Newton polish
+    grid_points  G values taken on the grid, over every scan
+    doublings    rescans after the scan interval doubled
+    trs_solves   scalar equality-TRS solves (one per point refined)
+    hit_cap      the minimizer still sat at the largest |x|^2 scanned
+    alpha        |x|^2 of the point found, before the Newton polish
     """
 
     grid_points: int
     doublings: int
     trs_solves: int
-    golden_fallbacks: int
     hit_cap: bool
     alpha: float
 
@@ -403,15 +312,16 @@ def solve_rtls_general_t(p):
     On the sphere |x|^2 = alpha, min G is an equality trust-region
     subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
     (2006) 98-118).  G at its minimizers is scanned on a grid in u =
-    log1p(alpha) from one batched eigh.  Each grid-local minimum is refined
-    by a brentq root of the closed-form slope dg/du, one eigh and one TRS
-    solve per step; golden section on the values is the fallback where the
-    slope does not change sign across the bracket (a left end at u = 0, or
-    the scan's upper end).  The best point is Newton-polished.  G(x) >=
-    |Tx|^2 and G(x*) <= G(0) bound alpha* by |b|_W^2 / lambda_min(T^T T);
-    for a singular T^T T that bounds only the part of x* in its range, and
-    the scan grows up to |x|^2 = 1e8.  A grid proves no global minimum, so
-    the pair is flagged heuristic.  Returns (pair report, :class:`AlphaSearch`),
+    log1p(alpha) from one batched eigh; the scan interval doubles while the
+    grid minimizer lands within 1% of its upper end.  Each grid-local
+    minimum is refined by a brentq root of the closed-form slope dg/du, one
+    eigh and one TRS solve per step, where the slope rises through zero
+    across its bracket; the least G seen wins.  The best point is
+    Newton-polished.  G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha* by
+    |b|_W^2 / lambda_min(T^T T); for a singular T^T T that bounds only the
+    part of x* in its range, and the scan grows up to |x|^2 = 1e8.  A grid
+    proves no global minimum, so the pair is flagged heuristic.  Returns
+    (pair report, :class:`AlphaSearch`),
     or (trivial pair report, None) without a search when b lies in
     A(N(T)) + N(W) (:func:`rtls.model.is_trivial_rtls` at 1e-10).
     """
@@ -432,20 +342,47 @@ def solve_rtls_general_t(p):
         r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
         return (r * p.W.apply(r)).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
 
-    points = {}  # u -> sphere_min(p, u), each solved once
-
-    def point(u):
-        if u not in points:
-            points[u] = sphere_min(p, u)
-        return points[u]
-
     lam_t = np.linalg.eigvalsh(t_gram)
     positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
     u_max = math.log1p(p.b_norm_w_sq / positive[0] if positive.size else 1.0)
     u_cap = u_max if positive.size == n else max(u_max, math.log1p(_ALPHA_CAP))
-    u, _, scan = _global_min(values, lambda u: point(u)[1:], u_max, u_cap, _ALPHA_GRID)
-    if scan["hit_cap"]:
-        logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
-    search = AlphaSearch(trs_solves=len(points), alpha=math.expm1(u), **scan)
-    x = newton_polish(p, point(u)[0])
+    hit_cap = False
+    for scans in range(1, 65):
+        us = np.linspace(0.0, u_max, _ALPHA_GRID)
+        vals = values(us)
+        i_best = int(np.argmin(vals))
+        if us[i_best] <= 0.99 * u_max:
+            break
+        if u_max >= u_cap:
+            hit_cap = True
+            logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
+            break
+        u_max = min(2.0 * u_max, u_cap)
+
+    best_u, best_g = float(us[i_best]), float(vals[i_best])
+    points = {}  # u -> sphere_min(p, u), each solved once
+
+    def point(u):  # the least G seen wins, ties to the grid
+        nonlocal best_u, best_g
+        if u not in points:
+            points[u] = sphere_min(p, u)
+            if points[u][1] < best_g:
+                best_u, best_g = u, points[u][1]
+        return points[u]
+
+    # refine each discrete local minimum by a slope root where the slope
+    # rises through zero across its bracket; elsewhere G is taken to be
+    # monotone there, so its least value is at an end already evaluated.
+    # The slope is NaN at u = 0, so a bracket starts at the tolerance instead.
+    tol = max(1e-12 * u_max, 1e-300)
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
+        lo, hi = max(us[max(i - 1, 0)], tol), us[min(i + 1, _ALPHA_GRID - 1)]
+        if point(lo)[2] < 0.0 < point(hi)[2]:
+            brentq(lambda u: point(u)[2], lo, hi, xtol=tol)
+    search = AlphaSearch(
+        grid_points=scans * _ALPHA_GRID, doublings=scans - 1, trs_solves=len(points),
+        hit_cap=hit_cap, alpha=math.expm1(best_u),
+    )
+    x = newton_polish(p, point(best_u)[0])
     return recover_pair(p, x, status=STATUS_HEURISTIC), search

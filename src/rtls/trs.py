@@ -9,9 +9,12 @@ secular equation
 
 When d has no component in the minimal eigenspace the secular curve may top
 out below r (the hard case); the solution is then completed with a component
-inside that eigenspace at mu = -lam_min.
+inside that eigenspace at mu = -lam_min.  :func:`secular_setup` holds that
+test, the completion and the secular bracket, for one S or a batch; the
+scalar :func:`trs_equality` and the batched :func:`radial_solutions` add
+only their root iterations.
 
-The secular root is found by :func:`brentq`, a pure-Python port of the
+The scalar root is found by :func:`brentq`, a pure-Python port of the
 Brent-Dekker method (R. P. Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4) step for step as in scipy's ``brentq.c``, so the
 roots are bit-identical to ``scipy.optimize.brentq`` without importing scipy.
@@ -123,62 +126,73 @@ def min_space(lam, d):
     return in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate
 
 
+def secular_setup(lam, d, r):
+    """Everything of the equality TRS at radius r > 0 but the secular root.
+
+    ``lam`` (ascending) and ``d`` = Q^T c may carry leading batch axes, one
+    S per entry; ``r`` broadcasts against them.  Returns (hard, z, lo, hi):
+    whether the hard case holds (d misses the minimal eigenspace and the
+    secular curve tops out at or below r), z = Q^T x of its minimizer,
+    completed inside that eigenspace and meaningful only where ``hard``,
+    and a bracket lo <= hi of the secular root mu.  secular(lo) >= 0 from
+    the minimal block alone and secular(hi) <= 0, up to rounding.  Both
+    ends stay above the pole -lam_min, where lam + mu would divide by zero;
+    -lam_min + |d| / r alone rounds onto it when |d| / r is below an ulp of
+    lam_min.
+    """
+    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
+    hard = degenerate & (limit_sq <= r * r * (1.0 + 1e-12))
+    z = d_eff / gaps  # zero on the minimal eigenspace
+    z[..., 0] = np.sqrt(np.maximum(r * r - limit_sq, 0.0))
+    pole = -lam[..., 0]
+    spread = np.maximum(lam[..., -1] + pole, np.abs(pole))
+    lo = pole + np.where(degenerate, 1e-15 * spread, d_min_norm / r)
+    lo = np.maximum(lo, np.nextafter(pole, np.inf))
+    # |d|: a dot product for one S, row sums for a batch (last bits may differ)
+    d_norm = np.linalg.norm(d, axis=None if d.ndim == 1 else -1)
+    hi = np.maximum(pole + d_norm / r, lo)
+    return hard, z, lo, hi
+
+
 def trs_equality(S, c, r, eig=None):
     """Minimize <Sx,x> - 2<c,x> subject to |x| = r.
 
     ``eig`` may pass a precomputed ``(eigenvalues, eigenvectors)`` pair of S
     (ascending); S itself is then ignored.  r = 0 returns x = 0 with the
-    multiplier undefined (NaN).
+    multiplier undefined (NaN).  The secular root is a :func:`brentq` root
+    in the bracket of :func:`secular_setup`; an end that rounding puts on
+    the wrong side of it is taken as the root.
     """
     if eig is None:
         lam, q = np.linalg.eigh(np.asarray(S, dtype=float))
         eig = np.clip(lam, 0.0, None), q
     lam, q = eig
     d = q.T @ np.asarray(c, dtype=float)
-    n = lam.shape[0]
     r = float(r)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
-        return TrsSolution(0.0, np.zeros(n), float("nan"), False)
+        return TrsSolution(0.0, np.zeros(lam.shape[0]), float("nan"), False)
 
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
-    lam_min = float(lam[0])
-
-    if degenerate and limit_sq <= r * r * (1.0 + 1e-12):
-        # hard case: complete with a minimal-eigenspace component
-        x_eig = d_eff / gaps  # zero on the minimal eigenspace
-        x_eig[0] = np.sqrt(max(r * r - limit_sq, 0.0))
-        x = q @ x_eig
-        nrm = np.linalg.norm(x)
-        if nrm > 0:
-            x *= r / nrm
-        return TrsSolution(r, x, -lam_min, True)
-
-    def secular(mu):
-        return float(np.sum((d / (lam + mu)) ** 2)) - r * r
-
-    # secular(lo) >= 0 from the minimal block alone and secular(hi) <= 0; an
-    # end that rounding puts on the wrong side is taken as the root, and lo
-    # stays above the pole -lam_min, where lam + mu would divide by zero
-    if not degenerate:
-        lo = -lam_min + d_min_norm / r
+    hard, z, lo, hi = secular_setup(lam, d, r)
+    if hard:
+        mu = -lam[0]
     else:
-        lo = -lam_min + 1e-15 * max(lam[-1] - lam_min, abs(lam_min))
-    lo = max(lo, math.nextafter(-lam_min, math.inf))
-    hi = -lam_min + float(np.linalg.norm(d)) / r
-    if secular(lo) <= 0.0:
-        mu = lo
-    elif secular(hi) >= 0.0:
-        mu = hi
-    else:
-        mu = brentq(secular, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
+        def secular(mu):
+            return float(((d / (lam + mu)) ** 2).sum()) - r * r
 
-    x = q @ (d / (lam + mu))
+        if secular(lo) <= 0.0:
+            mu = lo
+        elif secular(hi) >= 0.0:
+            mu = hi
+        else:
+            mu = brentq(secular, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
+        z = d / (lam + mu)
+    x = q @ z
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x *= r / nrm
-    return TrsSolution(r, x, float(mu), False)
+    return TrsSolution(r, x, float(mu), bool(hard))
 
 
 def quartic_minimizer(eig, c, rho, shift=0.0):
@@ -227,52 +241,27 @@ def radial_values(lam, d, rs):
 def radial_solutions(lam, d, rs):
     """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
-    Same reduction as :func:`trs_equality` (eigenbasis data lam, d), solved by
-    bisection on the secular equation simultaneously for all radii.  Radii in
-    the hard-case regime use the closed form with a minimal-eigenspace
-    completion.  ``lam`` and ``d`` may carry leading batch axes, one S per
-    entry; ``rs`` broadcasts against them, so one S can be scanned over many
-    radii or a stack of S each taken at its own radius.  Returns
-    (values, z); the minimizers are x = Q z.
+    Same reduction as :func:`trs_equality` (eigenbasis data lam, d, split
+    by :func:`secular_setup`), with the secular root found by bisection
+    simultaneously for all radii.  ``lam`` and ``d`` may carry leading
+    batch axes, one S per entry; ``rs`` broadcasts against them, so one S
+    can be scanned over many radii or a stack of S each taken at its own
+    radius.  Returns (values, z); the minimizers are x = Q z.
     """
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
-    batch, n = lam.shape[:-1], lam.shape[-1]
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
-    d_norm = np.linalg.norm(d, axis=-1)
-    lam_min = lam[..., 0]
-    shape = np.broadcast_shapes(batch, np.shape(rs))
+    n = lam.shape[-1]
+    shape = np.broadcast_shapes(lam.shape[:-1], d.shape[:-1], np.shape(rs))
     rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
-
-    def at(v, mask):
-        """The entries of a per-S array at the radii selected by mask."""
-        return np.broadcast_to(v, shape + np.shape(v)[len(batch):])[mask]
-
-    out = np.zeros(shape)
-    z = np.zeros(shape + (n,))
     pos = rs > 0.0
+    lam = np.broadcast_to(lam, shape + (n,))[pos]
+    d = np.broadcast_to(d, shape + (n,))[pos]
+    r = rs[pos]
 
-    hard = pos & degenerate & (rs * rs >= limit_sq)
-    if np.any(hard):
-        x_bar = d_eff / gaps
-        base = np.sum(lam * x_bar**2, axis=-1) - 2.0 * np.sum(d * x_bar, axis=-1)
-        out[hard] = (base + lam_min * (rs**2 - limit_sq))[hard]
-        z_hard = at(x_bar, hard)
-        z_hard[:, 0] = np.sqrt(np.maximum(rs[hard] ** 2 - at(limit_sq, hard), 0.0))
-        z[hard] = z_hard
-
-    solve = pos & ~hard
+    hard, x, lo, hi = secular_setup(lam, d, r)
+    solve = ~hard
     if np.any(solve):
-        r = rs[solve]
-        lam_s, d_s, lam_min_s = at(lam, solve), at(d, solve), at(lam_min, solve)
-        spread = np.maximum(lam[..., -1] - lam_min, np.abs(lam_min))
-        lo = np.where(
-            at(degenerate, solve),
-            -lam_min_s + 1e-15 * at(spread, solve),
-            -lam_min_s + at(d_min_norm, solve) / r,
-        )
-        lo = np.maximum(lo, np.nextafter(-lam_min_s, np.inf))  # above the pole
-        hi = -lam_min_s + at(d_norm, solve) / r
+        lam_s, d_s, r, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
         d_sq = d_s * d_s
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
@@ -281,10 +270,12 @@ def radial_solutions(lam, d, rs):
             lo = np.where(too_big, mid, lo)
             hi = np.where(too_big, hi, mid)
         mu = 0.5 * (lo + hi)
-        x = d_s / (lam_s + mu[:, None])
+        x_s = d_s / (lam_s + mu[:, None])
         # rescale onto the sphere exactly before evaluating
-        norms = np.linalg.norm(x, axis=1)
-        x *= (r / norms)[:, None]
-        out[solve] = np.sum(lam_s * x * x, axis=1) - 2.0 * np.sum(d_s * x, axis=1)
-        z[solve] = x
+        x_s *= (r / np.linalg.norm(x_s, axis=1))[:, None]
+        x[solve] = x_s
+    out = np.zeros(shape)
+    z = np.zeros(shape + (n,))
+    out[pos] = np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1)
+    z[pos] = x
     return out, z

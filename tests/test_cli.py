@@ -164,11 +164,11 @@ class TestSolveCommand:
         assert report["residual_normal_eq"] <= 1e-12
         search = report["meta"]["alpha_search"]
         assert list(search) == [
-            "grid_points", "doublings", "trs_solves", "golden_fallbacks", "hit_cap", "alpha"
+            "grid_points", "doublings", "trs_solves", "hit_cap", "alpha"
         ]
         assert search["grid_points"] == 128 * (1 + search["doublings"])
         assert 0 < search["trs_solves"] <= 12
-        assert search["golden_fallbacks"] == 0 and search["hit_cap"] is False
+        assert search["hit_cap"] is False
         x = np.array(report["x"])
         assert search["alpha"] == pytest.approx(float(x @ x), rel=1e-6)
         again = workdir / "again.json"
@@ -477,7 +477,7 @@ class TestDemoCommands:
         ('{"a": "1/k", "w": 1, "b": [1, 2, 3, 4, 5], "rho": 1}',
          "error: field 'b' must be a vector of length <= truncation order 4\n"),
         ('{"a": "1/k", "w": [1, -0.5, 1, 1], "b": [1], "rho": 1}',
-         "error: field 'W.data' has a negative diagonal weight\n"),
+         "error: field 'w' has a negative diagonal weight\n"),
         ('{"a": "1/k", "w": 1, "b": [1], "rho": -1}',
          "error: field 'rho' must be a positive real\n"),
         ('{"a": "1/k", "w": 1, "b": [1], "rho": 0}',

@@ -88,6 +88,12 @@ class TestModels:
             with pytest.raises(ProblemFormatError, match="field 'rho' must be a positive real"):
                 model_from_dict(spec)
 
+    def test_integral_negative_weight_names_the_model_field(self):
+        # the diagonal model's text is pinned through both demos in test_cli
+        model = model_from_dict({"kernel": "named:gaussian", "w": [1.0, -0.5, 1.0, 1.0]})
+        with pytest.raises(ProblemFormatError, match="field 'w' has a negative diagonal weight"):
+            model.build(4)
+
     def test_null_rho_is_absent(self):
         assert model_from_dict({"kernel": "named:gaussian", "rho": None}).rho == 1.0
         with pytest.raises(ProblemFormatError, match="exactly one"):

@@ -422,6 +422,10 @@ def _dense_t_family(kind, seed):
     m = int(rng.integers(n + 1, n + 5))
     a_mat, b = rng.normal(size=(m, n)), rng.normal(size=m)
     weight = random_weight(rng, m)
+    if kind == "orthogonal_b":
+        # W b in N(A^T): A^T W b is zero up to rounding
+        q, _ = np.linalg.qr(a_mat, mode="complete")
+        b = np.linalg.solve(weight.data, q[:, n:] @ rng.normal(size=m - n))
     t_mat = rng.normal(size=(n, n)) * rng.uniform(0.1, 2.0)
     if kind == "rank_deficient":
         t_mat[int(rng.integers(1, n)):] = 0.0
@@ -429,15 +433,67 @@ def _dense_t_family(kind, seed):
         w_diag = rng.uniform(0.2, 2.0, size=m)
         w_diag[: max(1, m // 3)] = 0.0
         weight = WeightOperator.diagonal(w_diag)
+    if kind == "strong_t":
+        # the minimizer sits inside the first grid cell
+        t_mat *= 10.0 ** rng.uniform(1.0, 4.0)
     return ProblemSpec(a_mat, b, weight, RegularizerSpec.dense(t_mat))
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_reference(p):
+    """min G over the dense-T search's grid, refined by values alone.
+
+    The scan of :func:`solve_rtls_general_t`, taken point by point with
+    :func:`sphere_min`; each grid-local minimum is refined by golden section
+    on the values to 1e-12 of the scan interval.  Returns (the least G
+    seen, the number of values taken off the grid).
+    """
+    n = p.shape[1]
+    lam_t = np.linalg.eigvalsh(p.T.gram(n))
+    full = lam_t[0] > n * np.finfo(float).eps * lam_t[-1]
+    u_max = math.log1p(p.b_norm_w_sq / lam_t[0] if full else 1.0)
+    u_cap = u_max if full else max(u_max, math.log1p(1e8))
+    while True:
+        us = np.linspace(0.0, u_max, 128)
+        vals = np.array([sphere_min(p, u)[1] for u in us])
+        if us[np.argmin(vals)] <= 0.99 * u_max or u_max >= u_cap:
+            break
+        u_max = min(2.0 * u_max, u_cap)
+    seen = [float(vals.min())]
+
+    def g(u):
+        seen.append(sphere_min(p, u)[1])
+        return seen[-1]
+
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
+        a, b = us[max(i - 1, 0)], us[min(i + 1, 127)]
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        fc, fd = g(c), g(d)
+        while b - a > 1e-12 * u_max:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = g(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = g(d)
+    return min(seen), len(seen) - 1
+
+
 class TestGeneralTGlobal:
-    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case"])
+    @pytest.mark.parametrize(
+        "kind", ["dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
+    )
     def test_never_worse_than_multistart(self, kind):
         for seed in range(4):
             p = _dense_t_family(kind, seed)
-            report, _ = solve_rtls_general_t(p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report, _ = solve_rtls_general_t(p)
             reference = _multistart_reference(p)
             assert report.objective <= reference * (1.0 + 1e-12)
             assert report.objective == pytest.approx(eval_g(p, report.x).g, rel=1e-12)
@@ -458,8 +514,8 @@ class TestGeneralTGlobal:
         assert 1.0 / 4096.0 < report.objective <= (1.0 + 1e-4) / 4096.0
         assert float(report.x @ report.x) <= 2e8
         assert report.status == "heuristic"
-        # the slope stays negative up to the cap: one golden bracket there
-        assert search.hit_cap and search.golden_fallbacks == 1
+        # the slope stays negative up to the cap
+        assert search.hit_cap
 
     def test_diagonal_family_makes_few_trs_solves(self, monkeypatch):
         # the dense-T benchmark's diag-N32 instance
@@ -477,7 +533,7 @@ class TestGeneralTGlobal:
         )
         report, search = solve_rtls_general_t(p)
         assert len(calls) == search.trs_solves <= 12
-        assert search.golden_fallbacks == 0 and not search.hit_cap
+        assert not search.hit_cap
         assert search.grid_points == 128 * (1 + search.doublings)
         assert report.residual_normal_eq <= 1e-12
 
@@ -505,30 +561,15 @@ class TestGeneralTGlobal:
         assert math.isnan(sphere_min(p, 0.0)[2])
 
     def test_slope_root_matches_golden_reference(self):
-        # the same grid, each bracket refined by a slope root and, with the
-        # slope hidden, by golden section alone
+        # the solver's slope roots against golden section on the values
         for seed in range(44):
             p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
                                 seed)
-            n = p.shape[1]
-            lam_t = np.linalg.eigvalsh(p.T.gram(n))
-            full = lam_t[0] > n * np.finfo(float).eps * lam_t[-1]
-            u_max = math.log1p(p.b_norm_w_sq / lam_t[0] if full else 1.0)
-            u_cap = u_max if full else max(u_max, math.log1p(1e8))
-
-            def values(us):
-                return np.array([sphere_min(p, u)[1] for u in us])
-
-            def scalar(u):
-                return sphere_min(p, u)[1:]
-
-            _, g_root, scan = solver._global_min(values, scalar, u_max, u_cap, 128)
-            _, g_golden, ref = solver._global_min(
-                values, lambda u: (scalar(u)[0], math.nan), u_max, u_cap, 128
-            )
-            assert scan["golden_fallbacks"] < ref["golden_fallbacks"]
-            assert g_root <= g_golden * (1.0 + 1e-12)
-            assert g_root == pytest.approx(g_golden, rel=1e-12)
+            report, search = solve_rtls_general_t(p)
+            g_golden, evaluations = _golden_reference(p)
+            assert search.trs_solves < evaluations
+            assert report.objective <= g_golden * (1.0 + 1e-12)
+            assert report.objective == pytest.approx(g_golden, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case"])
     def test_sphere_min_is_finite_at_large_alpha(self, kind):

@@ -149,6 +149,20 @@ class TestRadialValues:
             sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
             assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
 
+    def test_rounding_size_rhs_stays_off_the_pole(self, rng):
+        # |d| / r below an ulp of lam_min: -lam_min + |d| / r rounds onto
+        # the pole, below the bracket's lower end
+        lam = np.sort(rng.uniform(0.5, 3.0, size=(40, 5)), axis=1)
+        d = 1e-16 * rng.normal(size=(40, 5))
+        rs = rng.uniform(0.5, 5.0, size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, z = radial_solutions(lam, d, rs)
+            assert np.all(np.isfinite(z))
+            assert_allclose(np.linalg.norm(z, axis=1), rs, rtol=1e-12)
+            for k in range(40):
+                sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
+                assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
 
     def test_rows_split_like_min_space(self, rng):
         # clustered spectra widen the minimal eigenspace; zeroed leading
