@@ -261,19 +261,18 @@ def radial_solutions(lam, d, rs):
     hard, x, lo, hi = secular_setup(lam, d, r)
     solve = ~hard
     if np.any(solve):
-        lam_s, d_s, r, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
+        lam_s, d_s, r_s, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
         d_sq = d_s * d_s
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             g = np.sum(d_sq / (lam_s + mid[:, None]) ** 2, axis=1)
-            too_big = g > r * r
+            too_big = g > r_s * r_s
             lo = np.where(too_big, mid, lo)
             hi = np.where(too_big, hi, mid)
         mu = 0.5 * (lo + hi)
-        x_s = d_s / (lam_s + mu[:, None])
-        # rescale onto the sphere exactly before evaluating
-        x_s *= (r / np.linalg.norm(x_s, axis=1))[:, None]
-        x[solve] = x_s
+        x[solve] = d_s / (lam_s + mu[:, None])
+    # onto the sphere exactly before evaluating, hard rows too, as trs_equality
+    x *= (r / np.linalg.norm(x, axis=1))[:, None]
     out = np.zeros(shape)
     z = np.zeros(shape + (n,))
     out[pos] = np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1)

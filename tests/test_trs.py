@@ -128,6 +128,19 @@ class TestRadialValues:
         direct1 = sol1.x @ np.diag(lam) @ sol1.x - 2 * np.array([0.0, 2.0]) @ sol1.x
         assert_allclose(vals[1], direct1, rtol=1e-9)
 
+    def test_hard_case_just_inside_its_tolerance(self):
+        # |d_eff / gaps|^2 up to r^2 (1 + 1e-12) counts as the hard case,
+        # where the completion alone leaves |z| = sqrt(limit_sq) > r
+        lam = np.array([1.0, 2.0, 3.0])
+        d = np.array([0.0, 1.0, 2.0])
+        r = math.sqrt(2.0 / (1.0 + 5e-13))
+        vals, z = radial_solutions(lam, d, np.array([r]))
+        sol = trs_equality(None, d, r, eig=(lam, np.eye(3)))
+        assert sol.hard_case
+        assert np.linalg.norm(z[0]) == pytest.approx(r, rel=1e-15)
+        assert_allclose(z[0], sol.x, rtol=1e-15, atol=1e-15)
+        assert vals[0] == pytest.approx(sol.x @ (lam * sol.x) - 2.0 * d @ sol.x, rel=1e-15)
+
     def test_zero_rhs(self):
         lam = np.array([0.5, 2.0])
         vals = radial_values(lam, np.zeros(2), np.array([0.0, 1.0, 2.0]))
