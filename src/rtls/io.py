@@ -171,7 +171,8 @@ def _loads_float_arrays(raw):
     """``json.loads(raw)`` with each flat array of floats as a float ndarray.
 
     An array qualifies when it holds at least one float and otherwise only
-    ints, which become the floats ``np.asarray(list, float)`` gives.
+    ints, which become the floats ``np.asarray(list, float)`` gives.  One
+    with a byte of ``"{tfn`` never does; the rest qualify at their first float.
 
     orjson parses each ``[...]`` span on its own, so no DOM of the whole
     file is ever built; the skeleton left between the spans, with
@@ -198,18 +199,17 @@ def _loads_float_arrays(raw):
         k = raw.find(b"[", i + 1)
         quotes += raw.count(b'"', counted, i)
         counted = i
-        values = None
-        # only a span with no nested array goes to orjson, so each byte goes once
-        if quotes % 2 == 0 and not 0 <= k < j:
+        values = ()
+        # orjson gets a span with no nested array, so each byte goes once.
+        # It rejects NaN and 1e400 (an int too large for a float among
+        # them), so such an array stays a list and real_vector names its
+        # field; an array of ints alone, or with a bool or Infinity, does too
+        if quotes % 2 == 0 and not 0 <= k < j and all(raw.find(c, i, j) < 0 for c in b'"{tfn'):
             try:
                 values = orjson.loads(view[i : j + 1])
             except orjson.JSONDecodeError:
                 pass
-        # orjson rejects NaN, Infinity and 1e400 (an int too large for a
-        # float among them), so such an array stays a list and real_vector
-        # names its field; an array of ints alone, or with a bool, does too
-        types = set(map(type, values)) if values else set()
-        if float in types and types <= {float, int}:
+        if float in map(type, values):
             pieces += (raw[copied:i], b'{"\\u0000": %d}' % len(arrays))
             arrays.append(np.fromiter(values, float, len(values)))
             copied = counted = j + 1

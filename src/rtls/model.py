@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .trs import eigen_split
+
 
 class ProblemFormatError(ValueError):
     """Invalid problem or model data (bad shape, non-finite entry, ...)."""
@@ -247,6 +249,11 @@ class ProblemSpec:
         """Eigendecomposition (ascending) of A^T W A, shared by solvers."""
         lam, q = np.linalg.eigh(self.gram_matrix)
         return np.clip(lam, 0.0, None), q
+
+    @cached_property
+    def gram_split(self):
+        """:func:`rtls.trs.eigen_split` of ``gram_eig`` and A^T W b, for every phi(t)."""
+        return eigen_split(self.gram_eig, self.gram_rhs)
 
     @cached_property
     def b_norm_w_sq(self):

@@ -18,6 +18,7 @@ satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,9 @@ def normal_residual(p, x):
     x = _check_x(p, x)
     r2 = float(x @ x)
     residual_vec = p.A @ x - p.b
-    lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ p.W.apply(residual_vec)
-    rhs = (w_vec_seminorm(p.W, residual_vec) ** 2 / (1.0 + r2)) * x
+    w_resid = p.W.apply(residual_vec)
+    lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ w_resid
+    rhs = math.sqrt(max(float(w_resid @ residual_vec), 0.0)) ** 2 / (1.0 + r2) * x
     scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(p.gram_rhs)
     return float(np.linalg.norm(lhs - rhs)) / scale
 

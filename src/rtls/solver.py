@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls, w_vec_seminorm
+from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls
 from .reduction import eval_g, recover_pair
 from .trs import brentq, quartic_minimizer, radial_solutions, trs_equality
 from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
@@ -82,11 +82,11 @@ def eval_phi(p, t):
     phi is summed in the eigenbasis, z = Q^T x, with the |x|^2 terms grouped
     as (lam + rho - t) z^2: apart, |Ax - b|_W^2 and -t |x|^2 cancel where
     |x| is large.  phi(rho) + rho is min |Ax - b|_W^2 + rho |x|^4, so phi(rho)
-    <= 0 proves a unique minimizer of G.
+    <= 0 proves a unique minimizer of G.  Every t shares ``p.gram_split``.
     """
     rho = require_identity_scaled(p, "eval_phi")
     lam, q = p.gram_eig
-    x = quartic_minimizer(p.gram_eig, p.gram_rhs, rho, rho - t)
+    x = quartic_minimizer(p.gram_split, rho, rho - t)
     z = q.T @ x
     r2 = float(x @ x)
     quad = float((lam + (rho - t)) @ (z * z)) - 2.0 * float(p.gram_rhs @ x)
@@ -147,8 +147,9 @@ def _gradient_parts(p, x):
     """
     v = 1.0 + float(x @ x)
     resid = p.A @ x - p.b
-    u = w_vec_seminorm(p.W, resid) ** 2
-    grad_u = 2.0 * (p.A.T @ p.W.apply(resid))
+    w_resid = p.W.apply(resid)
+    u = math.sqrt(max(float(w_resid @ resid), 0.0)) ** 2  # as w_vec_seminorm(W, r) ** 2
+    grad_u = 2.0 * (p.A.T @ w_resid)
     grad = (grad_u * v - 2.0 * u * x) / v**2 + 2.0 * p.T.gram_dot(x)
     return grad, grad_u, u, v
 
@@ -162,11 +163,11 @@ def grad_g(p, x):
     return _gradient_parts(p, np.asarray(x, dtype=float))[0]
 
 
-def hess_g(p, x):
-    """Analytic Hessian of G (quotient rule on |Ax-b|_W^2 / (1+|x|^2))."""
+def hess_g(p, x, parts=None):
+    """Analytic Hessian of G (quotient rule); ``parts`` as in :func:`newton_step`."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    _, grad_u, u, v = _gradient_parts(p, x)
+    _, grad_u, u, v = _gradient_parts(p, x) if parts is None else parts
     grad_v = 2.0 * x
     hess_u = 2.0 * p.gram_matrix
     cross = np.outer(grad_u, grad_v)
@@ -197,9 +198,9 @@ def newton_step(p, x, parts=None):
     ZeroDivisionError when a solve meets an exactly singular matrix.
     """
     x = np.asarray(x, dtype=float)
-    grad, grad_u, u, v = _gradient_parts(p, x) if parts is None else parts
+    grad, grad_u, u, v = parts = _gradient_parts(p, x) if parts is None else parts
     if p.T.kind != "identity_scaled":
-        return np.linalg.solve(hess_g(p, x), grad)
+        return np.linalg.solve(hess_g(p, x, parts), grad)
     lam, q = p.gram_eig
     with np.errstate(divide="ignore", invalid="ignore"):  # hard case: D singular
         proj = q.T @ np.column_stack((grad, grad_u, 2.0 * x))
@@ -222,7 +223,9 @@ def newton_polish(p, x, iters=8):
     Each step is accepted only if it shrinks the gradient norm, after up to
     12 halvings; the analytic gradient/Hessian push the first-order residual
     to machine precision, which a search on values alone cannot reach
-    through the fp noise floor of objective differences.  Steps come from
+    through the fp noise floor of objective differences.  Halving stops once
+    x - s step rounds to x: so does every shorter step, and the gradient at
+    x cannot shrink its own norm, so no result changes.  Steps come from
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
     A non-finite step (hard case) is rejected by the same guard.  Returns
@@ -233,7 +236,7 @@ def newton_polish(p, x, iters=8):
     x = x0.copy()
     parts = _gradient_parts(p, x)
     g0 = parts[2] / parts[3] + p.T.value(x)  # G(x), as eval_g forms it
-    gnorm = float(np.linalg.norm(parts[0]))
+    gnorm = math.sqrt(float(parts[0] @ parts[0]))  # the bits of np.linalg.norm
     for _ in range(iters):
         if gnorm == 0.0:
             break
@@ -241,17 +244,16 @@ def newton_polish(p, x, iters=8):
             step = newton_step(p, x, parts)
         except (np.linalg.LinAlgError, ZeroDivisionError):
             break
-        accepted = False
-        scale = 1.0
-        for _ in range(12):
-            x_new = x - scale * step
-            parts_new = _gradient_parts(p, x_new)
-            gnorm_new = float(np.linalg.norm(parts_new[0]))
-            if gnorm_new < gnorm:
-                x, parts, gnorm, accepted = x_new, parts_new, gnorm_new, True
+        for k in range(12):
+            x_new = x - step / 2**k
+            if (x_new == x).all():
                 break
-            scale *= 0.5
-        if not accepted:
+            parts_new = _gradient_parts(p, x_new)
+            gnorm_new = math.sqrt(float(parts_new[0] @ parts_new[0]))
+            if gnorm_new < gnorm:
+                x, parts, gnorm = x_new, parts_new, gnorm_new
+                break
+        if x is not x_new:  # no step accepted
             break
     return x if parts[2] / parts[3] + p.T.value(x) <= g0 + _POLISH_REL * abs(g0) else x0
 

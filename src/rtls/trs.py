@@ -195,24 +195,28 @@ def trs_equality(S, c, r, eig=None):
     return TrsSolution(r, x, float(mu), bool(hard))
 
 
-def quartic_minimizer(eig, c, rho, shift=0.0):
+def eigen_split(eig, c):
+    """(eig, c, d = Q^T c, min_space(lam, d)): what :func:`quartic_minimizer` reads."""
+    d = eig[1].T @ np.asarray(c, dtype=float)
+    return eig, c, d, min_space(eig[0], d)
+
+
+def quartic_minimizer(split, rho, shift=0.0):
     """Global minimizer of <Sx,x> - 2<c,x> + rho |x|^4 + shift |x|^2, rho > 0.
 
-    ``eig`` is the ascending eigenpair of S.  The TRS minimum m(s) over
+    ``split`` is :func:`eigen_split` of S and c.  The TRS minimum m(s) over
     |x|^2 = s is convex in s (strong duality), so there is one stationary
     point: x = Q d / (lam - lam_min + nu) at the root of the increasing
     nu - lam_min - shift - 2 rho |x|^2, with the minimal eigenspace lumped
     into one eigenvalue.  In the hard case (d misses that eigenspace and
     the root lies below nu = 0) x is completed there at nu = 0.
     """
-    lam, q = eig
-    d = q.T @ np.asarray(c, dtype=float)
-    in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate = min_space(lam, d)
+    (lam, q), c, d, (in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate) = split
     floor = float(lam[0]) + shift
     if degenerate:
         s_hard = -floor / (2.0 * rho)
         if s_hard >= limit_sq:
-            return trs_equality(None, c, math.sqrt(s_hard), eig=eig).x
+            return trs_equality(None, c, math.sqrt(s_hard), eig=(lam, q)).x
         d = d_eff
     else:
         gaps = np.where(in_min, 0.0, gaps)

@@ -320,13 +320,30 @@ class TestReadJson:
         assert obj["origin"]["s"] == "[1.5] ]"
         assert v[2] == [1, 2]
 
+    # a span with a byte of a string, object, boolean or null is never an
+    # array; one without qualifies at its first float
+    _EDGES = [
+        ("[0.5, null]", list, "null"),
+        ("[0.5, {}]", list, "object"),
+        ('[0.5, "x"]', list, "string"),
+        ("[0.5, false]", list, "false"),
+        ("[1e5, 2]", np.ndarray, "exponent"),
+        ("[2E-3]", np.ndarray, "upper-exponent"),
+    ]
+
     @pytest.mark.parametrize("text, kind", [
-        ("[0.5, 0, 7, -0, 2.5]", np.ndarray),
-        ("[1.5, %d, %d, %d]" % (2**53 + 1, 2**64 - 1, 2**64), np.ndarray),
-        ("[0, 1, 2]", list),
-        ("[0.5, true, 1]", list),
-        ("[0.5, 1" + "0" * 400 + "]", list),
-    ], ids=["small-ints", "wide-ints", "all-ints", "bool", "int-overflows-float"])
+        pytest.param("[0.5, 0, 7, -0, 2.5]", np.ndarray, id="small-ints"),
+        pytest.param("[1.5, %d, %d, %d]" % (2**53 + 1, 2**64 - 1, 2**64), np.ndarray,
+                     id="wide-ints"),
+        pytest.param("[0, 1, 2]", list, id="all-ints"),
+        pytest.param("[0.5, true, 1]", list, id="bool"),
+        pytest.param("[0.5, 1" + "0" * 400 + "]", list, id="int-overflows-float"),
+    ] + [
+        pytest.param(text, kind, id=name) for text, kind, name in _EDGES
+    ] + [
+        pytest.param("[\n  " + text[1:-1].replace(", ", ",\n  ") + "\n]", kind, id=name + "-lines")
+        for text, kind, name in _EDGES
+    ])
     def test_ints_among_floats(self, tmp_path, text, kind):
         path = tmp_path / "p.json"
         path.write_text('{"v": ' + text + "}")

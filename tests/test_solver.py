@@ -22,8 +22,9 @@ from rtls import (
 from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
-from rtls import solver
+from rtls import certificate, solver, trs
 from rtls.certificate import DualSolution
+from rtls.model import w_vec_seminorm
 from rtls.solver import (
     hess_g,
     newton_polish,
@@ -662,3 +663,153 @@ class TestNewtonPolish:
         trace = solve_tstar(p)
         x = newton_polish(p, trace.x_star + 1e-3 * rng.normal(size=3))
         assert eval_g(p, x).g <= trace.t_star + 1e-8
+
+
+def _reference_polish(p, x, iters=8):
+    """newton_polish before its halving could stop early, with its gradient.
+
+    Every rejected step is halved 12 times, whether or not the trial point
+    still moves, and |Ax - b|_W^2 is taken through w_vec_seminorm.  Returns
+    (the polished point, the gradients evaluated, how many of them were at
+    a trial point equal to the current x in every entry).
+    """
+    def parts_at(z):
+        v = 1.0 + float(z @ z)
+        resid = p.A @ z - p.b
+        u = w_vec_seminorm(p.W, resid) ** 2
+        grad_u = 2.0 * (p.A.T @ p.W.apply(resid))
+        grad = (grad_u * v - 2.0 * u * z) / v**2 + 2.0 * p.T.gram_dot(z)
+        return grad, grad_u, u, v
+
+    x0 = np.asarray(x, dtype=float)
+    x = x0.copy()
+    parts = parts_at(x)
+    evals, at_x = 1, 0
+    g0 = parts[2] / parts[3] + p.T.value(x)
+    gnorm = float(np.linalg.norm(parts[0]))
+    for _ in range(iters):
+        if gnorm == 0.0:
+            break
+        try:
+            step = newton_step(p, x, parts)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
+            break
+        accepted = False
+        scale = 1.0
+        for _ in range(12):
+            x_new = x - scale * step
+            parts_new = parts_at(x_new)
+            evals, at_x = evals + 1, at_x + bool((x_new == x).all())
+            gnorm_new = float(np.linalg.norm(parts_new[0]))
+            if gnorm_new < gnorm:
+                x, parts, gnorm, accepted = x_new, parts_new, gnorm_new, True
+                break
+            scale *= 0.5
+        if not accepted:
+            break
+    keep = parts[2] / parts[3] + p.T.value(x) <= g0 + 1e-14 * abs(g0)
+    return (x if keep else x0), evals, at_x
+
+
+def _polish_starts():
+    """(problem, start) pairs for the polish: 229 seeded starts.
+
+    Diagonal and dense W at n = 3, 8, 20, at a polished minimizer, near it
+    and far from it; every dense-T family kind near its search's result;
+    the hard case; and the singular spectral step.
+    """
+    rng = np.random.default_rng(16)
+    starts = []
+    for n in (3, 8, 20):
+        for kind in ("diagonal", "dense"):
+            for f in (0.05, 1.5):
+                p = random_problem(rng, n, rho_factor=f, weight_kind=kind)
+                x_star = dual_tstar(p).x_star
+                scale = 1.0 + np.linalg.norm(x_star)
+                starts += [(p, x_star), (p, scale * rng.normal(size=n))]
+                starts += [(p, x_star + eps * scale * rng.normal(size=n))
+                           for eps in (1e-12, 1e-8, 1e-4, 1e-2)]
+    for kind in ("dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"):
+        for seed in range(4):
+            p = _dense_t_family(kind, seed)
+            x_found = solve_rtls_general_t(p)[0].x
+            n = p.shape[1]
+            scale = 1.0 + np.linalg.norm(x_found)
+            starts += [(p, x_found), (p, scale * rng.normal(size=n))]
+            starts += [(p, x_found + eps * scale * rng.normal(size=n)) for eps in (1e-10, 1e-6, 1e-3)]
+    for order in (4, 8, 16):
+        for rho in (1e-3, 0.1, 5.0):
+            p = _hard_case_family(order, rho)
+            x_dual = dual_tstar(p).x_star
+            starts += [(p, x_dual)]
+            starts += [(p, x_dual + eps * rng.normal(size=order)) for eps in (1e-8, 1e-4, 1e-2)]
+    singular = ProblemSpec(
+        np.diag([0.0, 1.0]), np.array([3.0, 4.0]),
+        WeightOperator.diagonal(np.ones(2)), RegularizerSpec.identity_scaled(6.25),
+    )
+    return starts + [(singular, np.array([1.0, 0.0]))]
+
+
+def _counted_gradients(monkeypatch):
+    """A list to which every later call of solver._gradient_parts appends its x."""
+    seen = []
+    parts = solver._gradient_parts
+    monkeypatch.setattr(solver, "_gradient_parts", lambda p, x: seen.append(x) or parts(p, x))
+    return seen
+
+
+class TestPolishMatchesReference:
+    def test_same_point_without_gradients_at_x(self, monkeypatch):
+        # a trial point that rounds to x has the gradient of x, so it is
+        # never accepted: the polish skips it and every shorter step
+        starts = _polish_starts()
+        assert len(starts) >= 200
+        want = [_reference_polish(p, x0) for p, x0 in starts]
+        seen = _counted_gradients(monkeypatch)
+        skipped = 0
+        for (p, x0), (x_ref, evals, at_x) in zip(starts, want):
+            seen.clear()
+            assert newton_polish(p, x0).tobytes() == x_ref.tobytes()
+            assert len(seen) == evals - at_x
+            skipped += at_x
+        assert skipped > len(starts)
+
+    def test_dense_t_step_takes_one_gradient(self, monkeypatch):
+        p = _dense_t_family("dense", 0)
+        x = np.random.default_rng(0).normal(size=p.shape[1])
+        seen = _counted_gradients(monkeypatch)
+        step = newton_step(p, x)
+        assert len(seen) == 1
+        assert np.array_equal(step, np.linalg.solve(hess_g(p, x), grad_g(p, x)))
+
+
+class TestSplitOnce:
+    def test_one_split_per_problem(self, monkeypatch):
+        # the hard case completes x by a TRS solve, which splits on its own
+        splits, completions = [], []
+        min_space, trs_eq = trs.min_space, trs.trs_equality
+        monkeypatch.setattr(trs, "min_space", lambda lam, d: splits.append(d) or min_space(lam, d))
+        monkeypatch.setattr(
+            trs, "trs_equality", lambda *a, **k: completions.append(a) or trs_eq(*a, **k))
+        problems = certified_instances(6) + [_hard_case_family(8, rho) for rho in (1e-3, 0.1)]
+        problems += [random_problem(np.random.default_rng(n), n, rho_factor=0.05) for n in (3, 8)]
+        hard = 0
+        for p in problems:
+            splits.clear()
+            completions.clear()
+            trace = solve_tstar(p)
+            assert trace.iterations >= 2
+            assert len(splits) == 1 + len(completions)
+            hard += len(completions)
+        assert hard > 0
+
+    def test_dual_forms_its_own_split(self, monkeypatch):
+        p = random_problem(np.random.default_rng(3), 5, rho_factor=0.2)
+        solve_tstar(p)
+        splits = []
+        min_space = certificate.min_space
+        monkeypatch.setattr(certificate, "min_space",
+                            lambda lam, d: splits.append(d) or min_space(lam, d))
+        dual_tstar(p)
+        assert len(splits) == 1
+        assert splits[0] is not p.gram_split[2]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from rtls import trs_equality
 from rtls.trs import (
     brentq,
+    eigen_split,
     min_space,
     quartic_minimizer,
     radial_solutions,
@@ -207,16 +208,16 @@ class TestQuarticMinimizer:
         # the rest of |x|^2 = 5/2
         s_mat = np.diag([0.0, 0.0, 1.0])
         c = np.array([0.0, 0.0, 1.0])
-        x = quartic_minimizer(np.linalg.eigh(s_mat), c, 1.0, -5.0)
+        x = quartic_minimizer(eigen_split(np.linalg.eigh(s_mat), c), 1.0, -5.0)
         assert x[2] == pytest.approx(1.0, rel=1e-14)
         assert float(x @ x) == pytest.approx(2.5, rel=1e-14)
         assert self.objective(s_mat, c, 1.0, -5.0, x) == pytest.approx(-7.25, rel=1e-14)
 
     def test_zero_rhs(self):
         s_mat = np.diag([1.0, 3.0])
-        eig = np.linalg.eigh(s_mat)
-        assert_array_equal(quartic_minimizer(eig, np.zeros(2), 1.0, 0.5), np.zeros(2))
-        x = quartic_minimizer(eig, np.zeros(2), 1.0, -3.0)  # |x|^2 = (3 - 1) / 2
+        split = eigen_split(np.linalg.eigh(s_mat), np.zeros(2))
+        assert_array_equal(quartic_minimizer(split, 1.0, 0.5), np.zeros(2))
+        x = quartic_minimizer(split, 1.0, -3.0)  # |x|^2 = (3 - 1) / 2
         assert float(x @ x) == pytest.approx(1.0, rel=1e-14)
         assert abs(x[1]) <= 1e-15
 
@@ -228,7 +229,7 @@ class TestQuarticMinimizer:
             c = rng.normal(size=n)
             rho = float(10.0 ** rng.uniform(-3, 1))
             shift = float(rng.uniform(-5.0, 5.0))
-            x = quartic_minimizer(np.linalg.eigh(s_mat), c, rho, shift)
+            x = quartic_minimizer(eigen_split(np.linalg.eigh(s_mat), c), rho, shift)
             mu = 2.0 * rho * float(x @ x) + shift
             resid = (s_mat + mu * np.eye(n)) @ x - c
             assert np.linalg.norm(resid) <= 1e-9 * (1.0 + np.linalg.norm(c) + abs(mu))
