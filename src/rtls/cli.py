@@ -13,16 +13,17 @@ Exit codes: 0 success (status solved or trivial, assertions passed),
 
 Each command's arguments are declared by one function in ``COMMANDS``.
 When the first token of argv names a command, ``main`` builds that branch
-alone: a small solve would otherwise spend more time setting up argparse
-for all ten sub-parsers than solving.  Any other first token (``--help``,
-an unknown command, an option) builds the full tree, so help, usage and
-error texts are the same either way.
+alone: a small solve would otherwise spend more time on argparse's ten
+sub-parsers than on solving.  Any other first token (``--help``, an unknown
+command, an option) builds the full tree, so help, usage and error texts
+are the same either way.  Each tree is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -306,6 +307,9 @@ def build_parser(commands=COMMANDS):
     return parser
 
 
+_cached_parser = functools.lru_cache(maxsize=None)(build_parser)  # per tuple of names
+
+
 def _configure_logging():
     level = os.environ.get("RTLS_LOG", "warning").lower()
     logging.basicConfig(
@@ -317,8 +321,8 @@ def main(argv=None):
     _configure_logging()
     if argv is None:
         argv = sys.argv[1:]
-    commands = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args = build_parser(commands).parse_args(argv)
+    commands = tuple(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+    args = _cached_parser(commands).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -67,19 +67,19 @@ def _check_x(p, x):
     return x
 
 
-def eval_g(p, x):
-    """Evaluate G(x) = |Ax-b|_W^2/(1+|x|^2) + |Tx|^2."""
+def eval_g(p, x, ax=None):
+    """Evaluate G(x) = |Ax-b|_W^2/(1+|x|^2) + |Tx|^2; ``ax`` may pass A x."""
     x = _check_x(p, x)
-    misfit = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2
+    misfit = w_vec_seminorm(p.W, (p.A @ x if ax is None else ax) - p.b) ** 2
     data_term = misfit / (1.0 + float(x @ x))
     reg_term = p.T.value(x)
     return GValue(x, data_term + reg_term, data_term, reg_term)
 
 
-def lift_operator(p, x):
-    """Rank-one lift A_x = A + <., x>(b - Ax)/(1 + |x|^2)."""
+def lift_operator(p, x, ax=None):
+    """Rank-one lift A_x = A + <., x>(b - Ax)/(1 + |x|^2); ``ax`` may pass A x."""
     x = _check_x(p, x)
-    correction = (p.b - p.A @ x) / (1.0 + float(x @ x))
+    correction = (p.b - (p.A @ x if ax is None else ax)) / (1.0 + float(x @ x))
     return RankOneLift(p.A, x, correction)
 
 
@@ -116,18 +116,18 @@ def verify_lift_identities(p, x):
     )
 
 
-def normal_residual(p, x):
+def normal_residual(p, x, ax=None):
     """Scaled residual of the stationarity equation for G:
 
         (1+|x|^2) T^T T x + A^T W (Ax - b) = (|Ax-b|_W^2 / (1+|x|^2)) x.
 
     The Euclidean norm of LHS - RHS is divided by 1 + |x| + |A^T W b| so the
     returned number is comparable across instances.  It vanishes at critical
-    points of G; it is a necessary condition only.
+    points of G; it is a necessary condition only.  ``ax`` may pass A x.
     """
     x = _check_x(p, x)
     r2 = float(x @ x)
-    residual_vec = p.A @ x - p.b
+    residual_vec = (p.A @ x if ax is None else ax) - p.b
     w_resid = p.W.apply(residual_vec)
     lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ w_resid
     rhs = math.sqrt(max(float(w_resid @ residual_vec), 0.0)) ** 2 / (1.0 + r2) * x
@@ -140,17 +140,18 @@ def _report_scale(p):
     return 1.0 + p.W.lam_max * fro_a + p.b_norm_w_sq
 
 
-def rank_one_stationarity_residual(p, x):
+def rank_one_stationarity_residual(p, x, ax=None):
     """Scaled Frobenius residual of W(A_x - A) + <., x> W(A_x x - b) = 0.
 
     The lift satisfies this identity for every x, so the value measures
     numerical consistency of the construction rather than optimality of x.
     With A_x - A = c x^T the matrix is W(c + A_x x - b) x^T, so its norm
-    costs O(m^2 + mn) without materializing A_x.
+    costs O(m^2 + mn) without materializing A_x.  ``ax`` may pass A x.
     """
     x = _check_x(p, x)
-    lift = lift_operator(p, x)
-    residual = p.W.apply(lift.correction_vector + lift.apply(x) - p.b)
+    ax = p.A @ x if ax is None else ax
+    c = lift_operator(p, x, ax).correction_vector
+    residual = p.W.apply(c + (ax + c * float(x @ x)) - p.b)  # c + A_x x - b
     return float(np.linalg.norm(residual) * np.linalg.norm(x)) / _report_scale(p)
 
 
@@ -166,8 +167,9 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
     so its norm costs O(mn + m^2) without materializing A_x.
     """
     x = _check_x(p, x)
-    lift = lift_operator(p, x)
-    gval = eval_g(p, x)
+    ax = p.A @ x
+    lift = lift_operator(p, x, ax)
+    gval = eval_g(p, x, ax)
     c = lift.correction_vector
     wc = p.W.apply(c)
     ortho = p.A.T @ wc + float(c @ wc) * x - p.T.gram_dot(x)
@@ -178,8 +180,8 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
         objective=gval.g,
         data_term=gval.data_term,
         reg_term=gval.reg_term,
-        residual_normal_eq=normal_residual(p, x),
-        residual_rank_one=rank_one_stationarity_residual(p, x),
+        residual_normal_eq=normal_residual(p, x, ax),
+        residual_rank_one=rank_one_stationarity_residual(p, x, ax),
         residual_orthogonality=ortho_norm / _report_scale(p),
         status=status,
     )

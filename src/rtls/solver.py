@@ -228,9 +228,9 @@ def newton_polish(p, x, iters=8):
     x cannot shrink its own norm, so no result changes.  Steps come from
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
-    A non-finite step (hard case) is rejected by the same guard.  Returns
-    the polished point when G there is at most G(x) (1 + 1e-14), and x
-    otherwise: the one rule by which every route keeps a polish.
+    A non-finite step (hard case) ends it: each halving has a NaN gradient.
+    Returns the polished point when G there is at most G(x) (1 + 1e-14),
+    and x otherwise: the one rule by which every route keeps a polish.
     """
     x0 = np.asarray(x, dtype=float)
     x = x0.copy()
@@ -243,6 +243,8 @@ def newton_polish(p, x, iters=8):
         try:
             step = newton_step(p, x, parts)
         except (np.linalg.LinAlgError, ZeroDivisionError):
+            break
+        if not np.isfinite(step).all():
             break
         for k in range(12):
             x_new = x - step / 2**k

@@ -12,7 +12,8 @@ out below r (the hard case); the solution is then completed with a component
 inside that eigenspace at mu = -lam_min.  :func:`secular_setup` holds that
 test, the completion and the secular bracket, for one S or a batch; the
 scalar :func:`trs_equality` and the batched :func:`radial_solutions` add
-only their root iterations.
+only their root iterations, the batch Newton's on 1/|z(mu)| - 1/r (J. J.
+More and D. C. Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983) 553-572).
 
 The scalar root is found by :func:`brentq`, a pure-Python port of the
 Brent-Dekker method (R. P. Brent, Algorithms for Minimization without
@@ -29,7 +30,7 @@ import numpy as np
 
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
 _HARD_CASE_REL = 1e-13  # d's minimal-eigenspace part below this times |d| counts as zero
-_BISECTIONS = 70  # secular bisection steps of radial_solutions
+_SWEEPS = 70  # cap on the secular Newton sweeps of radial_solutions
 
 
 @dataclass(frozen=True)
@@ -245,12 +246,12 @@ def radial_values(lam, d, rs):
 def radial_solutions(lam, d, rs):
     """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
-    Same reduction as :func:`trs_equality` (eigenbasis data lam, d, split
-    by :func:`secular_setup`), with the secular root found by bisection
-    simultaneously for all radii.  ``lam`` and ``d`` may carry leading
-    batch axes, one S per entry; ``rs`` broadcasts against them, so one S
-    can be scanned over many radii or a stack of S each taken at its own
-    radius.  Returns (values, z); the minimizers are x = Q z.
+    Same reduction as :func:`trs_equality`, split by :func:`secular_setup`,
+    each secular root by Newton's method on psi(mu) = 1/|z| - 1/r from the
+    bracket's lower end: psi is concave and increasing right of the pole,
+    so no iterate passes the root.  ``lam`` and ``d`` may carry leading
+    batch axes, one S per entry, and ``rs`` broadcasts against them (one S
+    at many radii, or each S at its own).  Returns (values, z), x = Q z.
     """
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -266,15 +267,15 @@ def radial_solutions(lam, d, rs):
     solve = ~hard
     if np.any(solve):
         lam_s, d_s, r_s, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
-        d_sq = d_s * d_s
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            g = np.sum(d_sq / (lam_s + mid[:, None]) ** 2, axis=1)
-            too_big = g > r_s * r_s
-            lo = np.where(too_big, mid, lo)
-            hi = np.where(too_big, hi, mid)
-        mu = 0.5 * (lo + hi)
-        x[solve] = d_s / (lam_s + mu[:, None])
+        for _ in range(_SWEEPS):  # each Newton step keeps lo left of the root
+            shifted = lam_s + lo[:, None]
+            z_sq = (d_s / shifted) ** 2
+            norm_sq = np.sum(z_sq, axis=1)
+            step = (np.sqrt(norm_sq) - r_s) / r_s * norm_sq / np.sum(z_sq / shifted, axis=1)
+            lo, last = np.fmax(lo, np.minimum(lo + step, hi)), lo  # a stopped row stays
+            if (lo == last).all():
+                break
+        x[solve] = d_s / (lam_s + lo[:, None])
     # onto the sphere exactly before evaluating, hard rows too, as trs_equality
     x *= (r / np.linalg.norm(x, axis=1))[:, None]
     out = np.zeros(shape)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
-from rtls.cli import COMMANDS, build_parser, main
+from rtls.cli import COMMANDS, _cached_parser, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import load_model_file
 from rtls import io as rio
@@ -572,6 +572,7 @@ class TestParser:
         assert code in (0, 1) and (out or err)
 
     def test_solve_registers_one_sub_parser(self, workdir, monkeypatch):
+        # built once per process: a second main call registers nothing
         names, real_add_parser = [], argparse._SubParsersAction.add_parser
 
         def recording_add_parser(self, name, **kwargs):
@@ -579,7 +580,10 @@ class TestParser:
             return real_add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+        _cached_parser.cache_clear()
         argv = ["solve", "--problem", str(workdir / "certified.json"), "--out", str(workdir / "r.json")]
+        assert main(argv) == 0
+        assert names == ["solve"]
         assert main(argv) == 0
         assert names == ["solve"]
 

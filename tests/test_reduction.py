@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import elementwise_objective
 from rtls import (
     ProblemSpec,
+    RankOneLift,
     RegularizerSpec,
     WeightOperator,
     eval_g,
@@ -13,6 +16,7 @@ from rtls import (
     objective_rtls,
     recover_pair,
     verify_lift_identities,
+    w_vec_seminorm,
 )
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import DiagonalModel
@@ -246,6 +250,22 @@ class TestRecoverPair:
             expected = np.linalg.norm(raw) / _report_scale(p)
             assert abs(recover_pair(p, x).residual_rank_one - expected) <= 1e-12
 
+    def test_shared_product_keeps_every_bit(self, rng):
+        # A x formed once gives the numbers of A x - b formed per term
+        cases = [(p, x) for p, x, _ in self._materialized_cases(rng)]
+        for k in range(8):
+            n = int(rng.integers(10, 40))
+            p = random_problem(rng, n, m=n + int(rng.integers(0, 20)), weight_kind="dense")
+            if k % 2:
+                p = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(rng.normal(size=(n, n))))
+            cases.append((p, rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)))
+        for p, x in cases:
+            report = recover_pair(p, x)
+            got = (report.lift.correction_vector.tobytes(), report.objective, report.data_term,
+                   report.reg_term, report.residual_normal_eq, report.residual_rank_one,
+                   report.residual_orthogonality)
+            assert got == _reference_report_numbers(p, x)
+
     def test_nonminimizing_x_reports_residual(self, rng):
         p = closed_form_problem()
         report = recover_pair(p, np.zeros(2))
@@ -253,3 +273,30 @@ class TestRecoverPair:
         assert report.residual_normal_eq == 0.0  # x = 0 is a critical point here
         report2 = recover_pair(p, np.array([1.0, 1.0]))
         assert report2.residual_normal_eq > 1e-3
+
+
+def _reference_report_numbers(p, x):
+    """recover_pair's serialized numbers as formed before A x was shared.
+
+    Each term forms A x - b (or b - A x) on its own.  Returns the bytes of
+    the lift's correction vector, G, its two terms and the three residuals.
+    """
+    r2 = float(x @ x)
+    c = (p.b - p.A @ x) / (1.0 + r2)
+    data_term = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 / (1.0 + r2)
+    reg_term = p.T.value(x)
+    residual_vec = p.A @ x - p.b
+    w_resid = p.W.apply(residual_vec)
+    lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ w_resid
+    rhs = math.sqrt(max(float(w_resid @ residual_vec), 0.0)) ** 2 / (1.0 + r2) * x
+    normal = float(np.linalg.norm(lhs - rhs))
+    normal /= 1.0 + np.linalg.norm(x) + np.linalg.norm(p.gram_rhs)
+    lift_c = (p.b - p.A @ x) / (1.0 + float(x @ x))
+    rank_one = p.W.apply(lift_c + RankOneLift(p.A, x, lift_c).apply(x) - p.b)
+    wc = p.W.apply(c)
+    ortho = p.A.T @ wc + float(c @ wc) * x - p.T.gram_dot(x)
+    return (
+        c.tobytes(), data_term + reg_term, data_term, reg_term, normal,
+        float(np.linalg.norm(rank_one) * np.linalg.norm(x)) / _report_scale(p),
+        float(np.linalg.norm(ortho) * np.linalg.norm(x)) / _report_scale(p),
+    )

@@ -638,18 +638,21 @@ class TestSpectralStep:
                 step = newton_step(p, x)
                 assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
-    def test_singular_diagonal_step_is_rejected_by_the_guard(self):
+    def test_singular_diagonal_step_is_rejected_by_the_guard(self, monkeypatch):
         # lam = (0, 1), x = e1: rho v^2 = u exactly, so D has a zero entry
-        # and the step is not finite; the polish keeps x and stays silent
+        # and the step is not finite; the polish keeps x and stays silent,
+        # with no gradient at a halving of that step
         p = ProblemSpec(
             np.diag([0.0, 1.0]), np.array([3.0, 4.0]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.identity_scaled(6.25),
         )
         x = np.array([1.0, 0.0])
         assert not np.all(np.isfinite(newton_step(p, x)))
+        seen = _counted_gradients(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(newton_polish(p, x), x)
+        assert len(seen) == 1
 
 
 class TestNewtonPolish:
@@ -669,9 +672,10 @@ def _reference_polish(p, x, iters=8):
     """newton_polish before its halving could stop early, with its gradient.
 
     Every rejected step is halved 12 times, whether or not the trial point
-    still moves, and |Ax - b|_W^2 is taken through w_vec_seminorm.  Returns
-    (the polished point, the gradients evaluated, how many of them were at
-    a trial point equal to the current x in every entry).
+    still moves or is finite, and |Ax - b|_W^2 is taken through
+    w_vec_seminorm.  Returns (the polished point, the gradients evaluated,
+    how many of them were at a trial point equal to the current x in every
+    entry, how many at a trial point with a non-finite entry).
     """
     def parts_at(z):
         v = 1.0 + float(z @ z)
@@ -684,7 +688,7 @@ def _reference_polish(p, x, iters=8):
     x0 = np.asarray(x, dtype=float)
     x = x0.copy()
     parts = parts_at(x)
-    evals, at_x = 1, 0
+    evals, at_x, nonfinite = 1, 0, 0
     g0 = parts[2] / parts[3] + p.T.value(x)
     gnorm = float(np.linalg.norm(parts[0]))
     for _ in range(iters):
@@ -700,6 +704,7 @@ def _reference_polish(p, x, iters=8):
             x_new = x - scale * step
             parts_new = parts_at(x_new)
             evals, at_x = evals + 1, at_x + bool((x_new == x).all())
+            nonfinite += not np.isfinite(x_new).all()
             gnorm_new = float(np.linalg.norm(parts_new[0]))
             if gnorm_new < gnorm:
                 x, parts, gnorm, accepted = x_new, parts_new, gnorm_new, True
@@ -708,7 +713,7 @@ def _reference_polish(p, x, iters=8):
         if not accepted:
             break
     keep = parts[2] / parts[3] + p.T.value(x) <= g0 + 1e-14 * abs(g0)
-    return (x if keep else x0), evals, at_x
+    return (x if keep else x0), evals, at_x, nonfinite
 
 
 def _polish_starts():
@@ -761,18 +766,21 @@ def _counted_gradients(monkeypatch):
 class TestPolishMatchesReference:
     def test_same_point_without_gradients_at_x(self, monkeypatch):
         # a trial point that rounds to x has the gradient of x, so it is
-        # never accepted: the polish skips it and every shorter step
+        # never accepted: the polish skips it and every shorter step.  A
+        # non-finite step has a NaN gradient at each halving: it is skipped
         starts = _polish_starts()
         assert len(starts) >= 200
         want = [_reference_polish(p, x0) for p, x0 in starts]
         seen = _counted_gradients(monkeypatch)
-        skipped = 0
-        for (p, x0), (x_ref, evals, at_x) in zip(starts, want):
+        skipped = skipped_nonfinite = 0
+        for (p, x0), (x_ref, evals, at_x, nonfinite) in zip(starts, want):
             seen.clear()
             assert newton_polish(p, x0).tobytes() == x_ref.tobytes()
-            assert len(seen) == evals - at_x
+            assert len(seen) == evals - at_x - nonfinite
             skipped += at_x
+            skipped_nonfinite += nonfinite
         assert skipped > len(starts)
+        assert skipped_nonfinite >= 12
 
     def test_dense_t_step_takes_one_gradient(self, monkeypatch):
         p = _dense_t_family("dense", 0)

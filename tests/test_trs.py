@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rtls import trs_equality
+from rtls import trs, trs_equality
 from rtls.trs import (
     brentq,
     eigen_split,
@@ -13,6 +13,7 @@ from rtls.trs import (
     quartic_minimizer,
     radial_solutions,
     radial_values,
+    secular_setup,
 )
 
 
@@ -194,6 +195,87 @@ class TestRadialValues:
             for k in range(rows):
                 for got, exact in zip(split, min_space(lam[k], d[k])):
                     assert_array_equal(got[k], exact)
+
+
+def _bisection_reference(lam, d, rs):
+    """radial_solutions as it was with 70 bisection sweeps of the secular bracket."""
+    n = lam.shape[-1]
+    shape = np.broadcast_shapes(lam.shape[:-1], d.shape[:-1], np.shape(rs))
+    rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
+    pos = rs > 0.0
+    lam = np.broadcast_to(lam, shape + (n,))[pos]
+    d = np.broadcast_to(d, shape + (n,))[pos]
+    r = rs[pos]
+    hard, x, lo, hi = secular_setup(lam, d, r)
+    solve = ~hard
+    if np.any(solve):
+        lam_s, d_s, r_s, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            too_big = np.sum(d_s * d_s / (lam_s + mid[:, None]) ** 2, axis=1) > r_s * r_s
+            lo, hi = np.where(too_big, mid, lo), np.where(too_big, hi, mid)
+        x[solve] = d_s / (lam_s + 0.5 * (lo + hi)[:, None])
+    x *= (r / np.linalg.norm(x, axis=1))[:, None]
+    out = np.zeros(shape)
+    out[pos] = np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1)
+    return out
+
+
+def _secular_batches(seed, count):
+    """(lam, d, rs) stacks, cycling through clustered minimal eigenspaces,
+    zeroed leading d, d_min scaled by 1e-14 (near the hard case) and
+    generic data, each at a scale 1e-6, 1 or 1e6, with r = 0 rows."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n, rows = int(rng.integers(1, 25)), int(rng.integers(1, 12))
+        lam = np.sort(rng.uniform(0.0, 5.0, size=(rows, n)), axis=1)
+        d = rng.normal(size=(rows, n))
+        kind = trial % 4
+        if kind == 0:
+            lam[:, : n // 3 + 1] = lam[:, :1] * (1.0 + 1e-14 * rng.uniform(size=(rows, 1)))
+        elif kind == 1:
+            d[:, : n // 3 + 1] = 0.0
+        elif kind == 2:
+            d[:, 0] *= 1e-14
+        scale = 10.0 ** rng.choice([-6.0, 0.0, 6.0])
+        rs = rng.uniform(0.0, 6.0, size=rows) * 10.0 ** rng.uniform(-1, 1)
+        rs[rng.uniform(size=rows) < 0.1] = 0.0
+        yield scale * scale * lam, scale * d, rs
+
+
+class TestSecularNewton:
+    def test_never_above_bisection_in_few_sweeps(self, monkeypatch):
+        # the value of min <Sx,x> - 2<c,x> on |x| = r, relative to the size
+        # of its terms; sweeps past 16 change no bit of values or z
+        rows = 0
+        for lam, d, rs in _secular_batches(17, 1800):
+            vals, z = radial_solutions(lam, d, rs)
+            scale = lam[:, -1] * rs * rs + 2.0 * np.linalg.norm(d, axis=1) * rs
+            assert np.all(vals <= _bisection_reference(lam, d, rs) + 1e-15 * scale)
+            with monkeypatch.context() as m:
+                m.setattr(trs, "_SWEEPS", 16)
+                capped, z_capped = radial_solutions(lam, d, rs)
+            assert capped.tobytes() == vals.tobytes() and z_capped.tobytes() == z.tobytes()
+            rows += rs.size
+        assert rows >= 10_000
+
+    @pytest.mark.parametrize("lam, d, r", [
+        ([0.27397384538181524, 1.2647971417847903],
+         [-1.049050129511948e-14, 0.024597301433129742], 12.466340362278904),
+        ([1.398837319590438, 4.675976057331221],
+         [-1.4234028041697036e-14, 0.09011534202085508], 0.33293572981345876),
+        ([0.6796328059591322, 1.1795256377405017],
+         [1.419144578778881e-14, -0.012515949430606273], 10.854674415898284),
+    ])
+    def test_near_hard_root_within_bisection_resolution(self, lam, d, r):
+        # d_min ~ 1e-14: the root sits nearer the pole than 2^-70 of the
+        # bracket, where 70 bisections leave the value 1e-8 to 1e-6 too high
+        lam, d = np.array(lam), np.array(d)
+        val = radial_values(lam, d, np.array([r]))[0]
+        sol = trs_equality(None, d, r, eig=(lam, np.eye(2)))
+        assert not sol.hard_case
+        assert val == pytest.approx(sol.x @ (lam * sol.x) - 2.0 * d @ sol.x, rel=1e-15)
+        assert _bisection_reference(lam, d, np.array([r]))[0] > val * (1.0 + 1e-9)
 
 
 class TestQuarticMinimizer:
