@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import logging
+import math
 import os
 import sys
 
@@ -60,6 +61,19 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _non_negative(convert):
+    """An argparse type: ``convert(text)``, finite and >= 0."""
+
+    def parse(text):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # a non-number reads "invalid int value"
+    return parse
 
 
 def _emit(obj, out, fmt="json", rows=None):
@@ -224,10 +238,10 @@ def _add_solve(p):
 def _add_certify(p):
     p.add_argument("--problem")
     p.add_argument("--out")
-    p.add_argument("--tol-t", type=float, default=None)
+    p.add_argument("--tol-t", type=_non_negative(float), default=None)
     p.add_argument("--keep-C", dest="keep_c", action="store_true")
-    p.add_argument("--batch", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", type=_non_negative(int), default=0)
+    p.add_argument("--seed", type=_non_negative(int), default=0)
     p.set_defaults(func=cmd_certify)
 
 

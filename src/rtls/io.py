@@ -170,8 +170,8 @@ _ARRAY_KEY = "\0"
 def _loads_float_arrays(raw):
     """``json.loads(raw)`` with each flat array of floats as a float ndarray.
 
-    An array qualifies when it holds at least one float and otherwise only
-    ints, which become the floats ``np.asarray(list, float)`` gives.  One
+    An array qualifies when it holds at least one float token and otherwise
+    only ints, which become the floats ``np.asarray(list, float)`` gives.  One
     with a byte of ``"{tfn`` never does; the rest qualify at their first float.
 
     orjson parses each ``[...]`` span on its own, so no DOM of the whole
@@ -203,13 +203,14 @@ def _loads_float_arrays(raw):
         # orjson gets a span with no nested array, so each byte goes once.
         # It rejects NaN and 1e400 (an int too large for a float among
         # them), so such an array stays a list and real_vector names its
-        # field; an array of ints alone, or with a bool or Infinity, does too
+        # field; an array of ints alone, or with a bool or Infinity, does too.
+        # It reads an int beyond 64 bits as a float: only "." or "e" makes one
         if quotes % 2 == 0 and not 0 <= k < j and all(raw.find(c, i, j) < 0 for c in b'"{tfn'):
             try:
                 values = orjson.loads(view[i : j + 1])
             except orjson.JSONDecodeError:
                 pass
-        if float in map(type, values):
+        if float in map(type, values) and any(raw.find(c, i, j) >= 0 for c in b".eE"):
             pieces += (raw[copied:i], b'{"\\u0000": %d}' % len(arrays))
             arrays.append(np.fromiter(values, float, len(values)))
             copied = counted = j + 1

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,13 +312,43 @@ def sphere_min(p, u):
     return sol.x, value.g, value.reg_term - sol.lam - value.g
 
 
+def _split_eigh(stack):
+    """np.linalg.eigh of a stack, its second half on a worker thread if two CPUs are usable.
+
+    eigh decomposes each matrix alone, in LAPACK without the GIL: the bits of one call.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    half = len(stack) // 2
+    if half == 0 or (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return np.linalg.eigh(stack)
+    done = []  # the worker's (lam, q), or what it raised
+
+    def work():
+        try:
+            done.append(np.linalg.eigh(stack[half:]))
+        except BaseException as exc:  # re-raised by the caller
+            done.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        lam, q = np.linalg.eigh(stack[:half])
+    finally:
+        worker.join()
+    if isinstance(done[0], BaseException):
+        raise done[0]
+    return np.concatenate((lam, done[0][0])), np.concatenate((q, done[0][1]))
+
+
 def solve_rtls_general_t(p):
     """Global 1-D search over alpha = |x|^2 for a general (dense) regularizer.
 
     On the sphere |x|^2 = alpha, min G is an equality trust-region
     subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
     (2006) 98-118).  G at its minimizers is scanned on a grid in u =
-    log1p(alpha) from one batched eigh; the scan interval doubles while the
+    log1p(alpha) from one batched eigh, in two halves on two threads when
+    two CPUs are usable (:func:`_split_eigh`; the bits of one call, which
+    ``taskset -c 0`` makes); the scan interval doubles while the
     grid minimizer lands within 1% of its upper end.  Each grid-local
     minimum is refined by a brentq root of the closed-form slope dg/du, one
     eigh and one TRS solve per step, where the slope rises through zero
@@ -338,7 +370,7 @@ def solve_rtls_general_t(p):
 
     def values(us):
         alpha = np.expm1(us)
-        lam, q = np.linalg.eigh(gram + np.multiply.outer(1.0 + alpha, t_gram))
+        lam, q = _split_eigh(gram + np.multiply.outer(1.0 + alpha, t_gram))
         _, z = radial_solutions(np.clip(lam, 0.0, None), c @ q, np.sqrt(alpha))
         # G at the minimizers (columns) as eval_g forms it: the TRS values
         # carry the eigenvalue error of S, which grows with alpha

@@ -537,6 +537,18 @@ def _parse_outcome(parse, argv, capsys):
     return result
 
 
+# each names its flag in a usage error: before, nan and -1 failed as a
+# duality gap above tol_t, inf claimed agreement, a negative batch was empty
+# and a negative seed failed in numpy
+_BAD_CERTIFY_NUMBERS = [
+    ["certify", "--tol-t", "nan"],
+    ["certify", "--tol-t", "-1"],
+    ["certify", "--tol-t", "inf"],
+    ["certify", "--batch", "-3"],
+    ["certify", "--batch", "2", "--seed", "-1"],
+]
+
+
 class TestParser:
     """main builds only the branch its first token names; nothing it prints may differ."""
 
@@ -565,11 +577,19 @@ class TestParser:
         ["certify", "--batch", "x"],
         ["demo"],
         ["demo", "sweep", "--model", "m.json"],
+        *_BAD_CERTIFY_NUMBERS,
     ])
     def test_usage_and_errors_match_full_tree(self, argv, capsys):
         code, out, err = _parse_outcome(main, argv, capsys)
         assert (code, out, err) == _parse_outcome(build_parser().parse_args, argv, capsys)
         assert code in (0, 1) and (out or err)
+
+    @pytest.mark.parametrize("argv", _BAD_CERTIFY_NUMBERS, ids=" ".join)
+    def test_bad_certify_number_names_its_flag(self, argv, capsys):
+        code, out, err = _parse_outcome(main, argv, capsys)
+        flag, text = argv[-2:]
+        assert code == 1 and not out
+        assert f"argument {flag}: expected a finite value >= 0, got '{text}'" in err
 
     def test_solve_registers_one_sub_parser(self, workdir, monkeypatch):
         # built once per process: a second main call registers nothing

@@ -336,6 +336,8 @@ class TestReadJson:
         pytest.param("[1.5, %d, %d, %d]" % (2**53 + 1, 2**64 - 1, 2**64), np.ndarray,
                      id="wide-ints"),
         pytest.param("[0, 1, 2]", list, id="all-ints"),
+        # orjson reads these as floats; json.load keeps them ints
+        pytest.param("[%d, 1, %d]" % (2**64, -(2**63) - 1), list, id="ints-beyond-64-bits"),
         pytest.param("[0.5, true, 1]", list, id="bool"),
         pytest.param("[0.5, 1" + "0" * 400 + "]", list, id="int-overflows-float"),
     ] + [

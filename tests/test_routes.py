@@ -1,15 +1,22 @@
-"""Cross-route properties of t* = inf G for T = sqrt(rho) I.
+"""Cross-route properties of t* = inf G.
 
-Three routes reach t*: the scalar dual (``dual_tstar``), the Dinkelbach
-reference (``solve_tstar``) and the dense-T alpha search
-(``solve_rtls_general_t``) with T = sqrt(rho) I passed as a matrix.  They
-must agree, and each must carry the invariance (W, rho) -> (cW, c rho),
+Three routes reach t* for T = sqrt(rho) I: the scalar dual
+(``dual_tstar``), the Dinkelbach reference (``solve_tstar``) and the dense-T
+alpha search (``solve_rtls_general_t``) with T = sqrt(rho) I passed as a
+matrix.  They must agree, each must return a point x* with G(x*) = t* <=
+G(0) = |b|_W^2, and each must carry the invariance (W, rho) -> (cW, c rho),
 t* -> c t*.  The dual and Dinkelbach must also carry orthogonal changes of
 basis, a column permutation among them, and the dense-T search must find
 the same t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.
+With a general dense T the alpha search must carry the change of basis
+(A, b, W, T) -> (U A V^T, U b, U W U^T, T V^T) and the scaling
+(W, T) -> (cW, sqrt(c) T).
 """
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.certificate import dual_tstar
+from rtls.cli import main
 from rtls.instances import random_problem
+from rtls.io import save_problem
+from rtls.reduction import eval_g
 from rtls.solver import solve_rtls_general_t, solve_tstar
 
 route_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -85,3 +95,74 @@ def test_orthogonal_change_of_basis(p, seed, kind):
     rotated = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * v))
     report, _ = solve_rtls_general_t(rotated)
     assert report.objective == pytest.approx(dual_tstar(p).t_star, rel=1e-12, abs=0.0)
+
+
+@route_settings
+@given(problems())
+def test_every_route_attains_its_tstar_below_g_at_zero(p):
+    n = p.shape[1]
+    dense = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(n)))
+    dual, dinkelbach = dual_tstar(p), solve_tstar(p)
+    report, _ = solve_rtls_general_t(dense)
+    for q, t, x in ((p, dual.t_star, dual.x_star), (p, dinkelbach.t_star, dinkelbach.x_star),
+                    (dense, report.objective, report.x)):
+        assert t <= q.b_norm_w_sq
+        assert eval_g(q, x).g == t
+
+
+@st.composite
+def dense_t_problems(draw):
+    """A problem of ``problems`` with T a general dense matrix of the scale of sqrt(rho)."""
+    p = draw(problems())
+    n = p.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_mat = rng.normal(size=(n, n)) * math.sqrt(p.T.rho / n)
+    return ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(t_mat))
+
+
+dense_t_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@dense_t_settings
+@given(dense_t_problems(), st.integers(0, 2**32 - 1))
+def test_dense_t_change_of_basis(p, seed):
+    # A -> U A V^T, b -> U b, W -> U W U^T, T -> T V^T keeps t* and moves x* -> V x*
+    rng = np.random.default_rng(seed)
+    m, n = p.shape
+    u, v = orthogonal(rng, m, "rotation"), orthogonal(rng, n, "rotation")
+    moved = ProblemSpec(
+        u @ p.A @ v.T, u @ p.b, WeightOperator.dense(u @ p.W.as_matrix() @ u.T),
+        RegularizerSpec.dense(p.T.matrix @ v.T),
+    )
+    report, _ = solve_rtls_general_t(p)
+    moved_report, _ = solve_rtls_general_t(moved)
+    assert moved_report.objective == pytest.approx(report.objective, rel=1e-12, abs=0.0)
+    moved_x = v @ report.x
+    assert np.linalg.norm(moved_report.x - moved_x) <= 1e-9 * np.linalg.norm(moved_x)
+    for q, r in ((p, report), (moved, moved_report)):
+        assert r.objective <= q.b_norm_w_sq
+        assert eval_g(q, r.x).g == r.objective
+
+
+def _solve_report(p, workdir, name):
+    """(exit code, report) of ``rtls solve`` on p."""
+    path, out = Path(workdir) / f"{name}.json", Path(workdir) / f"{name}-report.json"
+    save_problem(path, p)
+    code = main(["solve", "--problem", str(path), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@dense_t_settings
+@given(dense_t_problems(), st.floats(-6.0, 6.0))
+def test_dense_t_scales_with_w(p, log_c):
+    # (W, T) -> (cW, sqrt(c) T) scales G, and so t*, by c
+    c = 10.0**log_c
+    scaled = ProblemSpec(
+        p.A, p.b, getattr(WeightOperator, p.W.kind)(c * p.W.data),
+        RegularizerSpec.dense(math.sqrt(c) * p.T.matrix),
+    )
+    with tempfile.TemporaryDirectory() as workdir:
+        code, report = _solve_report(p, workdir, "p")
+        scaled_code, scaled_report = _solve_report(scaled, workdir, "scaled")
+    assert scaled_report["objective"] == pytest.approx(c * report["objective"], rel=1e-12, abs=0.0)
+    assert (scaled_code, scaled_report["status"]) == (code, report["status"])

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import threading
+import time
+import types
 import warnings
 
 import numpy as np
@@ -23,6 +28,8 @@ from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
 from rtls import certificate, solver, trs
+from rtls import io as rio
+from rtls.cli import main
 from rtls.certificate import DualSolution
 from rtls.model import w_vec_seminorm
 from rtls.solver import (
@@ -594,6 +601,96 @@ class TestGeneralTGlobal:
         p = default_rtls_nonexistence_model().build(order)
         report, _ = solve_rtls_general_t(p)
         assert report.residual_normal_eq <= 1e-12
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _counted_threads(monkeypatch):
+    """The threads that rtls.solver makes, listed as it makes them."""
+    made = []
+
+    def thread(*args, **kwargs):
+        made.append(threading.Thread(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "threading", types.SimpleNamespace(Thread=thread))
+    return made
+
+
+def _symmetric_stack(seed, length, order):
+    m = np.random.default_rng(seed).normal(size=(length, order, order))
+    return m + m.transpose(0, 2, 1)
+
+
+class TestSplitEigh:
+    @pytest.mark.parametrize("order", [1, 6, 32])
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 129])
+    def test_halves_equal_one_call(self, monkeypatch, order, length):
+        stack = _symmetric_stack(order * 1000 + length, length, order)
+        lam, q = np.linalg.eigh(stack)
+        _cpus(monkeypatch, 2)
+        made = _counted_threads(monkeypatch)
+        calls, eigh = [], np.linalg.eigh
+        # looked up at call time, so that a wrapper sees both halves
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        lam_split, q_split = solver._split_eigh(stack)
+        assert lam_split.shape == lam.shape and lam_split.tobytes() == lam.tobytes()
+        assert q_split.shape == q.shape and q_split.tobytes() == q.tobytes()
+        assert len(made) == (length > 1)
+        assert sorted(calls) == ([length // 2, length - length // 2] if length > 1 else [1])
+
+    @pytest.mark.parametrize(
+        "kind", ["dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
+    )
+    def test_reports_equal_with_one_and_two_cpus(self, monkeypatch, tmp_path, kind):
+        made = _counted_threads(monkeypatch)
+        for seed in range(3):
+            rio.save_problem(tmp_path / "p.json", _dense_t_family(kind, seed))
+            outcomes = []
+            for count in (1, 2):
+                _cpus(monkeypatch, count)
+                made.clear()
+                out = tmp_path / f"r{count}.json"
+                code = main(["solve", "--problem", str(tmp_path / "p.json"), "--out", str(out)])
+                scans = 1 + json.loads(out.read_text())["meta"]["alpha_search"]["doublings"]
+                assert len(made) == (0 if count == 1 else scans)
+                outcomes.append((code, out.read_bytes()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == 2
+
+    @pytest.mark.parametrize("count, threads", [(1, 0), (None, 0), (2, 1)])
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch, count, threads):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        made = _counted_threads(monkeypatch)
+        solver._split_eigh(_symmetric_stack(0, 4, 3))
+        assert len(made) == threads
+
+    @pytest.mark.parametrize("failing_half", ["worker", "caller"])
+    def test_an_error_reaches_the_caller(self, monkeypatch, failing_half):
+        # with its own type, and with the worker joined: no thread is left
+        # running, and none ends in an unhandled exception
+        _cpus(monkeypatch, 2)
+        eigh = np.linalg.eigh
+
+        def failing(a):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing_half == "worker"):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if on_worker:
+                time.sleep(0.05)  # still running when the caller's half fails
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        running = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solver._split_eigh(_symmetric_stack(1, 8, 4))
+        assert threading.active_count() == running
+        assert not unhandled
 
 
 class TestDegenerateInstances:
