@@ -12,11 +12,6 @@ Exit codes: 0 success (status solved or trivial, assertions passed),
 1 any error, usage errors included.  RTLS_LOG={debug,info,warning} controls verbosity.
 
 Each command's arguments are declared by one function in ``COMMANDS``.
-When the first token of argv names a command, ``main`` builds that branch
-alone: a small solve would otherwise spend more time on argparse's ten
-sub-parsers than on solving.  Any other first token (``--help``, an unknown
-command, an option) builds the full tree, so help, usage and error texts
-are the same either way.  Each tree is built once per process.
 """
 
 from __future__ import annotations
@@ -55,14 +50,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_ints(text):
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
 def _non_negative(convert):
     """An argparse type: ``convert(text)``, finite and >= 0."""
 
@@ -76,11 +63,24 @@ def _non_negative(convert):
     return parse
 
 
+def _positive_list(convert):
+    """An argparse type: comma-separated ``convert`` values, at least one, each finite and > 0."""
+
+    def parse(text):
+        values = [convert(v) for v in text.split(",") if v.strip()]
+        if not values or not all(0 < v < math.inf for v in values):
+            raise argparse.ArgumentTypeError(
+                f"expected a list of finite values > 0, got {text!r}"
+            )
+        return values
+
+    parse.__name__ = f"{convert.__name__} list"  # a non-number reads "invalid int list value"
+    return parse
+
+
 def _emit(obj, out, fmt="json", rows=None):
     """Write the artifact to ``out`` or stdout; rows enable csv output."""
     if fmt == "csv":
-        if rows is None:
-            raise ValueError("this artifact has no tabular form; use --format json")
         header, table = rows
         if out:
             rio.write_csv(out, header, table)
@@ -162,8 +162,8 @@ def cmd_certify(args):
 
 def cmd_classic_tls(args):
     p = rio.load_problem(args.problem)
-    if p.W.kind != "diagonal" or not np.allclose(p.W.data, 1.0):
-        logger.warning("classic-tls ignores the weight and regularizer of the problem file")
+    if not np.array_equal(p.W.as_matrix(), np.eye(p.W.dim)):
+        logger.warning("classic-tls ignores the problem's weight, which is not the identity")
     solution = solve_classic_tls(p.A, p.b)
     out = {
         "x": [float(v) for v in solution.x],
@@ -184,7 +184,7 @@ def cmd_demo(args):
             if args.demo_command == "nonexist-tls"
             else nonexistence_rtls_sequence
         )
-        result = run(p, _parse_floats(args.eps))
+        result = run(p, args.eps)
         for eps, reason in result.skipped:
             logger.info("eps=%g skipped: %s", eps, reason)
         _emit(
@@ -207,7 +207,7 @@ def cmd_demo(args):
         return EXIT_OK
     if args.demo_command == "sweep":
         model = load_model_file(args.model)
-        rows = truncation_sweep(model, _parse_ints(args.N))
+        rows = truncation_sweep(model, args.N)
         _emit(
             rio.sweep_to_dict(rows),
             args.out,
@@ -215,16 +215,15 @@ def cmd_demo(args):
             rows=rio.sweep_rows(rows),
         )
         return EXIT_OK
-    if args.demo_command == "weakcont":
-        rows = weak_continuity_demo(_parse_ints(args.n), quad_points=args.quad_points)
-        _emit(
-            rio.weakcont_to_dict(rows),
-            args.out,
-            args.format,
-            rows=rio.weakcont_rows(rows),
-        )
-        return EXIT_OK
-    raise ProblemFormatError(f"unknown demo {args.demo_command!r}")
+    # argparse admits only the five demos: this one is weakcont
+    rows = weak_continuity_demo(args.n, quad_points=args.quad_points)
+    _emit(
+        rio.weakcont_to_dict(rows),
+        args.out,
+        args.format,
+        rows=rio.weakcont_rows(rows),
+    )
+    return EXIT_OK
 
 
 def _add_solve(p):
@@ -246,6 +245,10 @@ def _add_certify(p):
 
 
 def _add_classic_tls(p):
+    p.description = (
+        "Classic TLS of (A, b) by the SVD of (A|b). T is always ignored, and so is W,"
+        " with a warning, when it is not the identity."
+    )
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_classic_tls)
@@ -256,7 +259,7 @@ def _add_demo(p):
     for name in ("nonexist-tls", "nonexist-rtls"):
         d = demo_sub.add_parser(name)
         d.add_argument("--model", required=True)
-        d.add_argument("--eps", required=True)
+        d.add_argument("--eps", type=_positive_list(float), required=True)
         d.add_argument("--N", type=int, default=200)
         d.add_argument("--out")
         d.add_argument("--format", choices=("json", "csv"), default="json")
@@ -269,12 +272,12 @@ def _add_demo(p):
     d.set_defaults(func=cmd_demo)
     d = demo_sub.add_parser("sweep")
     d.add_argument("--model", required=True)
-    d.add_argument("--N", required=True)
+    d.add_argument("--N", type=_positive_list(int), required=True)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
     d.set_defaults(func=cmd_demo)
     d = demo_sub.add_parser("weakcont")
-    d.add_argument("--n", default="1,2,8,32")
+    d.add_argument("--n", type=_positive_list(int), default="1,2,8,32")
     d.add_argument("--quad-points", type=int, default=8193)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
@@ -298,30 +301,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def build_parser(commands=COMMANDS):
-    """The rtls parser with a sub-parser for each name in ``commands``.
-
-    A partial tree lists every command in its metavar, so its usage line is
-    the full tree's; the full tree keeps argparse's "command" in the errors
-    that name the argument, which only it can raise.
-    """
+@functools.cache
+def build_parser():
+    """The rtls parser, a sub-parser for each command; built once per process."""
     parser = _Parser(
         prog="rtls",
         description="weighted/regularized total least squares solver and lab",
     )
-    partial = len(commands) < len(COMMANDS)
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if partial else None,
-    )
-    for name in commands:
-        help_text, add_arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
-
-
-_cached_parser = functools.lru_cache(maxsize=None)(build_parser)  # per tuple of names
 
 
 def _configure_logging():
@@ -333,10 +323,7 @@ def _configure_logging():
 
 def main(argv=None):
     _configure_logging()
-    if argv is None:
-        argv = sys.argv[1:]
-    commands = tuple(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
-    args = _cached_parser(commands).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -381,8 +381,8 @@ def sequence_result_rows(result):
 
 
 def sweep_rows(rows):
-    header = ["N", "t_star", "x_norm", "objective", "status"]
-    table = [(r.n, r.t_star, r.x_norm, r.objective, r.status) for r in rows]
+    header = ["N", "x_norm", "objective", "status"]
+    table = [(r.n, r.x_norm, r.objective, r.status) for r in rows]
     return header, table
 
 

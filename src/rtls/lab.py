@@ -330,7 +330,6 @@ def nonexistence_tls_sequence(p, eps_list):
     if trivial:
         raise ValueError("instance is trivial: b in R(A) + N(W); nothing to exhibit")
     x_dir, value = min_direction(p.gram_matrix)
-    x_dir = x_dir / np.linalg.norm(x_dir)
     wb = math.sqrt(p.b_norm_w_sq)
     return _exact_pairs(
         p, eps_list, x_dir, value, lambda eps: eps, "eps", objective_tls,
@@ -353,7 +352,6 @@ def nonexistence_rtls_sequence(p, eps_list):
     n = p.shape[1]
     combined = p.T.gram(n) + p.gram_matrix
     x_dir, value = min_direction(combined)
-    x_dir = x_dir / np.linalg.norm(x_dir)
     wb = math.sqrt(p.b_norm_w_sq)
 
     slack = 1e-9 * (1.0 + value)
@@ -480,7 +478,6 @@ def diagonal_solve(a, w, b_head, rho, n):
 @dataclass(frozen=True)
 class SweepRow:
     n: int
-    t_star: float
     x_norm: float
     objective: float
     status: str
@@ -501,8 +498,8 @@ def truncation_sweep(model, n_list):
             raise ValueError("truncation orders must be strictly increasing")
         previous = n
         report = _solve(model.build(n))
-        t_star, x_norm = float(report.objective), float(np.linalg.norm(report.x))
-        rows.append(SweepRow(n, t_star, x_norm, t_star, report.status))
+        x_norm = float(np.linalg.norm(report.x))
+        rows.append(SweepRow(n, x_norm, float(report.objective), report.status))
     return rows
 
 

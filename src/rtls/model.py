@@ -345,6 +345,13 @@ def objective_rtls(p, X, x):
     return p.T.value(x) + objective_tls(p, X, x)
 
 
+def _w_span_coefficients(p, M, tol):
+    """c minimizing |W^{1/2} (M c - b)|, or None when that residual exceeds tol |W^{1/2} b|."""
+    wm, wb = p.W.apply_sqrt(M), p.W.apply_sqrt(p.b)
+    c, *_ = np.linalg.lstsq(wm, wb, rcond=None)
+    return c if np.linalg.norm(wm @ c - wb) <= tol * np.linalg.norm(wb) else None
+
+
 def is_trivial_tls(p, tol):
     """Test b in R(A) + N(W); returns (flag, witness x or None).
 
@@ -354,13 +361,8 @@ def is_trivial_tls(p, tol):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    wa = p.W.apply_sqrt(p.A)
-    wb = p.W.apply_sqrt(p.b)
-    x, *_ = np.linalg.lstsq(wa, wb, rcond=None)
-    resid = np.linalg.norm(wa @ x - wb)
-    if resid <= tol * np.linalg.norm(wb):
-        return True, x
-    return False, None
+    x = _w_span_coefficients(p, p.A, tol)
+    return x is not None, x
 
 
 def nullspace_basis(M, cutoff):
@@ -392,13 +394,8 @@ def is_trivial_rtls(p, tol):
         return False, None
     t_mat = p.T.as_matrix(n)
     basis = nullspace_basis(t_mat, tol * np.linalg.norm(t_mat, 2))
-    wa = p.W.apply_sqrt(p.A @ basis)
-    wb = p.W.apply_sqrt(p.b)
-    coeffs, *_ = np.linalg.lstsq(wa, wb, rcond=None)
-    resid = np.linalg.norm(wa @ coeffs - wb)
-    if resid <= tol * np.linalg.norm(wb):
-        return True, basis @ coeffs
-    return False, None
+    coeffs = _w_span_coefficients(p, p.A @ basis, tol)
+    return (False, None) if coeffs is None else (True, basis @ coeffs)
 
 
 def frechet_check(W1, W2, x0, X, Y, h):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
-from rtls.cli import COMMANDS, _cached_parser, build_parser, main
+from rtls.cli import COMMANDS, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import load_model_file
 from rtls import io as rio
@@ -379,8 +380,19 @@ class TestDemoCommands:
                      "--N", "4,8,16", "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "N,t_star,x_norm,objective,status"
+        assert lines[0] == "N,x_norm,objective,status"
         assert all(line.endswith(",solved") for line in lines[1:])
+
+    def test_sweep_columns_in_csv_and_json(self, workdir):
+        # the objective is t* = G(x*): one column carries it in either format
+        argv = ["demo", "sweep", "--model", str(workdir / "diag_rtls.json"), "--N", "4,8"]
+        assert main(argv + ["--format", "csv", "--out", str(workdir / "s.csv")]) == 0
+        assert main(argv + ["--out", str(workdir / "s.json")]) == 0
+        header, *lines = (workdir / "s.csv").read_text().splitlines()
+        rows = json.loads((workdir / "s.json").read_text())["rows"]
+        assert header == "N,x_norm,objective,status"
+        assert [list(row) for row in rows] == [header.split(",")] * 2
+        assert [line.split(",")[0] for line in lines] == [str(row["N"]) for row in rows]
 
     def test_sweep_agrees_with_solve_on_trivial_dense_t(self, workdir):
         # t_1 = 0: N(T) = span(e1) and A e1 = b, so every truncation is trivial
@@ -549,23 +561,41 @@ _BAD_CERTIFY_NUMBERS = [
 ]
 
 
+# each names its flag in a usage error: before, these wrote empty or
+# negative-eps artifacts, failed with a float()/int() error that named no
+# flag, or (eps = inf) failed in serialization
+_BAD_DEMO_LISTS = [
+    ("nonexist-tls", "--eps", "inf", "expected a list of finite values > 0, got 'inf'"),
+    ("nonexist-tls", "--eps", "nan", "expected a list of finite values > 0, got 'nan'"),
+    ("nonexist-tls", "--eps", ",", "expected a list of finite values > 0, got ','"),
+    ("nonexist-tls", "--eps", "0.1,abc", "invalid float list value: '0.1,abc'"),
+    ("nonexist-rtls", "--eps", "-0.1", "expected a list of finite values > 0, got '-0.1'"),
+    ("nonexist-rtls", "--eps", "0.1,0", "expected a list of finite values > 0, got '0.1,0'"),
+    ("sweep", "--N", ",", "expected a list of finite values > 0, got ','"),
+    ("sweep", "--N", "0,4", "expected a list of finite values > 0, got '0,4'"),
+    ("sweep", "--N", "4,8.5", "invalid int list value: '4,8.5'"),
+    ("weakcont", "--n", "1,x", "invalid int list value: '1,x'"),
+    ("weakcont", "--n", "-2", "expected a list of finite values > 0, got '-2'"),
+]
+
+
 class TestParser:
-    """main builds only the branch its first token names; nothing it prints may differ."""
+    """main parses with one tree, built once per process; it prints what a fresh tree prints."""
 
     def test_every_branch_is_covered(self):
         assert {argv[0] for argv in BRANCH_ARGV} == set(COMMANDS)
 
     @pytest.mark.parametrize("argv", BRANCH_ARGV, ids=lambda a: "-".join(a[:2]))
     def test_branch_parses_like_full_tree(self, argv):
-        assert build_parser(argv[:1]).parse_args(argv) == build_parser().parse_args(argv)
+        assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
 
     @pytest.mark.parametrize("argv", BRANCH_ARGV, ids=lambda a: "-".join(a[:2]))
     def test_branch_help_matches_full_tree(self, argv, capsys):
         for head in [argv[:1], argv[:2]] if argv[0] == "demo" else [argv[:1]]:
-            branch = _parse_outcome(build_parser(argv[:1]).parse_args, head + ["-h"], capsys)
-            full = _parse_outcome(build_parser().parse_args, head + ["-h"], capsys)
-            assert branch == full
-            assert branch[0] == 0 and branch[1]
+            cached = _parse_outcome(main, head + ["-h"], capsys)
+            fresh = _parse_outcome(build_parser.__wrapped__().parse_args, head + ["-h"], capsys)
+            assert cached == fresh
+            assert cached[0] == 0 and cached[1]
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -581,8 +611,20 @@ class TestParser:
     ])
     def test_usage_and_errors_match_full_tree(self, argv, capsys):
         code, out, err = _parse_outcome(main, argv, capsys)
-        assert (code, out, err) == _parse_outcome(build_parser().parse_args, argv, capsys)
+        assert (code, out, err) == _parse_outcome(build_parser.__wrapped__().parse_args, argv, capsys)
         assert code in (0, 1) and (out or err)
+
+    @pytest.mark.parametrize("argv, err", [
+        ([], "usage: rtls [-h] {solve,certify,classic-tls,demo} ...\n"
+             "rtls: error: the following arguments are required: command\n"),
+        (["bogus"], "usage: rtls [-h] {solve,certify,classic-tls,demo} ...\n"
+                    "rtls: error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'solve', 'certify', 'classic-tls', 'demo')\n"),
+        (["demo"], "usage: rtls demo [-h] {nonexist-tls,nonexist-rtls,diagonal,sweep,weakcont} ...\n"
+                   "rtls demo: error: the following arguments are required: demo_command\n"),
+    ], ids=["none", "bogus", "demo"])
+    def test_usage_text(self, argv, err, capsys):
+        assert _parse_outcome(main, argv, capsys) == (1, "", err)
 
     @pytest.mark.parametrize("argv", _BAD_CERTIFY_NUMBERS, ids=" ".join)
     def test_bad_certify_number_names_its_flag(self, argv, capsys):
@@ -591,8 +633,22 @@ class TestParser:
         assert code == 1 and not out
         assert f"argument {flag}: expected a finite value >= 0, got '{text}'" in err
 
-    def test_solve_registers_one_sub_parser(self, workdir, monkeypatch):
-        # built once per process: a second main call registers nothing
+    @pytest.mark.parametrize("demo, flag, text, message", _BAD_DEMO_LISTS,
+                             ids=[" ".join(case[:3]) for case in _BAD_DEMO_LISTS])
+    def test_bad_demo_list_names_its_flag(self, workdir, capsys, demo, flag, text, message):
+        model = {"nonexist-tls": "diag_default.json", "nonexist-rtls": "diag_rtls.json",
+                 "sweep": "diag_b_e1.json", "weakcont": None}[demo]
+        out = workdir / "artifact.json"
+        argv = ["demo", demo, flag, text, "--out", str(out)]
+        if model:
+            argv += ["--model", str(workdir / model)]
+        code, stdout, err = _parse_outcome(main, argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert err.endswith(f"rtls demo {demo}: error: argument {flag}: {message}\n")
+        assert not out.exists()
+
+    def test_parser_registers_each_sub_parser_once(self, workdir, monkeypatch):
+        # the whole tree is built on the first call; a second call registers nothing
         names, real_add_parser = [], argparse._SubParsersAction.add_parser
 
         def recording_add_parser(self, name, **kwargs):
@@ -600,12 +656,13 @@ class TestParser:
             return real_add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
-        _cached_parser.cache_clear()
+        build_parser.cache_clear()
         argv = ["solve", "--problem", str(workdir / "certified.json"), "--out", str(workdir / "r.json")]
+        every = [*COMMANDS, "nonexist-tls", "nonexist-rtls", "diagonal", "sweep", "weakcont"]
         assert main(argv) == 0
-        assert names == ["solve"]
+        assert sorted(names) == sorted(every)
         assert main(argv) == 0
-        assert names == ["solve"]
+        assert sorted(names) == sorted(every)
 
 
 class TestClassicCommand:
@@ -623,6 +680,25 @@ class TestClassicCommand:
         assert code == 0
         artifact = json.loads(out.read_text())
         assert artifact["objective"] == pytest.approx(artifact["sigma_min"] ** 2)
+
+    @pytest.mark.parametrize("weight, warns", [
+        (WeightOperator.diagonal(np.ones(3)), False),
+        (WeightOperator.dense(np.eye(3)), False),
+        (WeightOperator.diagonal([1.0, 2.0, 1.0]), True),
+        (WeightOperator.dense(np.eye(3) + 0.1), True),
+    ], ids=["diagonal-identity", "dense-identity", "diagonal", "dense"])
+    def test_warns_only_when_it_drops_a_weight(self, workdir, caplog, weight, warns):
+        # T is always ignored, so a dense T alone never warns
+        a_mat = np.array([[1.0, 0.2], [0.3, 2.0], [0.5, -0.4]])
+        p = ProblemSpec(a_mat, np.array([1.0, -1.0, 0.5]), weight,
+                        RegularizerSpec.dense(np.array([[1.0, 2.0], [0.0, 3.0]])))
+        rio.save_problem(workdir / "w.json", p)
+        with caplog.at_level(logging.WARNING, logger="rtls.cli"):
+            assert main(["classic-tls", "--problem", str(workdir / "w.json"),
+                         "--out", str(workdir / "c.json")]) == 0
+        assert [r.getMessage() for r in caplog.records] == (
+            ["classic-tls ignores the problem's weight, which is not the identity"] if warns else []
+        )
 
     def test_degenerate_exits_one(self, workdir):
         code = main(["classic-tls", "--problem", str(workdir / "closedform.json")])

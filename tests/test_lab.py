@@ -257,7 +257,7 @@ class TestTruncationSweep:
 
     def test_head_supported_t_star_stabilizes(self):
         rows = truncation_sweep(default_diagonal_model(rho=0.8), [1, 2, 4, 8, 16])
-        values = [r.t_star for r in rows]
+        values = [r.objective for r in rows]
         for a, b in zip(values, values[1:]):
             assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
 
