@@ -64,6 +64,13 @@ def canonical_json(obj, indent=0):
         values = list(obj)
         if not values:
             return "[]"
+        if set(map(type, values)) == {float}:
+            # plain floats in one pass: of the texts format gives, only a
+            # NaN's holds "nan" (an infinity is written "inf", as before)
+            text = ", ".join([format(v, ".17g") for v in values])
+            if "nan" in text:
+                raise ProblemFormatError("refusing to serialize NaN")
+            return "[" + text + "]"
         if all(isinstance(v, _SCALARS) for v in values):
             return "[" + ", ".join(map(_scalar_json, values)) + "]"
         parts = [canonical_json(v, indent + 1) for v in values]
@@ -330,8 +337,8 @@ def save_problem(path, p):
 
 def pair_report_to_dict(report):
     return {
-        "x": [float(v) for v in report.x],
-        "correction_vector": [float(v) for v in report.lift.correction_vector],
+        "x": report.x.tolist(),
+        "correction_vector": report.lift.correction_vector.tolist(),
         "objective": float(report.objective),
         "data_term": float(report.data_term),
         "reg_term": float(report.reg_term),

@@ -296,24 +296,38 @@ def _feasible_pair(p, x_dir, eps):
     return x0_mat, x_scaled, interp
 
 
+_BOUND_OVERFLOW = "objective bound is not finite"
+
+
 def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unavailable):
     """One pair per eps with value < floor(eps), its objective held below bound(eps).
 
-    Other eps are skipped; if none qualifies the construction is unavailable.
+    Other eps are skipped, as is an eps whose bound overflows; if none
+    qualifies the construction is unavailable.
     """
     result = SequenceResult(direction_value=value)
     for eps in eps_list:
         if not value < floor(eps):
             result.skipped.append((eps, f"minimal direction value {value:.6e} >= {label}"))
             continue
+        try:
+            limit = bound(eps)
+        except OverflowError:  # a Python float ** 2 beyond the range raises
+            limit = math.inf
+        if not math.isfinite(limit):
+            result.skipped.append((eps, _BOUND_OVERFLOW))
+            continue
         x0_mat, x_scaled, interp = _feasible_pair(p, x_dir, eps)
-        obj, limit = objective(p, x0_mat, x_scaled), bound(eps)
+        obj = objective(p, x0_mat, x_scaled)
         if obj > limit * (1.0 + _BOUND_SLACK):
             raise RuntimeError(
                 f"objective {obj!r} exceeds its bound {limit!r} at eps={eps!r}"
             )
         result.points.append(SequencePoint(eps, x_scaled, obj, limit, interp))
     if eps_list and not result.points:
+        if any(reason == _BOUND_OVERFLOW for _, reason in result.skipped):
+            unavailable = (f"{_BOUND_OVERFLOW} at each eps with minimal direction "
+                           f"value {value:.6e} < {label}")
         raise RuntimeError(f"construction unavailable: {unavailable}")
     return result
 

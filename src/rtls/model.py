@@ -49,8 +49,9 @@ def _as_matrix(data, name):
     return arr
 
 
-# W's eigenvalues within this fraction of lambda_max below zero are clamped
-# to zero; anything more negative is rejected
+# W passes when W + _EIG_FLOOR |W|_inf I has a Cholesky factor: an eigenvalue
+# of W below about -_EIG_FLOOR |W|_inf is rejected, and smaller negative
+# eigenvalues are clamped to zero where W^{1/2} is formed
 _EIG_FLOOR = 1e-12
 
 
@@ -59,40 +60,51 @@ class WeightOperator:
     """PSD weight; its square root is built on first use.
 
     ``data`` is a nonnegative vector for kind ``"diagonal"`` or a symmetric
-    PSD matrix for kind ``"dense"``.  Both checks are relative to W's own
-    scale, so W and cW pass or fail together: an entry of W - W^T beyond
-    1e-12 max|W| is asymmetric, and an eigenvalue below -1e-12 lambda_max is
-    negative.  Smaller negative eigenvalues are clamped to zero.  Only
-    ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are taken
-    as ``<W z, z>``.
+    PSD matrix for kind ``"dense"``; ``norm_inf`` is |W|_inf, the largest
+    absolute row sum, which bounds lambda_max(W) and equals max w for a
+    diagonal W.  Both checks are relative to W's own scale, so W and cW
+    pass or fail together: an entry of W - W^T beyond 1e-12 max|W| is
+    asymmetric, and a dense W is PSD when W + 1e-12 |W|_inf I has a
+    Cholesky factor (a diagonal entry must be at least -1e-12 max w).
+    Only ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are
+    taken as ``<W z, z>``.
     """
 
     kind: str
     data: np.ndarray
-    lam_max: float = 0.0
+    norm_inf: float = 0.0
 
     @classmethod
     def diagonal(cls, values, field="W.data"):
         w = _as_vector(values, field)
-        lam_max = float(np.max(w, initial=0.0))
-        if np.any(w < -_EIG_FLOOR * lam_max):
+        norm_inf = float(np.max(w, initial=0.0))
+        if np.any(w < -_EIG_FLOOR * norm_inf):
             raise ProblemFormatError(f"field '{field}' has a negative diagonal weight")
-        return cls("diagonal", np.clip(w, 0.0, None), lam_max)
+        return cls("diagonal", np.clip(w, 0.0, None), norm_inf)
 
     @classmethod
     def dense(cls, matrix):
         w = _as_matrix(matrix, "W.data")
-        if w.shape[0] != w.shape[1]:
+        m = w.shape[0]
+        if m != w.shape[1]:
             raise ProblemFormatError("field 'W.data' must be square")
         scale = float(np.max(np.abs(w), initial=0.0))
-        if np.max(np.abs(w - w.T), initial=0.0) > 1e-12 * scale:
+        asymmetry = float(np.max(np.abs(w - w.T), initial=0.0))
+        if asymmetry > 1e-12 * scale:
             raise ProblemFormatError("field 'W.data' is not symmetric")
-        w = 0.5 * (w + w.T)
-        lam = np.linalg.eigvalsh(w)
-        lam_max = float(lam[-1]) if lam.size else 0.0
-        if lam.size and lam[0] < -_EIG_FLOOR * lam_max:
-            raise ProblemFormatError("field 'W.data' is not positive semidefinite")
-        return cls("dense", w, lam_max)
+        if asymmetry > 0.0:
+            w = 0.5 * (w + w.T)
+        if scale == 0.0:
+            return cls("dense", w, 0.0)
+        # W / max|W| has entries in [-1, 1], so neither it nor its norm overflows
+        shifted = w / scale
+        norm_inf = float(np.max(np.sum(np.abs(shifted), axis=1)))
+        shifted.flat[:: m + 1] += _EIG_FLOOR * norm_inf
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ProblemFormatError("field 'W.data' is not positive semidefinite") from None
+        return cls("dense", w, scale * norm_inf)
 
     @cached_property
     def sqrt_data(self):

@@ -136,8 +136,14 @@ def normal_residual(p, x, ax=None):
 
 
 def _report_scale(p):
-    fro_a = np.linalg.norm(p.A)
-    return 1.0 + p.W.lam_max * fro_a + p.b_norm_w_sq
+    """1 + |W|_inf |A|_F + |b|_W^2, the divisor of the matrix residuals."""
+    return 1.0 + p.W.norm_inf * np.linalg.norm(p.A) + p.b_norm_w_sq
+
+
+def _rank_one_norm(p, x, ax, c):
+    """|W(c + A_x x - b) x^T|_F for the lift A_x = A + c x^T."""
+    residual = p.W.apply(c + (ax + c * float(x @ x)) - p.b)
+    return float(np.linalg.norm(residual) * np.linalg.norm(x))
 
 
 def rank_one_stationarity_residual(p, x, ax=None):
@@ -151,8 +157,7 @@ def rank_one_stationarity_residual(p, x, ax=None):
     x = _check_x(p, x)
     ax = p.A @ x if ax is None else ax
     c = lift_operator(p, x, ax).correction_vector
-    residual = p.W.apply(c + (ax + c * float(x @ x)) - p.b)  # c + A_x x - b
-    return float(np.linalg.norm(residual) * np.linalg.norm(x)) / _report_scale(p)
+    return _rank_one_norm(p, x, ax, c) / _report_scale(p)
 
 
 def recover_pair(p, x, status=STATUS_HEURISTIC):
@@ -174,6 +179,7 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
     wc = p.W.apply(c)
     ortho = p.A.T @ wc + float(c @ wc) * x - p.T.gram_dot(x)
     ortho_norm = float(np.linalg.norm(ortho) * np.linalg.norm(x))
+    scale = _report_scale(p)
     return PairReport(
         x=x,
         lift=lift,
@@ -181,7 +187,7 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
         data_term=gval.data_term,
         reg_term=gval.reg_term,
         residual_normal_eq=normal_residual(p, x, ax),
-        residual_rank_one=rank_one_stationarity_residual(p, x, ax),
-        residual_orthogonality=ortho_norm / _report_scale(p),
+        residual_rank_one=_rank_one_norm(p, x, ax, c) / scale,
+        residual_orthogonality=ortho_norm / scale,
         status=status,
     )

@@ -525,6 +525,20 @@ class TestDemoCommands:
                      "--eps", "1e-2", "--N", "50"])
         assert code == 1
 
+    @pytest.mark.parametrize("demo, model", [("nonexist-tls", "diag_default.json"),
+                                             ("nonexist-rtls", "diag_rtls.json")])
+    def test_eps_with_overflowing_bound_is_skipped(self, workdir, capsys, demo, model):
+        # the bound's eps**2 raised OverflowError at eps = 1e200
+        argv = ["demo", demo, "--model", str(workdir / model), "--N", "20"]
+        assert main(argv + ["--eps", "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: construction unavailable: objective bound is not finite")
+        out = workdir / "seq.json"
+        assert main(argv + ["--eps", "0.1,1e200", "--out", str(out)]) == 0
+        artifact = json.loads(out.read_text())
+        assert [pt["eps"] for pt in artifact["points"]] == [0.1]
+        assert artifact["skipped"] == [{"eps": 1e200, "reason": "objective bound is not finite"}]
+
 
 # one argv per command and demo sub-command, options included
 BRANCH_ARGV = [

@@ -135,7 +135,44 @@ class TestCanonicalJson:
         )
 
 
+    # -0.0, subnormals, +-1e308 and the largest double, ints beyond 2**53
+    EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-310, -2.2250738585072014e-308, 1e308, -1e308,
+                   1.7976931348623157e308, 1.0 / 3.0, -2.0**60, 0.1, 123456789.0]
+
+    def test_float_list_matches_per_value_path(self):
+        # a list of plain floats is formatted in one pass; every value must
+        # come out as the per-value path writes it, inf included
+        values = self.EDGE_FLOATS + [float("inf"), float("-inf")]
+        for k in range(len(values)):
+            rotated = values[k:] + values[:k]
+            assert rio.canonical_json(rotated) == (
+                "[" + ", ".join(map(rio._scalar_json, rotated)) + "]"
+            )
+        assert rio.canonical_json([-0.0, 5e-324, 1e308]) == "[-0, 4.9406564584124654e-324, 1e+308]"
+
+    def test_mixed_list_matches_per_value_path(self):
+        mixed = [1, *self.EDGE_FLOATS, -7, 2**70, np.float64(0.5), np.int64(3), True]
+        text = rio.canonical_json(mixed)
+        assert text == "[" + ", ".join(map(rio._scalar_json, mixed)) + "]"
+        assert text.startswith("[1, -0, 0, 4.9406564584124654e-324, 9.9999999999999694e-311, ")
+        assert text.endswith(", -7, 1180591620717411303424, 0.5, 3, true]")
+
+    @pytest.mark.parametrize("values", [[float("nan")], [1.0, float("nan")],
+                                        [float("inf"), -float("nan"), 2.0]])
+    def test_nan_refused_in_float_list(self, values):
+        with pytest.raises(ProblemFormatError, match="NaN"):
+            rio.canonical_json(values)
+
+
 class TestArtifactSerializers:
+    def test_pair_report_vectors_are_plain_floats(self, rng):
+        p = random_problem(rng, 4, m=6)
+        report = recover_pair(p, rng.normal(size=4))
+        obj = rio.pair_report_to_dict(report)
+        for key, vec in (("x", report.x), ("correction_vector", report.lift.correction_vector)):
+            assert all(type(v) is float for v in obj[key])
+            assert np.array(obj[key]).tobytes() == vec.tobytes()
+
     def test_pair_report_fields(self):
         p = closed_form_problem()
         report = recover_pair(p, np.array([2.0, 0.0]), status="solved")

@@ -93,7 +93,7 @@ class TestWeightOperator:
         w_mat = (q * np.array([-1e-14, 0.5, 2.0])) @ q.T
         w = WeightOperator.dense(w_mat)
         # the -1e-14 eigenvalue is clamped; only reassembly roundoff remains
-        assert np.all(np.linalg.eigvalsh(w.sqrt_matrix()) >= -1e-14 * w.lam_max)
+        assert np.all(np.linalg.eigvalsh(w.sqrt_matrix()) >= -1e-14 * w.norm_inf)
         z = np.ones(3)
         assert w_vec_seminorm(w, z) >= 0.0
 
@@ -120,7 +120,109 @@ class TestWeightOperator:
             WeightOperator.dense(c * np.array([[1.0, 1e-11], [0.0, 1.0]]))
         assert WeightOperator.diagonal(c * np.array([1.0, -1e-13])).data[1] == 0.0
         w = WeightOperator.dense(c * np.array([[1.0, 1e-13], [0.0, -1e-13]]))
-        assert w.lam_max == pytest.approx(c, rel=1e-12)
+        assert w.norm_inf == pytest.approx(c, rel=1e-12)
+
+
+def _spectral_weight(q, lam):
+    """Q diag(lam) Q^T, symmetric to the last bit."""
+    w = (q * lam) @ q.T
+    return 0.5 * (w + w.T)
+
+
+def _orthogonal(rng, m):
+    return np.linalg.qr(rng.normal(size=(m, m)))[0]
+
+
+def _norm_inf(w):
+    return float(np.max(np.sum(np.abs(w), axis=1)))
+
+
+def _eigvalsh_rule(w):
+    """The PSD rule the Cholesky test replaced: lambda_min >= -1e-12 lambda_max."""
+    lam = np.linalg.eigvalsh(w)
+    return bool(lam[0] >= -1e-12 * lam[-1])
+
+
+def _accepted(w):
+    try:
+        WeightOperator.dense(w)
+    except ProblemFormatError as exc:
+        assert "positive semidefinite" in str(exc)
+        return False
+    return True
+
+
+SIZES = (2, 3, 5, 8, 13, 21, 40)
+
+
+class TestCholeskyRule:
+    """A dense W is PSD when W + 1e-12 |W|_inf I has a Cholesky factor."""
+
+    @staticmethod
+    def spectra(rng, m):
+        """Nonnegative spectra with lambda_max = 1: spread, clustered, rank-deficient."""
+        spread = np.sort(np.concatenate([[1.0], 10.0 ** rng.uniform(-10, 0, m - 1)]))
+        cluster = np.sort(np.concatenate([[1.0], rng.uniform(0.5, 1.0, m - 1)]))
+        rank = m - m // 2
+        low_rank = np.sort(np.concatenate([np.zeros(m // 2), [1.0], rng.uniform(0, 1, rank - 1)]))
+        return spread, cluster, low_rank
+
+    def cases(self, seed):
+        """(W, accept) pairs: lambda_min = -0.5e-12 lambda_max or -2e-12 |W|_inf."""
+        rng = np.random.default_rng(seed)
+        for m in SIZES:
+            for lam in self.spectra(rng, m):
+                q = _orthogonal(rng, m)
+                lam[0] = 0.0
+                bound = 2e-12 * _norm_inf(_spectral_weight(q, lam)) * (1 + 1e-6)
+                for accept, lam_min in ((True, -0.5e-12), (False, -bound)):
+                    lam[0] = lam_min
+                    yield _spectral_weight(q, lam), accept
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decides_as_the_eigvalsh_rule(self, seed):
+        for w, accept in self.cases(seed):
+            assert _eigvalsh_rule(w) is accept
+            assert _accepted(w) is accept
+
+    @pytest.mark.parametrize("c", [1e300, 1e-300])
+    def test_w_and_cw_decided_alike(self, c):
+        for w, accept in self.cases(7):
+            assert _accepted(c * w) is accept
+            if accept:
+                norm = WeightOperator.dense(c * w).norm_inf
+                assert norm == pytest.approx(c * _norm_inf(w), rel=1e-14)
+
+    def test_zero_and_rank_deficient_accepted(self):
+        rng = np.random.default_rng(11)
+        for m in SIZES:
+            zero = WeightOperator.dense(np.zeros((m, m)))
+            assert zero.norm_inf == 0.0
+            assert w_vec_seminorm(zero, np.ones(m)) == 0.0
+            for rank in (1, m // 2):
+                v = rng.normal(size=(m, rank))
+                g = v @ v.T
+                w = WeightOperator.dense(0.5 * (g + g.T))
+                assert w.norm_inf >= np.linalg.eigvalsh(w.data)[-1] * (1 - 1e-15)
+
+    def test_symmetric_w_keeps_its_bits(self):
+        rng = np.random.default_rng(5)
+        for m in SIZES:
+            w_mat = _spectral_weight(_orthogonal(rng, m), rng.uniform(0, 1, m))
+            assert WeightOperator.dense(w_mat).data.tobytes() == w_mat.tobytes()
+            signed_zeros = np.where(np.eye(m) > 0, rng.uniform(0, 1, (m, m)), -0.0)
+            w = WeightOperator.dense(signed_zeros)
+            assert w.data.tobytes() == signed_zeros.tobytes()
+        # W + W^T would overflow here
+        big = np.diag([1.5e308, 1.0])
+        w = WeightOperator.dense(big)
+        assert w.data.tobytes() == big.tobytes()
+        assert w.norm_inf == 1.5e308
+
+    def test_norm_inf_is_max_w_on_diagonals(self):
+        w = np.array([0.25, 3.0, 1e-9, 0.0])
+        assert WeightOperator.diagonal(w).norm_inf == 3.0
+        assert WeightOperator.dense(np.diag(w)).norm_inf == 3.0
 
 
 class TestProblemSpec:
