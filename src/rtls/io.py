@@ -64,13 +64,6 @@ def canonical_json(obj, indent=0):
         values = list(obj)
         if not values:
             return "[]"
-        if set(map(type, values)) == {float}:
-            # plain floats in one pass: of the texts format gives, only a
-            # NaN's holds "nan" (an infinity is written "inf", as before)
-            text = ", ".join([format(v, ".17g") for v in values])
-            if "nan" in text:
-                raise ProblemFormatError("refusing to serialize NaN")
-            return "[" + text + "]"
         if all(isinstance(v, _SCALARS) for v in values):
             return "[" + ", ".join(map(_scalar_json, values)) + "]"
         parts = [canonical_json(v, indent + 1) for v in values]

@@ -310,10 +310,7 @@ def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unav
         if not value < floor(eps):
             result.skipped.append((eps, f"minimal direction value {value:.6e} >= {label}"))
             continue
-        try:
-            limit = bound(eps)
-        except OverflowError:  # a Python float ** 2 beyond the range raises
-            limit = math.inf
+        limit = bound(eps)
         if not math.isfinite(limit):
             result.skipped.append((eps, _BOUND_OVERFLOW))
             continue
@@ -347,7 +344,7 @@ def nonexistence_tls_sequence(p, eps_list):
     wb = math.sqrt(p.b_norm_w_sq)
     return _exact_pairs(
         p, eps_list, x_dir, value, lambda eps: eps, "eps", objective_tls,
-        lambda eps: eps**2 * (wb + 1.0) ** 2,
+        lambda eps: eps * eps * ((wb + 1.0) * (wb + 1.0)),
         "weighted operator bounded below at this truncation "
         f"(minimal direction value {value:.6e} >= all requested eps)",
     )
@@ -378,7 +375,7 @@ def nonexistence_rtls_sequence(p, eps_list):
         )
     return _exact_pairs(
         p, eps_list, x_dir, value, lambda eps: eps * eps, "eps^2", objective_rtls,
-        lambda eps: eps**2 * (1.0 + (wb + eps**2) ** 2),
+        lambda eps: eps * eps * (1.0 + (wb + eps * eps) * (wb + eps * eps)),
         "combined quadratic form bounded below at this truncation "
         f"(minimal direction value {value:.6e} >= all eps^2)",
     )

@@ -112,15 +112,28 @@ def test_criterion_3_reduction_identities():
     _report(3, f"200 instances: max relative identity gap={worst:.3e}")
 
 
+def _rank_one_by_lam_max(p, rep):
+    """The rank-one residual over 1 + lambda_max(W) |A|_F + |b|_W^2.
+
+    The report divides by the larger |W|_inf in place of lambda_max(W), up
+    to sqrt(m) times more; rescaling keeps the bound below as strict.
+    """
+    a_norm = np.linalg.norm(p.A)
+    lam_max = np.linalg.eigvalsh(p.W.as_matrix())[-1]
+    report_scale = 1.0 + p.W.norm_inf * a_norm + p.b_norm_w_sq
+    return rep.residual_rank_one * report_scale / (1.0 + lam_max * a_norm + p.b_norm_w_sq)
+
+
 def test_criterion_4_first_order_conditions(certified_batch):
     worst_normal = 0.0
     worst_rank_one = 0.0
     for p, first, _ in certified_batch:
         rep = recover_pair(p, first.x_star)
+        rank_one = _rank_one_by_lam_max(p, rep)
         worst_normal = max(worst_normal, rep.residual_normal_eq)
-        worst_rank_one = max(worst_rank_one, rep.residual_rank_one)
+        worst_rank_one = max(worst_rank_one, rank_one)
         assert rep.residual_normal_eq <= 1e-7
-        assert rep.residual_rank_one <= 1e-8
+        assert rank_one <= 1e-8
     _report(4, f"50 certified minimizers: max normal residual={worst_normal:.3e}, "
                f"max rank-one residual={worst_rank_one:.3e}")
 

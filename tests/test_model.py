@@ -93,7 +93,8 @@ class TestWeightOperator:
         w_mat = (q * np.array([-1e-14, 0.5, 2.0])) @ q.T
         w = WeightOperator.dense(w_mat)
         # the -1e-14 eigenvalue is clamped; only reassembly roundoff remains
-        assert np.all(np.linalg.eigvalsh(w.sqrt_matrix()) >= -1e-14 * w.norm_inf)
+        lam_max = np.linalg.eigvalsh(w.as_matrix())[-1]
+        assert np.all(np.linalg.eigvalsh(w.sqrt_matrix()) >= -1e-14 * lam_max)
         z = np.ones(3)
         assert w_vec_seminorm(w, z) >= 0.0
 

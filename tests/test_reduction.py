@@ -110,7 +110,8 @@ class TestLiftOperator:
             x = rng.normal(size=2)
             ax = lift_operator(p, x).materialize()
             resid = p.W.apply(ax - p.A) + np.outer(p.W.apply(ax @ x - p.b), x)
-            scale = p.W.norm_inf * np.linalg.norm(p.A) + p.b_norm_w_sq
+            lam_max = np.linalg.eigvalsh(p.W.as_matrix())[-1]
+            scale = lam_max * np.linalg.norm(p.A) + p.b_norm_w_sq
             assert np.linalg.norm(resid) <= 1e-10 * scale
 
     def test_materialize_agrees_with_apply(self, rng):
