@@ -283,17 +283,19 @@ def _feasible_pair(p, x_dir, eps):
     """The exactly interpolating pair (X0, x/eps) with X0 = A + eps (b - Ax/eps) x^T.
 
     The residual X0 (x/eps) - b cancels terms of size |A| |x/eps| + |b|, so
-    it is held to 1e-12 of their largest component.
+    it is held to 1e-12 of their largest component.  Returns (X0, x/eps,
+    its largest entry, its squared W-seminorm: the fit term of the objective).
     """
     x_scaled = x_dir / eps
     x0_mat = p.A + eps * np.outer(p.b - p.A @ x_scaled, x_dir)
-    interp = float(np.max(np.abs(x0_mat @ x_scaled - p.b), initial=0.0))
+    resid = x0_mat @ x_scaled - p.b
+    interp = float(np.max(np.abs(resid), initial=0.0))
     scale = float(np.max(np.abs(p.A) @ np.abs(x_scaled) + np.abs(p.b), initial=0.0))
     if interp > _INTERP_TOL * scale:
         raise RuntimeError(
             f"interpolation identity violated: |X0 (x/eps) - b| = {interp!r}"
         )
-    return x0_mat, x_scaled, interp
+    return x0_mat, x_scaled, interp, w_vec_seminorm(p.W, resid) ** 2
 
 
 _BOUND_OVERFLOW = "objective bound is not finite"
@@ -303,7 +305,10 @@ def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unav
     """One pair per eps with value < floor(eps), its objective held below bound(eps).
 
     Other eps are skipped, as is an eps whose bound overflows; if none
-    qualifies the construction is unavailable.
+    qualifies the construction is unavailable.  The objective may exceed
+    the bound by the fit term |X0 (x/eps) - b|_W^2, which is zero in exact
+    arithmetic: its rounding can outweigh a bound as small as eps^2 at
+    eps = 1e-9.
     """
     result = SequenceResult(direction_value=value)
     for eps in eps_list:
@@ -314,9 +319,9 @@ def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unav
         if not math.isfinite(limit):
             result.skipped.append((eps, _BOUND_OVERFLOW))
             continue
-        x0_mat, x_scaled, interp = _feasible_pair(p, x_dir, eps)
+        x0_mat, x_scaled, interp, misfit = _feasible_pair(p, x_dir, eps)
         obj = objective(p, x0_mat, x_scaled)
-        if obj > limit * (1.0 + _BOUND_SLACK):
+        if obj > limit * (1.0 + _BOUND_SLACK) + misfit:
             raise RuntimeError(
                 f"objective {obj!r} exceeds its bound {limit!r} at eps={eps!r}"
             )

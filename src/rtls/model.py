@@ -89,15 +89,16 @@ class WeightOperator:
         if m != w.shape[1]:
             raise ProblemFormatError("field 'W.data' must be square")
         scale = float(np.max(np.abs(w), initial=0.0))
-        asymmetry = float(np.max(np.abs(w - w.T), initial=0.0))
-        if asymmetry > 1e-12 * scale:
-            raise ProblemFormatError("field 'W.data' is not symmetric")
-        if asymmetry > 0.0:
-            w = 0.5 * (w + w.T)
         if scale == 0.0:
             return cls("dense", w, 0.0)
-        # W / max|W| has entries in [-1, 1], so neither it nor its norm overflows
+        # W / max|W| has entries in [-1, 1], so neither it, its asymmetry
+        # nor its norm overflows
         shifted = w / scale
+        if not (w == w.T).all():
+            if np.max(np.abs(shifted - shifted.T)) > 1e-12:
+                raise ProblemFormatError("field 'W.data' is not symmetric")
+            w = 0.5 * w + 0.5 * w.T
+            shifted = w / scale
         norm_inf = float(np.max(np.sum(np.abs(shifted), axis=1)))
         shifted.flat[:: m + 1] += _EIG_FLOOR * norm_inf
         try:

@@ -57,6 +57,8 @@ _ALPHA_CAP = 1e8
 
 # the polished point is kept unless G rises above this relative margin
 _POLISH_REL = 1e-14
+# a polish step no longer than 4 _EPS |x| is its last
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,9 @@ def newton_polish(p, x, iters=8):
     to machine precision, which a search on values alone cannot reach
     through the fp noise floor of objective differences.  Halving stops once
     x - s step rounds to x: so does every shorter step, and the gradient at
-    x cannot shrink its own norm, so no result changes.  Steps come from
+    x cannot shrink its own norm, so no result changes.  A step s with
+    |s| <= 4 eps |x| only reshuffles the last bits of x: it is tried under
+    the same rule, and then the polish stops.  Steps come from
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
     A non-finite step (hard case) ends it: each halving has a NaN gradient.
@@ -248,6 +252,7 @@ def newton_polish(p, x, iters=8):
             break
         if not np.isfinite(step).all():
             break
+        last = math.sqrt(float(step @ step)) <= 4.0 * _EPS * math.sqrt(float(x @ x))
         for k in range(12):
             x_new = x - step / 2**k
             if (x_new == x).all():
@@ -257,7 +262,7 @@ def newton_polish(p, x, iters=8):
             if gnorm_new < gnorm:
                 x, parts, gnorm = x_new, parts_new, gnorm_new
                 break
-        if x is not x_new:  # no step accepted
+        if last or x is not x_new:  # at the rounding level of x, or no step accepted
             break
     return x if parts[2] / parts[3] + p.T.value(x) <= g0 + _POLISH_REL * abs(g0) else x0
 

@@ -165,6 +165,15 @@ class TestInterpolationCheck:
         for pt in result.points:
             assert pt.interp_residual <= 1e-12 * max(s, 1.0 / pt.eps)
 
+    def test_fit_term_rounding_may_exceed_the_bound(self):
+        # at eps = 1e-9 the bound 4e-18 lies below the fit term |X0 (x/eps) - b|_W^2,
+        # the squared rounding of a difference of terms near 1/eps: it is allowed on top
+        model = model_from_dict({"kernel": "named:gaussian", "w": "1/k^2", "b": [1.0], "rho": 1.0})
+        (pt,) = nonexistence_tls_sequence(model.build(60), [1e-9]).points
+        # W = 1/k^2 <= 1, so the fit term is at most 60 interp_residual^2
+        assert pt.bound < pt.objective <= pt.bound * (1 + 1e-8) + 60 * pt.interp_residual**2
+        assert pt.interp_residual <= 1e-12 / pt.eps
+
     def test_default_gaussian_at_small_eps(self):
         # the absolute 1e-12 rule rejected a 3.6e-12 residual here
         result = nonexistence_tls_sequence(IntegralModel("named:gaussian").build(200), [1e-6])

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from rtls import (
     w_hs_seminorm,
     w_vec_seminorm,
 )
+from rtls.cli import main
 from rtls.instances import random_problem, random_weight
 
 
@@ -219,6 +222,27 @@ class TestCholeskyRule:
         w = WeightOperator.dense(big)
         assert w.data.tobytes() == big.tobytes()
         assert w.norm_inf == 1.5e308
+
+    def test_asymmetry_near_the_largest_double(self, tmp_path, capsys):
+        # W - W^T and W + W^T overflow here; the test runs on W / max|W|
+        asym = [[1e308, -1e308], [1e308, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProblemFormatError, match="'W.data' is not symmetric"):
+                WeightOperator.dense(asym)
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps({
+                "A": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}, "b": [1, 2],
+                "W": {"kind": "dense", "rows": 2, "cols": 2, "data": sum(asym, [])},
+                "T": {"kind": "identity_scaled", "rho": 1},
+            }))
+            assert main(["solve", "--problem", str(path)]) == 1
+            assert "field 'W.data'" in capsys.readouterr().err
+            # an asymmetry within the tolerance is averaged without overflow
+            near = np.array([[1.5e308, 1e308], [np.nextafter(1e308, 0.0), 1.5e308]])
+            w = WeightOperator.dense(near)
+        assert w.data.tobytes() == (0.5 * near + 0.5 * near.T).tobytes()
+        assert np.array_equal(w.data, w.data.T)
 
     def test_norm_inf_is_max_w_on_diagonals(self):
         w = np.array([0.25, 3.0, 1e-9, 0.0])

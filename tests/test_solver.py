@@ -770,9 +770,11 @@ def _reference_polish(p, x, iters=8):
 
     Every rejected step is halved 12 times, whether or not the trial point
     still moves or is finite, and |Ax - b|_W^2 is taken through
-    w_vec_seminorm.  Returns (the polished point, the gradients evaluated,
-    how many of them were at a trial point equal to the current x in every
-    entry, how many at a trial point with a non-finite entry).
+    w_vec_seminorm.  A step no longer than 4 eps |x| is the last one
+    tried.  Returns (the polished point, the gradients evaluated, how many
+    of them were at a trial point equal to the current x in every entry,
+    how many at a trial point with a non-finite entry, whether the polish
+    stopped after accepting such a step).
     """
     def parts_at(z):
         v = 1.0 + float(z @ z)
@@ -785,7 +787,7 @@ def _reference_polish(p, x, iters=8):
     x0 = np.asarray(x, dtype=float)
     x = x0.copy()
     parts = parts_at(x)
-    evals, at_x, nonfinite = 1, 0, 0
+    evals, at_x, nonfinite, last, accepted = 1, 0, 0, False, False
     g0 = parts[2] / parts[3] + p.T.value(x)
     gnorm = float(np.linalg.norm(parts[0]))
     for _ in range(iters):
@@ -796,6 +798,7 @@ def _reference_polish(p, x, iters=8):
         except (np.linalg.LinAlgError, ZeroDivisionError):
             break
         accepted = False
+        last = np.linalg.norm(step) <= 4.0 * np.finfo(float).eps * np.linalg.norm(x)
         scale = 1.0
         for _ in range(12):
             x_new = x - scale * step
@@ -807,10 +810,10 @@ def _reference_polish(p, x, iters=8):
                 x, parts, gnorm, accepted = x_new, parts_new, gnorm_new, True
                 break
             scale *= 0.5
-        if not accepted:
+        if last or not accepted:
             break
     keep = parts[2] / parts[3] + p.T.value(x) <= g0 + 1e-14 * abs(g0)
-    return (x if keep else x0), evals, at_x, nonfinite
+    return (x if keep else x0), evals, at_x, nonfinite, last and accepted
 
 
 def _polish_starts():
@@ -869,15 +872,36 @@ class TestPolishMatchesReference:
         assert len(starts) >= 200
         want = [_reference_polish(p, x0) for p, x0 in starts]
         seen = _counted_gradients(monkeypatch)
-        skipped = skipped_nonfinite = 0
-        for (p, x0), (x_ref, evals, at_x, nonfinite) in zip(starts, want):
+        skipped = skipped_nonfinite = at_floor = 0
+        for (p, x0), (x_ref, evals, at_x, nonfinite, last) in zip(starts, want):
             seen.clear()
             assert newton_polish(p, x0).tobytes() == x_ref.tobytes()
             assert len(seen) == evals - at_x - nonfinite
             skipped += at_x
             skipped_nonfinite += nonfinite
+            at_floor += last
         assert skipped > len(starts)
         assert skipped_nonfinite >= 12
+        assert at_floor >= 100
+
+    def test_dual_point_takes_few_gradients(self, monkeypatch):
+        # the dual's point is a step or two from the rounding level of x,
+        # where the polish stops; a rejected last step is still halved until
+        # it rounds to x, so a polish may take more than 4 on its own
+        problems = [
+            random_problem(np.random.default_rng(seed), n, rho_factor=f, weight_kind=kind)
+            for n in (3, 8, 20) for kind in ("diagonal", "dense") for f in (0.05, 1.5)
+            for seed in range(5)
+        ]
+        problems.append(random_problem(np.random.default_rng(0), 300, weight_kind="dense"))
+        seen = _counted_gradients(monkeypatch)
+        counts = []
+        for p in problems:
+            seen.clear()
+            dual_tstar(p)
+            counts.append(len(seen))
+        assert sum(counts) <= 4 * len(counts)
+        assert counts[-1] <= 4
 
     def test_dense_t_step_takes_one_gradient(self, monkeypatch):
         p = _dense_t_family("dense", 0)
