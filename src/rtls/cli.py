@@ -229,7 +229,6 @@ def cmd_demo(args):
 def _add_solve(p):
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
@@ -268,7 +267,6 @@ def _add_demo(p):
     d.add_argument("--model", required=True)
     d.add_argument("--N", type=int, default=8)
     d.add_argument("--out")
-    d.add_argument("--format", choices=("json",), default="json")
     d.set_defaults(func=cmd_demo)
     d = demo_sub.add_parser("sweep")
     d.add_argument("--model", required=True)

@@ -43,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trs
 from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls
 from .reduction import eval_g, recover_pair
-from .trs import brentq, quartic_minimizer, radial_solutions, trs_equality
+from .trs import quartic_minimizer, radial_solutions, trs_equality
 from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
 
 logger = logging.getLogger("rtls.solver")
@@ -55,8 +56,11 @@ logger = logging.getLogger("rtls.solver")
 _ALPHA_GRID = 128
 _ALPHA_CAP = 1e8
 
+_TOL_PHI_REL = 1e-9  # Dinkelbach stops once |phi(t)| <= this times |b|_W^2
+_MAX_ITER = 60  # and fails after this many phi values
 # the polished point is kept unless G rises above this relative margin
 _POLISH_REL = 1e-14
+_POLISH_ITERS = 8  # Newton steps of one polish, at most
 # a polish step no longer than 4 _EPS |x| is its last
 _EPS = np.finfo(float).eps
 
@@ -97,7 +101,7 @@ def eval_phi(p, t):
     return quad + rho * r2 * r2 + (p.b_norm_w_sq - t), x
 
 
-def solve_tstar(p, tol_phi=None, max_iter=60):
+def solve_tstar(p):
     """Find t* = inf G and a minimizer by a safeguarded Dinkelbach iteration.
 
     phi is decreasing with phi(0) >= 0 >= phi(|b|_W^2), and its Newton step
@@ -107,23 +111,20 @@ def solve_tstar(p, tol_phi=None, max_iter=60):
     is at most half the step before last, so the first two always pass.
     Otherwise the bracket is bisected.  G(x_t) can round to t far above t*
     (A = b = W = 1, rho = 1e-300), where only bisection moves on.  The
-    iteration stops when |phi(t)| <= tol_phi (default 1e-9 |b|_W^2, which
-    scales with phi) or the bracket is narrower than 1e-15 of its upper end;
-    x_t is then Newton-polished.  Raises RuntimeError after ``max_iter``
-    phi values.
+    iteration stops when |phi(t)| <= 1e-9 |b|_W^2 (which scales with phi)
+    or the bracket is narrower than 1e-15 of its upper end; x_t is then
+    Newton-polished.  Raises RuntimeError after 60 phi values.
     """
     require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
     if b_sq == 0.0:
         return DinkelbachSolution(0.0, np.zeros(p.shape[1]), 0)
-    if tol_phi is None:
-        tol_phi = 1e-9 * b_sq
     lo, hi = 0.0, b_sq
     t = b_sq
     step = step_old = math.inf
-    for k in range(1, max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         phi, x = eval_phi(p, t)
-        if abs(phi) <= tol_phi:
+        if abs(phi) <= _TOL_PHI_REL * b_sq:
             break
         if phi > 0.0:
             lo = t
@@ -139,7 +140,7 @@ def solve_tstar(p, tol_phi=None, max_iter=60):
             step_old, step = step, 0.5 * (hi - lo)
             t = lo + step
     else:
-        raise RuntimeError(f"Dinkelbach iteration did not converge in {max_iter} steps")
+        raise RuntimeError(f"Dinkelbach iteration did not converge in {_MAX_ITER} steps")
     x = newton_polish(p, x)
     return DinkelbachSolution(eval_g(p, x).g, x, k)
 
@@ -221,8 +222,8 @@ def newton_step(p, x, parts=None):
         return q @ (y[:, 0] - w1 * y[:, 1] - w2 * y[:, 2])
 
 
-def newton_polish(p, x, iters=8):
-    """Guarded Newton refinement of a near-critical point of G.
+def newton_polish(p, x):
+    """Guarded Newton refinement of a near-critical point of G, at most 8 steps.
 
     Each step is accepted only if it shrinks the gradient norm, after up to
     12 halvings; the analytic gradient/Hessian push the first-order residual
@@ -243,7 +244,7 @@ def newton_polish(p, x, iters=8):
     parts = _gradient_parts(p, x)
     g0 = parts[2] / parts[3] + p.T.value(x)  # G(x), as eval_g forms it
     gnorm = math.sqrt(float(parts[0] @ parts[0]))  # the bits of np.linalg.norm
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         if gnorm == 0.0:
             break
         try:
@@ -420,7 +421,7 @@ def solve_rtls_general_t(p):
     for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
         lo, hi = max(us[max(i - 1, 0)], tol), us[min(i + 1, _ALPHA_GRID - 1)]
         if point(lo)[2] < 0.0 < point(hi)[2]:
-            brentq(lambda u: point(u)[2], lo, hi, xtol=tol)
+            trs.brentq(lambda u: point(u)[2], lo, hi, xtol=tol)  # module attribute: wrappers apply
     search = AlphaSearch(
         grid_points=scans * _ALPHA_GRID, doublings=scans - 1, trs_solves=len(points),
         hit_cap=hit_cap, alpha=math.expm1(best_u),

@@ -10,15 +10,15 @@ secular equation
 When d has no component in the minimal eigenspace the secular curve may top
 out below r (the hard case); the solution is then completed with a component
 inside that eigenspace at mu = -lam_min.  :func:`secular_setup` holds that
-test, the completion and the secular bracket, for one S or a batch; the
-scalar :func:`trs_equality` and the batched :func:`radial_solutions` add
-only their root iterations, the batch Newton's on 1/|z(mu)| - 1/r (J. J.
-More and D. C. Sorensen, SIAM J. Sci. Stat. Comput. 4 (1983) 553-572).
+test, the completion and the secular bracket, and :func:`secular_root` the
+root, by Newton's method on 1/|z(mu)| - 1/r (J. J. More and D. C. Sorensen,
+SIAM J. Sci. Stat. Comput. 4 (1983) 553-572), for one S or a batch: the
+scalar :func:`trs_equality` and the batched :func:`radial_solutions` share both.
 
-The scalar root is found by :func:`brentq`, a pure-Python port of the
-Brent-Dekker method (R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973, ch. 4) step for step as in scipy's ``brentq.c``, so the
-roots are bit-identical to ``scipy.optimize.brentq`` without importing scipy.
+:func:`brentq` (R. P. Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4) finds only slope roots, of :func:`quartic_minimizer` and of the
+dense-T search; a pure-Python port step for step as in scipy's ``brentq.c``,
+its roots are bit-identical to ``scipy.optimize.brentq`` without scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
 _HARD_CASE_REL = 1e-13  # d's minimal-eigenspace part below this times |d| counts as zero
-_SWEEPS = 70  # cap on the secular Newton sweeps of radial_solutions
+_SWEEPS = 70  # cap on the Newton sweeps of secular_root, for every TRS
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,27 @@ def secular_setup(lam, d, r):
     spread = np.maximum(lam[..., -1] + pole, np.abs(pole))
     lo = pole + np.where(degenerate, 1e-15 * spread, d_min_norm / r)
     lo = np.maximum(lo, np.nextafter(pole, np.inf))
-    # |d|: a dot product for one S, row sums for a batch (last bits may differ)
-    d_norm = np.linalg.norm(d, axis=None if d.ndim == 1 else -1)
-    hi = np.maximum(pole + d_norm / r, lo)
+    hi = np.maximum(pole + np.linalg.norm(d, axis=-1) / r, lo)
     return hard, z, lo, hi
+
+
+def secular_root(lam, d, r, lo, hi):
+    """The secular root mu in the bracket [lo, hi] of :func:`secular_setup`.
+
+    Newton's method on psi(mu) = 1/|z| - 1/r, z = d / (lam + mu), from lo:
+    psi is concave and increasing right of the pole, so no iterate passes
+    the root, and an end that rounding puts past it is taken as the root.
+    Batch axes as in :func:`secular_setup`; a row stops once mu stops rising.
+    """
+    for _ in range(_SWEEPS):
+        shifted = lam + lo[..., None]
+        z_sq = (d / shifted) ** 2
+        norm_sq = z_sq.sum(axis=-1)
+        step = (np.sqrt(norm_sq) - r) / r * norm_sq / (z_sq / shifted).sum(axis=-1)
+        lo, last = np.fmax(lo, np.minimum(lo + step, hi)), lo  # a stopped row stays
+        if (lo == last).all():
+            break
+    return lo
 
 
 def trs_equality(S, c, r, eig=None):
@@ -160,9 +177,9 @@ def trs_equality(S, c, r, eig=None):
 
     ``eig`` may pass a precomputed ``(eigenvalues, eigenvectors)`` pair of S
     (ascending); S itself is then ignored.  r = 0 returns x = 0 with the
-    multiplier undefined (NaN).  The secular root is a :func:`brentq` root
-    in the bracket of :func:`secular_setup`; an end that rounding puts on
-    the wrong side of it is taken as the root.
+    multiplier undefined (NaN).  The multiplier is :func:`secular_root`'s,
+    as in :func:`radial_solutions`, but x = Q z is rescaled onto |x| = r in
+    x-coordinates.
     """
     if eig is None:
         lam, q = np.linalg.eigh(np.asarray(S, dtype=float))
@@ -179,15 +196,7 @@ def trs_equality(S, c, r, eig=None):
     if hard:
         mu = -lam[0]
     else:
-        def secular(mu):
-            return float(((d / (lam + mu)) ** 2).sum()) - r * r
-
-        if secular(lo) <= 0.0:
-            mu = lo
-        elif secular(hi) >= 0.0:
-            mu = hi
-        else:
-            mu = brentq(secular, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
+        mu = secular_root(lam, d, r, lo, hi)
         z = d / (lam + mu)
     x = q @ z
     nrm = np.linalg.norm(x)
@@ -246,12 +255,11 @@ def radial_values(lam, d, rs):
 def radial_solutions(lam, d, rs):
     """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
-    Same reduction as :func:`trs_equality`, split by :func:`secular_setup`,
-    each secular root by Newton's method on psi(mu) = 1/|z| - 1/r from the
-    bracket's lower end: psi is concave and increasing right of the pole,
-    so no iterate passes the root.  ``lam`` and ``d`` may carry leading
-    batch axes, one S per entry, and ``rs`` broadcasts against them (one S
-    at many radii, or each S at its own).  Returns (values, z), x = Q z.
+    Same reduction and root as :func:`trs_equality`, all rows at once, but
+    x, hard rows too, is rescaled onto the sphere in eigen-coordinates
+    before the values are formed.  ``lam`` and ``d`` may carry leading batch
+    axes, one S per entry, and ``rs`` broadcasts against them (one S at many
+    radii, or each S at its own).  Returns (values, z), x = Q z.
     """
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -266,17 +274,9 @@ def radial_solutions(lam, d, rs):
     hard, x, lo, hi = secular_setup(lam, d, r)
     solve = ~hard
     if np.any(solve):
-        lam_s, d_s, r_s, lo, hi = lam[solve], d[solve], r[solve], lo[solve], hi[solve]
-        for _ in range(_SWEEPS):  # each Newton step keeps lo left of the root
-            shifted = lam_s + lo[:, None]
-            z_sq = (d_s / shifted) ** 2
-            norm_sq = np.sum(z_sq, axis=1)
-            step = (np.sqrt(norm_sq) - r_s) / r_s * norm_sq / np.sum(z_sq / shifted, axis=1)
-            lo, last = np.fmax(lo, np.minimum(lo + step, hi)), lo  # a stopped row stays
-            if (lo == last).all():
-                break
-        x[solve] = d_s / (lam_s + lo[:, None])
-    # onto the sphere exactly before evaluating, hard rows too, as trs_equality
+        lam_s, d_s = lam[solve], d[solve]
+        mu = secular_root(lam_s, d_s, r[solve], lo[solve], hi[solve])
+        x[solve] = d_s / (lam_s + mu[:, None])
     x *= (r / np.linalg.norm(x, axis=1))[:, None]
     out = np.zeros(shape)
     z = np.zeros(shape + (n,))

@@ -628,6 +628,16 @@ class TestParser:
         assert (code, out, err) == _parse_outcome(build_parser.__wrapped__().parse_args, argv, capsys)
         assert code in (0, 1) and (out or err)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "p.json", "--format", "json"],
+        ["demo", "diagonal", "--model", "m.json", "--format", "json"],
+    ], ids=["solve", "diagonal"])
+    def test_json_only_commands_take_no_format(self, argv, capsys):
+        # --format belongs to the table demos; these write JSON alone
+        code, out, err = _parse_outcome(main, argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --format json\n")
+
     @pytest.mark.parametrize("argv, err", [
         ([], "usage: rtls [-h] {solve,certify,classic-tls,demo} ...\n"
              "rtls: error: the following arguments are required: command\n"),

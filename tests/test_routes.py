@@ -10,7 +10,7 @@ basis, a column permutation among them, and the dense-T search must find
 the same t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.
 With a general dense T the alpha search must carry the change of basis
 (A, b, W, T) -> (U A V^T, U b, U W U^T, T V^T) and the scaling
-(W, T) -> (cW, sqrt(c) T).
+(W, T) -> (cW, sqrt(c) T), bit for bit when the scales are powers of two.
 """
 
 import json
@@ -166,3 +166,25 @@ def test_dense_t_scales_with_w(p, log_c):
         scaled_code, scaled_report = _solve_report(scaled, workdir, "scaled")
     assert scaled_report["objective"] == pytest.approx(c * report["objective"], rel=1e-12, abs=0.0)
     assert (scaled_code, scaled_report["status"]) == (code, report["status"])
+
+
+def test_dense_t_is_bitwise_scale_equivariant():
+    # (A, b, T) -> 2^k (A, b, T) and (W, T) -> (4^i W, 2^i T) scale every
+    # rounding by a power of two, so x keeps its bits and G scales exactly
+    failed = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        p = random_problem(rng, n, m=int(rng.integers(n, n + 4)),
+                           rho_factor=float(rng.choice([0.02, 0.3, 1.5])), weight_kind="diagonal")
+        t_mat = rng.normal(size=(n, n)) * math.sqrt(p.T.rho / n)
+        k, i = int(rng.integers(-40, 40)), int(rng.integers(-20, 20))
+        s, c = 2.0**k, 4.0**i
+        report, _ = solve_rtls_general_t(ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(t_mat)))
+        scaled, _ = solve_rtls_general_t(ProblemSpec(
+            s * p.A, s * p.b, WeightOperator.diagonal(c * p.W.data),
+            RegularizerSpec.dense(s * 2.0**i * t_mat),
+        ))
+        if scaled.x.tobytes() != report.x.tobytes() or scaled.objective != s * s * c * report.objective:
+            failed.append(seed)
+    assert failed == []

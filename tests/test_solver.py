@@ -157,8 +157,8 @@ class TestSolveTstar:
 
     def test_root_identity(self, rng):
         p = random_problem(rng, 5)
-        tol_phi = 1e-9 * (1.0 + p.b_norm_w_sq)
-        trace = solve_tstar(p, tol_phi=tol_phi)
+        tol_phi = 1e-9 * p.b_norm_w_sq  # solve_tstar's own stopping rule
+        trace = solve_tstar(p)
         phi, _ = eval_phi(p, trace.t_star)
         assert abs(phi) <= 10 * tol_phi
         assert eval_g(p, trace.x_star).g == pytest.approx(trace.t_star, abs=10 * tol_phi)

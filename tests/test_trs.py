@@ -345,7 +345,7 @@ class TestBrentq:
                 def secular(mu):
                     return float(np.sum((d / (lam + mu)) ** 2)) - r * r
 
-                # the bracket trs_equality uses when d has a minimal-eigenspace part
+                # the secular bracket when d has a minimal-eigenspace part
                 lo = -lam[0] + abs(d[0]) / r
                 hi = -lam[0] + float(np.linalg.norm(d)) / r
                 if not secular(lo) > 0.0 > secular(hi):
