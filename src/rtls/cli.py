@@ -95,7 +95,7 @@ def _emit(obj, out, fmt="json", rows=None):
 
 def cmd_solve(args):
     p = rio.load_problem(args.problem)
-    meta = {"command": "solve", "seed": args.seed}
+    meta = {"command": "solve"}
     if p.T.kind == "identity_scaled":
         sol = dual_tstar(p)
         report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
@@ -229,7 +229,6 @@ def cmd_demo(args):
 def _add_solve(p):
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
 

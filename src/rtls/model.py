@@ -66,8 +66,7 @@ class WeightOperator:
     pass or fail together: an entry of W - W^T beyond 1e-12 max|W| is
     asymmetric, and a dense W is PSD when W + 1e-12 |W|_inf I has a
     Cholesky factor (a diagonal entry must be at least -1e-12 max w).
-    Only ``apply_sqrt`` and ``sqrt_matrix`` need the root: seminorms are
-    taken as ``<W z, z>``.
+    Only ``apply_sqrt`` needs the root: seminorms are taken as ``<W z, z>``.
     """
 
     kind: str
@@ -128,11 +127,6 @@ class WeightOperator:
         if self.kind == "diagonal":
             return np.diag(self.data)
         return self.data
-
-    def sqrt_matrix(self):
-        if self.kind == "diagonal":
-            return np.diag(self.sqrt_data)
-        return self.sqrt_data
 
     def apply(self, z):
         """W z for a vector or W Z columnwise for a matrix."""
@@ -310,7 +304,6 @@ class PairReport:
     reg_term: float
     residual_normal_eq: float
     residual_rank_one: float
-    residual_orthogonality: float
     status: str
 
 

@@ -140,46 +140,19 @@ def _report_scale(p):
     return 1.0 + p.W.norm_inf * np.linalg.norm(p.A) + p.b_norm_w_sq
 
 
-def _rank_one_norm(p, x, ax, c):
-    """|W(c + A_x x - b) x^T|_F for the lift A_x = A + c x^T."""
-    residual = p.W.apply(c + (ax + c * float(x @ x)) - p.b)
-    return float(np.linalg.norm(residual) * np.linalg.norm(x))
-
-
-def rank_one_stationarity_residual(p, x, ax=None):
-    """Scaled Frobenius residual of W(A_x - A) + <., x> W(A_x x - b) = 0.
-
-    The lift satisfies this identity for every x, so the value measures
-    numerical consistency of the construction rather than optimality of x.
-    With A_x - A = c x^T the matrix is W(c + A_x x - b) x^T, so its norm
-    costs O(m^2 + mn) without materializing A_x.  ``ax`` may pass A x.
-    """
-    x = _check_x(p, x)
-    ax = p.A @ x if ax is None else ax
-    c = lift_operator(p, x, ax).correction_vector
-    return _rank_one_norm(p, x, ax, c) / _report_scale(p)
-
-
 def recover_pair(p, x, status=STATUS_HEURISTIC):
     """Bundle x with its lift, objective value and first-order residuals.
 
-    The orthogonality report measures |A_x^T W (A_x - A) - (T^T T x) x^T|_F
-    (scaled): combining the rank-one perturbation identity with the normal
-    equation shows A_x^T W (A_x - A) equals the rank-one matrix (T^T T x) x^T
-    at any critical point of G, which degenerates to zero exactly when the
-    regularizer annihilates x (in particular in the unregularized problem).
-    With A_x - A = c x^T that matrix is (A^T W c + (c^T W c) x - T^T T x) x^T,
-    so its norm costs O(mn + m^2) without materializing A_x.
+    The identity A_x^T W (A_x - A) = (T^T T x) x^T at a critical point of G
+    is not reported: the normal-equation and rank-one residuals imply it.
     """
     x = _check_x(p, x)
     ax = p.A @ x
     lift = lift_operator(p, x, ax)
     gval = eval_g(p, x, ax)
     c = lift.correction_vector
-    wc = p.W.apply(c)
-    ortho = p.A.T @ wc + float(c @ wc) * x - p.T.gram_dot(x)
-    ortho_norm = float(np.linalg.norm(ortho) * np.linalg.norm(x))
-    scale = _report_scale(p)
+    # W(A_x - A) + W(A_x x - b) x^T = W(c + A_x x - b) x^T for A_x = A + c x^T
+    rank_one = p.W.apply(c + (ax + c * float(x @ x)) - p.b)
     return PairReport(
         x=x,
         lift=lift,
@@ -187,7 +160,6 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
         data_term=gval.data_term,
         reg_term=gval.reg_term,
         residual_normal_eq=normal_residual(p, x, ax),
-        residual_rank_one=_rank_one_norm(p, x, ax, c) / scale,
-        residual_orthogonality=ortho_norm / scale,
+        residual_rank_one=float(np.linalg.norm(rank_one) * np.linalg.norm(x)) / _report_scale(p),
         status=status,
     )

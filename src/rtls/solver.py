@@ -283,14 +283,12 @@ def minimize(fun, x0, **kw):
 class AlphaSearch:
     """What one dense-T alpha search did; deterministic, for the report meta.
 
-    grid_points  G values taken on the grid, over every scan
     doublings    rescans after the scan interval doubled
     trs_solves   scalar equality-TRS solves (one per point refined)
     hit_cap      the minimizer still sat at the largest |x|^2 scanned
     alpha        |x|^2 of the point found, before the Newton polish
     """
 
-    grid_points: int
     doublings: int
     trs_solves: int
     hit_cap: bool
@@ -423,8 +421,7 @@ def solve_rtls_general_t(p):
         if point(lo)[2] < 0.0 < point(hi)[2]:
             trs.brentq(lambda u: point(u)[2], lo, hi, xtol=tol)  # module attribute: wrappers apply
     search = AlphaSearch(
-        grid_points=scans * _ALPHA_GRID, doublings=scans - 1, trs_solves=len(points),
-        hit_cap=hit_cap, alpha=math.expm1(best_u),
+        doublings=scans - 1, trs_solves=len(points), hit_cap=hit_cap, alpha=math.expm1(best_u),
     )
     x = newton_polish(p, point(best_u)[0])
     return recover_pair(p, x, status=STATUS_HEURISTIC), search

@@ -35,7 +35,6 @@ _SWEEPS = 70  # cap on the Newton sweeps of secular_root, for every TRS
 
 @dataclass(frozen=True)
 class TrsSolution:
-    r: float
     x: np.ndarray
     lam: float
     hard_case: bool
@@ -190,7 +189,7 @@ def trs_equality(S, c, r, eig=None):
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
-        return TrsSolution(0.0, np.zeros(lam.shape[0]), float("nan"), False)
+        return TrsSolution(np.zeros(lam.shape[0]), float("nan"), False)
 
     hard, z, lo, hi = secular_setup(lam, d, r)
     if hard:
@@ -202,7 +201,7 @@ def trs_equality(S, c, r, eig=None):
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x *= r / nrm
-    return TrsSolution(r, x, float(mu), bool(hard))
+    return TrsSolution(x, float(mu), bool(hard))
 
 
 def eigen_split(eig, c):

@@ -122,7 +122,7 @@ class TestSolveCommand:
 
     def test_deterministic_bytes(self, workdir):
         out1, out2 = workdir / "a.json", workdir / "b.json"
-        argv = ["solve", "--problem", str(workdir / "certified.json"), "--seed", "7"]
+        argv = ["solve", "--problem", str(workdir / "certified.json")]
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -164,10 +164,7 @@ class TestSolveCommand:
         assert "starts" not in report["meta"]
         assert report["residual_normal_eq"] <= 1e-12
         search = report["meta"]["alpha_search"]
-        assert list(search) == [
-            "grid_points", "doublings", "trs_solves", "hit_cap", "alpha"
-        ]
-        assert search["grid_points"] == 128 * (1 + search["doublings"])
+        assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha"]
         assert 0 < search["trs_solves"] <= 12
         assert search["hit_cap"] is False
         x = np.array(report["x"])
@@ -180,7 +177,7 @@ class TestSolveCommand:
         out = workdir / "rep.json"
         main(["solve", "--problem", str(workdir / "certified.json"), "--out", str(out)])
         meta = json.loads(out.read_text())["meta"]
-        assert list(meta) == ["command", "seed", "t_star", "t_dual", "dual_steps"]
+        assert list(meta) == ["command", "t_star", "t_dual", "dual_steps"]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "{dir}/certified.json"],
@@ -542,7 +539,7 @@ class TestDemoCommands:
 
 # one argv per command and demo sub-command, options included
 BRANCH_ARGV = [
-    ["solve", "--problem", "p.json", "--seed", "3", "--out", "r.json"],
+    ["solve", "--problem", "p.json", "--out", "r.json"],
     ["certify", "--batch", "4", "--keep-C", "--tol-t", "1e-8"],
     ["classic-tls", "--problem", "p.json"],
     ["demo", "nonexist-tls", "--model", "m.json", "--eps", "0.1,0.01"],
@@ -637,6 +634,13 @@ class TestParser:
         code, out, err = _parse_outcome(main, argv, capsys)
         assert (code, out) == (1, "")
         assert err.endswith("error: unrecognized arguments: --format json\n")
+
+    def test_solve_takes_no_seed(self, capsys):
+        # solve has no randomness; --seed belongs to certify --batch
+        argv = ["solve", "--problem", "p.json", "--seed", "3"]
+        code, out, err = _parse_outcome(main, argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --seed 3\n")
 
     @pytest.mark.parametrize("argv, err", [
         ([], "usage: rtls [-h] {solve,certify,classic-tls,demo} ...\n"
