@@ -31,7 +31,6 @@ from .certificate import certify_tstar, classify_existence, default_tol_t, dual_
 from .classic import solve_classic_tls
 from .instances import random_problem
 from .lab import (
-    DiagonalModel,
     diagonal_solve,
     load_model_file,
     nonexistence_rtls_sequence,
@@ -166,7 +165,7 @@ def cmd_classic_tls(args):
         logger.warning("classic-tls ignores the problem's weight, which is not the identity")
     solution = solve_classic_tls(p.A, p.b)
     out = {
-        "x": [float(v) for v in solution.x],
+        "x": solution.x.tolist(),
         "sigma_min": float(solution.sigma_min),
         "objective": float(solution.sigma_min**2),
         "constraint_residual": float(solution.residual),
@@ -175,54 +174,36 @@ def cmd_classic_tls(args):
     return EXIT_OK
 
 
-def cmd_demo(args):
-    if args.demo_command in ("nonexist-tls", "nonexist-rtls"):
-        model = load_model_file(args.model)
-        p = model.build(args.N)
-        run = (
-            nonexistence_tls_sequence
-            if args.demo_command == "nonexist-tls"
-            else nonexistence_rtls_sequence
-        )
-        result = run(p, args.eps)
-        for eps, reason in result.skipped:
-            logger.info("eps=%g skipped: %s", eps, reason)
-        _emit(
-            rio.sequence_result_to_dict(result),
-            args.out,
-            args.format,
-            rows=rio.sequence_result_rows(result),
-        )
-        return EXIT_OK
-    if args.demo_command == "diagonal":
-        model = load_model_file(args.model)
-        if not isinstance(model, DiagonalModel) or model.rho is None:
-            raise ProblemFormatError(
-                "the diagonal demo needs a diagonal model with a scaled-identity 'rho'"
-            )
-        report, audit = diagonal_solve(model.a, model.w, model.b, model.rho, args.N)
-        out = rio.pair_report_to_dict(report)
-        out["audit"] = dataclasses.asdict(audit)
-        _emit(out, args.out)
-        return EXIT_OK
-    if args.demo_command == "sweep":
-        model = load_model_file(args.model)
-        rows = truncation_sweep(model, args.N)
-        _emit(
-            rio.sweep_to_dict(rows),
-            args.out,
-            args.format,
-            rows=rio.sweep_rows(rows),
-        )
-        return EXIT_OK
-    # argparse admits only the five demos: this one is weakcont
-    rows = weak_continuity_demo(args.n, quad_points=args.quad_points)
-    _emit(
-        rio.weakcont_to_dict(rows),
-        args.out,
-        args.format,
-        rows=rio.weakcont_rows(rows),
-    )
+def _emit_table(args, header, table):
+    """A table demo's artifact: csv, or JSON with one object per row."""
+    obj = {"rows": [dict(zip(header, row)) for row in table]}
+    _emit(obj, args.out, args.format, rows=(header, table))
+
+
+def cmd_nonexist(args):
+    result = args.construction(load_model_file(args.model).build(args.N), args.eps)
+    for eps, reason in result.skipped:
+        logger.info("eps=%g skipped: %s", eps, reason)
+    rows = rio.sequence_result_rows(result)
+    _emit(rio.sequence_result_to_dict(result), args.out, args.format, rows=rows)
+    return EXIT_OK
+
+
+def cmd_diagonal(args):
+    report, audit = diagonal_solve(load_model_file(args.model), args.N)
+    out = rio.pair_report_to_dict(report)
+    out["audit"] = dataclasses.asdict(audit)
+    _emit(out, args.out)
+    return EXIT_OK
+
+
+def cmd_sweep(args):
+    _emit_table(args, *rio.sweep_rows(truncation_sweep(load_model_file(args.model), args.N)))
+    return EXIT_OK
+
+
+def cmd_weakcont(args):
+    _emit_table(args, *rio.weakcont_rows(weak_continuity_demo(args.n, args.quad_points)))
     return EXIT_OK
 
 
@@ -254,31 +235,34 @@ def _add_classic_tls(p):
 
 def _add_demo(p):
     demo_sub = p.add_subparsers(dest="demo_command", required=True)
-    for name in ("nonexist-tls", "nonexist-rtls"):
+    for name, construction in (
+        ("nonexist-tls", nonexistence_tls_sequence),
+        ("nonexist-rtls", nonexistence_rtls_sequence),
+    ):
         d = demo_sub.add_parser(name)
         d.add_argument("--model", required=True)
         d.add_argument("--eps", type=_positive_list(float), required=True)
         d.add_argument("--N", type=int, default=200)
         d.add_argument("--out")
         d.add_argument("--format", choices=("json", "csv"), default="json")
-        d.set_defaults(func=cmd_demo)
+        d.set_defaults(func=cmd_nonexist, construction=construction)
     d = demo_sub.add_parser("diagonal")
     d.add_argument("--model", required=True)
     d.add_argument("--N", type=int, default=8)
     d.add_argument("--out")
-    d.set_defaults(func=cmd_demo)
+    d.set_defaults(func=cmd_diagonal)
     d = demo_sub.add_parser("sweep")
     d.add_argument("--model", required=True)
     d.add_argument("--N", type=_positive_list(int), required=True)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
-    d.set_defaults(func=cmd_demo)
+    d.set_defaults(func=cmd_sweep)
     d = demo_sub.add_parser("weakcont")
     d.add_argument("--n", type=_positive_list(int), default="1,2,8,32")
     d.add_argument("--quad-points", type=int, default=8193)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
-    d.set_defaults(func=cmd_demo)
+    d.set_defaults(func=cmd_weakcont)
 
 
 # command -> (help, builder of its sub-parser)

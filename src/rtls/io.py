@@ -290,13 +290,13 @@ def load_problem(path):
 def problem_to_dict(p):
     m, n = p.shape
     if p.W.kind == "diagonal":
-        w_obj = {"kind": "diagonal", "data": [float(v) for v in p.W.data]}
+        w_obj = {"kind": "diagonal", "data": p.W.data.tolist()}
     else:
         w_obj = {
             "kind": "dense",
             "rows": m,
             "cols": m,
-            "data": [float(v) for v in p.W.data.ravel()],
+            "data": p.W.data.ravel().tolist(),
         }
     if p.T.kind == "identity_scaled":
         t_obj = {"kind": "identity_scaled", "rho": float(p.T.rho)}
@@ -306,11 +306,11 @@ def problem_to_dict(p):
             "kind": "dense",
             "rows": rows,
             "cols": cols,
-            "data": [float(v) for v in p.T.matrix.ravel()],
+            "data": p.T.matrix.ravel().tolist(),
         }
     out = {
-        "A": {"rows": m, "cols": n, "data": [float(v) for v in p.A.ravel()]},
-        "b": [float(v) for v in p.b],
+        "A": {"rows": m, "cols": n, "data": p.A.ravel().tolist()},
+        "b": p.b.tolist(),
         "W": w_obj,
         "T": t_obj,
     }
@@ -349,7 +349,7 @@ def certificate_to_dict(cert):
         "lambda_min": float(cert.lambda_min),
     }
     if cert.C is not None:
-        out["C"] = [[float(v) for v in row] for row in cert.C]
+        out["C"] = cert.C.tolist()
     return out
 
 
@@ -362,7 +362,7 @@ def sequence_result_to_dict(result):
                 "objective": float(pt.objective),
                 "bound": float(pt.bound),
                 "interp_residual": float(pt.interp_residual),
-                "x_scaled": [float(v) for v in pt.x_scaled],
+                "x_scaled": pt.x_scaled.tolist(),
             }
             for pt in result.points
         ],
@@ -386,19 +386,7 @@ def sweep_rows(rows):
     return header, table
 
 
-def _rows_to_dict(header, table):
-    return {"rows": [dict(zip(header, row)) for row in table]}
-
-
-def sweep_to_dict(rows):
-    return _rows_to_dict(*sweep_rows(rows))
-
-
 def weakcont_rows(rows):
     header = ["n", "integral", "limit_integral"]
     table = [(r.n, r.integral, r.limit_integral) for r in rows]
     return header, table
-
-
-def weakcont_to_dict(rows):
-    return _rows_to_dict(*weakcont_rows(rows))

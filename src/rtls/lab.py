@@ -13,8 +13,7 @@ Three phenomena are reproduced at finite truncation:
 * A bilinear-map counterexample: I_n = int_0^{2pi} (2+cos nt)(2-cos nt) dt
   equals 7 pi for every n while the product of the weak limits integrates to
   8 pi; the persistent pi gap is the failure of joint weak continuity.
-  The integrals use scipy's composite Simpson rule, imported on first use so
-  that ``import rtls`` loads numpy only.
+  The integrals are composite Simpson sums in numpy.
 """
 
 from __future__ import annotations
@@ -342,7 +341,7 @@ def nonexistence_tls_sequence(p, eps_list):
     qualifies the weighted operator is bounded below at this truncation and
     the construction is unavailable.
     """
-    trivial, _ = is_trivial_tls(p, 1e-10)
+    trivial, _ = is_trivial_tls(p)
     if trivial:
         raise ValueError("instance is trivial: b in R(A) + N(W); nothing to exhibit")
     x_dir, value = min_direction(p.gram_matrix)
@@ -362,7 +361,7 @@ def nonexistence_rtls_sequence(p, eps_list):
     below eps^2; the proof's two comparison inequalities |T x| <= value and
     |W^{1/2} A x| <= value are re-checked numerically on each point.
     """
-    trivial, _ = is_trivial_rtls(p, 1e-10)
+    trivial, _ = is_trivial_rtls(p)
     if trivial:
         raise ValueError("instance is trivial: b in A(N(T)) + N(W); nothing to exhibit")
     n = p.shape[1]
@@ -421,12 +420,11 @@ def _solve(p):
     return solve_rtls_general_t(p)[0]
 
 
-def diagonal_solve(a, w, b_head, rho, n):
-    """Solve the truncated diagonal instance and audit its critical points.
+def diagonal_solve(model, n):
+    """Solve a diagonal model's truncation at order n and audit its critical points.
 
-    a and w are sequence specs as in a model file (a number, a "1/k^p"
-    formula, a formula object, or at least n explicit terms).  b must be
-    supported on the first N = len(b_head) coordinates with N <= n;
+    The model must have a scaled-identity ``rho``.  b must be supported on
+    the first N = len(b) coordinates with N <= n;
     when every head coefficient w_j a_j is nonzero the minimizer carries no
     mass beyond the head (enforced to 1e-8 of |x*|^2), and when some vanish
     the pooled objective is invariant under moving that mass onto any such
@@ -435,10 +433,14 @@ def diagonal_solve(a, w, b_head, rho, n):
     so that (W, rho) and (cW, c rho) audit alike.  The data are checked
     by :meth:`DiagonalModel.build`, as for every other demo.
     """
-    p = DiagonalModel(a, w, b_head, rho=rho).build(n)
+    if not isinstance(model, DiagonalModel) or model.rho is None:
+        raise ProblemFormatError(
+            "the diagonal demo needs a diagonal model with a scaled-identity 'rho'"
+        )
+    p = model.build(n)
     report = _solve(p)
     a, w, rho = np.diag(p.A), p.W.data, p.T.rho
-    head = np.shape(b_head)[0]
+    head = np.shape(model.b)[0]
     b_head = p.b[:head]
 
     x = report.x
@@ -537,7 +539,8 @@ def weak_continuity_demo(n_list, quad_points=8193):
     I_n = int_0^{2pi} (2 + cos nt)(2 - cos nt) dt = 7 pi for every n, while
     the product of the weak limits integrates to 8 pi.  Both values are
     checked against their closed forms (1e-8 and 1e-12); the persistent pi
-    gap is the demonstration.
+    gap is the demonstration.  On the grid of quad_points nodes, spacing h,
+    Simpson's sum is h/3 (f_0 + f_N + 4 sum f_odd + 2 sum f_even-interior).
     """
     n_list = [int(v) for v in n_list]
     if not n_list or min(n_list) < 1:
@@ -547,19 +550,19 @@ def weak_continuity_demo(n_list, quad_points=8193):
         raise ValueError(
             f"insufficient quadrature resolution: need an odd count >= {required}"
         )
-    try:
-        from scipy.integrate import simpson
-    except ImportError as exc:
-        raise RuntimeError("demo weakcont needs scipy: install the rtls[weakcont] extra") from exc
-
     t = np.linspace(0.0, 2.0 * math.pi, quad_points)
-    limit = float(simpson(np.full_like(t, 4.0), x=t))
+    h = 2.0 * math.pi / (quad_points - 1)
+
+    def simpson(f):
+        return h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
+
+    limit = float(simpson(np.full_like(t, 4.0)))
     if abs(limit - 8.0 * math.pi) > 1e-12:
         raise RuntimeError(f"limit integral {limit!r} is not 8 pi to 1e-12")
     rows = []
     for n in n_list:
         integrand = (2.0 + np.cos(n * t)) * (2.0 - np.cos(n * t))
-        value = float(simpson(integrand, x=t))
+        value = float(simpson(integrand))
         if abs(value - 7.0 * math.pi) > 1e-8:
             raise RuntimeError(f"I_{n} = {value!r} is not 7 pi to 1e-8")
         rows.append(WeakContinuityRow(n, value, limit))

@@ -358,7 +358,10 @@ def _w_span_coefficients(p, M, tol):
     return c if np.linalg.norm(wm @ c - wb) <= tol * np.linalg.norm(wb) else None
 
 
-def is_trivial_tls(p, tol):
+TRIVIAL_TOL = 1e-10  # the default tol of the two triviality tests
+
+
+def is_trivial_tls(p, tol=TRIVIAL_TOL):
     """Test b in R(A) + N(W); returns (flag, witness x or None).
 
     Membership is decided by the least squares residual of W^{1/2} b against
@@ -382,7 +385,7 @@ def nullspace_basis(M, cutoff):
     return vt[keep].T
 
 
-def is_trivial_rtls(p, tol):
+def is_trivial_rtls(p, tol=TRIVIAL_TOL):
     """Test b in A(N(T)) + N(W); returns (flag, witness x or None).
 
     N(T) is spanned by the right singular vectors of T with singular values

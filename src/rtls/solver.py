@@ -363,10 +363,10 @@ def solve_rtls_general_t(p):
     proves no global minimum, so the pair is flagged heuristic.  Returns
     (pair report, :class:`AlphaSearch`),
     or (trivial pair report, None) without a search when b lies in
-    A(N(T)) + N(W) (:func:`rtls.model.is_trivial_rtls` at 1e-10).
+    A(N(T)) + N(W) (:func:`rtls.model.is_trivial_rtls`).
     """
     n = p.shape[1]
-    trivial, witness = is_trivial_rtls(p, 1e-10)
+    trivial, witness = is_trivial_rtls(p)
     if trivial:
         return recover_pair(p, witness, status=STATUS_TRIVIAL), None
     gram, c = p.gram_matrix, p.gram_rhs

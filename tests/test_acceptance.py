@@ -31,6 +31,7 @@ from rtls import (
 )
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import (
+    DiagonalModel,
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
     diagonal_solve,
@@ -206,7 +207,7 @@ def test_criterion_7_weak_continuity():
 def test_criterion_8_diagonal_example():
     # all w_j a_j nonzero on the support: no tail mass
     report, audit = diagonal_solve(
-        np.ones(6), np.ones(6), np.array([1.0, 0.0]), 2.0, 6
+        DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0), 6
     )
     assert report.status == "solved"
     assert audit.tail_mass_fraction <= 1e-8
@@ -215,7 +216,7 @@ def test_criterion_8_diagonal_example():
     a = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     w = np.ones(5)
     b_head = np.array([1.0, 2.0])
-    report2, audit2 = diagonal_solve(a, w, b_head, 1.0, 5)
+    report2, audit2 = diagonal_solve(DiagonalModel(a, w, b_head, rho=1.0), 5)
     assert audit2.rebalance_gap is not None and audit2.rebalance_gap <= 1e-10
     for mass in (0.25, 1.0, 2.5):
         pooled = _h_value(w[:2], a[:2], b_head, np.array([mass, report2.x[1]]), 0.0, 1.0)

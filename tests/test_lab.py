@@ -210,14 +210,15 @@ class TestNonexistenceRtls:
 
 class TestDiagonalSolve:
     def test_zero_data(self):
-        report, audit = diagonal_solve(np.ones(4), np.ones(4), np.zeros(2), 1.0, 4)
+        model = DiagonalModel(np.ones(4), np.ones(4), np.zeros(2), rho=1.0)
+        report, audit = diagonal_solve(model, 4)
         assert report.objective == 0.0
         assert audit.tail_mass_fraction == 0.0
 
     def test_head_supported_certified(self):
         # rho = 2 >= |b|_W^2 = 1 certifies uniqueness; no tail mass
         report, audit = diagonal_solve(
-            np.ones(6), np.ones(6), np.array([1.0, 0.0]), 2.0, 6
+            DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0), 6
         )
         assert report.status == "solved"
         assert audit.tail_mass_fraction <= 1e-8
@@ -230,7 +231,8 @@ class TestDiagonalSolve:
     def test_matches_two_variable_grid_oracle(self):
         # the minimizer lives on (alpha_1, |s|); a dense grid over the pooled
         # objective h must reproduce the reported value, with |s*| = 0
-        report, _ = diagonal_solve(np.ones(6), np.ones(6), np.array([1.0, 0.0]), 2.0, 6)
+        model = DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0)
+        report, _ = diagonal_solve(model, 6)
         alphas = np.linspace(0.0, 1.0, 1201)
         tails = np.linspace(0.0, 1.0, 1201)
         grid_a, grid_s = np.meshgrid(alphas, tails, indexing="ij")
@@ -246,7 +248,7 @@ class TestDiagonalSolve:
         a = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         w = np.ones(5)
         b_head = np.array([1.0, 2.0])
-        report, audit = diagonal_solve(a, w, b_head, 1.0, 5)
+        report, audit = diagonal_solve(DiagonalModel(a, w, b_head, rho=1.0), 5)
         assert audit.zero_indices == [0]
         assert audit.rebalance_gap is not None and audit.rebalance_gap <= 1e-10
         for mass in (0.3, 0.7, 1.9):
@@ -254,9 +256,18 @@ class TestDiagonalSolve:
             on_tail = _h_value(w[:2], a[:2], b_head, np.array([0.0, report.x[1]]), mass**2, 1.0)
             assert on_head == pytest.approx(on_tail, rel=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        default_rtls_nonexistence_model(), IntegralModel("named:gaussian"),
+    ], ids=["dense-t", "integral"])
+    def test_needs_diagonal_model_with_rho(self, model):
+        with pytest.raises(ProblemFormatError, match=(
+            "^the diagonal demo needs a diagonal model with a scaled-identity 'rho'$"
+        )):
+            diagonal_solve(model, 4)
+
     def test_head_support_violation_raises(self):
         with pytest.raises(ValueError, match="truncation order"):
-            diagonal_solve(np.ones(2), np.ones(2), np.ones(3), 1.0, 2)
+            diagonal_solve(DiagonalModel(np.ones(2), np.ones(2), np.ones(3), rho=1.0), 2)
 
 
 class TestTruncationSweep:
@@ -314,6 +325,18 @@ class TestWeakContinuity:
         base = rows[0].integral
         for row in rows[1:]:
             assert abs(row.integral - base) <= 1e-10
+
+    @pytest.mark.parametrize("n_list, quad_points", [
+        ([1, 2, 8, 32], 8193), ([1, 2], 129), ([1, 2, 4], 257),
+    ])
+    def test_matches_scipy_simpson(self, n_list, quad_points):
+        simpson = pytest.importorskip("scipy.integrate").simpson
+        t = np.linspace(0.0, 2.0 * math.pi, quad_points)
+        for row in weak_continuity_demo(n_list, quad_points):
+            reference = simpson((2.0 + np.cos(row.n * t)) * (2.0 - np.cos(row.n * t)), x=t)
+            assert abs(row.integral - reference) <= 4 * np.spacing(reference)
+            reference = simpson(np.full_like(t, 4.0), x=t)
+            assert abs(row.limit_integral - reference) <= 4 * np.spacing(reference)
 
     def test_insufficient_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
