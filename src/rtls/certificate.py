@@ -71,13 +71,13 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class Certificate:
-    """A witness (t, alpha, beta) with the smallest eigenvalue it achieves."""
+    """A witness (t, alpha, beta), its matrix C and the smallest eigenvalue of C."""
 
     t: float
     alpha: float
     beta: float
     lambda_min: float
-    C: np.ndarray | None = None
+    C: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def assemble_c(p, t, alpha, beta):
     return c_mat
 
 
-def _certificate(p, t, beta, keep_c):
+def _certificate(p, t, beta):
     """(PSD, Certificate) for C(t, 1, beta), from one eigvalsh.
 
     C counts as PSD when lambda_min >= -1e-9 |C|_F, a floor relative to C's
@@ -284,10 +284,10 @@ def _certificate(p, t, beta, keep_c):
     c_mat = assemble_c(p, t, 1.0, beta)
     val = float(np.linalg.eigvalsh(c_mat)[0])
     tol_psd = _PSD_FLOOR_REL * float(np.linalg.norm(c_mat))
-    return val >= -tol_psd, Certificate(t, 1.0, beta, val, c_mat if keep_c else None)
+    return val >= -tol_psd, Certificate(t, 1.0, beta, val, c_mat)
 
 
-def feasible_at_t(p, t, keep_c=False):
+def feasible_at_t(p, t):
     """Decide whether some C(t, 1, beta) is PSD; returns (feasible, certificate).
 
     h_t is concave with decreasing derivative
@@ -302,7 +302,7 @@ def feasible_at_t(p, t, keep_c=False):
 
     # h_t' <= 0 there, since |x(beta)|^2 <= |b|_W^2 / beta for beta > 0
     beta, _, _, _ = spec.root(slope, max(rho - t, 0.0) + math.sqrt(2.0 * rho * p.b_norm_w_sq))
-    return _certificate(p, t, beta, keep_c)
+    return _certificate(p, t, beta)
 
 
 def default_tol_t(p):
@@ -341,7 +341,7 @@ def classify_existence(p, sol):
     return STATUS_HEURISTIC
 
 
-def certify_tstar(p, tol_t=None, keep_c=False):
+def certify_tstar(p, tol_t=None):
     """Certificate at t = tau(beta*), the maximum of the scalar dual.
 
     The dual's primal point must bring G within tol_t (default
@@ -351,7 +351,7 @@ def certify_tstar(p, tol_t=None, keep_c=False):
     require_identity_scaled(p, "certify_tstar")
     sol = dual_tstar(p)
     _require_gap(sol, default_tol_t(p) if tol_t is None else tol_t)
-    psd, cert = _certificate(p, sol.t_dual, sol.beta, keep_c)
+    psd, cert = _certificate(p, sol.t_dual, sol.beta)
     if not psd:
         raise RuntimeError(
             f"C(t, 1, beta) is not PSD at t={sol.t_dual!r}: lambda_min {cert.lambda_min!r}"

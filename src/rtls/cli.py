@@ -17,7 +17,6 @@ Each command's arguments are declared by one function in ``COMMANDS``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import logging
 import math
@@ -49,13 +48,13 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _non_negative(convert):
-    """An argparse type: ``convert(text)``, finite and >= 0."""
+def _at_least(convert, low):
+    """An argparse type: ``convert(text)``, finite and >= low."""
 
     def parse(text):
         value = convert(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value >= {low}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # a non-number reads "invalid int value"
@@ -77,15 +76,8 @@ def _positive_list(convert):
     return parse
 
 
-def _emit(obj, out, fmt="json", rows=None):
-    """Write the artifact to ``out`` or stdout; rows enable csv output."""
-    if fmt == "csv":
-        header, table = rows
-        if out:
-            rio.write_csv(out, header, table)
-        else:
-            sys.stdout.write(rio.csv_text(header, table))
-        return
+def _emit(obj, out):
+    """Write the JSON artifact to ``out`` or stdout."""
     if out:
         rio.write_json(out, obj)
     else:
@@ -104,10 +96,8 @@ def cmd_solve(args):
     else:
         report, search = solve_rtls_general_t(p)
         if search is not None:
-            meta["alpha_search"] = dataclasses.asdict(search)
-    out = rio.pair_report_to_dict(report)
-    out["meta"] = meta
-    _emit(out, args.out)
+            meta["alpha_search"] = search
+    _emit({**vars(report), "meta": meta}, args.out)
     return EXIT_OK if report.status in (STATUS_SOLVED, STATUS_TRIVIAL) else EXIT_NOT_CERTIFIED
 
 
@@ -120,9 +110,10 @@ def _certify_one(p, args):
     """
     reference = solve_tstar(p)
     tol_t = default_tol_t(p) if args.tol_t is None else args.tol_t
-    cert = certify_tstar(p, tol_t=tol_t, keep_c=args.keep_c)
+    cert = certify_tstar(p, tol_t=tol_t)
     gap = abs(cert.t - reference.t_star)
-    return cert, reference, gap, gap <= tol_t
+    fields = {k: v for k, v in vars(cert).items() if k != "C" or args.keep_c}
+    return fields, reference, gap, gap <= tol_t
 
 
 def cmd_certify(args):
@@ -136,26 +127,20 @@ def cmd_certify(args):
             p = random_problem(rng, 3)
             cert, reference, gap, agrees = _certify_one(p, args)
             all_agree &= agrees
-            entry = rio.certificate_to_dict(cert)
-            entry.update({
+            results.append({
+                **cert,
                 "instance": index,
-                "t_dinkelbach": float(reference.t_star),
+                "t_dinkelbach": reference.t_star,
                 "agreement_gap": gap,
                 "agrees": agrees,
             })
-            results.append(entry)
         _emit({"batch": results, "meta": {"seed": args.seed}}, args.out)
         return EXIT_OK if all_agree else EXIT_NOT_CERTIFIED
 
     p = rio.load_problem(args.problem)
     cert, reference, gap, agrees = _certify_one(p, args)
-    out = rio.certificate_to_dict(cert)
-    out["meta"] = {
-        "command": "certify",
-        "t_dinkelbach": float(reference.t_star),
-        "agreement_gap": gap,
-    }
-    _emit(out, args.out)
+    meta = {"command": "certify", "t_dinkelbach": reference.t_star, "agreement_gap": gap}
+    _emit({**cert, "meta": meta}, args.out)
     return EXIT_OK if agrees else EXIT_NOT_CERTIFIED
 
 
@@ -174,36 +159,41 @@ def cmd_classic_tls(args):
     return EXIT_OK
 
 
-def _emit_table(args, header, table):
-    """A table demo's artifact: csv, or JSON with one object per row."""
-    obj = {"rows": [dict(zip(header, row)) for row in table]}
-    _emit(obj, args.out, args.format, rows=(header, table))
+def _emit_table(args, rows, obj=None):
+    """A table demo's artifact: JSON (``obj``, by default one object per row),
+    or csv with a column per field of the row dataclass that holds no array."""
+    if args.format == "json":
+        _emit({"rows": rows} if obj is None else obj, args.out)
+        return
+    header = [k for k, v in vars(rows[0]).items() if not isinstance(v, np.ndarray)]
+    table = [[getattr(row, k) for k in header] for row in rows]
+    if args.out:
+        rio.write_csv(args.out, header, table)
+    else:
+        sys.stdout.write(rio.csv_text(header, table))
 
 
 def cmd_nonexist(args):
     result = args.construction(load_model_file(args.model).build(args.N), args.eps)
-    for eps, reason in result.skipped:
-        logger.info("eps=%g skipped: %s", eps, reason)
-    rows = rio.sequence_result_rows(result)
-    _emit(rio.sequence_result_to_dict(result), args.out, args.format, rows=rows)
+    for skip in result.skipped:
+        logger.info("eps=%g skipped: %s", skip.eps, skip.reason)
+    _emit_table(args, result.points, obj=result)
     return EXIT_OK
 
 
 def cmd_diagonal(args):
     report, audit = diagonal_solve(load_model_file(args.model), args.N)
-    out = rio.pair_report_to_dict(report)
-    out["audit"] = dataclasses.asdict(audit)
-    _emit(out, args.out)
+    _emit({**vars(report), "audit": audit}, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    _emit_table(args, *rio.sweep_rows(truncation_sweep(load_model_file(args.model), args.N)))
+    _emit_table(args, truncation_sweep(load_model_file(args.model), args.N))
     return EXIT_OK
 
 
 def cmd_weakcont(args):
-    _emit_table(args, *rio.weakcont_rows(weak_continuity_demo(args.n, args.quad_points)))
+    _emit_table(args, weak_continuity_demo(args.n, args.quad_points))
     return EXIT_OK
 
 
@@ -214,12 +204,13 @@ def _add_solve(p):
 
 
 def _add_certify(p):
-    p.add_argument("--problem")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--problem")
     p.add_argument("--out")
-    p.add_argument("--tol-t", type=_non_negative(float), default=None)
+    p.add_argument("--tol-t", type=_at_least(float, 0), default=None)
     p.add_argument("--keep-C", dest="keep_c", action="store_true")
-    p.add_argument("--batch", type=_non_negative(int), default=0)
-    p.add_argument("--seed", type=_non_negative(int), default=0)
+    source.add_argument("--batch", type=_at_least(int, 0), default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=cmd_certify)
 
 
@@ -242,13 +233,13 @@ def _add_demo(p):
         d = demo_sub.add_parser(name)
         d.add_argument("--model", required=True)
         d.add_argument("--eps", type=_positive_list(float), required=True)
-        d.add_argument("--N", type=int, default=200)
+        d.add_argument("--N", type=_at_least(int, 1), default=200)
         d.add_argument("--out")
         d.add_argument("--format", choices=("json", "csv"), default="json")
         d.set_defaults(func=cmd_nonexist, construction=construction)
     d = demo_sub.add_parser("diagonal")
     d.add_argument("--model", required=True)
-    d.add_argument("--N", type=int, default=8)
+    d.add_argument("--N", type=_at_least(int, 1), default=8)
     d.add_argument("--out")
     d.set_defaults(func=cmd_diagonal)
     d = demo_sub.add_parser("sweep")

@@ -19,6 +19,7 @@ artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -49,7 +50,11 @@ def _scalar_json(obj):
 
 
 def canonical_json(obj, indent=0):
-    """Serialize dict/list/scalars with fixed float formatting."""
+    """Serialize dict/list/scalars with fixed float formatting.
+
+    A dataclass instance is written as the object of its fields, in
+    declaration order; an ndarray as its nested lists.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -60,7 +65,7 @@ def canonical_json(obj, indent=0):
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         values = list(obj)
         if not values:
             return "[]"
@@ -72,6 +77,10 @@ def canonical_json(obj, indent=0):
         return _scalar_json(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
+    if dataclasses.is_dataclass(obj):
+        return canonical_json(vars(obj), indent)
     return json.dumps(str(obj))
 
 
@@ -321,72 +330,3 @@ def problem_to_dict(p):
 
 def save_problem(path, p):
     return write_json(path, problem_to_dict(p))
-
-
-# ---------------------------------------------------------------------------
-# artifact serializers
-# ---------------------------------------------------------------------------
-
-
-def pair_report_to_dict(report):
-    return {
-        "x": report.x.tolist(),
-        "correction_vector": report.lift.correction_vector.tolist(),
-        "objective": float(report.objective),
-        "data_term": float(report.data_term),
-        "reg_term": float(report.reg_term),
-        "residual_normal_eq": float(report.residual_normal_eq),
-        "residual_rank_one": float(report.residual_rank_one),
-        "status": report.status,
-    }
-
-
-def certificate_to_dict(cert):
-    out = {
-        "t": float(cert.t),
-        "alpha": float(cert.alpha),
-        "beta": float(cert.beta),
-        "lambda_min": float(cert.lambda_min),
-    }
-    if cert.C is not None:
-        out["C"] = cert.C.tolist()
-    return out
-
-
-def sequence_result_to_dict(result):
-    return {
-        "direction_value": float(result.direction_value),
-        "points": [
-            {
-                "eps": float(pt.eps),
-                "objective": float(pt.objective),
-                "bound": float(pt.bound),
-                "interp_residual": float(pt.interp_residual),
-                "x_scaled": pt.x_scaled.tolist(),
-            }
-            for pt in result.points
-        ],
-        "skipped": [
-            {"eps": float(eps), "reason": reason} for eps, reason in result.skipped
-        ],
-    }
-
-
-def sequence_result_rows(result):
-    header = ["eps", "objective", "bound", "interp_residual"]
-    rows = [
-        (pt.eps, pt.objective, pt.bound, pt.interp_residual) for pt in result.points
-    ]
-    return header, rows
-
-
-def sweep_rows(rows):
-    header = ["N", "x_norm", "objective", "status"]
-    table = [(r.n, r.x_norm, r.objective, r.status) for r in rows]
-    return header, table
-
-
-def weakcont_rows(rows):
-    header = ["n", "integral", "limit_integral"]
-    table = [(r.n, r.integral, r.limit_integral) for r in rows]
-    return header, table

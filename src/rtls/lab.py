@@ -265,17 +265,23 @@ def default_rtls_nonexistence_model():
 @dataclass(frozen=True)
 class SequencePoint:
     eps: float
-    x_scaled: np.ndarray
     objective: float
     bound: float
     interp_residual: float
+    x_scaled: np.ndarray
+
+
+@dataclass(frozen=True)
+class SkippedEps:
+    eps: float
+    reason: str
 
 
 @dataclass
 class SequenceResult:
+    direction_value: float
     points: list[SequencePoint] = field(default_factory=list)
-    skipped: list[tuple[float, str]] = field(default_factory=list)
-    direction_value: float = float("nan")
+    skipped: list[SkippedEps] = field(default_factory=list)
 
 
 def _feasible_pair(p, x_dir, eps):
@@ -309,14 +315,15 @@ def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unav
     arithmetic: its rounding can outweigh a bound as small as eps^2 at
     eps = 1e-9.
     """
-    result = SequenceResult(direction_value=value)
+    result = SequenceResult(value)
     for eps in eps_list:
         if not value < floor(eps):
-            result.skipped.append((eps, f"minimal direction value {value:.6e} >= {label}"))
+            reason = f"minimal direction value {value:.6e} >= {label}"
+            result.skipped.append(SkippedEps(eps, reason))
             continue
         limit = bound(eps)
         if not math.isfinite(limit):
-            result.skipped.append((eps, _BOUND_OVERFLOW))
+            result.skipped.append(SkippedEps(eps, _BOUND_OVERFLOW))
             continue
         x0_mat, x_scaled, interp, misfit = _feasible_pair(p, x_dir, eps)
         obj = objective(p, x0_mat, x_scaled)
@@ -324,9 +331,9 @@ def _exact_pairs(p, eps_list, x_dir, value, floor, label, objective, bound, unav
             raise RuntimeError(
                 f"objective {obj!r} exceeds its bound {limit!r} at eps={eps!r}"
             )
-        result.points.append(SequencePoint(eps, x_scaled, obj, limit, interp))
+        result.points.append(SequencePoint(eps, obj, limit, interp, x_scaled))
     if eps_list and not result.points:
-        if any(reason == _BOUND_OVERFLOW for _, reason in result.skipped):
+        if any(skip.reason == _BOUND_OVERFLOW for skip in result.skipped):
             unavailable = (f"{_BOUND_OVERFLOW} at each eps with minimal direction "
                            f"value {value:.6e} < {label}")
         raise RuntimeError(f"construction unavailable: {unavailable}")
@@ -495,7 +502,7 @@ def diagonal_solve(model, n):
 
 @dataclass(frozen=True)
 class SweepRow:
-    n: int
+    N: int
     x_norm: float
     objective: float
     status: str

@@ -291,14 +291,14 @@ STATUS_HEURISTIC = "heuristic"
 
 @dataclass
 class PairReport:
-    """A candidate pair (A_x, x) with objective value and residuals.
+    """A candidate pair (A_x, x), A_x = A + c x^T, with objective value and residuals.
 
     The residuals are necessary-condition certificates only: a zero normal
     equation residual does not by itself certify global optimality.
     """
 
     x: np.ndarray
-    lift: RankOneLift
+    correction_vector: np.ndarray  # c
     objective: float
     data_term: float
     reg_term: float

@@ -148,14 +148,13 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
     """
     x = _check_x(p, x)
     ax = p.A @ x
-    lift = lift_operator(p, x, ax)
+    c = lift_operator(p, x, ax).correction_vector
     gval = eval_g(p, x, ax)
-    c = lift.correction_vector
     # W(A_x - A) + W(A_x x - b) x^T = W(c + A_x x - b) x^T for A_x = A + c x^T
     rank_one = p.W.apply(c + (ax + c * float(x @ x)) - p.b)
     return PairReport(
         x=x,
-        lift=lift,
+        correction_vector=c,
         objective=gval.g,
         data_term=gval.data_term,
         reg_term=gval.reg_term,

@@ -159,10 +159,12 @@ class TestCertifyTstar:
             assert abs(cert.t - trace.t_star) <= 1e-10
 
     def test_keep_c_retains_matrix(self):
+        # every certificate holds its C(t, 1, beta); --keep-C only decides whether it is written
         p = closed_form_problem()
-        cert = certify_tstar(p, tol_t=1e-3, keep_c=True)
-        assert cert.C is not None
+        cert = certify_tstar(p, tol_t=1e-3)
         assert cert.C.shape == (5, 5)
+        assert np.array_equal(cert.C, assemble_c(p, cert.t, cert.alpha, cert.beta))
+        assert np.linalg.eigvalsh(cert.C)[0] == cert.lambda_min
 
 
 def assert_dual_matches_dinkelbach(p):

@@ -225,6 +225,7 @@ class TestCertifyCommand:
                      "--out", str(out)])
         assert code == 0
         cert = json.loads(out.read_text())
+        assert list(cert) == ["t", "alpha", "beta", "lambda_min", "meta"]
         assert cert["t"] == pytest.approx(9.0, abs=1e-4)
         assert cert["alpha"] >= 0 and cert["beta"] >= 0
 
@@ -272,7 +273,8 @@ class TestCertifyCommand:
                      "--keep-C", "--out", str(out)])
         assert code == 0
         cert = json.loads(out.read_text())
-        assert "C" in cert and len(cert["C"]) == 5
+        assert list(cert) == ["t", "alpha", "beta", "lambda_min", "C", "meta"]
+        assert len(cert["C"]) == 5
 
 
 def _run(workdir, command, p):
@@ -568,7 +570,8 @@ _BAD_CERTIFY_NUMBERS = [
 
 # each names its flag in a usage error: before, these wrote empty or
 # negative-eps artifacts, failed with a float()/int() error that named no
-# flag, or (eps = inf) failed in serialization
+# flag, (eps = inf) failed in serialization, or (a truncation order --N
+# below 1) failed naming the model's field 'b'
 _BAD_DEMO_LISTS = [
     ("nonexist-tls", "--eps", "inf", "expected a list of finite values > 0, got 'inf'"),
     ("nonexist-tls", "--eps", "nan", "expected a list of finite values > 0, got 'nan'"),
@@ -581,6 +584,8 @@ _BAD_DEMO_LISTS = [
     ("sweep", "--N", "4,8.5", "invalid int list value: '4,8.5'"),
     ("weakcont", "--n", "1,x", "invalid int list value: '1,x'"),
     ("weakcont", "--n", "-2", "expected a list of finite values > 0, got '-2'"),
+    *[(demo, "--N", text, f"expected a finite value >= 1, got '{text}'")
+      for demo in ("diagonal", "nonexist-tls", "nonexist-rtls") for text in ("0", "-3")],
 ]
 
 
@@ -648,6 +653,18 @@ class TestParser:
     def test_usage_text(self, argv, err, capsys):
         assert _parse_outcome(main, argv, capsys) == (1, "", err)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--problem", "p.json", "--batch", "2"],
+         "argument --batch: not allowed with argument --problem"),
+        (["certify", "--batch", "3", "--keep-C", "--problem", "p.json"],
+         "argument --problem: not allowed with argument --batch"),
+    ], ids=["problem-first", "batch-first"])
+    def test_certify_problem_and_batch_exclude_each_other(self, argv, message, capsys):
+        # one or the other: with both, the batch ran and the problem file went unread
+        code, out, err = _parse_outcome(main, argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"rtls certify: error: {message}\n")
+
     @pytest.mark.parametrize("argv", _BAD_CERTIFY_NUMBERS, ids=" ".join)
     def test_bad_certify_number_names_its_flag(self, argv, capsys):
         code, out, err = _parse_outcome(main, argv, capsys)
@@ -659,7 +676,7 @@ class TestParser:
                              ids=[" ".join(case[:3]) for case in _BAD_DEMO_LISTS])
     def test_bad_demo_list_names_its_flag(self, workdir, capsys, demo, flag, text, message):
         model = {"nonexist-tls": "diag_default.json", "nonexist-rtls": "diag_rtls.json",
-                 "sweep": "diag_b_e1.json", "weakcont": None}[demo]
+                 "diagonal": "diag_b_e1.json", "sweep": "diag_b_e1.json", "weakcont": None}[demo]
         out = workdir / "artifact.json"
         argv = ["demo", demo, flag, text, "--out", str(out)]
         if model:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from rtls import ProblemFormatError, recover_pair
 from rtls.cli import main
 from rtls.instances import closed_form_problem, random_problem
+from rtls.lab import DiagonalAudit, SequencePoint, SequenceResult, SkippedEps
 from rtls import io as rio
 
 # derandomized so that the suite is reproducible
@@ -161,24 +162,64 @@ class TestCanonicalJson:
         with pytest.raises(ProblemFormatError, match="NaN"):
             rio.canonical_json(values)
 
+    def test_nested_dataclass_is_the_object_of_its_fields(self):
+        # fields in declaration order; an ndarray field as its nested lists;
+        # a None field, as an audit without a rebalance gap has, as null
+        point = SequencePoint(0.5, 1.0 / 3.0, 2.0, 0.0, np.array([[1.0, -0.0], [2.5, 1e-300]]))
+        audit = DiagonalAudit(head=2, zero_indices=[], tail_mass_fraction=np.float64(0.25),
+                              critical_condition_ok=np.bool_(True), rebalance_gap=None)
+        obj = {"result": SequenceResult(0.125, [point], [SkippedEps(1e-9, "why")]), "audit": audit}
+        assert rio.canonical_json(obj) == (
+            '{\n'
+            '  "result": {\n'
+            '    "direction_value": 0.125,\n'
+            '    "points": [\n'
+            '      {\n'
+            '        "eps": 0.5,\n'
+            '        "objective": 0.33333333333333331,\n'
+            '        "bound": 2,\n'
+            '        "interp_residual": 0,\n'
+            '        "x_scaled": [\n'
+            '          [1, -0],\n'
+            '          [2.5, 1e-300]\n'
+            '        ]\n'
+            '      }\n'
+            '    ],\n'
+            '    "skipped": [\n'
+            '      {\n'
+            '        "eps": 1.0000000000000001e-09,\n'
+            '        "reason": "why"\n'
+            '      }\n'
+            '    ]\n'
+            '  },\n'
+            '  "audit": {\n'
+            '    "head": 2,\n'
+            '    "zero_indices": [],\n'
+            '    "tail_mass_fraction": 0.25,\n'
+            '    "critical_condition_ok": true,\n'
+            '    "rebalance_gap": null\n'
+            '  }\n'
+            '}'
+        )
+
 
 class TestArtifactSerializers:
     def test_pair_report_vectors_are_plain_floats(self, rng):
         p = random_problem(rng, 4, m=6)
         report = recover_pair(p, rng.normal(size=4))
-        obj = rio.pair_report_to_dict(report)
-        for key, vec in (("x", report.x), ("correction_vector", report.lift.correction_vector)):
+        obj = json.loads(rio.canonical_json(report))
+        for key, vec in (("x", report.x), ("correction_vector", report.correction_vector)):
             assert all(type(v) is float for v in obj[key])
             assert np.array(obj[key]).tobytes() == vec.tobytes()
 
     def test_pair_report_fields(self):
         p = closed_form_problem()
         report = recover_pair(p, np.array([2.0, 0.0]), status="solved")
-        obj = rio.pair_report_to_dict(report)
-        assert set(obj) == {
+        obj = json.loads(rio.canonical_json(report))
+        assert list(obj) == [
             "x", "correction_vector", "objective", "data_term", "reg_term",
             "residual_normal_eq", "residual_rank_one", "status",
-        }
+        ]
         assert obj["objective"] == pytest.approx(9.0)
 
     def test_csv_writer(self, tmp_path):

@@ -145,7 +145,7 @@ class TestNonexistenceTls:
             nonexistence_tls_sequence(p, [1e-4, 1e-5])
         seq = nonexistence_tls_sequence(p, [1e-4, 0.5])
         assert [pt.eps for pt in seq.points] == [0.5]
-        assert [eps for eps, _ in seq.skipped] == [1e-4]
+        assert [skip.eps for skip in seq.skipped] == [1e-4]
 
 
 class TestInterpolationCheck:
@@ -186,7 +186,7 @@ class TestNonexistenceRtls:
         result = nonexistence_rtls_sequence(p, [0.1, 0.01, 0.001, 0.0001])
         assert result.direction_value == pytest.approx(math.sqrt(2.0) / 200**2, rel=1e-12)
         assert [pt.eps for pt in result.points] == [0.1, 0.01]
-        assert [eps for eps, _ in result.skipped] == [0.001, 0.0001]
+        assert [skip.eps for skip in result.skipped] == [0.001, 0.0001]
         bound_01 = 0.01 * (1.0 + (1.0 + 0.01) ** 2)
         assert result.points[0].bound == pytest.approx(bound_01, rel=1e-12)
         for pt in result.points:

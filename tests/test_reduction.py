@@ -253,7 +253,7 @@ class TestRecoverPair:
             cases.append((p, rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)))
         for p, x in cases:
             report = recover_pair(p, x)
-            got = (report.lift.correction_vector.tobytes(), report.objective, report.data_term,
+            got = (report.correction_vector.tobytes(), report.objective, report.data_term,
                    report.reg_term, report.residual_normal_eq, report.residual_rank_one)
             assert got == _reference_report_numbers(p, x)
 
