@@ -391,8 +391,11 @@ def is_trivial_rtls(p, tol=TRIVIAL_TOL):
     N(T) is spanned by the right singular vectors of T with singular values
     at most tol |T|_2, and b is a member when the least squares residual of
     W^{1/2} b against W^{1/2} A N(T) is at most tol |W^{1/2} b|.  Both are
-    relative to the data, as in :func:`is_trivial_tls`.  |b|_W^2 = 0 is
-    trivial for every T, with witness x = 0, however W^{1/2} b rounds.
+    relative to the data, as in :func:`is_trivial_tls`.  A cutoff relative
+    to |T|_2 can count a direction of a badly scaled T as null, so the
+    witness w counts only where G(w) <= tol |b|_W^2: then G(w) is inf G up
+    to that tolerance.  |b|_W^2 = 0 is trivial for every T, with witness
+    x = 0, however W^{1/2} b rounds.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -404,7 +407,11 @@ def is_trivial_rtls(p, tol=TRIVIAL_TOL):
     t_mat = p.T.as_matrix(n)
     basis = nullspace_basis(t_mat, tol * np.linalg.norm(t_mat, 2))
     coeffs = _w_span_coefficients(p, p.A @ basis, tol)
-    return (False, None) if coeffs is None else (True, basis @ coeffs)
+    if coeffs is None:
+        return False, None
+    w = basis @ coeffs
+    g = w_vec_seminorm(p.W, p.A @ w - p.b) ** 2 / (1.0 + float(w @ w)) + p.T.value(w)
+    return (True, w) if g <= tol * p.b_norm_w_sq else (False, None)
 
 
 def frechet_check(W1, W2, x0, X, Y, h):

@@ -24,21 +24,19 @@ at t* is strictly convex and the minimizer of G is unique;
 that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
-log1p(alpha) finds each local minimum of g(u) = min G over the sphere, and
-a Brent root of the closed-form slope dg/du = |Tx|^2 - mu - g refines it
-where the slope rises through zero (:func:`sphere_min`,
-:func:`solve_rtls_general_t`); where it does not, G is taken to be
-monotone across the bracket, whose ends are already evaluated.  A grid
-proves no global minimum, so those pairs are ``heuristic`` unless the
-instance is trivial.
+log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
+dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`).  Each
+cell where the slope rises through zero brackets a basin, refined by a
+Brent root of the slope (:func:`sphere_min`, :func:`solve_rtls_general_t`);
+elsewhere the least G is at a grid point already evaluated.  A grid proves
+no global minimum, so those pairs are ``heuristic`` unless the instance is
+trivial.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +51,7 @@ logger = logging.getLogger("rtls.solver")
 
 # dense-T search: grid points in u = log1p(|x|^2); largest |x|^2 it scans
 # when T^T T is singular
-_ALPHA_GRID = 128
+_ALPHA_GRID = 64
 _ALPHA_CAP = 1e8
 
 _TOL_PHI_REL = 1e-9  # Dinkelbach stops once |phi(t)| <= this times |b|_W^2
@@ -284,8 +282,8 @@ class AlphaSearch:
     """What one dense-T alpha search did; deterministic, for the report meta.
 
     doublings    rescans after the scan interval doubled
-    trs_solves   scalar equality-TRS solves (one per point refined)
-    hit_cap      the minimizer still sat at the largest |x|^2 scanned
+    trs_solves   scalar equality-TRS solves off the grid (one per point refined)
+    hit_cap      the least G of the last scan sat at its largest |x|^2
     alpha        |x|^2 of the point found, before the Newton polish
     """
 
@@ -316,32 +314,22 @@ def sphere_min(p, u):
     return sol.x, value.g, value.reg_term - sol.lam - value.g
 
 
-def _split_eigh(stack):
-    """np.linalg.eigh of a stack, its second half on a worker thread if two CPUs are usable.
+def sphere_scan(p, us):
+    """:func:`sphere_min` at every u of the array us, from one batched eigh.
 
-    eigh decomposes each matrix alone, in LAPACK without the GIL: the bits of one call.
+    Returns (G, dg/du, x columns).  G is formed from x as eval_g forms it,
+    not from the TRS values, which carry the eigenvalue error of S, growing
+    with alpha; the slope takes mu from :func:`rtls.trs.radial_solutions`.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    half = len(stack) // 2
-    if half == 0 or (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
-        return np.linalg.eigh(stack)
-    done = []  # the worker's (lam, q), or what it raised
-
-    def work():
-        try:
-            done.append(np.linalg.eigh(stack[half:]))
-        except BaseException as exc:  # re-raised by the caller
-            done.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        lam, q = np.linalg.eigh(stack[:half])
-    finally:
-        worker.join()
-    if isinstance(done[0], BaseException):
-        raise done[0]
-    return np.concatenate((lam, done[0][0])), np.concatenate((q, done[0][1]))
+    n = p.shape[1]
+    alpha = np.expm1(us)
+    lam, q = np.linalg.eigh(p.gram_matrix + np.multiply.outer(1.0 + alpha, p.T.gram(n)))
+    _, z, mu = radial_solutions(np.clip(lam, 0.0, None), p.gram_rhs @ q, np.sqrt(alpha))
+    xs = (q @ z[..., None])[..., 0].T
+    r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
+    reg = (tx * tx).sum(0)
+    g = (r * p.W.apply(r)).sum(0) / (1.0 + (xs * xs).sum(0)) + reg
+    return g, reg - mu - g, xs
 
 
 def solve_rtls_general_t(p):
@@ -349,58 +337,53 @@ def solve_rtls_general_t(p):
 
     On the sphere |x|^2 = alpha, min G is an equality trust-region
     subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
-    (2006) 98-118).  G at its minimizers is scanned on a grid in u =
-    log1p(alpha) from one batched eigh, in two halves on two threads when
-    two CPUs are usable (:func:`_split_eigh`; the bits of one call, which
-    ``taskset -c 0`` makes); the scan interval doubles while the
-    grid minimizer lands within 1% of its upper end.  Each grid-local
-    minimum is refined by a brentq root of the closed-form slope dg/du, one
-    eigh and one TRS solve per step, where the slope rises through zero
-    across its bracket; the least G seen wins.  The best point is
-    Newton-polished.  G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha* by
-    |b|_W^2 / lambda_min(T^T T); for a singular T^T T that bounds only the
-    part of x* in its range, and the scan grows up to |x|^2 = 1e8.  A grid
+    (2006) 98-118).  G at its minimizers and the slope dg/du are scanned on
+    64 points in u = log1p(alpha) from one batched eigh
+    (:func:`sphere_scan`).  G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha*
+    by |b|_W^2 / lambda_min(T^T T), and the scan ends there.  For a T^T T
+    that is singular in floating point that bounds only the part of x* in
+    its range: the scan starts at |x|^2 >= 1 and doubles in u while its
+    least G sits at its upper end, up to |x|^2 = 1e8, where it stops with
+    ``hit_cap``.  Each cell whose slope rises from negative to positive
+    brackets a basin (the first cell from u = 1e-12 of the scan, where the
+    slope is defined), refined by a brentq root of the slope, one eigh and
+    one TRS solve per step off the grid; the grid seeds the bracket ends.
+    The least G seen wins and is Newton-polished from its own x.  A grid
     proves no global minimum, so the pair is flagged heuristic.  Returns
-    (pair report, :class:`AlphaSearch`),
-    or (trivial pair report, None) without a search when b lies in
-    A(N(T)) + N(W) (:func:`rtls.model.is_trivial_rtls`).
+    (pair report, :class:`AlphaSearch`), or (trivial pair report, None)
+    without a search when b lies in A(N(T)) + N(W) with a witness whose G
+    is at most 1e-10 |b|_W^2 (:func:`rtls.model.is_trivial_rtls`).
     """
     n = p.shape[1]
     trivial, witness = is_trivial_rtls(p)
     if trivial:
         return recover_pair(p, witness, status=STATUS_TRIVIAL), None
-    gram, c = p.gram_matrix, p.gram_rhs
-    t_gram = p.T.gram(n)
-
-    def values(us):
-        alpha = np.expm1(us)
-        lam, q = _split_eigh(gram + np.multiply.outer(1.0 + alpha, t_gram))
-        _, z = radial_solutions(np.clip(lam, 0.0, None), c @ q, np.sqrt(alpha))
-        # G at the minimizers (columns) as eval_g forms it: the TRS values
-        # carry the eigenvalue error of S, which grows with alpha
-        xs = (q @ z[..., None])[..., 0].T
-        r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
-        return (r * p.W.apply(r)).sum(0) / (1.0 + (xs * xs).sum(0)) + (tx * tx).sum(0)
-
-    lam_t = np.linalg.eigvalsh(t_gram)
+    lam_t = np.linalg.eigvalsh(p.T.gram(n))
     positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
-    u_max = math.log1p(p.b_norm_w_sq / positive[0] if positive.size else 1.0)
-    u_cap = u_max if positive.size == n else max(u_max, math.log1p(_ALPHA_CAP))
-    hit_cap = False
-    for scans in range(1, 65):
+    alpha_max = p.b_norm_w_sq / positive[0] if positive.size else 1.0
+    if positive.size == n:
+        u_max = u_cap = math.log1p(alpha_max)
+    else:  # the bound covers only the range of T^T T: scan |x|^2 up to 1 at least
+        u_max = math.log1p(max(alpha_max, 1.0))
+        u_cap = max(u_max, math.log1p(_ALPHA_CAP))
+    doublings = 0
+    while True:
         us = np.linspace(0.0, u_max, _ALPHA_GRID)
-        vals = values(us)
+        vals, slopes, xs = sphere_scan(p, us)
         i_best = int(np.argmin(vals))
-        if us[i_best] <= 0.99 * u_max:
-            break
-        if u_max >= u_cap:
-            hit_cap = True
-            logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
+        if us[i_best] <= 0.99 * u_max or u_max >= u_cap:
             break
         u_max = min(2.0 * u_max, u_cap)
+        doublings += 1
+    us = us.tolist()
+    hit_cap = us[i_best] > 0.99 * u_max
+    if hit_cap:
+        logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
 
-    best_u, best_g = float(us[i_best]), float(vals[i_best])
-    points = {}  # u -> sphere_min(p, u), each solved once
+    best_u, best_g = us[i_best], float(vals[i_best])
+    # u -> (x, G, dg/du): the grid's, then each sphere_min solved off it
+    points = dict(zip(us, zip(xs.T, vals.tolist(), slopes.tolist())))
+    on_grid = len(points)
 
     def point(u):  # the least G seen wins, ties to the grid
         nonlocal best_u, best_g
@@ -410,18 +393,19 @@ def solve_rtls_general_t(p):
                 best_u, best_g = u, points[u][1]
         return points[u]
 
-    # refine each discrete local minimum by a slope root where the slope
-    # rises through zero across its bracket; elsewhere G is taken to be
-    # monotone there, so its least value is at an end already evaluated.
-    # The slope is NaN at u = 0, so a bracket starts at the tolerance instead.
+    # refine each cell whose slope rises through zero by a slope root; the
+    # slope is NaN at u = 0, so the first cell starts at the tolerance and
+    # counts when its right end rises and the slope at the tolerance falls
     tol = max(1e-12 * u_max, 1e-300)
-    padded = np.concatenate(([np.inf], vals, [np.inf]))
-    for i in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
-        lo, hi = max(us[max(i - 1, 0)], tol), us[min(i + 1, _ALPHA_GRID - 1)]
-        if point(lo)[2] < 0.0 < point(hi)[2]:
+    falls = slopes < 0.0
+    falls[0] = True
+    for i in np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)):
+        lo, hi = max(us[i], tol), us[i + 1]
+        if point(lo)[2] < 0.0:
             trs.brentq(lambda u: point(u)[2], lo, hi, xtol=tol)  # module attribute: wrappers apply
     search = AlphaSearch(
-        doublings=scans - 1, trs_solves=len(points), hit_cap=hit_cap, alpha=math.expm1(best_u),
+        doublings=doublings, trs_solves=len(points) - on_grid, hit_cap=hit_cap,
+        alpha=math.expm1(best_u),
     )
     x = newton_polish(p, point(best_u)[0])
     return recover_pair(p, x, status=STATUS_HEURISTIC), search

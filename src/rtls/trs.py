@@ -258,7 +258,9 @@ def radial_solutions(lam, d, rs):
     x, hard rows too, is rescaled onto the sphere in eigen-coordinates
     before the values are formed.  ``lam`` and ``d`` may carry leading batch
     axes, one S per entry, and ``rs`` broadcasts against them (one S at many
-    radii, or each S at its own).  Returns (values, z), x = Q z.
+    radii, or each S at its own).  Returns (values, z, mu), x = Q z, with mu
+    the multiplier of :func:`trs_equality`: the secular root, -lam_min on
+    hard rows and NaN where r = 0.
     """
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -272,13 +274,16 @@ def radial_solutions(lam, d, rs):
 
     hard, x, lo, hi = secular_setup(lam, d, r)
     solve = ~hard
+    mu = -lam[:, 0]
     if np.any(solve):
         lam_s, d_s = lam[solve], d[solve]
-        mu = secular_root(lam_s, d_s, r[solve], lo[solve], hi[solve])
-        x[solve] = d_s / (lam_s + mu[:, None])
+        mu[solve] = secular_root(lam_s, d_s, r[solve], lo[solve], hi[solve])
+        x[solve] = d_s / (lam_s + mu[solve, None])
     x *= (r / np.linalg.norm(x, axis=1))[:, None]
     out = np.zeros(shape)
     z = np.zeros(shape + (n,))
+    mus = np.full(shape, np.nan)
     out[pos] = np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1)
     z[pos] = x
-    return out, z
+    mus[pos] = mu
+    return out, z, mus

@@ -165,13 +165,30 @@ class TestSolveCommand:
         assert report["residual_normal_eq"] <= 1e-12
         search = report["meta"]["alpha_search"]
         assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha"]
-        assert 0 < search["trs_solves"] <= 12
+        assert 0 < search["trs_solves"] <= 8
         assert search["hit_cap"] is False
         x = np.array(report["x"])
         assert search["alpha"] == pytest.approx(float(x @ x), rel=1e-6)
         again = workdir / "again.json"
         main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(again)])
         assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("b, reference", [((1.0, 2.0), 1.6237837944157576),
+                                              ((1.0, 1.0), 0.8287861732809074)])
+    @pytest.mark.parametrize("s", [1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e100])
+    def test_anisotropic_dense_t(self, workdir, s, b, reference):
+        # T = diag(s, 1): T^T T is singular in floating point from s ~ 1e8, and
+        # a singular-value cutoff relative to |T| puts e2 in N(T) from s = 1e10,
+        # where the witness (0, b_2) has G = b_2^2.  min G lies on x1 = 0 (the
+        # reference, from scipy)
+        p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array(b),
+                        WeightOperator.diagonal(np.ones(2)),
+                        RegularizerSpec.dense(np.diag([s, 1.0])))
+        code, report = _run(workdir, "solve", p)
+        assert (code, report["status"]) == (2, "heuristic")
+        assert report["objective"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+        search = report["meta"]["alpha_search"]
+        assert search["doublings"] <= 5 and search["hit_cap"] is False
 
     def test_scaled_identity_meta_has_no_search_record(self, workdir):
         out = workdir / "rep.json"

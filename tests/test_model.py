@@ -379,6 +379,25 @@ class TestTriviality:
         assert flag
         assert objective_rtls(p, p.A, witness) <= 10 * (1e-10) ** 2
 
+    @pytest.mark.parametrize("s", [1e10, 1e11, 1e200])
+    def test_rtls_witness_needs_g_near_zero(self, s):
+        # T = diag(s, 1): a cutoff relative to |T|_2 counts e2 as null and
+        # b = A (0, 2), but that witness has G = |Tw|^2 = 4 against |b|_W^2 = 5
+        p = ProblemSpec(
+            np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 2.0]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.diag([s, 1.0])),
+        )
+        assert is_trivial_rtls(p, 1e-10) == (False, None)
+
+    def test_rtls_witness_in_a_shrunk_direction(self):
+        # a direction that T shrinks to 1e-11 of |T|_2 gives G = 1e-22 |b|_W^2
+        p = ProblemSpec(
+            np.eye(2), np.array([0.0, 1.0]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.diag([1.0, 1e-11])),
+        )
+        flag, witness = is_trivial_rtls(p, 1e-10)
+        assert flag and objective_rtls(p, p.A, witness) <= 1e-10 * p.b_norm_w_sq
+
     def test_rtls_full_rank_dense_reduces_to_weight_nullspace(self, rng):
         t_mat = rng.normal(size=(3, 3)) + 3 * np.eye(3)
         a_mat = rng.normal(size=(2, 3))

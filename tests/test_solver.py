@@ -1,9 +1,4 @@
-import json
 import math
-import os
-import threading
-import time
-import types
 import warnings
 
 import numpy as np
@@ -28,8 +23,6 @@ from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
 from rtls import certificate, solver, trs
-from rtls import io as rio
-from rtls.cli import main
 from rtls.certificate import DualSolution
 from rtls.model import w_vec_seminorm
 from rtls.solver import (
@@ -37,6 +30,7 @@ from rtls.solver import (
     newton_polish,
     newton_step,
     sphere_min,
+    sphere_scan,
 )
 from rtls.trs import trs_equality
 
@@ -451,12 +445,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_reference(p):
-    """min G over the dense-T search's grid, refined by values alone.
+    """min G over a grid twice as fine as the dense-T search's, refined by values alone.
 
-    The scan of :func:`solve_rtls_general_t`, taken point by point with
-    :func:`sphere_min`; each grid-local minimum is refined by golden section
-    on the values to 1e-12 of the scan interval.  Returns (the least G
-    seen, the least G on the grid, the number of values taken off it).
+    A scan like that of :func:`solve_rtls_general_t`, on 128 points taken
+    one by one with :func:`sphere_min`; each grid-local minimum is refined
+    by golden section on the values to 1e-12 of the scan interval.  Returns
+    (the least G seen, the least G on the grid, the number of values taken
+    off it).
     """
     n = p.shape[1]
     lam_t = np.linalg.eigvalsh(p.T.gram(n))
@@ -540,7 +535,7 @@ class TestGeneralTGlobal:
             solver, "trs_equality", lambda *a, **kw: calls.append(a) or trs_equality(*a, **kw)
         )
         report, search = solve_rtls_general_t(p)
-        assert len(calls) == search.trs_solves <= 12
+        assert len(calls) == search.trs_solves <= 8
         assert not search.hit_cap
         assert report.residual_normal_eq <= 1e-12
 
@@ -567,9 +562,42 @@ class TestGeneralTGlobal:
             assert (hard > 0) == (kind == "hard_case")
         assert math.isnan(sphere_min(p, 0.0)[2])
 
+    @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case",
+                                      "strong_t"])
+    def test_scan_matches_sphere_min(self, kind):
+        # the grid takes mu from the batched secular root and x from the eigen
+        # coordinates; sphere_min takes both from trs_equality.  |Tx|^2 is
+        # formed from terms of size |T|^2 |x|^2, which set its rounding
+        us = np.sort(np.concatenate((np.linspace(0.0, 3.0, 32), np.log1p(np.logspace(-8, 8, 32)))))
+        for seed in range(4):
+            p = _dense_t_family(kind, seed)
+            t_sq = np.linalg.norm(p.T.matrix, 2) ** 2
+            g, slope, xs = sphere_scan(p, us)
+            assert xs.shape == (p.shape[1], us.size)
+            assert math.isnan(slope[0]) and math.isnan(sphere_min(p, 0.0)[2])
+            for k in range(1, us.size):
+                x, g_one, slope_one = sphere_min(p, us[k])
+                mu = p.T.value(x) - g_one - slope_one
+                scale = t_sq * math.expm1(us[k]) + abs(mu) + g_one
+                assert abs(slope[k] - slope_one) <= 1e-12 * scale
+                assert g[k] == pytest.approx(g_one, rel=1e-12)
+
+    def test_trs_solves_counts_every_solve_off_the_grid(self, monkeypatch):
+        calls = []
+        trs_equality = solver.trs_equality
+        monkeypatch.setattr(
+            solver, "trs_equality", lambda *a, **kw: calls.append(a) or trs_equality(*a, **kw)
+        )
+        for kind in ("dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b",
+                     "strong_t"):
+            for seed in range(4):
+                calls.clear()
+                _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+                assert len(calls) == search.trs_solves
+
     def test_slope_root_matches_golden_reference(self):
         # the search's own point, before the Newton polish, against golden
-        # section on the values of the same grid
+        # section on the values of a grid twice as fine
         for seed in range(44):
             p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
                                 seed)
@@ -600,96 +628,6 @@ class TestGeneralTGlobal:
         p = default_rtls_nonexistence_model().build(order)
         report, _ = solve_rtls_general_t(p)
         assert report.residual_normal_eq <= 1e-12
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _counted_threads(monkeypatch):
-    """The threads that rtls.solver makes, listed as it makes them."""
-    made = []
-
-    def thread(*args, **kwargs):
-        made.append(threading.Thread(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(solver, "threading", types.SimpleNamespace(Thread=thread))
-    return made
-
-
-def _symmetric_stack(seed, length, order):
-    m = np.random.default_rng(seed).normal(size=(length, order, order))
-    return m + m.transpose(0, 2, 1)
-
-
-class TestSplitEigh:
-    @pytest.mark.parametrize("order", [1, 6, 32])
-    @pytest.mark.parametrize("length", [1, 2, 7, 64, 129])
-    def test_halves_equal_one_call(self, monkeypatch, order, length):
-        stack = _symmetric_stack(order * 1000 + length, length, order)
-        lam, q = np.linalg.eigh(stack)
-        _cpus(monkeypatch, 2)
-        made = _counted_threads(monkeypatch)
-        calls, eigh = [], np.linalg.eigh
-        # looked up at call time, so that a wrapper sees both halves
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
-        lam_split, q_split = solver._split_eigh(stack)
-        assert lam_split.shape == lam.shape and lam_split.tobytes() == lam.tobytes()
-        assert q_split.shape == q.shape and q_split.tobytes() == q.tobytes()
-        assert len(made) == (length > 1)
-        assert sorted(calls) == ([length // 2, length - length // 2] if length > 1 else [1])
-
-    @pytest.mark.parametrize(
-        "kind", ["dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
-    )
-    def test_reports_equal_with_one_and_two_cpus(self, monkeypatch, tmp_path, kind):
-        made = _counted_threads(monkeypatch)
-        for seed in range(3):
-            rio.save_problem(tmp_path / "p.json", _dense_t_family(kind, seed))
-            outcomes = []
-            for count in (1, 2):
-                _cpus(monkeypatch, count)
-                made.clear()
-                out = tmp_path / f"r{count}.json"
-                code = main(["solve", "--problem", str(tmp_path / "p.json"), "--out", str(out)])
-                scans = 1 + json.loads(out.read_text())["meta"]["alpha_search"]["doublings"]
-                assert len(made) == (0 if count == 1 else scans)
-                outcomes.append((code, out.read_bytes()))
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0][0] == 2
-
-    @pytest.mark.parametrize("count, threads", [(1, 0), (None, 0), (2, 1)])
-    def test_cpu_count_where_affinity_is_missing(self, monkeypatch, count, threads):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        made = _counted_threads(monkeypatch)
-        solver._split_eigh(_symmetric_stack(0, 4, 3))
-        assert len(made) == threads
-
-    @pytest.mark.parametrize("failing_half", ["worker", "caller"])
-    def test_an_error_reaches_the_caller(self, monkeypatch, failing_half):
-        # with its own type, and with the worker joined: no thread is left
-        # running, and none ends in an unhandled exception
-        _cpus(monkeypatch, 2)
-        eigh = np.linalg.eigh
-
-        def failing(a):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            if on_worker == (failing_half == "worker"):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            if on_worker:
-                time.sleep(0.05)  # still running when the caller's half fails
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        unhandled = []
-        monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        running = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            solver._split_eigh(_symmetric_stack(1, 8, 4))
-        assert threading.active_count() == running
-        assert not unhandled
 
 
 class TestDegenerateInstances:

@@ -68,7 +68,7 @@ class TestTrsEquality:
         assert not got.hard_case
         assert_allclose(got.x, want.x, rtol=1e-12)
         assert got.lam / k == pytest.approx(want.lam, rel=1e-12)
-        _, z = radial_solutions(k * lam, k * c, np.array([0.5]))
+        _, z, _ = radial_solutions(k * lam, k * c, np.array([0.5]))
         assert_allclose(z[0], want.x, rtol=1e-12)
 
     def test_norm_constraint_and_stationarity(self, rng):
@@ -136,7 +136,7 @@ class TestRadialValues:
         lam = np.array([1.0, 2.0, 3.0])
         d = np.array([0.0, 1.0, 2.0])
         r = math.sqrt(2.0 / (1.0 + 5e-13))
-        vals, z = radial_solutions(lam, d, np.array([r]))
+        vals, z, _ = radial_solutions(lam, d, np.array([r]))
         sol = trs_equality(None, d, r, eig=(lam, np.eye(3)))
         assert sol.hard_case
         assert np.linalg.norm(z[0]) == pytest.approx(r, rel=1e-15)
@@ -156,9 +156,9 @@ class TestRadialValues:
         d[::3, 0] = 0.0
         rs = rng.uniform(0.0, 6.0, size=30)
         rs[0] = 0.0
-        vals, z = radial_solutions(lam, d, rs)
+        vals, z, _ = radial_solutions(lam, d, rs)
         for k in range(30):
-            one, z_one = radial_solutions(lam[k], d[k], rs[k : k + 1])
+            one, z_one, _ = radial_solutions(lam[k], d[k], rs[k : k + 1])
             assert vals[k] == one[0]
             assert_array_equal(z[k], z_one[0])
             sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
@@ -172,7 +172,7 @@ class TestRadialValues:
         rs = rng.uniform(0.5, 5.0, size=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, z = radial_solutions(lam, d, rs)
+            _, z, _ = radial_solutions(lam, d, rs)
             assert np.all(np.isfinite(z))
             assert_allclose(np.linalg.norm(z, axis=1), rs, rtol=1e-12)
             for k in range(40):
@@ -249,12 +249,12 @@ class TestSecularNewton:
         # of its terms; sweeps past 16 change no bit of values or z
         rows = 0
         for lam, d, rs in _secular_batches(17, 1800):
-            vals, z = radial_solutions(lam, d, rs)
+            vals, z, _ = radial_solutions(lam, d, rs)
             scale = lam[:, -1] * rs * rs + 2.0 * np.linalg.norm(d, axis=1) * rs
             assert np.all(vals <= _bisection_reference(lam, d, rs) + 1e-15 * scale)
             with monkeypatch.context() as m:
                 m.setattr(trs, "_SWEEPS", 16)
-                capped, z_capped = radial_solutions(lam, d, rs)
+                capped, z_capped, _ = radial_solutions(lam, d, rs)
             assert capped.tobytes() == vals.tobytes() and z_capped.tobytes() == z.tobytes()
             rows += rs.size
         assert rows >= 10_000
@@ -276,6 +276,28 @@ class TestSecularNewton:
         assert not sol.hard_case
         assert val == pytest.approx(sol.x @ (lam * sol.x) - 2.0 * d @ sol.x, rel=1e-15)
         assert _bisection_reference(lam, d, np.array([r]))[0] > val * (1.0 + 1e-9)
+
+
+class TestRadialMultiplier:
+    def test_matches_scalar_solver_row_by_row(self):
+        # the secular root, -lam_min on hard rows and NaN where r = 0, as
+        # trs_equality's lam, over clustered, degenerate and near-hard rows
+        counts = {"hard": 0, "zero": 0, "solved": 0}
+        for lam, d, rs in _secular_batches(23, 300):
+            _, _, mu = radial_solutions(lam, d, rs)
+            for k in range(rs.size):
+                sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(lam.shape[1])))
+                assert_array_equal(mu[k], sol.lam)
+                counts["zero" if rs[k] == 0.0 else "hard" if sol.hard_case else "solved"] += 1
+        assert min(counts.values()) >= 50
+
+    def test_broadcasts_with_the_values(self):
+        lam, d = np.array([1.0, 4.0]), np.array([0.0, 2.0])
+        vals, z, mu = radial_solutions(lam, d, np.array([[0.0, 0.5], [3.0, 1.0]]))
+        assert vals.shape == mu.shape == (2, 2) and z.shape == (2, 2, 2)
+        assert math.isnan(mu[0, 0])
+        assert mu[1, 0] == -1.0  # hard case: the pole
+        assert_allclose((lam + mu[0, 1]) * z[0, 1], d, atol=1e-15)
 
 
 class TestQuarticMinimizer:
