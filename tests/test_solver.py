@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from rtls.certificate import dual_tstar
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
 from rtls import certificate, solver, trs
+from rtls import io as rio
 from rtls.certificate import DualSolution
 from rtls.model import w_vec_seminorm
 from rtls.solver import (
@@ -628,6 +634,78 @@ class TestGeneralTGlobal:
         p = default_rtls_nonexistence_model().build(order)
         report, _ = solve_rtls_general_t(p)
         assert report.residual_normal_eq <= 1e-12
+
+
+def _symmetric_problem(seed, order):
+    rng = np.random.default_rng(seed)
+    m = order + 2
+    a_mat, b = rng.normal(size=(m, order)), rng.normal(size=m)
+    return ProblemSpec(
+        a_mat, b, random_weight(rng, m), RegularizerSpec.dense(rng.normal(size=(order, order)))
+    )
+
+
+def _solve_on_cpus(cpus, paths):
+    """Exit codes of ``rtls solve`` on each (problem, out) pair, in a fresh interpreter on ``cpus``.
+
+    Its BLAS starts one thread per CPU it may use, as under ``taskset``.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys; from rtls.cli import main; "
+        "print([main(['solve', '--problem', p, '--out', o]) "
+        "for p, o in zip(sys.argv[1::2], sys.argv[2::2])])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, *(str(f) for pair in paths for f in pair)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestSplitEigh:
+    """The dense-T scan's batched eigh: a sphere's answer does not hang on its batch or CPUs."""
+
+    @pytest.mark.parametrize("order", [1, 6, 32])
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 129])
+    def test_halves_equal_one_call(self, monkeypatch, order, length):
+        # each matrix is decomposed alone, so the minimizers carry the bits
+        # of one call; G and its slope are summed by BLAS, whose blocking
+        # follows the batch, so they agree to rounding
+        p = _symmetric_problem(order * 1000 + length, order)
+        us = np.linspace(0.0, 3.0, length)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        g, slope, xs = sphere_scan(p, us)
+        halves = [sphere_scan(p, half) for half in np.array_split(us, 2)]
+        assert calls == [length, length - length // 2, length // 2]
+        xs_split = np.concatenate([h[2] for h in halves], axis=1)
+        assert xs_split.shape == xs.shape == (order, length)
+        assert xs_split.tobytes() == xs.tobytes()
+        assert_allclose(np.concatenate([h[0] for h in halves]), g, rtol=1e-12)
+        assert_allclose(
+            np.concatenate([h[1] for h in halves]), slope, rtol=1e-12,
+            atol=1e-12 * np.abs(g).max(), equal_nan=True,
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
+    )
+    def test_reports_equal_with_one_and_two_cpus(self, tmp_path, kind):
+        problems = [tmp_path / f"p{seed}.json" for seed in range(3)]
+        for seed, path in enumerate(problems):
+            rio.save_problem(path, _dense_t_family(kind, seed))
+        usable = sorted(os.sched_getaffinity(0))
+        reports = []
+        for count in (1, 2):
+            outs = [tmp_path / f"r{seed}-{count}.json" for seed in range(3)]
+            assert _solve_on_cpus(usable[:count], list(zip(problems, outs))) == [2, 2, 2]
+            reports.append([out.read_bytes() for out in outs])
+        assert reports[0] == reports[1]
 
 
 class TestDegenerateInstances:
