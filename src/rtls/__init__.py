@@ -65,10 +65,10 @@ from .lab import (
     default_diagonal_model,
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
-    diagonal_solve,
+    diagonal_audit,
+    diagonal_problem,
     nonexistence_rtls_sequence,
     nonexistence_tls_sequence,
-    truncation_sweep,
     weak_continuity_demo,
 )
 

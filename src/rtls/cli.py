@@ -30,11 +30,12 @@ from .certificate import certify_tstar, classify_existence, default_tol_t, dual_
 from .classic import solve_classic_tls
 from .instances import random_problem
 from .lab import (
-    diagonal_solve,
+    SweepRow,
+    diagonal_audit,
+    diagonal_problem,
     load_model_file,
     nonexistence_rtls_sequence,
     nonexistence_tls_sequence,
-    truncation_sweep,
     weak_continuity_demo,
 )
 from .model import ProblemFormatError, STATUS_SOLVED, STATUS_TRIVIAL
@@ -48,21 +49,23 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _at_least(convert, low):
-    """An argparse type: ``convert(text)``, finite and >= low."""
+def _at_least(convert, low, odd=False):
+    """An argparse type: ``convert(text)``, finite and >= low; with ``odd``, an odd number."""
 
     def parse(text):
         value = convert(text)
-        if not low <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a finite value >= {low}, got {text!r}")
+        if not low <= value < math.inf or odd and value % 2 == 0:
+            kind = "an odd" if odd else "a finite"
+            raise argparse.ArgumentTypeError(f"expected {kind} value >= {low}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # a non-number reads "invalid int value"
     return parse
 
 
-def _positive_list(convert):
-    """An argparse type: comma-separated ``convert`` values, at least one, each finite and > 0."""
+def _positive_list(convert, increasing=False):
+    """An argparse type: comma-separated ``convert`` values, at least one, each finite
+    and > 0; with ``increasing``, each above the one before."""
 
     def parse(text):
         values = [convert(v) for v in text.split(",") if v.strip()]
@@ -70,6 +73,8 @@ def _positive_list(convert):
             raise argparse.ArgumentTypeError(
                 f"expected a list of finite values > 0, got {text!r}"
             )
+        if increasing and not all(a < b for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError(f"expected strictly increasing values, got {text!r}")
         return values
 
     parse.__name__ = f"{convert.__name__} list"  # a non-number reads "invalid int list value"
@@ -84,20 +89,26 @@ def _emit(obj, out):
         sys.stdout.write(rio.canonical_json(obj) + "\n")
 
 
-def cmd_solve(args):
-    p = rio.load_problem(args.problem)
-    meta = {"command": "solve"}
+def solve_problem(p):
+    """The pair report of p, status included, and the ``meta`` record of its route.
+
+    The one solve route of ``solve`` and of the ``diagonal`` and ``sweep``
+    demos: the scalar dual with its classified status for T = sqrt(rho) I,
+    the dense-T search otherwise.
+    """
     if p.T.kind == "identity_scaled":
         sol = dual_tstar(p)
         report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
-        meta["t_star"] = float(sol.t_star)
-        meta["t_dual"] = float(sol.t_dual)
-        meta["dual_steps"] = sol.steps
+        meta = {"t_star": float(sol.t_star), "t_dual": float(sol.t_dual), "dual_steps": sol.steps}
     else:
         report, search = solve_rtls_general_t(p)
-        if search is not None:
-            meta["alpha_search"] = search
-    _emit({**vars(report), "meta": meta}, args.out)
+        meta = {} if search is None else {"alpha_search": search}
+    return report, meta
+
+
+def cmd_solve(args):
+    report, meta = solve_problem(rio.load_problem(args.problem))
+    _emit({**vars(report), "meta": {"command": "solve", **meta}}, args.out)
     return EXIT_OK if report.status in (STATUS_SOLVED, STATUS_TRIVIAL) else EXIT_NOT_CERTIFIED
 
 
@@ -148,14 +159,7 @@ def cmd_classic_tls(args):
     p = rio.load_problem(args.problem)
     if not np.array_equal(p.W.as_matrix(), np.eye(p.W.dim)):
         logger.warning("classic-tls ignores the problem's weight, which is not the identity")
-    solution = solve_classic_tls(p.A, p.b)
-    out = {
-        "x": solution.x.tolist(),
-        "sigma_min": float(solution.sigma_min),
-        "objective": float(solution.sigma_min**2),
-        "constraint_residual": float(solution.residual),
-    }
-    _emit(out, args.out)
+    _emit(solve_classic_tls(p.A, p.b), args.out)
     return EXIT_OK
 
 
@@ -182,13 +186,21 @@ def cmd_nonexist(args):
 
 
 def cmd_diagonal(args):
-    report, audit = diagonal_solve(load_model_file(args.model), args.N)
-    _emit({**vars(report), "audit": audit}, args.out)
+    model = load_model_file(args.model)
+    p = diagonal_problem(model, args.N)
+    report, _ = solve_problem(p)
+    _emit({**vars(report), "audit": diagonal_audit(model, p, report)}, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    _emit_table(args, truncation_sweep(load_model_file(args.model), args.N))
+    model = load_model_file(args.model)
+    rows = []
+    for n in args.N:
+        report, _ = solve_problem(model.build(n))
+        rows.append(SweepRow(n, float(np.linalg.norm(report.x)), float(report.objective),
+                             report.status))
+    _emit_table(args, rows)
     return EXIT_OK
 
 
@@ -244,13 +256,14 @@ def _add_demo(p):
     d.set_defaults(func=cmd_diagonal)
     d = demo_sub.add_parser("sweep")
     d.add_argument("--model", required=True)
-    d.add_argument("--N", type=_positive_list(int), required=True)
+    d.add_argument("--N", type=_positive_list(int, increasing=True), required=True)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
     d.set_defaults(func=cmd_sweep)
     d = demo_sub.add_parser("weakcont")
     d.add_argument("--n", type=_positive_list(int), default="1,2,8,32")
-    d.add_argument("--quad-points", type=int, default=8193)
+    # weak_continuity_demo needs 64 max(--n) + 1 nodes, so never fewer than 65
+    d.add_argument("--quad-points", type=_at_least(int, 65, odd=True), default=8193)
     d.add_argument("--out")
     d.add_argument("--format", choices=("json", "csv"), default="json")
     d.set_defaults(func=cmd_weakcont)

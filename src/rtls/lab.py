@@ -1,5 +1,7 @@
 """Constructive laboratory: unattained infima, truncation sweeps, quadrature.
 
+The lab builds truncations and audits reports; :mod:`rtls.cli` solves them.
+
 Three phenomena are reproduced at finite truncation:
 
 * When the weighted operator (or the combined quadratic form T^T T + A^T W A)
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import classify_existence, dual_tstar
 from .classic import min_direction
 from .io import read_json, real_number, real_vector
 from .model import (
@@ -38,8 +39,6 @@ from .model import (
     objective_tls,
     w_vec_seminorm,
 )
-from .reduction import recover_pair
-from .solver import solve_rtls_general_t
 
 _INTERP_TOL = 1e-12
 _BOUND_SLACK = 1e-8
@@ -419,33 +418,29 @@ def _h_value(w_head, a_head, b_head, alpha, extra_norm_sq, rho):
     return num / (1.0 + total_sq) + rho * total_sq
 
 
-def _solve(p):
-    """The pair report ``rtls solve`` gives for p, status included."""
-    if p.T.kind == "identity_scaled":
-        sol = dual_tstar(p)
-        return recover_pair(p, sol.x_star, status=classify_existence(p, sol))
-    return solve_rtls_general_t(p)[0]
+def diagonal_problem(model, n):
+    """The truncation at order n that the diagonal demo solves and audits.
 
-
-def diagonal_solve(model, n):
-    """Solve a diagonal model's truncation at order n and audit its critical points.
-
-    The model must have a scaled-identity ``rho``.  b must be supported on
-    the first N = len(b) coordinates with N <= n;
-    when every head coefficient w_j a_j is nonzero the minimizer carries no
-    mass beyond the head (enforced to 1e-8 of |x*|^2), and when some vanish
-    the pooled objective is invariant under moving that mass onto any such
-    coordinate (the reported rebalance gap).  Each audit threshold is
-    relative, to max |w_j a_j|, |x*|, |b_j / a_j| or the pooled objective,
-    so that (W, rho) and (cW, c rho) audit alike.  The data are checked
-    by :meth:`DiagonalModel.build`, as for every other demo.
+    The model must be diagonal with a scaled-identity ``rho``; b must have
+    N = len(b) <= n entries, checked by :meth:`DiagonalModel.build`.
     """
     if not isinstance(model, DiagonalModel) or model.rho is None:
         raise ProblemFormatError(
             "the diagonal demo needs a diagonal model with a scaled-identity 'rho'"
         )
-    p = model.build(n)
-    report = _solve(p)
+    return model.build(n)
+
+
+def diagonal_audit(model, p, report):
+    """Critical-point audit of ``report``, the pair report of p = diagonal_problem(model, n).
+
+    When every head coefficient w_j a_j is nonzero the minimizer carries no
+    mass beyond the head (enforced to 1e-8 of |x*|^2), and when some vanish
+    the pooled objective is invariant under moving that mass onto any such
+    coordinate (the reported rebalance gap).  Each audit threshold is
+    relative, to max |w_j a_j|, |x*|, |b_j / a_j| or the pooled objective,
+    so that (W, rho) and (cW, c rho) audit alike.
+    """
     a, w, rho = np.diag(p.A), p.W.data, p.T.rho
     head = np.shape(model.b)[0]
     b_head = p.b[:head]
@@ -485,14 +480,13 @@ def diagonal_solve(model, n):
             f"w_j a_j is nonzero (fraction {tail_fraction!r})"
         )
 
-    audit = DiagonalAudit(
+    return DiagonalAudit(
         head=head,
         zero_indices=zero_indices,
         tail_mass_fraction=tail_fraction,
         critical_condition_ok=critical_ok,
         rebalance_gap=rebalance_gap,
     )
-    return report, audit
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +496,14 @@ def diagonal_solve(model, n):
 
 @dataclass(frozen=True)
 class SweepRow:
+    """A row of ``rtls demo sweep``: the report ``rtls solve`` gives for the
+    truncation at order N, whose objective is t* = G(x*).  Rows record how
+    the infimum and minimizer norm drift with N; no limit is asserted."""
+
     N: int
     x_norm: float
     objective: float
     status: str
-
-
-def truncation_sweep(model, n_list):
-    """Solve the model at each truncation order and tabulate the results.
-
-    Every truncated instance is coercive, hence solvable; the sweep records
-    how the infimum and minimizer norm drift with the order without asserting
-    any limit.  Each row is the report ``rtls solve`` gives for the same
-    truncation, whose objective is t* = G(x*).
-    """
-    rows = []
-    previous = 0
-    for n in n_list:
-        if n <= previous:
-            raise ValueError("truncation orders must be strictly increasing")
-        previous = n
-        report = _solve(model.build(n))
-        x_norm = float(np.linalg.norm(report.x))
-        rows.append(SweepRow(n, x_norm, float(report.objective), report.status))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Everything is desk scale (dimensions <= 32) and seeded.
 """
 
+import json
 import math
 
 import numpy as np
@@ -29,12 +30,11 @@ from rtls import (
     verify_lift_identities,
     weak_continuity_demo,
 )
+from rtls.cli import main
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import (
-    DiagonalModel,
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
-    diagonal_solve,
     _h_value,
 )
 from rtls.model import ProblemSpec, RegularizerSpec, is_trivial_rtls, is_trivial_tls
@@ -204,26 +204,38 @@ def test_criterion_7_weak_continuity():
     _report(7, f"max |I_n - 7pi|={worst_i:.3e}, max |limit - 8pi|={worst_lim:.3e}")
 
 
-def test_criterion_8_diagonal_example():
+def _diagonal_demo(tmp_path, spec, n):
+    """The pair report and audit ``rtls demo diagonal`` writes at order n."""
+    (tmp_path / "model.json").write_text(json.dumps(spec))
+    out = tmp_path / "diagonal.json"
+    assert main(["demo", "diagonal", "--model", str(tmp_path / "model.json"),
+                 "--N", str(n), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    return report, report.pop("audit")
+
+
+def test_criterion_8_diagonal_example(tmp_path):
     # all w_j a_j nonzero on the support: no tail mass
-    report, audit = diagonal_solve(
-        DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0), 6
+    report, audit = _diagonal_demo(
+        tmp_path, {"a": [1.0] * 6, "w": [1.0] * 6, "b": [1.0, 0.0], "rho": 2.0}, 6
     )
-    assert report.status == "solved"
-    assert audit.tail_mass_fraction <= 1e-8
+    assert report["status"] == "solved"
+    assert audit["tail_mass_fraction"] <= 1e-8
 
     # w_1 a_1 = 0: pooled-mass invariance of the reduced objective
     a = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
     w = np.ones(5)
     b_head = np.array([1.0, 2.0])
-    report2, audit2 = diagonal_solve(DiagonalModel(a, w, b_head, rho=1.0), 5)
-    assert audit2.rebalance_gap is not None and audit2.rebalance_gap <= 1e-10
+    report2, audit2 = _diagonal_demo(
+        tmp_path, {"a": a.tolist(), "w": w.tolist(), "b": b_head.tolist(), "rho": 1.0}, 5
+    )
+    assert audit2["rebalance_gap"] is not None and audit2["rebalance_gap"] <= 1e-10
     for mass in (0.25, 1.0, 2.5):
-        pooled = _h_value(w[:2], a[:2], b_head, np.array([mass, report2.x[1]]), 0.0, 1.0)
-        spread = _h_value(w[:2], a[:2], b_head, np.array([0.0, report2.x[1]]), mass**2, 1.0)
+        pooled = _h_value(w[:2], a[:2], b_head, np.array([mass, report2["x"][1]]), 0.0, 1.0)
+        spread = _h_value(w[:2], a[:2], b_head, np.array([0.0, report2["x"][1]]), mass**2, 1.0)
         assert abs(pooled - spread) <= 1e-10 * max(abs(pooled), 1.0)
-    _report(8, f"tail mass fraction={audit.tail_mass_fraction:.3e}, "
-               f"rebalance gap={audit2.rebalance_gap:.3e}")
+    _report(8, f"tail mass fraction={audit['tail_mass_fraction']:.3e}, "
+               f"rebalance gap={audit2['rebalance_gap']:.3e}")
 
 
 def test_criterion_9_frechet_and_gradient():

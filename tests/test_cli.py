@@ -559,8 +559,48 @@ BRANCH_ARGV = [
     ["demo", "nonexist-rtls", "--model", "m.json", "--eps", "0.1", "--N", "5"],
     ["demo", "diagonal", "--model", "m.json"],
     ["demo", "sweep", "--model", "m.json", "--N", "4,8", "--format", "csv"],
-    ["demo", "weakcont", "--n", "1,2", "--quad-points", "33"],
+    ["demo", "weakcont", "--n", "1,2", "--quad-points", "129"],
 ]
+
+
+# a diagonal model with a scaled-identity rho and w_1 a_1 = 0, the dense-T lab
+# model (both heuristic at every order) and an integral model (solved)
+_DRIFT_MODELS = {
+    "diagonal-rho": {"a": [0.0, 1.0, 0.5, 0.25, 2.0, 1.0, 1.0, 1.0], "w": "1/k",
+                     "b": [1.0, 0.5], "rho": 0.05},
+    "dense-t": {"a": "1/k", "w": "1/k^2", "b": [1.0], "t": "1/k^2"},
+    "integral": {"kernel": "named:gaussian", "w": "1/k^2", "b": [1.0], "rho": 1.0},
+}
+
+
+class TestOneSolveRoute:
+    """A demo row is the report ``rtls solve`` writes for the same truncation, to the bit."""
+
+    @pytest.mark.parametrize("spec", _DRIFT_MODELS.values(), ids=list(_DRIFT_MODELS))
+    def test_sweep_rows_are_solve_reports(self, workdir, spec):
+        (workdir / "m.json").write_text(json.dumps(spec))
+        out = workdir / "sweep.json"
+        code = main(["demo", "sweep", "--model", str(workdir / "m.json"),
+                     "--N", "2,3,5,8", "--out", str(out)])
+        assert code == 0
+        model = load_model_file(workdir / "m.json")
+        for row in json.loads(out.read_text())["rows"]:
+            _, report = _run(workdir, "solve", model.build(row["N"]))
+            assert row["x_norm"] == float(np.linalg.norm(report["x"]))
+            assert (row["objective"], row["status"]) == (report["objective"], report["status"])
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_diagonal_report_is_the_solve_report(self, workdir, n):
+        (workdir / "m.json").write_text(json.dumps(_DRIFT_MODELS["diagonal-rho"]))
+        out = workdir / "diag.json"
+        code = main(["demo", "diagonal", "--model", str(workdir / "m.json"),
+                     "--N", str(n), "--out", str(out)])
+        assert code == 0
+        artifact = json.loads(out.read_text())
+        del artifact["audit"]
+        _, report = _run(workdir, "solve", load_model_file(workdir / "m.json").build(n))
+        del report["meta"]
+        assert list(artifact.items()) == list(report.items())
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -587,8 +627,9 @@ _BAD_CERTIFY_NUMBERS = [
 
 # each names its flag in a usage error: before, these wrote empty or
 # negative-eps artifacts, failed with a float()/int() error that named no
-# flag, (eps = inf) failed in serialization, or (a truncation order --N
-# below 1) failed naming the model's field 'b'
+# flag, (eps = inf) failed in serialization, (a truncation order --N
+# below 1) failed naming the model's field 'b', or (a sweep --N that does
+# not increase, a --quad-points that no --n accepts) failed naming no flag
 _BAD_DEMO_LISTS = [
     ("nonexist-tls", "--eps", "inf", "expected a list of finite values > 0, got 'inf'"),
     ("nonexist-tls", "--eps", "nan", "expected a list of finite values > 0, got 'nan'"),
@@ -600,7 +641,11 @@ _BAD_DEMO_LISTS = [
     ("sweep", "--N", "0,4", "expected a list of finite values > 0, got '0,4'"),
     ("sweep", "--N", "4,8.5", "invalid int list value: '4,8.5'"),
     ("weakcont", "--n", "1,x", "invalid int list value: '1,x'"),
+    ("sweep", "--N", "4,4", "expected strictly increasing values, got '4,4'"),
+    ("sweep", "--N", "8,16,4", "expected strictly increasing values, got '8,16,4'"),
     ("weakcont", "--n", "-2", "expected a list of finite values > 0, got '-2'"),
+    ("weakcont", "--quad-points", "0", "expected an odd value >= 65, got '0'"),
+    ("weakcont", "--quad-points", "100", "expected an odd value >= 65, got '100'"),
     *[(demo, "--N", text, f"expected a finite value >= 1, got '{text}'")
       for demo in ("diagonal", "nonexist-tls", "nonexist-rtls") for text in ("0", "-3")],
 ]
@@ -734,8 +779,17 @@ class TestClassicCommand:
         code = main(["classic-tls", "--problem", str(workdir / "generic.json"),
                      "--out", str(out)])
         assert code == 0
+        # the fields of ClassicTlsSolution, in declaration order
         artifact = json.loads(out.read_text())
-        assert artifact["objective"] == pytest.approx(artifact["sigma_min"] ** 2)
+        assert list(artifact) == ["X", "x", "sigma_min", "residual"]
+        # (X | X x) is (A | b) less its rank-one part along sigma_min
+        u, s, vt = np.linalg.svd(np.column_stack([a_mat, p.b]), full_matrices=False)
+        corrected = np.column_stack([a_mat, p.b]) - s[-1] * np.outer(u[:, -1], vt[-1])
+        X, x = np.array(artifact["X"]), np.array(artifact["x"])
+        np.testing.assert_allclose(X, corrected[:, :3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X @ x, corrected[:, 3], rtol=0, atol=1e-12)
+        assert artifact["sigma_min"] == pytest.approx(s[-1], rel=1e-12)
+        assert artifact["residual"] == pytest.approx(np.linalg.norm(X @ x - corrected[:, 3]), abs=1e-14)
 
     @pytest.mark.parametrize("weight, warns", [
         (WeightOperator.diagonal(np.ones(3)), False),

@@ -5,21 +5,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rtls.cli
 from rtls import (
+    PairReport,
     ProblemFormatError,
+    SweepRow,
     nonexistence_rtls_sequence,
     nonexistence_tls_sequence,
-    truncation_sweep,
     weak_continuity_demo,
 )
+from rtls.cli import main
 from rtls.lab import (
+    DiagonalAudit,
     DiagonalModel,
     IntegralModel,
     _h_value,
     default_diagonal_model,
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
-    diagonal_solve,
+    diagonal_problem,
     load_model_file,
     model_from_dict,
 )
@@ -208,17 +212,46 @@ class TestNonexistenceRtls:
         assert objs[-1] <= 1e-2 * objs[0]
 
 
+def _demo(tmp_path, demo, spec, orders):
+    """The JSON artifact of ``rtls demo <demo>`` on the model file ``spec``."""
+    (tmp_path / "model.json").write_text(json.dumps(spec))
+    out = tmp_path / "artifact.json"
+    assert main(["demo", demo, "--model", str(tmp_path / "model.json"),
+                 "--N", ",".join(map(str, orders)), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _diagonal(tmp_path, spec, n):
+    """The pair report and audit ``rtls demo diagonal`` writes at order n."""
+    artifact = _demo(tmp_path, "diagonal", spec, [n])
+    audit = DiagonalAudit(**artifact.pop("audit"))
+    return PairReport(**{**artifact, "x": np.array(artifact["x"])}), audit
+
+
+def _sweep(tmp_path, spec, orders):
+    """The rows ``rtls demo sweep`` writes for the given truncation orders."""
+    return [SweepRow(**row) for row in _demo(tmp_path, "sweep", spec, orders)["rows"]]
+
+
+# default_diagonal_model(rho) and default_rtls_nonexistence_model() as model files
+def _default_diagonal(rho):
+    return {"a": "1/k", "w": "1/k^2", "b": [1.0], "rho": rho}
+
+
+_DEFAULT_RTLS_NONEXISTENCE = {"a": "1/k", "w": "1/k^2", "b": [1.0], "t": "1/k^2"}
+
+
 class TestDiagonalSolve:
-    def test_zero_data(self):
-        model = DiagonalModel(np.ones(4), np.ones(4), np.zeros(2), rho=1.0)
-        report, audit = diagonal_solve(model, 4)
+    def test_zero_data(self, tmp_path):
+        spec = {"a": [1.0] * 4, "w": [1.0] * 4, "b": [0.0, 0.0], "rho": 1.0}
+        report, audit = _diagonal(tmp_path, spec, 4)
         assert report.objective == 0.0
         assert audit.tail_mass_fraction == 0.0
 
-    def test_head_supported_certified(self):
+    def test_head_supported_certified(self, tmp_path):
         # rho = 2 >= |b|_W^2 = 1 certifies uniqueness; no tail mass
-        report, audit = diagonal_solve(
-            DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0), 6
+        report, audit = _diagonal(
+            tmp_path, {"a": [1.0] * 6, "w": [1.0] * 6, "b": [1.0, 0.0], "rho": 2.0}, 6
         )
         assert report.status == "solved"
         assert audit.tail_mass_fraction <= 1e-8
@@ -228,11 +261,11 @@ class TestDiagonalSolve:
         vals = ((s - 1.0) ** 2) / (1.0 + s**2) + 2.0 * s**2
         assert report.objective == pytest.approx(float(np.min(vals)), abs=1e-9)
 
-    def test_matches_two_variable_grid_oracle(self):
+    def test_matches_two_variable_grid_oracle(self, tmp_path):
         # the minimizer lives on (alpha_1, |s|); a dense grid over the pooled
         # objective h must reproduce the reported value, with |s*| = 0
-        model = DiagonalModel(np.ones(6), np.ones(6), np.array([1.0, 0.0]), rho=2.0)
-        report, _ = diagonal_solve(model, 6)
+        spec = {"a": [1.0] * 6, "w": [1.0] * 6, "b": [1.0, 0.0], "rho": 2.0}
+        report, _ = _diagonal(tmp_path, spec, 6)
         alphas = np.linspace(0.0, 1.0, 1201)
         tails = np.linspace(0.0, 1.0, 1201)
         grid_a, grid_s = np.meshgrid(alphas, tails, indexing="ij")
@@ -242,13 +275,14 @@ class TestDiagonalSolve:
         assert report.objective == pytest.approx(float(h[i, j]), abs=1e-6)
         assert tails[j] == 0.0
 
-    def test_pooled_mass_invariance(self):
+    def test_pooled_mass_invariance(self, tmp_path):
         # w_1 a_1 = 0: moving mass between coordinate 1 and the tail leaves
         # the pooled objective unchanged
         a = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         w = np.ones(5)
         b_head = np.array([1.0, 2.0])
-        report, audit = diagonal_solve(DiagonalModel(a, w, b_head, rho=1.0), 5)
+        spec = {"a": a.tolist(), "w": w.tolist(), "b": b_head.tolist(), "rho": 1.0}
+        report, audit = _diagonal(tmp_path, spec, 5)
         assert audit.zero_indices == [0]
         assert audit.rebalance_gap is not None and audit.rebalance_gap <= 1e-10
         for mass in (0.3, 0.7, 1.9):
@@ -256,34 +290,43 @@ class TestDiagonalSolve:
             on_tail = _h_value(w[:2], a[:2], b_head, np.array([0.0, report.x[1]]), mass**2, 1.0)
             assert on_head == pytest.approx(on_tail, rel=1e-12)
 
-    @pytest.mark.parametrize("model", [
-        default_rtls_nonexistence_model(), IntegralModel("named:gaussian"),
+    @pytest.mark.parametrize("spec", [
+        _DEFAULT_RTLS_NONEXISTENCE, {"kernel": "named:gaussian"},
     ], ids=["dense-t", "integral"])
-    def test_needs_diagonal_model_with_rho(self, model):
+    def test_needs_diagonal_model_with_rho(self, tmp_path, capsys, monkeypatch, spec):
+        # refused before any solve
+        monkeypatch.setattr(rtls.cli, "solve_problem", None)
+        (tmp_path / "model.json").write_text(json.dumps(spec))
+        assert main(["demo", "diagonal", "--model", str(tmp_path / "model.json"), "--N", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the diagonal demo needs a diagonal model with a scaled-identity 'rho'\n"
+        )
         with pytest.raises(ProblemFormatError, match=(
             "^the diagonal demo needs a diagonal model with a scaled-identity 'rho'$"
         )):
-            diagonal_solve(model, 4)
+            diagonal_problem(model_from_dict(spec), 4)
 
-    def test_head_support_violation_raises(self):
-        with pytest.raises(ValueError, match="truncation order"):
-            diagonal_solve(DiagonalModel(np.ones(2), np.ones(2), np.ones(3), rho=1.0), 2)
+    def test_head_support_violation_raises(self, tmp_path, capsys):
+        spec = {"a": [1.0] * 2, "w": [1.0] * 2, "b": [1.0] * 3, "rho": 1.0}
+        (tmp_path / "model.json").write_text(json.dumps(spec))
+        assert main(["demo", "diagonal", "--model", str(tmp_path / "model.json"), "--N", "2"]) == 1
+        assert "truncation order" in capsys.readouterr().err
 
 
 class TestTruncationSweep:
-    def test_certified_every_row(self):
-        rows = truncation_sweep(default_diagonal_model(rho=1.2), [2, 4, 8])
+    def test_certified_every_row(self, tmp_path):
+        rows = _sweep(tmp_path, _default_diagonal(1.2), [2, 4, 8])
         assert all(r.status == "solved" for r in rows)
 
-    def test_head_supported_t_star_stabilizes(self):
-        rows = truncation_sweep(default_diagonal_model(rho=0.8), [1, 2, 4, 8, 16])
+    def test_head_supported_t_star_stabilizes(self, tmp_path):
+        rows = _sweep(tmp_path, _default_diagonal(0.8), [1, 2, 4, 8, 16])
         values = [r.objective for r in rows]
         for a, b in zip(values, values[1:]):
             assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
 
-    def test_intro_model_objectives_decay_while_rows_solve(self):
+    def test_intro_model_objectives_decay_while_rows_solve(self, tmp_path):
         model = default_rtls_nonexistence_model()
-        rows = truncation_sweep(model, [4, 8, 16, 32])
+        rows = _sweep(tmp_path, _DEFAULT_RTLS_NONEXISTENCE, [4, 8, 16, 32])
         objs = [r.objective for r in rows]
         assert all(np.isfinite(o) for o in objs)
         assert objs[-1] <= 0.5 * objs[0]
@@ -296,12 +339,15 @@ class TestTruncationSweep:
             seq = nonexistence_rtls_sequence(p, [eps])
             assert row.objective <= seq.points[0].objective + 1e-12
 
-    def test_strictly_increasing_orders_required(self):
-        with pytest.raises(ValueError, match="increasing"):
-            truncation_sweep(default_diagonal_model(), [4, 4])
+    def test_strictly_increasing_orders_required(self, tmp_path, capsys):
+        (tmp_path / "model.json").write_text(json.dumps(_default_diagonal(1.0)))
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "sweep", "--model", str(tmp_path / "model.json"), "--N", "4,4"])
+        assert exc.value.code == 1
+        assert "increasing" in capsys.readouterr().err
 
-    def test_integral_model_rows_solve(self):
-        rows = truncation_sweep(IntegralModel("named:gaussian", rho=2.0), [5, 9])
+    def test_integral_model_rows_solve(self, tmp_path):
+        rows = _sweep(tmp_path, {"kernel": "named:gaussian", "rho": 2.0}, [5, 9])
         assert all(r.status == "solved" for r in rows)
 
 
