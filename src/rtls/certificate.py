@@ -279,11 +279,13 @@ def _certificate(p, t, beta):
     """(PSD, Certificate) for C(t, 1, beta), from one eigvalsh.
 
     C counts as PSD when lambda_min >= -1e-9 |C|_F, a floor relative to C's
-    own scale.
+    own scale.  |C|_F is taken of C / s, s the power of two at or below its
+    largest entry: that scaling is exact, and the squares cannot overflow.
     """
     c_mat = assemble_c(p, t, 1.0, beta)
     val = float(np.linalg.eigvalsh(c_mat)[0])
-    tol_psd = _PSD_FLOOR_REL * float(np.linalg.norm(c_mat))
+    s = 2.0 ** (math.frexp(float(np.max(np.abs(c_mat))))[1] - 1)
+    tol_psd = _PSD_FLOOR_REL * float(np.linalg.norm(c_mat / s)) * s
     return val >= -tol_psd, Certificate(t, 1.0, beta, val, c_mat)
 
 
@@ -311,8 +313,9 @@ def default_tol_t(p):
     return 1e-10 * p.b_norm_w_sq
 
 
-def _require_gap(sol, tol_t):
-    """Raise RuntimeError unless the duality gap of ``sol`` is at most tol_t."""
+def _require_gap(p, sol):
+    """Raise RuntimeError unless the duality gap of ``sol`` is at most default_tol_t(p)."""
+    tol_t = default_tol_t(p)
     if not sol.gap <= tol_t:
         raise RuntimeError(f"duality gap {sol.gap!r} exceeds tol_t {tol_t!r}")
 
@@ -333,7 +336,7 @@ def classify_existence(p, sol):
     :func:`default_tol_t`: then t* itself is not proven.
     """
     rho = require_identity_scaled(p, "classify_existence")
-    _require_gap(sol, default_tol_t(p))
+    _require_gap(p, sol)
     if p.b_norm_w_sq == 0.0:
         return STATUS_TRIVIAL
     if rho >= sol.t_star * (1.0 - 1e-8):
@@ -341,16 +344,15 @@ def classify_existence(p, sol):
     return STATUS_HEURISTIC
 
 
-def certify_tstar(p, tol_t=None):
+def certify_tstar(p):
     """Certificate at t = tau(beta*), the maximum of the scalar dual.
 
-    The dual's primal point must bring G within tol_t (default
-    :func:`default_tol_t`) of t, and C(t, 1, beta*) must be PSD; otherwise
-    RuntimeError names the failed check.
+    The dual's primal point must bring G within :func:`default_tol_t` of t, and
+    C(t, 1, beta*) must be PSD; otherwise RuntimeError names the failed check.
     """
     require_identity_scaled(p, "certify_tstar")
     sol = dual_tstar(p)
-    _require_gap(sol, default_tol_t(p) if tol_t is None else tol_t)
+    _require_gap(p, sol)
     psd, cert = _certificate(p, sol.t_dual, sol.beta)
     if not psd:
         raise RuntimeError(

@@ -58,8 +58,8 @@ def solve_classic_tls(A, b):
             if abs(v[-1]) > _LAST_COORD_TOL:
                 candidates.append(-v[:n] / v[-1])
         raise RepeatedSingularValueError(
-            f"classic TLS degenerate: smallest singular value {sigmas[-1]!r} "
-            f"is repeated (next {sigmas[-2]!r})",
+            f"classic TLS degenerate: smallest singular value {float(sigmas[-1])!r} "
+            f"is repeated (next {float(sigmas[-2])!r})",
             candidates,
         )
 
@@ -67,7 +67,7 @@ def solve_classic_tls(A, b):
     if abs(v[-1]) <= _LAST_COORD_TOL:
         raise NongenericTlsError(
             "classic TLS nongeneric: right singular vector for sigma_min has "
-            f"last coordinate {v[-1]!r}"
+            f"last coordinate {float(v[-1])!r}"
         )
     x = -v[:n] / v[-1]
 

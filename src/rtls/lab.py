@@ -518,23 +518,19 @@ class WeakContinuityRow:
     limit_integral: float
 
 
-def weak_continuity_demo(n_list, quad_points=8193):
+def weak_continuity_demo(n_list):
     """Composite-Simpson evidence that the pairing is not weakly continuous.
 
     I_n = int_0^{2pi} (2 + cos nt)(2 - cos nt) dt = 7 pi for every n, while
     the product of the weak limits integrates to 8 pi.  Both values are
     checked against their closed forms (1e-8 and 1e-12); the persistent pi
-    gap is the demonstration.  On the grid of quad_points nodes, spacing h,
+    gap is the demonstration.  On a grid of 64 max(n) + 1 nodes, spacing h,
     Simpson's sum is h/3 (f_0 + f_N + 4 sum f_odd + 2 sum f_even-interior).
     """
     n_list = [int(v) for v in n_list]
     if not n_list or min(n_list) < 1:
         raise ValueError("frequency list must contain positive integers")
-    required = 64 * max(n_list) + 1
-    if quad_points % 2 == 0 or quad_points < required:
-        raise ValueError(
-            f"insufficient quadrature resolution: need an odd count >= {required}"
-        )
+    quad_points = 64 * max(n_list) + 1
     t = np.linspace(0.0, 2.0 * math.pi, quad_points)
     h = 2.0 * math.pi / (quad_points - 1)
 

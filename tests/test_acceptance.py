@@ -196,7 +196,7 @@ def test_criterion_6_nonexistence_bounds():
 
 
 def test_criterion_7_weak_continuity():
-    rows = weak_continuity_demo([1, 2, 8, 32], 8193)
+    rows = weak_continuity_demo([1, 2, 8, 32])
     worst_i = max(abs(r.integral - 7.0 * math.pi) for r in rows)
     worst_lim = max(abs(r.limit_integral - 8.0 * math.pi) for r in rows)
     assert worst_i <= 1e-8

@@ -148,7 +148,7 @@ class TestCertifyTstar:
 
     def test_closed_form(self):
         p = closed_form_problem()
-        cert = certify_tstar(p, tol_t=1e-5)
+        cert = certify_tstar(p)
         assert cert.t == pytest.approx(9.0, abs=1e-4)
         assert cert.alpha >= 0 and cert.beta >= 0
 
@@ -161,7 +161,7 @@ class TestCertifyTstar:
     def test_keep_c_retains_matrix(self):
         # every certificate holds its C(t, 1, beta); --keep-C only decides whether it is written
         p = closed_form_problem()
-        cert = certify_tstar(p, tol_t=1e-3)
+        cert = certify_tstar(p)
         assert cert.C.shape == (5, 5)
         assert np.array_equal(cert.C, assemble_c(p, cert.t, cert.alpha, cert.beta))
         assert np.linalg.eigvalsh(cert.C)[0] == cert.lambda_min

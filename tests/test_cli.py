@@ -198,7 +198,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "{dir}/certified.json"],
-        ["demo", "weakcont", "--n", "1", "--quad-points", "65", "--format", "csv"],
+        ["demo", "weakcont", "--n", "1", "--format", "csv"],
     ])
     def test_unwritable_out_exit_one(self, workdir, capsys, argv):
         out = str(workdir / "missing_dir" / "out.txt")
@@ -247,12 +247,33 @@ class TestCertifyCommand:
         assert cert["alpha"] >= 0 and cert["beta"] >= 0
 
     def test_batch_agreement(self, workdir):
-        out = workdir / "batch.json"
-        code = main(["certify", "--batch", "5", "--seed", "7", "--out", str(out)])
+        # five seeded 3 x 3 instances, each certified from its file
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            p = random_problem(rng, 3)
+            code, cert = _run(workdir, "certify", p)
+            assert code == 0
+            assert cert["meta"]["agreement_gap"] <= 1e-10 * p.b_norm_w_sq
+
+    def test_dense_t_names_the_field(self, workdir, capsys):
+        # the certificate holds for T = sqrt(rho) I alone; refused before either route
+        out = workdir / "c.json"
+        assert main(["certify", "--problem", str(workdir / "dense_t.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: field 'T.kind' must be 'identity_scaled' for certify, got 'dense'\n"
+        )
+        assert not out.exists()
+
+    def test_huge_rho_certifies_quietly(self, workdir):
+        # A = I, b = (1, 2), rho = 1e300: the sum of squares in |C|_F overflowed
+        huge = ProblemSpec(np.eye(2), np.array([1.0, 2.0]), WeightOperator.diagonal(np.ones(2)),
+                           RegularizerSpec.identity_scaled(1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cert = _run(workdir, "certify", huge)
         assert code == 0
-        batch = json.loads(out.read_text())["batch"]
-        assert len(batch) == 5
-        assert all(entry["agrees"] for entry in batch)
+        assert cert["t"] == pytest.approx(5.0, rel=1e-12)
+        assert cert["meta"]["agreement_gap"] <= 1e-10 * 5.0
 
     def test_negative_multiplier_agrees(self, workdir):
         out = workdir / "cert.json"
@@ -354,15 +375,18 @@ class TestDemoCommands:
     def test_weakcont_csv(self, workdir):
         out = workdir / "w.csv"
         code = main(["demo", "weakcont", "--n", "1,2,8,32",
-                     "--quad-points", "8193", "--format", "csv", "--out", str(out)])
+                     "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,integral,limit_integral"
         assert len(lines) == 5
 
-    def test_weakcont_insufficient_resolution(self, workdir):
-        code = main(["demo", "weakcont", "--n", "32", "--quad-points", "129"])
-        assert code == 1
+    def test_weakcont_derives_its_nodes(self, workdir):
+        # 64 max(n) + 1 nodes, up to the cap; a fixed 8193 was too few above n = 128
+        out = workdir / "w.json"
+        for n in (129, 8192):
+            assert main(["demo", "weakcont", "--n", f"1,{n}", "--out", str(out)]) == 0
+            assert [row["n"] for row in json.loads(out.read_text())["rows"]] == [1, n]
 
     def test_nonexist_tls(self, workdir):
         out = workdir / "seq.csv"
@@ -523,7 +547,7 @@ class TestDemoCommands:
 
     def test_csv_to_stdout_matches_file(self, workdir, capsys):
         out = workdir / "w.csv"
-        argv = ["demo", "weakcont", "--n", "1,3", "--quad-points", "257", "--format", "csv"]
+        argv = ["demo", "weakcont", "--n", "1,3", "--format", "csv"]
         assert main(argv + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert main(argv) == 0
@@ -553,13 +577,13 @@ class TestDemoCommands:
 # one argv per command and demo sub-command, options included
 BRANCH_ARGV = [
     ["solve", "--problem", "p.json", "--out", "r.json"],
-    ["certify", "--batch", "4", "--keep-C", "--tol-t", "1e-8"],
+    ["certify", "--problem", "p.json", "--keep-C", "--out", "c.json"],
     ["classic-tls", "--problem", "p.json"],
     ["demo", "nonexist-tls", "--model", "m.json", "--eps", "0.1,0.01"],
     ["demo", "nonexist-rtls", "--model", "m.json", "--eps", "0.1", "--N", "5"],
     ["demo", "diagonal", "--model", "m.json"],
     ["demo", "sweep", "--model", "m.json", "--N", "4,8", "--format", "csv"],
-    ["demo", "weakcont", "--n", "1,2", "--quad-points", "129"],
+    ["demo", "weakcont", "--n", "1,2", "--format", "csv"],
 ]
 
 
@@ -613,9 +637,8 @@ def _parse_outcome(parse, argv, capsys):
     return result
 
 
-# each names its flag in a usage error: before, nan and -1 failed as a
-# duality gap above tol_t, inf claimed agreement, a negative batch was empty
-# and a negative seed failed in numpy
+# options certify no longer takes: a user-set agreement tolerance and the
+# random batch; with --problem given, each is an unrecognized argument
 _BAD_CERTIFY_NUMBERS = [
     ["certify", "--tol-t", "nan"],
     ["certify", "--tol-t", "-1"],
@@ -629,7 +652,9 @@ _BAD_CERTIFY_NUMBERS = [
 # negative-eps artifacts, failed with a float()/int() error that named no
 # flag, (eps = inf) failed in serialization, (a truncation order --N
 # below 1) failed naming the model's field 'b', or (a sweep --N that does
-# not increase, a --quad-points that no --n accepts) failed naming no flag
+# not increase) failed naming no flag; (a --n above 8192) needed a grid of
+# over half a million nodes.  A message of None marks a flag weakcont no
+# longer takes: its node count is derived from --n
 _BAD_DEMO_LISTS = [
     ("nonexist-tls", "--eps", "inf", "expected a list of finite values > 0, got 'inf'"),
     ("nonexist-tls", "--eps", "nan", "expected a list of finite values > 0, got 'nan'"),
@@ -644,8 +669,10 @@ _BAD_DEMO_LISTS = [
     ("sweep", "--N", "4,4", "expected strictly increasing values, got '4,4'"),
     ("sweep", "--N", "8,16,4", "expected strictly increasing values, got '8,16,4'"),
     ("weakcont", "--n", "-2", "expected a list of finite values > 0, got '-2'"),
-    ("weakcont", "--quad-points", "0", "expected an odd value >= 65, got '0'"),
-    ("weakcont", "--quad-points", "100", "expected an odd value >= 65, got '100'"),
+    ("weakcont", "--quad-points", "0", None),
+    ("weakcont", "--quad-points", "100", None),
+    ("weakcont", "--n", "8193", "expected values <= 8192, got '8193'"),
+    ("weakcont", "--n", "1,10000", "expected values <= 8192, got '1,10000'"),
     *[(demo, "--N", text, f"expected a finite value >= 1, got '{text}'")
       for demo in ("diagonal", "nonexist-tls", "nonexist-rtls") for text in ("0", "-3")],
 ]
@@ -697,7 +724,7 @@ class TestParser:
         assert err.endswith("error: unrecognized arguments: --format json\n")
 
     def test_solve_takes_no_seed(self, capsys):
-        # solve has no randomness; --seed belongs to certify --batch
+        # solve has no randomness
         argv = ["solve", "--problem", "p.json", "--seed", "3"]
         code, out, err = _parse_outcome(main, argv, capsys)
         assert (code, out) == (1, "")
@@ -715,24 +742,21 @@ class TestParser:
     def test_usage_text(self, argv, err, capsys):
         assert _parse_outcome(main, argv, capsys) == (1, "", err)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["certify", "--problem", "p.json", "--batch", "2"],
-         "argument --batch: not allowed with argument --problem"),
-        (["certify", "--batch", "3", "--keep-C", "--problem", "p.json"],
-         "argument --problem: not allowed with argument --batch"),
+    @pytest.mark.parametrize("argv, rest", [
+        (["certify", "--problem", "p.json", "--batch", "2"], "--batch 2"),
+        (["certify", "--batch", "3", "--keep-C", "--problem", "p.json"], "--batch 3"),
     ], ids=["problem-first", "batch-first"])
-    def test_certify_problem_and_batch_exclude_each_other(self, argv, message, capsys):
-        # one or the other: with both, the batch ran and the problem file went unread
+    def test_certify_problem_and_batch_exclude_each_other(self, argv, rest, capsys):
+        # certify reads one problem file; the random batch is gone in either order
         code, out, err = _parse_outcome(main, argv, capsys)
         assert (code, out) == (1, "")
-        assert err.endswith(f"rtls certify: error: {message}\n")
+        assert err.endswith(f"rtls: error: unrecognized arguments: {rest}\n")
 
     @pytest.mark.parametrize("argv", _BAD_CERTIFY_NUMBERS, ids=" ".join)
     def test_bad_certify_number_names_its_flag(self, argv, capsys):
-        code, out, err = _parse_outcome(main, argv, capsys)
-        flag, text = argv[-2:]
-        assert code == 1 and not out
-        assert f"argument {flag}: expected a finite value >= 0, got '{text}'" in err
+        code, out, err = _parse_outcome(main, argv + ["--problem", "p.json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"rtls: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
     @pytest.mark.parametrize("demo, flag, text, message", _BAD_DEMO_LISTS,
                              ids=[" ".join(case[:3]) for case in _BAD_DEMO_LISTS])
@@ -745,7 +769,9 @@ class TestParser:
             argv += ["--model", str(workdir / model)]
         code, stdout, err = _parse_outcome(main, argv, capsys)
         assert (code, stdout) == (1, "")
-        assert err.endswith(f"rtls demo {demo}: error: argument {flag}: {message}\n")
+        assert err.endswith(f"rtls: error: unrecognized arguments: {flag} {text}\n"
+                            if message is None
+                            else f"rtls demo {demo}: error: argument {flag}: {message}\n")
         assert not out.exists()
 
     def test_parser_registers_each_sub_parser_once(self, workdir, monkeypatch):
@@ -814,6 +840,46 @@ class TestClassicCommand:
         code = main(["classic-tls", "--problem", str(workdir / "closedform.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("a_diag, error", [
+        ([0.0, 0.0], "classic TLS degenerate: smallest singular value 0.0 is repeated (next 0.0)"),
+        ([1.0, 0.0], "classic TLS nongeneric: right singular vector for sigma_min has "
+                     "last coordinate 0.0"),
+    ], ids=["repeated", "nongeneric"])
+    def test_degenerate_error_prints_floats(self, workdir, capsys, a_diag, error):
+        # numpy scalars printed their repr: np.float64(0.0)
+        p = ProblemSpec(np.diag(a_diag), np.array([1.0, 2.0]), WeightOperator.diagonal(np.ones(2)),
+                        RegularizerSpec.identity_scaled(1.0))
+        rio.save_problem(workdir / "degenerate.json", p)
+        assert main(["classic-tls", "--problem", str(workdir / "degenerate.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def _sub_parsers(parser):
+    """name -> sub-parser of the parser's one sub-command argument."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_readme_command_line_lists_each_parsers_flags():
+    """README's "Command line" block lists, per command, exactly the flags its parser takes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        words = line.split()
+        name = " ".join(words[1:3] if words[1] == "demo" else words[1:2])
+        flags = {w.strip("[]") for w in words if w.lstrip("[").startswith("--")}
+        listed.setdefault(name, set()).update(flags)
+    parsers = {}
+    for name, sub in _sub_parsers(build_parser()).items():
+        if name == "demo":
+            parsers.update({f"demo {d}": s for d, s in _sub_parsers(sub).items()})
+        else:
+            parsers[name] = sub
+    assert listed == {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in parsers.items()
+    }
+
 
 def _modules_after(code, packages=("scipy", "orjson")):
     """Run code in a fresh interpreter; return the modules of ``packages`` it loaded."""
@@ -841,7 +907,6 @@ def test_dense_t_solve_loads_no_scipy(workdir):
 
 def test_weakcont_loads_no_scipy(workdir):
     # its Simpson sums are numpy's
-    argv = ["demo", "weakcont", "--n", "1,2", "--quad-points", "129",
-            "--out", str(workdir / "w.json")]
+    argv = ["demo", "weakcont", "--n", "1,2", "--out", str(workdir / "w.json")]
     code = f"import sys, rtls.cli; assert rtls.cli.main({argv!r}) == 0"
     assert _modules_after(code, ("scipy",)) == "[]"
