@@ -185,9 +185,13 @@ class RegularizerSpec:
         return float(tx @ tx)
 
     def gram(self, n):
-        """T^T T as an n x n matrix."""
+        """T^T T as an n x n matrix; a dense T forms it once."""
         if self.kind == "identity_scaled":
             return self.rho * np.eye(n)
+        return self._dense_gram
+
+    @cached_property
+    def _dense_gram(self):
         return self.matrix.T @ self.matrix
 
     def gram_dot(self, x):
@@ -195,11 +199,6 @@ class RegularizerSpec:
         if self.kind == "identity_scaled":
             return self.rho * x
         return self.matrix.T @ (self.matrix @ x)
-
-    def as_matrix(self, n):
-        if self.kind == "identity_scaled":
-            return np.sqrt(self.rho) * np.eye(n)
-        return self.matrix
 
 
 @dataclass
@@ -374,27 +373,16 @@ def is_trivial_tls(p, tol=TRIVIAL_TOL):
     return x is not None, x
 
 
-def nullspace_basis(M, cutoff):
-    """Orthonormal basis of N(M) via SVD with singular values <= cutoff."""
-    M = np.asarray(M, dtype=float)
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    n = M.shape[1]
-    s_full = np.zeros(n)
-    s_full[: s.shape[0]] = s
-    keep = s_full <= cutoff
-    return vt[keep].T
-
-
 def is_trivial_rtls(p, tol=TRIVIAL_TOL):
     """Test b in A(N(T)) + N(W); returns (flag, witness x or None).
 
     N(T) is spanned by the right singular vectors of T with singular values
-    at most tol |T|_2, and b is a member when the least squares residual of
-    W^{1/2} b against W^{1/2} A N(T) is at most tol |W^{1/2} b|.  Both are
-    relative to the data, as in :func:`is_trivial_tls`.  A cutoff relative
-    to |T|_2 can count a direction of a badly scaled T as null, so the
-    witness w counts only where G(w) <= tol |b|_W^2: then G(w) is inf G up
-    to that tolerance.  |b|_W^2 = 0 is trivial for every T, with witness
+    at most tol |T|_2, both from one SVD, and b is a member when the least
+    squares residual of W^{1/2} b against W^{1/2} A N(T) is at most
+    tol |W^{1/2} b|.  Both are relative to the data, as in
+    :func:`is_trivial_tls`.  A cutoff relative to |T|_2 can count a
+    direction of a badly scaled T as null, so the witness w counts only
+    where G(w) <= tol |b|_W^2: then G(w) is inf G up to that tolerance.  |b|_W^2 = 0 is trivial for every T, with witness
     x = 0, however W^{1/2} b rounds.
     """
     if tol <= 0:
@@ -404,8 +392,13 @@ def is_trivial_rtls(p, tol=TRIVIAL_TOL):
         return True, np.zeros(n)
     if p.T.kind == "identity_scaled":  # N(T) = {0}
         return False, None
-    t_mat = p.T.as_matrix(n)
-    basis = nullspace_basis(t_mat, tol * np.linalg.norm(t_mat, 2))
+    _, s, vt = np.linalg.svd(p.T.matrix, full_matrices=True)
+    s_full = np.zeros(n)
+    s_full[: s.shape[0]] = s
+    keep = s_full <= tol * s_full[0]  # |T|_2, 0 for a T without rows
+    if not keep.any():  # N(T) = {0}, and |b|_W^2 > 0
+        return False, None
+    basis = vt[keep].T
     coeffs = _w_span_coefficients(p, p.A @ basis, tol)
     if coeffs is None:
         return False, None

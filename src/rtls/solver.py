@@ -26,11 +26,12 @@ that proves t*, into the pair status.
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
 dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`).  Each
-cell where the slope rises through zero brackets a basin, refined by a
-Brent root of the slope (:func:`sphere_min`, :func:`solve_rtls_general_t`);
-elsewhere the least G is at a grid point already evaluated.  A grid proves
-no global minimum, so those pairs are ``heuristic`` unless the instance is
-trivial.
+cell where the slope rises through zero brackets a basin, solved once at
+the minimizer of the cubic Hermite interpolant of g on the cell
+(:func:`hermite_argmin`, :func:`sphere_min`); the least G seen is handed to
+the Newton polish, which sets the reported bits
+(:func:`solve_rtls_general_t`).  A grid proves no global minimum, so those
+pairs are ``heuristic`` unless the instance is trivial.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import trs
 from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls
 from .reduction import eval_g, recover_pair
 from .trs import quartic_minimizer, radial_solutions, trs_equality
@@ -282,9 +282,12 @@ class AlphaSearch:
     """What one dense-T alpha search did; deterministic, for the report meta.
 
     doublings    rescans after the scan interval doubled
-    trs_solves   scalar equality-TRS solves off the grid (one per point refined)
+    trs_solves   scalar equality-TRS solves off the grid: one at each
+                 bracket cell's Hermite point, plus the probe at u = 1e-12
+                 u_max when the first cell brackets
     hit_cap      the least G of the last scan sat at its largest |x|^2
-    alpha        |x|^2 of the point found, before the Newton polish
+    alpha        |x|^2 of the point handed to the Newton polish: the least
+                 G over the grid, the probe and the Hermite points
     """
 
     doublings: int
@@ -332,6 +335,29 @@ def sphere_scan(p, us):
     return g, reg - mu - g, xs
 
 
+def hermite_argmin(lo, hi, g_lo, g_hi, slope_lo, slope_hi):
+    """The minimizer in (lo, hi) of the cubic Hermite interpolant of g.
+
+    g and its slope are given at both ends, with slope_lo < 0 < slope_hi.
+    On t = (u - lo) / h, h = hi - lo, the cubic has p'(t) = a t^2 + b t + c
+    with c = h slope_lo < 0 < p'(1) = h slope_hi, so exactly one root of p'
+    lies in (0, 1): t = -2c / (b + sqrt(b^2 - 4ac)), written as (sqrt(b^2 -
+    4ac) - b) / 2a where b < 0 would cancel.  A cubic that rounding (or a
+    non-finite g) leaves without a root in (0, 1) falls back to the secant
+    root of the two slopes.
+    """
+    h = hi - lo
+    c, d = h * slope_lo, h * slope_hi
+    a = 3.0 * (2.0 * (g_lo - g_hi) + c + d)
+    b = 2.0 * (3.0 * (g_hi - g_lo) - 2.0 * c - d)
+    root = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+    num, den = (-2.0 * c, b + root) if b >= 0.0 else (root - b, 2.0 * a)
+    t = num / den if den > 0.0 else math.nan
+    if not 0.0 < t < 1.0:
+        t = slope_lo / (slope_lo - slope_hi)
+    return lo + t * h
+
+
 def solve_rtls_general_t(p):
     """Global 1-D search over alpha = |x|^2 for a general (dense) regularizer.
 
@@ -346,9 +372,11 @@ def solve_rtls_general_t(p):
     least G sits at its upper end, up to |x|^2 = 1e8, where it stops with
     ``hit_cap``.  Each cell whose slope rises from negative to positive
     brackets a basin (the first cell from u = 1e-12 of the scan, where the
-    slope is defined), refined by a brentq root of the slope, one eigh and
-    one TRS solve per step off the grid; the grid seeds the bracket ends.
-    The least G seen wins and is Newton-polished from its own x.  A grid
+    slope is defined and solved once), and the scan's exact g and dg/du at
+    its ends give one TRS solve at the minimizer of their cubic Hermite
+    interpolant (:func:`hermite_argmin`).  No root is refined further: the
+    least G seen, over the grid and those points, is Newton-polished in the
+    full space from its own x, which sets every reported bit.  A grid
     proves no global minimum, so the pair is flagged heuristic.  Returns
     (pair report, :class:`AlphaSearch`), or (trivial pair report, None)
     without a search when b lies in A(N(T)) + N(W) with a witness whose G
@@ -380,32 +408,30 @@ def solve_rtls_general_t(p):
     if hit_cap:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
 
-    best_u, best_g = us[i_best], float(vals[i_best])
-    # u -> (x, G, dg/du): the grid's, then each sphere_min solved off it
-    points = dict(zip(us, zip(xs.T, vals.tolist(), slopes.tolist())))
-    on_grid = len(points)
-
-    def point(u):  # the least G seen wins, ties to the grid
-        nonlocal best_u, best_g
-        if u not in points:
-            points[u] = sphere_min(p, u)
-            if points[u][1] < best_g:
-                best_u, best_g = u, points[u][1]
-        return points[u]
-
-    # refine each cell whose slope rises through zero by a slope root; the
-    # slope is NaN at u = 0, so the first cell starts at the tolerance and
-    # counts when its right end rises and the slope at the tolerance falls
+    # a cell whose slope rises through zero holds a basin, and one TRS solve
+    # at its Hermite point stands for it.  The slope is NaN at u = 0, so the
+    # first cell starts at the tolerance and counts when its right end rises
+    # and the slope at the tolerance falls
     tol = max(1e-12 * u_max, 1e-300)
     falls = slopes < 0.0
     falls[0] = True
-    for i in np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)):
-        lo, hi = max(us[i], tol), us[i + 1]
-        if point(lo)[2] < 0.0:
-            trs.brentq(lambda u: point(u)[2], lo, hi, xtol=tol)  # module attribute: wrappers apply
+    cells = np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)).tolist()
+    vals, slopes = vals.tolist(), slopes.tolist()
+    seen = [(vals[i_best], us[i_best], xs[:, i_best])]  # (G, u, x)
+    for i in cells:
+        lo, g_lo, slope_lo = us[i], vals[i], slopes[i]
+        if i == 0:
+            lo = tol
+            x, g_lo, slope_lo = sphere_min(p, lo)
+            seen.append((g_lo, lo, x))
+            if not slope_lo < 0.0:
+                continue
+        u = hermite_argmin(lo, us[i + 1], g_lo, vals[i + 1], slope_lo, slopes[i + 1])
+        x, g, _ = sphere_min(p, u)
+        seen.append((g, u, x))
+    _, u, x = min(seen, key=lambda point: point[0])  # the least G seen wins, ties to the grid
     search = AlphaSearch(
-        doublings=doublings, trs_solves=len(points) - on_grid, hit_cap=hit_cap,
-        alpha=math.expm1(best_u),
+        doublings=doublings, trs_solves=len(seen) - 1, hit_cap=hit_cap, alpha=math.expm1(u)
     )
-    x = newton_polish(p, point(best_u)[0])
+    x = newton_polish(p, x)
     return recover_pair(p, x, status=STATUS_HEURISTIC), search

@@ -16,9 +16,10 @@ SIAM J. Sci. Stat. Comput. 4 (1983) 553-572), for one S or a batch: the
 scalar :func:`trs_equality` and the batched :func:`radial_solutions` share both.
 
 :func:`brentq` (R. P. Brent, Algorithms for Minimization without Derivatives,
-1973, ch. 4) finds only slope roots, of :func:`quartic_minimizer` and of the
-dense-T search; a pure-Python port step for step as in scipy's ``brentq.c``,
-its roots are bit-identical to ``scipy.optimize.brentq`` without scipy.
+1973, ch. 4) finds only the slope root of :func:`quartic_minimizer`, the
+Dinkelbach inner problem; a pure-Python port step for step as in scipy's
+``brentq.c``, its roots are bit-identical to ``scipy.optimize.brentq``
+without scipy.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import argparse
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -165,10 +166,14 @@ class TestSolveCommand:
         assert report["residual_normal_eq"] <= 1e-12
         search = report["meta"]["alpha_search"]
         assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha"]
-        assert 0 < search["trs_solves"] <= 8
+        assert 0 < search["trs_solves"] <= 2
         assert search["hit_cap"] is False
+        # the Hermite point and the polished |x|^2 share a cell of the 64-point scan
+        p = rio.load_problem(workdir / "dense_t.json")
+        assert search["doublings"] == 0
+        cell = math.log1p(p.b_norm_w_sq / np.linalg.eigvalsh(p.T.gram(4))[0]) / 63
         x = np.array(report["x"])
-        assert search["alpha"] == pytest.approx(float(x @ x), rel=1e-6)
+        assert math.log1p(search["alpha"]) // cell == math.log1p(float(x @ x)) // cell
         again = workdir / "again.json"
         main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(again)])
         assert again.read_bytes() == out.read_bytes()

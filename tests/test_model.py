@@ -273,6 +273,12 @@ class TestProblemSpec:
         with pytest.raises(ProblemFormatError, match="rho"):
             RegularizerSpec.identity_scaled(0.0)
 
+    def test_dense_gram_formed_once(self, rng):
+        t_mat = rng.normal(size=(3, 4))
+        reg = RegularizerSpec.dense(t_mat)
+        assert reg.gram(4) is reg.gram(4)
+        assert np.array_equal(reg.gram(4), t_mat.T @ t_mat)
+
 
 class TestObjectives:
     def test_trivial_pair_vanishes(self):
@@ -397,6 +403,34 @@ class TestTriviality:
         )
         flag, witness = is_trivial_rtls(p, 1e-10)
         assert flag and objective_rtls(p, p.A, witness) <= 1e-10 * p.b_norm_w_sq
+
+    def test_rtls_t_without_rows_is_null_everywhere(self):
+        p = ProblemSpec(
+            np.array([[2.0, 1.0], [0.0, 3.0]]), np.array([4.0, 6.0]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.zeros((0, 2))),
+        )
+        flag, witness = is_trivial_rtls(p, 1e-10)
+        assert flag and np.allclose(witness, [1.0, 2.0])
+
+    def test_rtls_takes_one_svd_and_no_fit_for_a_full_rank_t(self, rng, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "norm", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        p = ProblemSpec(
+            rng.normal(size=(4, 3)), rng.normal(size=4), WeightOperator.diagonal(np.ones(4)),
+            RegularizerSpec.dense(rng.normal(size=(3, 3)) + 3 * np.eye(3)),
+        )
+        assert is_trivial_rtls(p, 1e-10) == (False, None)
+        assert calls == ["svd"]
 
     def test_rtls_full_rank_dense_reduces_to_weight_nullspace(self, rng):
         t_mat = rng.normal(size=(3, 3)) + 3 * np.eye(3)

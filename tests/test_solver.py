@@ -32,6 +32,7 @@ from rtls import io as rio
 from rtls.certificate import DualSolution
 from rtls.model import w_vec_seminorm
 from rtls.solver import (
+    hermite_argmin,
     hess_g,
     newton_polish,
     newton_step,
@@ -493,6 +494,41 @@ def _golden_reference(p):
     return min(seen), seen[0], len(seen) - 1
 
 
+class TestHermiteArgmin:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_on_a_cubic(self, seed):
+        # g' = k (u - m)(u - s) with m in the cell and s outside it, where
+        # g'' > 0 at m; k = 0 leaves the quadratic k2 (u - m)^2 / 2
+        rng = np.random.default_rng(seed)
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        m = rng.uniform(lo, hi)
+        s = rng.choice([lo - rng.uniform(0.1, 5.0), hi + rng.uniform(0.1, 5.0)])
+        k = (0.0 if seed % 4 == 0 else 10.0 ** rng.uniform(-2.0, 2.0)) * np.sign(m - s)
+        k2 = 10.0 ** rng.uniform(-2.0, 2.0)
+
+        def g(u):
+            return k * (u**3 / 3.0 - (m + s) * u**2 / 2.0 + m * s * u) + k2 * (u - m) ** 2 / 2.0
+
+        def slope(u):
+            return k * (u - m) * (u - s) + k2 * (u - m)
+
+        u = hermite_argmin(lo, hi, g(lo), g(hi), slope(lo), slope(hi))
+        assert abs(u - m) <= 1e-9 * (hi - lo)
+
+    def test_strictly_inside_its_cell(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + 10.0 ** rng.uniform(-3.0, 3.0)
+            g_lo, g_hi = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            slope_lo, slope_hi = -(10.0 ** rng.uniform(-6.0, 6.0)), 10.0 ** rng.uniform(-6.0, 6.0)
+            assert lo < hermite_argmin(lo, hi, g_lo, g_hi, slope_lo, slope_hi) < hi
+
+    def test_secant_root_where_the_cubic_is_not_finite(self):
+        assert hermite_argmin(0.0, 1.0, math.nan, 0.0, -1.0, 3.0) == 0.25
+        assert hermite_argmin(0.0, 2.0, math.inf, 1.0, -1.0, 3.0) == 0.5
+
+
 class TestGeneralTGlobal:
     @pytest.mark.parametrize(
         "kind", ["dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
@@ -541,7 +577,7 @@ class TestGeneralTGlobal:
             solver, "trs_equality", lambda *a, **kw: calls.append(a) or trs_equality(*a, **kw)
         )
         report, search = solve_rtls_general_t(p)
-        assert len(calls) == search.trs_solves <= 8
+        assert len(calls) == search.trs_solves <= 2
         assert not search.hit_cap
         assert report.residual_normal_eq <= 1e-12
 
@@ -601,20 +637,50 @@ class TestGeneralTGlobal:
                 _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
                 assert len(calls) == search.trs_solves
 
+    def test_one_solve_per_bracket_cell_and_the_probe(self, monkeypatch):
+        # the last scan's slopes give the bracket cells; the first cell adds
+        # the probe at u = 1e-12 u_max and loses its Hermite solve when the
+        # probe's slope does not fall
+        scans, solves = [], []
+        scan, one = solver.sphere_scan, solver.sphere_min
+        monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
+            (us, *scan(p, us))) or scans[-1][1:])
+        monkeypatch.setattr(solver, "sphere_min", lambda p, u: solves.append(
+            (u, *one(p, u))) or solves[-1][1:])
+        probed = skipped = 0
+        for kind in ("dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b",
+                     "strong_t"):
+            for seed in range(4):
+                scans.clear()
+                solves.clear()
+                _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+                us, _, slopes, _ = scans[-1]
+                falls = slopes < 0.0
+                falls[0] = True
+                cells = np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)).tolist()
+                probe = 0 in cells
+                skip = probe and not solves[0][3] < 0.0
+                assert search.trs_solves == len(solves) == len(cells) + probe - skip
+                hermite = [u for u, *_ in solves[probe:]]
+                for u, i in zip(hermite, cells[skip:]):
+                    assert us[i] < u < us[i + 1]
+                probed += probe
+                skipped += skip
+        assert probed > skipped > 0
+
     def test_slope_root_matches_golden_reference(self):
-        # the search's own point, before the Newton polish, against golden
-        # section on the values of a grid twice as fine
+        # golden section on the values of a grid twice as fine against the
+        # search's Hermite point and its polished report
         for seed in range(44):
             p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
                                 seed)
-            _, search = solve_rtls_general_t(p)
-            g_root = sphere_min(p, math.log1p(search.alpha))[1]
+            report, search = solve_rtls_general_t(p)
+            g_hermite = sphere_min(p, math.log1p(search.alpha))[1]
             g_golden, g_grid, evaluations = _golden_reference(p)
-            # the slope root moved off the grid, in fewer solves than golden
-            assert g_root < g_grid
+            # the Hermite point moved off the grid, in fewer solves than golden
+            assert g_hermite < g_grid
             assert search.trs_solves < evaluations
-            assert g_root <= g_golden * (1.0 + 1e-12)
-            assert g_root == pytest.approx(g_golden, rel=1e-12)
+            assert report.objective <= g_golden * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case"])
     def test_sphere_min_is_finite_at_large_alpha(self, kind):
