@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STATUS_HEURISTIC, STATUS_SOLVED, STATUS_TRIVIAL, w_vec_seminorm
+from .model import STATUS_HEURISTIC, STATUS_SOLVED, STATUS_TRIVIAL, w_vec_seminorm_sq
 from .reduction import eval_g
 from . import solver
 from .solver import require_identity_scaled
@@ -216,7 +216,7 @@ def _tau(p, rho, beta, x):
     spectrum, and tau as gamma + 2 (m - gamma) / (1 + sqrt(F / rho)) with
     gamma = rho - beta, so that neither |b|_W^2 nor rho cancels.
     """
-    m = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2 + beta * float(x @ x)
+    m = w_vec_seminorm_sq(p.W, p.A @ x - p.b) + beta * float(x @ x)
     gamma = rho - beta
     return gamma + 2.0 * (m - gamma) / (1.0 + math.sqrt(max(beta + m, 0.0)) / math.sqrt(rho))
 

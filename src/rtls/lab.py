@@ -38,6 +38,7 @@ from .model import (
     objective_rtls,
     objective_tls,
     w_vec_seminorm,
+    w_vec_seminorm_sq,
 )
 
 _INTERP_TOL = 1e-12
@@ -299,7 +300,7 @@ def _feasible_pair(p, x_dir, eps):
         raise RuntimeError(
             f"interpolation identity violated: |X0 (x/eps) - b| = {interp!r}"
         )
-    return x0_mat, x_scaled, interp, w_vec_seminorm(p.W, resid) ** 2
+    return x0_mat, x_scaled, interp, w_vec_seminorm_sq(p.W, resid)
 
 
 _BOUND_OVERFLOW = "objective bound is not finite"

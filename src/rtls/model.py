@@ -318,6 +318,16 @@ def w_vec_seminorm(W, z):
     return math.sqrt(max(float(W.apply(z) @ z), 0.0))
 
 
+def w_vec_seminorm_sq(W, z):
+    """|z|_W^2 as the product |z|_W |z|_W, which scales exactly with W.
+
+    Python's float ** 2 goes through the C pow, which is not correctly
+    rounded on every platform.
+    """
+    r = w_vec_seminorm(W, z)
+    return r * r
+
+
 def w_hs_seminorm(W, X):
     """|X|_{2,W} = Frobenius norm of W^{1/2} X."""
     X = np.asarray(X, dtype=float)
@@ -339,9 +349,8 @@ def _check_pair_dims(p, X, x):
 def objective_tls(p, X, x):
     """|A - X|_{2,W}^2 + |X x - b|_W^2."""
     X, x = _check_pair_dims(p, X, x)
-    op_term = w_hs_seminorm(p.W, p.A - X) ** 2
-    fit_term = w_vec_seminorm(p.W, X @ x - p.b) ** 2
-    return op_term + fit_term
+    op_norm = w_hs_seminorm(p.W, p.A - X)
+    return op_norm * op_norm + w_vec_seminorm_sq(p.W, X @ x - p.b)
 
 
 def objective_rtls(p, X, x):
@@ -403,7 +412,7 @@ def is_trivial_rtls(p, tol=TRIVIAL_TOL):
     if coeffs is None:
         return False, None
     w = basis @ coeffs
-    g = w_vec_seminorm(p.W, p.A @ w - p.b) ** 2 / (1.0 + float(w @ w)) + p.T.value(w)
+    g = w_vec_seminorm_sq(p.W, p.A @ w - p.b) / (1.0 + float(w @ w)) + p.T.value(w)
     return (True, w) if g <= tol * p.b_norm_w_sq else (False, None)
 
 
@@ -423,7 +432,8 @@ def frechet_check(W1, W2, x0, X, Y, h):
     x0 = np.asarray(x0, dtype=float)
 
     def big_k(M):
-        return w_hs_seminorm(W1, M) ** 2
+        norm = w_hs_seminorm(W1, M)
+        return norm * norm
 
     def small_k(M):
         mx = M @ x0

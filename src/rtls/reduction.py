@@ -28,7 +28,7 @@ from .model import (
     RankOneLift,
     STATUS_HEURISTIC,
     w_hs_seminorm,
-    w_vec_seminorm,
+    w_vec_seminorm_sq,
 )
 
 
@@ -70,7 +70,7 @@ def _check_x(p, x):
 def eval_g(p, x, ax=None):
     """Evaluate G(x) = |Ax-b|_W^2/(1+|x|^2) + |Tx|^2; ``ax`` may pass A x."""
     x = _check_x(p, x)
-    misfit = w_vec_seminorm(p.W, (p.A @ x if ax is None else ax) - p.b) ** 2
+    misfit = w_vec_seminorm_sq(p.W, (p.A @ x if ax is None else ax) - p.b)
     data_term = misfit / (1.0 + float(x @ x))
     reg_term = p.T.value(x)
     return GValue(x, data_term + reg_term, data_term, reg_term)
@@ -90,12 +90,13 @@ def verify_lift_identities(p, x):
     ax = lift.materialize()
     r2 = float(x @ x)
     axx_b = ax @ x - p.b
-    misfit_lift = w_vec_seminorm(p.W, axx_b) ** 2
-    misfit = w_vec_seminorm(p.W, p.A @ x - p.b) ** 2
+    misfit_lift = w_vec_seminorm_sq(p.W, axx_b)
+    misfit = w_vec_seminorm_sq(p.W, p.A @ x - p.b)
 
     contraction_lhs = (1.0 + r2) ** 2 * misfit_lift
     contraction_rhs = misfit
-    correction_lhs = w_hs_seminorm(p.W, p.A - ax) ** 2
+    correction_norm = w_hs_seminorm(p.W, p.A - ax)
+    correction_lhs = correction_norm * correction_norm
     correction_rhs = r2 * misfit_lift
 
     def rel_gap(lhs, rhs):
@@ -130,7 +131,8 @@ def normal_residual(p, x, ax=None):
     residual_vec = (p.A @ x if ax is None else ax) - p.b
     w_resid = p.W.apply(residual_vec)
     lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ w_resid
-    rhs = math.sqrt(max(float(w_resid @ residual_vec), 0.0)) ** 2 / (1.0 + r2) * x
+    resid_norm = math.sqrt(max(float(w_resid @ residual_vec), 0.0))
+    rhs = resid_norm * resid_norm / (1.0 + r2) * x
     scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(p.gram_rhs)
     return float(np.linalg.norm(lhs - rhs)) / scale
 

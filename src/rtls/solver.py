@@ -25,11 +25,12 @@ that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
-dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`).  Each
-cell where the slope rises through zero brackets a basin, solved once at
-the minimizer of the cubic Hermite interpolant of g on the cell
-(:func:`hermite_argmin`, :func:`sphere_min`); the least G seen is handed to
-the Newton polish, which sets the reported bits
+dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`), on 16
+points and then on 16 more inside the two cells beside the least G.  Each
+cell of the merged grid where the slope rises through zero brackets a
+basin, solved once at the minimizer of the cubic Hermite interpolant of g
+on the cell (:func:`hermite_argmin`, :func:`sphere_min`); the least G seen
+is handed to the Newton polish, which sets the reported bits
 (:func:`solve_rtls_general_t`).  A grid proves no global minimum, so those
 pairs are ``heuristic`` unless the instance is trivial.
 """
@@ -49,9 +50,9 @@ from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/traci
 
 logger = logging.getLogger("rtls.solver")
 
-# dense-T search: grid points in u = log1p(|x|^2); largest |x|^2 it scans
-# when T^T T is singular
-_ALPHA_GRID = 64
+# dense-T search: grid points of the scan in u = log1p(|x|^2) and of its
+# refinement; largest |x|^2 it scans when T^T T is singular
+_ALPHA_GRID = 16
 _ALPHA_CAP = 1e8
 
 _TOL_PHI_REL = 1e-9  # Dinkelbach stops once |phi(t)| <= this times |b|_W^2
@@ -151,7 +152,8 @@ def _gradient_parts(p, x):
     v = 1.0 + float(x @ x)
     resid = p.A @ x - p.b
     w_resid = p.W.apply(resid)
-    u = math.sqrt(max(float(w_resid @ resid), 0.0)) ** 2  # as w_vec_seminorm(W, r) ** 2
+    root = math.sqrt(max(float(w_resid @ resid), 0.0))
+    u = root * root  # as w_vec_seminorm_sq(W, r)
     grad_u = 2.0 * (p.A.T @ w_resid)
     grad = (grad_u * v - 2.0 * u * x) / v**2 + 2.0 * p.T.gram_dot(x)
     return grad, grad_u, u, v
@@ -285,7 +287,7 @@ class AlphaSearch:
     trs_solves   scalar equality-TRS solves off the grid: one at each
                  bracket cell's Hermite point, plus the probe at u = 1e-12
                  u_max when the first cell brackets
-    hit_cap      the least G of the last scan sat at its largest |x|^2
+    hit_cap      the least G of the last coarse scan sat at its largest |x|^2
     alpha        |x|^2 of the point handed to the Newton polish: the least
                  G over the grid, the probe and the Hermite points
     """
@@ -364,23 +366,27 @@ def solve_rtls_general_t(p):
     On the sphere |x|^2 = alpha, min G is an equality trust-region
     subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
     (2006) 98-118).  G at its minimizers and the slope dg/du are scanned on
-    64 points in u = log1p(alpha) from one batched eigh
+    16 points in u = log1p(alpha) from one batched eigh
     (:func:`sphere_scan`).  G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha*
     by |b|_W^2 / lambda_min(T^T T), and the scan ends there.  For a T^T T
     that is singular in floating point that bounds only the part of x* in
     its range: the scan starts at |x|^2 >= 1 and doubles in u while its
     least G sits at its upper end, up to |x|^2 = 1e8, where it stops with
-    ``hit_cap``.  Each cell whose slope rises from negative to positive
-    brackets a basin (the first cell from u = 1e-12 of the scan, where the
-    slope is defined and solved once), and the scan's exact g and dg/du at
-    its ends give one TRS solve at the minimizer of their cubic Hermite
-    interpolant (:func:`hermite_argmin`).  No root is refined further: the
-    least G seen, over the grid and those points, is Newton-polished in the
-    full space from its own x, which sets every reported bit.  A grid
-    proves no global minimum, so the pair is flagged heuristic.  Returns
-    (pair report, :class:`AlphaSearch`), or (trivial pair report, None)
-    without a search when b lies in A(N(T)) + N(W) with a witness whose G
-    is at most 1e-10 |b|_W^2 (:func:`rtls.model.is_trivial_rtls`).
+    ``hit_cap``.  A second batched scan puts 16 points strictly inside the
+    cells on either side of the least G (one cell at an end of the grid),
+    so that resolution goes where the winning basin is, and the two merge
+    into one sorted grid.  Each cell of it whose slope rises from negative
+    to positive brackets a basin (the first cell from u = 1e-12 of the
+    scan, where the slope is defined and solved once), and the grid's exact
+    g and dg/du at its ends give one TRS solve at the minimizer of their
+    cubic Hermite interpolant (:func:`hermite_argmin`).  No root is refined
+    further: the least G seen, over the grid and those points, is
+    Newton-polished in the full space from its own x, which sets every
+    reported bit.  A grid proves no global minimum, so the pair is flagged
+    heuristic.  Returns (pair report, :class:`AlphaSearch`), or (trivial
+    pair report, None) without a search when b lies in A(N(T)) + N(W) with
+    a witness whose G is at most 1e-10 |b|_W^2
+    (:func:`rtls.model.is_trivial_rtls`).
     """
     n = p.shape[1]
     trivial, witness = is_trivial_rtls(p)
@@ -403,10 +409,20 @@ def solve_rtls_general_t(p):
             break
         u_max = min(2.0 * u_max, u_cap)
         doublings += 1
-    us = us.tolist()
-    hit_cap = us[i_best] > 0.99 * u_max
+    hit_cap = bool(us[i_best] > 0.99 * u_max)
     if hit_cap:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
+    # a second scan of as many points strictly inside the one or two cells
+    # beside the least G, merged with the first into one sorted grid
+    lo, hi = us[max(i_best - 1, 0)], us[min(i_best + 1, _ALPHA_GRID - 1)]
+    fine = np.linspace(lo, hi, _ALPHA_GRID + 2)[1:-1]
+    order = np.argsort(np.concatenate((us, fine)))
+    us, vals, slopes, xs = (
+        np.concatenate(pair, axis=-1)[..., order]
+        for pair in zip((us, vals, slopes, xs), (fine, *sphere_scan(p, fine)))
+    )
+    i_best = int(np.argmin(vals))
+    us = us.tolist()
 
     # a cell whose slope rises through zero holds a basin, and one TRS solve
     # at its Hermite point stands for it.  The slope is NaN at u = 0, so the

@@ -15,6 +15,7 @@ from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import COMMANDS, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import load_model_file
+from rtls.solver import sphere_scan
 from rtls import io as rio
 
 
@@ -168,12 +169,18 @@ class TestSolveCommand:
         assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha"]
         assert 0 < search["trs_solves"] <= 2
         assert search["hit_cap"] is False
-        # the Hermite point and the polished |x|^2 share a cell of the 64-point scan
+        # the Hermite point and the polished |x|^2 share a cell of the refined
+        # grid: the 16-point scan and 16 points inside the cells beside its least G
         p = rio.load_problem(workdir / "dense_t.json")
         assert search["doublings"] == 0
-        cell = math.log1p(p.b_norm_w_sq / np.linalg.eigvalsh(p.T.gram(4))[0]) / 63
+        us = np.linspace(0.0, math.log1p(p.b_norm_w_sq / np.linalg.eigvalsh(p.T.gram(4))[0]), 16)
+        i = int(np.argmin(sphere_scan(p, us)[0]))
+        lo, hi = us[max(i - 1, 0)], us[min(i + 1, 15)]
+        grid = np.sort(np.concatenate((us, np.linspace(lo, hi, 18)[1:-1])))
         x = np.array(report["x"])
-        assert math.log1p(search["alpha"]) // cell == math.log1p(float(x @ x)) // cell
+        cell = np.searchsorted(grid, math.log1p(search["alpha"]))
+        assert lo <= grid[cell - 1] < grid[cell] <= hi
+        assert cell == np.searchsorted(grid, math.log1p(float(x @ x)))
         again = workdir / "again.json"
         main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(again)])
         assert again.read_bytes() == out.read_bytes()

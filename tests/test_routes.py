@@ -10,7 +10,8 @@ basis, a column permutation among them, and the dense-T search must find
 the same t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.
 With a general dense T the alpha search must carry the change of basis
 (A, b, W, T) -> (U A V^T, U b, U W U^T, T V^T) and the scaling
-(W, T) -> (cW, sqrt(c) T), bit for bit when the scales are powers of two.
+(W, T) -> (cW, sqrt(c) T), bit for bit when the scales are powers of two;
+so must the Newton polish, from any start.
 """
 
 import json
@@ -28,7 +29,7 @@ from rtls.cli import main
 from rtls.instances import random_problem
 from rtls.io import save_problem
 from rtls.reduction import eval_g
-from rtls.solver import solve_rtls_general_t, solve_tstar
+from rtls.solver import newton_polish, solve_rtls_general_t, solve_tstar
 
 route_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -187,4 +188,30 @@ def test_dense_t_is_bitwise_scale_equivariant():
         ))
         if scaled.x.tobytes() != report.x.tobytes() or scaled.objective != s * s * c * report.objective:
             failed.append(seed)
+    assert failed == []
+
+
+def test_newton_polish_is_bitwise_scale_equivariant():
+    # the same scalings, polished from five perturbed starts per problem:
+    # each step takes x's bits from the previous one, so a square of a norm
+    # that is not exactly scaled (float ** 2) surfaces in some last bit
+    failed = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        p = random_problem(rng, n, m=int(rng.integers(n, n + 4)),
+                           rho_factor=float(rng.choice([0.02, 0.3, 1.5])), weight_kind="diagonal")
+        t_mat = rng.normal(size=(n, n)) * math.sqrt(p.T.rho / n)
+        k, i = int(rng.integers(-40, 40)), int(rng.integers(-20, 20))
+        s, c = 2.0**k, 4.0**i
+        p = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(t_mat))
+        scaled = ProblemSpec(
+            s * p.A, s * p.b, WeightOperator.diagonal(c * p.W.data),
+            RegularizerSpec.dense(s * 2.0**i * t_mat),
+        )
+        x = solve_rtls_general_t(p)[0].x
+        for start in range(5):
+            x0 = x * (1.0 + 0.1 * np.random.default_rng([seed, start]).normal(size=n))
+            if newton_polish(scaled, x0).tobytes() != newton_polish(p, x0).tobytes():
+                failed.append((seed, start))
     assert failed == []

@@ -638,8 +638,9 @@ class TestGeneralTGlobal:
                 assert len(calls) == search.trs_solves
 
     def test_one_solve_per_bracket_cell_and_the_probe(self, monkeypatch):
-        # the last scan's slopes give the bracket cells; the first cell adds
-        # the probe at u = 1e-12 u_max and loses its Hermite solve when the
+        # the slopes of the last coarse scan and its refinement, merged into
+        # one sorted grid, give the bracket cells; the first cell adds the
+        # probe at u = 1e-12 u_max and loses its Hermite solve when the
         # probe's slope does not fall
         scans, solves = [], []
         scan, one = solver.sphere_scan, solver.sphere_min
@@ -654,7 +655,10 @@ class TestGeneralTGlobal:
                 scans.clear()
                 solves.clear()
                 _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
-                us, _, slopes, _ = scans[-1]
+                (coarse_us, _, coarse_slopes, _), (fine_us, _, fine_slopes, _) = scans[-2:]
+                order = np.argsort(np.concatenate((coarse_us, fine_us)))
+                us = np.concatenate((coarse_us, fine_us))[order]
+                slopes = np.concatenate((coarse_slopes, fine_slopes))[order]
                 falls = slopes < 0.0
                 falls[0] = True
                 cells = np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)).tolist()
@@ -772,6 +776,31 @@ class TestSplitEigh:
             assert _solve_on_cpus(usable[:count], list(zip(problems, outs))) == [2, 2, 2]
             reports.append([out.read_bytes() for out in outs])
         assert reports[0] == reports[1]
+
+
+class TestRefinedScan:
+    """The dense-T search decomposes 16 spheres, then 16 more beside the least G."""
+
+    @pytest.mark.parametrize(
+        "kind", ["dense", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
+    )
+    def test_two_batches_then_one_eigh_per_solve(self, monkeypatch, kind):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[:-2]) or eigh(a))
+        scans, scan = [], solver.sphere_scan
+        monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
+            (us, *scan(p, us))) or scans[-1][1:])
+        for seed in range(4):
+            calls.clear()
+            scans.clear()
+            _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+            assert search.doublings == 0
+            assert calls == [(16,), (16,)] + [()] * search.trs_solves
+            (coarse, g, _, _), (fine, *_) = scans
+            i = int(np.argmin(g))
+            lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, 15)]
+            assert fine.size == 16 and ((lo < fine) & (fine < hi)).all()
+            assert not np.isin(fine, coarse).any()
 
 
 class TestDegenerateInstances:
