@@ -98,12 +98,12 @@ def solve_problem(p):
     """
     if p.T.kind == "identity_scaled":
         sol = dual_tstar(p)
-        report = recover_pair(p, sol.x_star, status=classify_existence(p, sol))
+        x, status = sol.x_star, classify_existence(p, sol)
         meta = {"t_star": float(sol.t_star), "t_dual": float(sol.t_dual), "dual_steps": sol.steps}
     else:
-        report, search = solve_rtls_general_t(p)
+        x, status, search = solve_rtls_general_t(p)
         meta = {} if search is None else {"alpha_search": search}
-    return report, meta
+    return recover_pair(p, x, status=status), meta
 
 
 def cmd_solve(args):

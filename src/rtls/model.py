@@ -53,6 +53,9 @@ def _as_matrix(data, name):
 # of W below about -_EIG_FLOOR |W|_inf is rejected, and smaller negative
 # eigenvalues are clamped to zero where W^{1/2} is formed
 _EIG_FLOOR = 1e-12
+# relative tolerance of the triviality tests, and the null rule of a dense T:
+# a singular value at most this times |T|_2 counts as zero
+TRIVIAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,20 @@ class RegularizerSpec:
     @cached_property
     def _dense_gram(self):
         return self.matrix.T @ self.matrix
+
+    @cached_property
+    def svd(self):
+        """(sigma, V^T, null) of a dense T, from one SVD.
+
+        sigma holds its singular values, descending and padded with zeros to
+        n, V^T its n right singular vectors as rows, and null marks those
+        with sigma <= TRIVIAL_TOL |T|_2: the one rule by which a direction
+        counts as null in T, for the triviality test and the alpha search.
+        """
+        _, s, vt = np.linalg.svd(self.matrix, full_matrices=True)
+        sigma = np.zeros(vt.shape[0])
+        sigma[: s.shape[0]] = s
+        return sigma, vt, sigma <= TRIVIAL_TOL * sigma[0]  # |T|_2, 0 for a T without rows
 
     def gram_dot(self, x):
         """T^T T x."""
@@ -366,9 +383,6 @@ def _w_span_coefficients(p, M, tol):
     return c if np.linalg.norm(wm @ c - wb) <= tol * np.linalg.norm(wb) else None
 
 
-TRIVIAL_TOL = 1e-10  # the default tol of the two triviality tests
-
-
 def is_trivial_tls(p, tol=TRIVIAL_TOL):
     """Test b in R(A) + N(W); returns (flag, witness x or None).
 
@@ -382,38 +396,34 @@ def is_trivial_tls(p, tol=TRIVIAL_TOL):
     return x is not None, x
 
 
-def is_trivial_rtls(p, tol=TRIVIAL_TOL):
+def is_trivial_rtls(p):
     """Test b in A(N(T)) + N(W); returns (flag, witness x or None).
 
-    N(T) is spanned by the right singular vectors of T with singular values
-    at most tol |T|_2, both from one SVD, and b is a member when the least
-    squares residual of W^{1/2} b against W^{1/2} A N(T) is at most
-    tol |W^{1/2} b|.  Both are relative to the data, as in
-    :func:`is_trivial_tls`.  A cutoff relative to |T|_2 can count a
-    direction of a badly scaled T as null, so the witness w counts only
-    where G(w) <= tol |b|_W^2: then G(w) is inf G up to that tolerance.  |b|_W^2 = 0 is trivial for every T, with witness
-    x = 0, however W^{1/2} b rounds.
+    N(T) is spanned by the right singular vectors of T that
+    :attr:`RegularizerSpec.svd` marks null (sigma <= 1e-10 |T|_2), and b is
+    a member when the least squares residual of W^{1/2} b against
+    W^{1/2} A N(T) is at most 1e-10 |W^{1/2} b|.  Both are relative to the
+    data, as in :func:`is_trivial_tls`.  A cutoff relative to |T|_2 can
+    count a direction of a badly scaled T as null, so the witness w counts
+    only where G(w) <= 1e-10 |b|_W^2: then G(w) is inf G up to that
+    tolerance.  |b|_W^2 = 0 is trivial for every T, with witness x = 0,
+    however W^{1/2} b rounds.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = p.shape[1]
     if p.b_norm_w_sq == 0.0:  # G(0) = 0 whatever T is
         return True, np.zeros(n)
     if p.T.kind == "identity_scaled":  # N(T) = {0}
         return False, None
-    _, s, vt = np.linalg.svd(p.T.matrix, full_matrices=True)
-    s_full = np.zeros(n)
-    s_full[: s.shape[0]] = s
-    keep = s_full <= tol * s_full[0]  # |T|_2, 0 for a T without rows
-    if not keep.any():  # N(T) = {0}, and |b|_W^2 > 0
+    _, vt, null = p.T.svd
+    if not null.any():  # N(T) = {0}, and |b|_W^2 > 0
         return False, None
-    basis = vt[keep].T
-    coeffs = _w_span_coefficients(p, p.A @ basis, tol)
+    basis = vt[null].T
+    coeffs = _w_span_coefficients(p, p.A @ basis, TRIVIAL_TOL)
     if coeffs is None:
         return False, None
     w = basis @ coeffs
     g = w_vec_seminorm_sq(p.W, p.A @ w - p.b) / (1.0 + float(w @ w)) + p.T.value(w)
-    return (True, w) if g <= tol * p.b_norm_w_sq else (False, None)
+    return (True, w) if g <= TRIVIAL_TOL * p.b_norm_w_sq else (False, None)
 
 
 def frechet_check(W1, W2, x0, X, Y, h):

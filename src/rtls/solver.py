@@ -44,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import STATUS_HEURISTIC, STATUS_TRIVIAL, is_trivial_rtls
-from .reduction import eval_g, recover_pair
-from .trs import quartic_minimizer, radial_solutions, trs_equality
-from .trs import radial_values  # noqa: F401  wrapped by name in perfbench/tracing.py
+from .reduction import eval_g
+from .trs import quartic_minimizer, radial_values, trs_equality
 
 logger = logging.getLogger("rtls.solver")
 
@@ -285,11 +284,10 @@ class AlphaSearch:
 
     doublings    rescans after the scan interval doubled
     trs_solves   scalar equality-TRS solves off the grid: one at each
-                 bracket cell's Hermite point, plus the probe at u = 1e-12
-                 u_max when the first cell brackets
+                 bracket cell's Hermite point
     hit_cap      the least G of the last coarse scan sat at its largest |x|^2
     alpha        |x|^2 of the point handed to the Newton polish: the least
-                 G over the grid, the probe and the Hermite points
+                 G over the grid and the Hermite points
     """
 
     doublings: int
@@ -324,12 +322,12 @@ def sphere_scan(p, us):
 
     Returns (G, dg/du, x columns).  G is formed from x as eval_g forms it,
     not from the TRS values, which carry the eigenvalue error of S, growing
-    with alpha; the slope takes mu from :func:`rtls.trs.radial_solutions`.
+    with alpha; the slope takes mu from :func:`rtls.trs.radial_values`.
     """
     n = p.shape[1]
     alpha = np.expm1(us)
     lam, q = np.linalg.eigh(p.gram_matrix + np.multiply.outer(1.0 + alpha, p.T.gram(n)))
-    _, z, mu = radial_solutions(np.clip(lam, 0.0, None), p.gram_rhs @ q, np.sqrt(alpha))
+    _, z, mu = radial_values(np.clip(lam, 0.0, None), p.gram_rhs @ q, np.sqrt(alpha))
     xs = (q @ z[..., None])[..., 0].T
     r, tx = p.A @ xs - p.b[:, None], p.T.apply(xs)
     reg = (tx * tx).sum(0)
@@ -367,42 +365,44 @@ def solve_rtls_general_t(p):
     subproblem (:func:`sphere_min`; Beck & Ben-Tal, SIAM J. Optim. 17
     (2006) 98-118).  G at its minimizers and the slope dg/du are scanned on
     16 points in u = log1p(alpha) from one batched eigh
-    (:func:`sphere_scan`).  G(x) >= |Tx|^2 and G(x*) <= G(0) bound alpha*
-    by |b|_W^2 / lambda_min(T^T T), and the scan ends there.  For a T^T T
-    that is singular in floating point that bounds only the part of x* in
-    its range: the scan starts at |x|^2 >= 1 and doubles in u while its
-    least G sits at its upper end, up to |x|^2 = 1e8, where it stops with
-    ``hit_cap``.  A second batched scan puts 16 points strictly inside the
-    cells on either side of the least G (one cell at an end of the grid),
-    so that resolution goes where the winning basin is, and the two merge
-    into one sorted grid.  Each cell of it whose slope rises from negative
-    to positive brackets a basin (the first cell from u = 1e-12 of the
-    scan, where the slope is defined and solved once), and the grid's exact
+    (:func:`sphere_scan`), the first at u = 1e-12 of the scan interval,
+    where the slope is defined, in place of u = 0.  G(x) >= |Tx|^2 and
+    G(x*) <= G(0) bound alpha* by |b|_W^2 / sigma_min(T)^2, and the scan
+    ends there.  When T has a null direction (:attr:`RegularizerSpec.svd`,
+    the rule of :func:`rtls.model.is_trivial_rtls`) that bounds only the
+    part of x* in the range of T: the scan ends at |x|^2 >= 1 and doubles
+    in u while its least G sits at its upper end, up to |x|^2 = 1e8, where
+    it stops with ``hit_cap``.  A second batched scan puts 16 points
+    strictly inside the cells on either side of the least G (one cell at an
+    end of the grid), so that resolution goes where the winning basin is,
+    and the two merge into one sorted grid.  Each cell of it whose slope
+    rises from negative to positive brackets a basin, and the grid's exact
     g and dg/du at its ends give one TRS solve at the minimizer of their
     cubic Hermite interpolant (:func:`hermite_argmin`).  No root is refined
     further: the least G seen, over the grid and those points, is
     Newton-polished in the full space from its own x, which sets every
     reported bit.  A grid proves no global minimum, so the pair is flagged
-    heuristic.  Returns (pair report, :class:`AlphaSearch`), or (trivial
-    pair report, None) without a search when b lies in A(N(T)) + N(W) with
-    a witness whose G is at most 1e-10 |b|_W^2
+    heuristic.  Returns (x, status, :class:`AlphaSearch`), or (witness,
+    trivial, None) without a search when b lies in A(N(T)) + N(W) with a
+    witness whose G is at most 1e-10 |b|_W^2
     (:func:`rtls.model.is_trivial_rtls`).
     """
-    n = p.shape[1]
     trivial, witness = is_trivial_rtls(p)
     if trivial:
-        return recover_pair(p, witness, status=STATUS_TRIVIAL), None
-    lam_t = np.linalg.eigvalsh(p.T.gram(n))
-    positive = lam_t[lam_t > n * np.finfo(float).eps * lam_t[-1]]
-    alpha_max = p.b_norm_w_sq / positive[0] if positive.size else 1.0
-    if positive.size == n:
+        return witness, STATUS_TRIVIAL, None
+    sigma, _, null = p.T.svd
+    s_min = sigma[~null][-1] if not null.all() else 0.0
+    lam_min = s_min * s_min  # 0 also where it underflows, as in T^T T
+    alpha_max = p.b_norm_w_sq / lam_min if lam_min > 0.0 else 1.0
+    if lam_min > 0.0 and not null.any():
         u_max = u_cap = math.log1p(alpha_max)
-    else:  # the bound covers only the range of T^T T: scan |x|^2 up to 1 at least
+    else:  # the bound covers only the range of T, or nothing: scan |x|^2 up to 1 at least
         u_max = math.log1p(max(alpha_max, 1.0))
         u_cap = max(u_max, math.log1p(_ALPHA_CAP))
     doublings = 0
     while True:
         us = np.linspace(0.0, u_max, _ALPHA_GRID)
+        us[0] = 1e-12 * u_max  # the slope is NaN at u = 0
         vals, slopes, xs = sphere_scan(p, us)
         i_best = int(np.argmin(vals))
         if us[i_best] <= 0.99 * u_max or u_max >= u_cap:
@@ -425,29 +425,16 @@ def solve_rtls_general_t(p):
     us = us.tolist()
 
     # a cell whose slope rises through zero holds a basin, and one TRS solve
-    # at its Hermite point stands for it.  The slope is NaN at u = 0, so the
-    # first cell starts at the tolerance and counts when its right end rises
-    # and the slope at the tolerance falls
-    tol = max(1e-12 * u_max, 1e-300)
-    falls = slopes < 0.0
-    falls[0] = True
-    cells = np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)).tolist()
+    # at its Hermite point stands for it
+    cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
     vals, slopes = vals.tolist(), slopes.tolist()
     seen = [(vals[i_best], us[i_best], xs[:, i_best])]  # (G, u, x)
     for i in cells:
-        lo, g_lo, slope_lo = us[i], vals[i], slopes[i]
-        if i == 0:
-            lo = tol
-            x, g_lo, slope_lo = sphere_min(p, lo)
-            seen.append((g_lo, lo, x))
-            if not slope_lo < 0.0:
-                continue
-        u = hermite_argmin(lo, us[i + 1], g_lo, vals[i + 1], slope_lo, slopes[i + 1])
+        u = hermite_argmin(us[i], us[i + 1], vals[i], vals[i + 1], slopes[i], slopes[i + 1])
         x, g, _ = sphere_min(p, u)
         seen.append((g, u, x))
     _, u, x = min(seen, key=lambda point: point[0])  # the least G seen wins, ties to the grid
     search = AlphaSearch(
         doublings=doublings, trs_solves=len(seen) - 1, hit_cap=hit_cap, alpha=math.expm1(u)
     )
-    x = newton_polish(p, x)
-    return recover_pair(p, x, status=STATUS_HEURISTIC), search
+    return newton_polish(p, x), STATUS_HEURISTIC, search

@@ -13,7 +13,7 @@ inside that eigenspace at mu = -lam_min.  :func:`secular_setup` holds that
 test, the completion and the secular bracket, and :func:`secular_root` the
 root, by Newton's method on 1/|z(mu)| - 1/r (J. J. More and D. C. Sorensen,
 SIAM J. Sci. Stat. Comput. 4 (1983) 553-572), for one S or a batch: the
-scalar :func:`trs_equality` and the batched :func:`radial_solutions` share both.
+scalar :func:`trs_equality` and the batched :func:`radial_values` share both.
 
 :func:`brentq` (R. P. Brent, Algorithms for Minimization without Derivatives,
 1973, ch. 4) finds only the slope root of :func:`quartic_minimizer`, the
@@ -178,7 +178,7 @@ def trs_equality(S, c, r, eig=None):
     ``eig`` may pass a precomputed ``(eigenvalues, eigenvectors)`` pair of S
     (ascending); S itself is then ignored.  r = 0 returns x = 0 with the
     multiplier undefined (NaN).  The multiplier is :func:`secular_root`'s,
-    as in :func:`radial_solutions`, but x = Q z is rescaled onto |x| = r in
+    as in :func:`radial_values`, but x = Q z is rescaled onto |x| = r in
     x-coordinates.
     """
     if eig is None:
@@ -248,11 +248,6 @@ def quartic_minimizer(split, rho, shift=0.0):
 
 
 def radial_values(lam, d, rs):
-    """The values of :func:`radial_solutions`."""
-    return radial_solutions(lam, d, rs)[0]
-
-
-def radial_solutions(lam, d, rs):
     """Vectorized min_{|x|=r} <Sx,x> - 2<c,x> over an array of radii.
 
     Same reduction and root as :func:`trs_equality`, all rows at once, but

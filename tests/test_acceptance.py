@@ -182,7 +182,7 @@ def test_criterion_6_nonexistence_bounds():
         assert pt.interp_residual <= 1e-12
 
     p_rtls = default_rtls_nonexistence_model().build(200)
-    assert not is_trivial_rtls(p_rtls, 1e-10)[0]
+    assert not is_trivial_rtls(p_rtls)[0]
     seq_rtls = nonexistence_rtls_sequence(p_rtls, eps_list)
     assert len(seq_rtls.points) >= 2
     for pt in seq_rtls.points:

@@ -173,7 +173,10 @@ class TestSolveCommand:
         # grid: the 16-point scan and 16 points inside the cells beside its least G
         p = rio.load_problem(workdir / "dense_t.json")
         assert search["doublings"] == 0
-        us = np.linspace(0.0, math.log1p(p.b_norm_w_sq / np.linalg.eigvalsh(p.T.gram(4))[0]), 16)
+        sigma = p.T.svd[0]
+        u_max = math.log1p(p.b_norm_w_sq / (sigma[-1] * sigma[-1]))
+        us = np.linspace(0.0, u_max, 16)
+        us[0] = 1e-12 * u_max
         i = int(np.argmin(sphere_scan(p, us)[0]))
         lo, hi = us[max(i - 1, 0)], us[min(i + 1, 15)]
         grid = np.sort(np.concatenate((us, np.linspace(lo, hi, 18)[1:-1])))

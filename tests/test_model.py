@@ -353,9 +353,9 @@ class TestTriviality:
             s * np.array([[1.0, 0.0], [0.0, 1.0]]), s * np.array([1.0, 1e-4]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(t_mat),
         )
-        assert not is_trivial_rtls(p, 1e-10)[0]
+        assert not is_trivial_rtls(p)[0]
         p = ProblemSpec(p.A, s * np.array([1.0, 0.0]), p.W, p.T)
-        assert is_trivial_rtls(p, 1e-10)[0]
+        assert is_trivial_rtls(p)[0]
 
     def test_zero_b_w_norm_is_trivial_for_every_t(self):
         # b spans N(W) of a rotated W, where W^{1/2} b rounds to nonzero
@@ -364,12 +364,12 @@ class TestTriviality:
         for t in (np.eye(2), np.ones((1, 2))):
             p = ProblemSpec(np.eye(2), rot[:, 1], weight, RegularizerSpec.dense(t))
             assert p.b_norm_w_sq == 0.0
-            flag, witness = is_trivial_rtls(p, 1e-10)
+            flag, witness = is_trivial_rtls(p)
             assert flag and np.array_equal(witness, np.zeros(2))
 
     def test_rtls_injective_regularizer(self):
         p = make_problem(np.eye(2), [3.0, 4.0], np.ones(2), rho=2.0)
-        flag, _ = is_trivial_rtls(p, 1e-10)
+        flag, _ = is_trivial_rtls(p)
         assert not flag
 
     def test_rtls_nullspace_direction(self):
@@ -381,7 +381,7 @@ class TestTriviality:
             WeightOperator.diagonal(np.ones(2)),
             RegularizerSpec.dense(t_mat),
         )
-        flag, witness = is_trivial_rtls(p, 1e-10)
+        flag, witness = is_trivial_rtls(p)
         assert flag
         assert objective_rtls(p, p.A, witness) <= 10 * (1e-10) ** 2
 
@@ -393,7 +393,7 @@ class TestTriviality:
             np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 2.0]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.diag([s, 1.0])),
         )
-        assert is_trivial_rtls(p, 1e-10) == (False, None)
+        assert is_trivial_rtls(p) == (False, None)
 
     def test_rtls_witness_in_a_shrunk_direction(self):
         # a direction that T shrinks to 1e-11 of |T|_2 gives G = 1e-22 |b|_W^2
@@ -401,7 +401,7 @@ class TestTriviality:
             np.eye(2), np.array([0.0, 1.0]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.diag([1.0, 1e-11])),
         )
-        flag, witness = is_trivial_rtls(p, 1e-10)
+        flag, witness = is_trivial_rtls(p)
         assert flag and objective_rtls(p, p.A, witness) <= 1e-10 * p.b_norm_w_sq
 
     def test_rtls_t_without_rows_is_null_everywhere(self):
@@ -409,7 +409,7 @@ class TestTriviality:
             np.array([[2.0, 1.0], [0.0, 3.0]]), np.array([4.0, 6.0]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(np.zeros((0, 2))),
         )
-        flag, witness = is_trivial_rtls(p, 1e-10)
+        flag, witness = is_trivial_rtls(p)
         assert flag and np.allclose(witness, [1.0, 2.0])
 
     def test_rtls_takes_one_svd_and_no_fit_for_a_full_rank_t(self, rng, monkeypatch):
@@ -429,7 +429,7 @@ class TestTriviality:
             rng.normal(size=(4, 3)), rng.normal(size=4), WeightOperator.diagonal(np.ones(4)),
             RegularizerSpec.dense(rng.normal(size=(3, 3)) + 3 * np.eye(3)),
         )
-        assert is_trivial_rtls(p, 1e-10) == (False, None)
+        assert is_trivial_rtls(p) == (False, None)
         assert calls == ["svd"]
 
     def test_rtls_full_rank_dense_reduces_to_weight_nullspace(self, rng):
@@ -439,12 +439,12 @@ class TestTriviality:
             a_mat, np.array([1.0, 1.0]),
             WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(t_mat),
         )
-        assert not is_trivial_rtls(p_no, 1e-10)[0]
+        assert not is_trivial_rtls(p_no)[0]
         p_yes = ProblemSpec(
             a_mat, np.array([0.0, 1.0]),
             WeightOperator.diagonal(np.array([1.0, 0.0])), RegularizerSpec.dense(t_mat),
         )
-        assert is_trivial_rtls(p_yes, 1e-10)[0]
+        assert is_trivial_rtls(p_yes)[0]
 
     def test_triviality_soundness(self, rng):
         # every returned witness achieves an objective <= 10 tol^2

@@ -2,15 +2,16 @@
 
 Three routes reach t* for T = sqrt(rho) I: the scalar dual
 (``dual_tstar``), the Dinkelbach reference (``solve_tstar``) and the dense-T
-alpha search (``solve_rtls_general_t``) with T = sqrt(rho) I passed as a
-matrix.  They must agree, each must return a point x* with G(x*) = t* <=
-G(0) = |b|_W^2, and each must carry the invariance (W, rho) -> (cW, c rho),
-t* -> c t*.  The dual and Dinkelbach must also carry orthogonal changes of
-basis, a column permutation among them, and the dense-T search must find
-the same t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.
-With a general dense T the alpha search must carry the change of basis
-(A, b, W, T) -> (U A V^T, U b, U W U^T, T V^T) and the scaling
-(W, T) -> (cW, sqrt(c) T), bit for bit when the scales are powers of two;
+alpha search (``solve_rtls_general_t``, whose report
+``rtls.cli.solve_problem`` builds) with T = sqrt(rho) I passed as a matrix.
+They must agree, each must return a point x* with G(x*) = t* <= G(0) =
+|b|_W^2, and each must carry the invariance (W, rho) -> (cW, c rho), t* ->
+c t*.  The dual and Dinkelbach must also carry orthogonal changes of basis,
+a column permutation among them, and the dense-T search must find the same
+t* for T = sqrt(rho) V with V orthogonal, since T^T T = rho I.  With a
+general dense T the alpha search must carry the change of basis (A, b, W,
+T) -> (U A V^T, U b, U W U^T, T V^T) and the scaling (W, T) -> (cW,
+sqrt(c) T), bit for bit when the scales are powers of two;
 so must the Newton polish, from any start.
 """
 
@@ -25,11 +26,11 @@ from hypothesis import given, settings, strategies as st
 
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.certificate import dual_tstar
-from rtls.cli import main
+from rtls.cli import main, solve_problem
 from rtls.instances import random_problem
 from rtls.io import save_problem
 from rtls.reduction import eval_g
-from rtls.solver import newton_polish, solve_rtls_general_t, solve_tstar
+from rtls.solver import newton_polish, solve_tstar
 
 route_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -50,7 +51,7 @@ def route_tstars(p):
     """t* by the dual, by Dinkelbach and by the dense-T search."""
     n = p.shape[1]
     dense = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(n)))
-    report, _ = solve_rtls_general_t(dense)
+    report, _ = solve_problem(dense)
     return dual_tstar(p).t_star, solve_tstar(p).t_star, report.objective
 
 
@@ -94,7 +95,7 @@ def test_orthogonal_change_of_basis(p, seed, kind):
         moved_x = v @ sol.x_star
         assert np.linalg.norm(sol_moved.x_star - moved_x) <= 1e-9 * np.linalg.norm(moved_x)
     rotated = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * v))
-    report, _ = solve_rtls_general_t(rotated)
+    report, _ = solve_problem(rotated)
     assert report.objective == pytest.approx(dual_tstar(p).t_star, rel=1e-12, abs=0.0)
 
 
@@ -104,7 +105,7 @@ def test_every_route_attains_its_tstar_below_g_at_zero(p):
     n = p.shape[1]
     dense = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(n)))
     dual, dinkelbach = dual_tstar(p), solve_tstar(p)
-    report, _ = solve_rtls_general_t(dense)
+    report, _ = solve_problem(dense)
     for q, t, x in ((p, dual.t_star, dual.x_star), (p, dinkelbach.t_star, dinkelbach.x_star),
                     (dense, report.objective, report.x)):
         assert t <= q.b_norm_w_sq
@@ -135,8 +136,8 @@ def test_dense_t_change_of_basis(p, seed):
         u @ p.A @ v.T, u @ p.b, WeightOperator.dense(u @ p.W.as_matrix() @ u.T),
         RegularizerSpec.dense(p.T.matrix @ v.T),
     )
-    report, _ = solve_rtls_general_t(p)
-    moved_report, _ = solve_rtls_general_t(moved)
+    report, _ = solve_problem(p)
+    moved_report, _ = solve_problem(moved)
     assert moved_report.objective == pytest.approx(report.objective, rel=1e-12, abs=0.0)
     moved_x = v @ report.x
     assert np.linalg.norm(moved_report.x - moved_x) <= 1e-9 * np.linalg.norm(moved_x)
@@ -181,8 +182,8 @@ def test_dense_t_is_bitwise_scale_equivariant():
         t_mat = rng.normal(size=(n, n)) * math.sqrt(p.T.rho / n)
         k, i = int(rng.integers(-40, 40)), int(rng.integers(-20, 20))
         s, c = 2.0**k, 4.0**i
-        report, _ = solve_rtls_general_t(ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(t_mat)))
-        scaled, _ = solve_rtls_general_t(ProblemSpec(
+        report, _ = solve_problem(ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(t_mat)))
+        scaled, _ = solve_problem(ProblemSpec(
             s * p.A, s * p.b, WeightOperator.diagonal(c * p.W.data),
             RegularizerSpec.dense(s * 2.0**i * t_mat),
         ))
@@ -209,7 +210,7 @@ def test_newton_polish_is_bitwise_scale_equivariant():
             s * p.A, s * p.b, WeightOperator.diagonal(c * p.W.data),
             RegularizerSpec.dense(s * 2.0**i * t_mat),
         )
-        x = solve_rtls_general_t(p)[0].x
+        x = solve_problem(p)[0].x
         for start in range(5):
             x0 = x * (1.0 + 0.1 * np.random.default_rng([seed, start]).normal(size=n))
             if newton_polish(scaled, x0).tobytes() != newton_polish(p, x0).tobytes():

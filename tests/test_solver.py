@@ -21,10 +21,10 @@ from rtls import (
     grad_g,
     normal_residual,
     recover_pair,
-    solve_rtls_general_t,
     solve_tstar,
 )
 from rtls.certificate import dual_tstar
+from rtls.cli import main, solve_problem
 from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import default_rtls_nonexistence_model
 from rtls import certificate, solver, trs
@@ -373,7 +373,7 @@ class TestGeneralT:
             WeightOperator.diagonal(np.ones(2)),
             RegularizerSpec.dense(np.eye(2)),
         )
-        report, _ = solve_rtls_general_t(p)
+        report, _ = solve_problem(p)
         assert report.objective <= 1e-20
         assert np.linalg.norm(report.x) <= 1e-10
 
@@ -388,7 +388,7 @@ class TestGeneralT:
                 p.A, p.b, p.W,
                 RegularizerSpec.dense(math.sqrt(p.T.rho) * np.eye(4)),
             )
-            report, _ = solve_rtls_general_t(dense)
+            report, _ = solve_problem(dense)
             assert report.objective == pytest.approx(dual.t_star, rel=1e-12)
             assert report.objective == pytest.approx(trace.t_star, rel=1e-12)
             assert report.residual_normal_eq <= 1e-7
@@ -448,6 +448,12 @@ def _dense_t_family(kind, seed):
     return ProblemSpec(a_mat, b, weight, RegularizerSpec.dense(t_mat))
 
 
+def _report_and_search(p):
+    """The pair report of a dense-T problem and its alpha search record, as ``rtls solve``."""
+    report, meta = solve_problem(p)
+    return report, meta.get("alpha_search")
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -460,10 +466,9 @@ def _golden_reference(p):
     (the least G seen, the least G on the grid, the number of values taken
     off it).
     """
-    n = p.shape[1]
-    lam_t = np.linalg.eigvalsh(p.T.gram(n))
-    full = lam_t[0] > n * np.finfo(float).eps * lam_t[-1]
-    u_max = math.log1p(p.b_norm_w_sq / lam_t[0] if full else 1.0)
+    sigma, _, null = p.T.svd  # the null rule of the search
+    full = not null.any()
+    u_max = math.log1p(p.b_norm_w_sq / (sigma[-1] * sigma[-1]) if full else 1.0)
     u_cap = u_max if full else max(u_max, math.log1p(1e8))
     while True:
         us = np.linspace(0.0, u_max, 128)
@@ -538,7 +543,7 @@ class TestGeneralTGlobal:
             p = _dense_t_family(kind, seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                report, _ = solve_rtls_general_t(p)
+                report, _ = solve_problem(p)
             reference = _multistart_reference(p)
             assert report.objective <= reference * (1.0 + 1e-12)
             assert report.objective == pytest.approx(eval_g(p, report.x).g, rel=1e-12)
@@ -555,7 +560,7 @@ class TestGeneralTGlobal:
             np.diag(1.0 / k), b, WeightOperator.diagonal(k**-2.0),
             RegularizerSpec.dense(np.diag(t_diag)),
         )
-        report, search = solve_rtls_general_t(p)
+        report, search = _report_and_search(p)
         assert 1.0 / 4096.0 < report.objective <= (1.0 + 1e-4) / 4096.0
         assert float(report.x @ report.x) <= 2e8
         assert report.status == "heuristic"
@@ -576,7 +581,7 @@ class TestGeneralTGlobal:
         monkeypatch.setattr(
             solver, "trs_equality", lambda *a, **kw: calls.append(a) or trs_equality(*a, **kw)
         )
-        report, search = solve_rtls_general_t(p)
+        report, search = _report_and_search(p)
         assert len(calls) == search.trs_solves <= 2
         assert not search.hit_cap
         assert report.residual_normal_eq <= 1e-12
@@ -634,43 +639,85 @@ class TestGeneralTGlobal:
                      "strong_t"):
             for seed in range(4):
                 calls.clear()
-                _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+                _, search = _report_and_search(_dense_t_family(kind, seed))
                 assert len(calls) == search.trs_solves
 
-    def test_one_solve_per_bracket_cell_and_the_probe(self, monkeypatch):
-        # the slopes of the last coarse scan and its refinement, merged into
-        # one sorted grid, give the bracket cells; the first cell adds the
-        # probe at u = 1e-12 u_max and loses its Hermite solve when the
-        # probe's slope does not fall
+    def test_one_solve_per_bracket_cell(self, monkeypatch):
+        # the slopes of the last coarse scan, whose first point is u = 1e-12
+        # u_max, and of its refinement, merged into one sorted grid, give the
+        # bracket cells: each gets one Hermite solve strictly inside it
         scans, solves = [], []
         scan, one = solver.sphere_scan, solver.sphere_min
         monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
             (us, *scan(p, us))) or scans[-1][1:])
         monkeypatch.setattr(solver, "sphere_min", lambda p, u: solves.append(
             (u, *one(p, u))) or solves[-1][1:])
-        probed = skipped = 0
+        strong_first = 0
         for kind in ("dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b",
                      "strong_t"):
             for seed in range(4):
                 scans.clear()
                 solves.clear()
-                _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+                _, search = _report_and_search(_dense_t_family(kind, seed))
                 (coarse_us, _, coarse_slopes, _), (fine_us, _, fine_slopes, _) = scans[-2:]
+                assert coarse_us[0] == 1e-12 * coarse_us[-1]
                 order = np.argsort(np.concatenate((coarse_us, fine_us)))
                 us = np.concatenate((coarse_us, fine_us))[order]
                 slopes = np.concatenate((coarse_slopes, fine_slopes))[order]
-                falls = slopes < 0.0
-                falls[0] = True
-                cells = np.flatnonzero(falls[:-1] & (slopes[1:] > 0.0)).tolist()
-                probe = 0 in cells
-                skip = probe and not solves[0][3] < 0.0
-                assert search.trs_solves == len(solves) == len(cells) + probe - skip
-                hermite = [u for u, *_ in solves[probe:]]
-                for u, i in zip(hermite, cells[skip:]):
+                assert not np.isnan(slopes).any()
+                cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
+                assert search.trs_solves == len(solves) == len(cells)
+                for (u, *_), i in zip(solves, cells):
                     assert us[i] < u < us[i + 1]
-                probed += probe
-                skipped += skip
-        assert probed > skipped > 0
+                strong_first += kind == "strong_t" and 0 in cells
+        assert strong_first > 0
+
+    @pytest.mark.parametrize("e, b2, objective", [
+        (6, 1.0, 0.8287861732806872), (6, 2.0, 1.62378379441569),
+        (7, 1.0, 0.8287861732809052), (7, 2.0, 1.6237837944157567),
+        (8, 1.0, 0.8287861732809073), (8, 2.0, 1.6237837944157574),
+        (9, 1.0, 0.8287861732809074), (9, 2.0, 1.6237837944157574),
+        (10, 1.0, 0.8287861732809074), (10, 2.0, 1.6237837944157574),
+        (11, 1.0, 0.8287861732809074), (11, 2.0, 1.6237837944157574),
+        (12, 1.0, 0.8287861732809074), (12, 2.0, 1.6237837944157574),
+    ])
+    def test_anisotropic_rows_pin_the_null_rule(self, e, b2, objective):
+        # T = diag(10^e, 1): below e = 10 no singular value is within 1e-10
+        # |T|_2, so T has no null direction and the scan is bounded by
+        # |b|_W^2 / sigma_min^2 without doubling; from e = 10 e2 is null in
+        # T, for the triviality test and the scan alike.  The objectives are
+        # the bits of the search whose scan took its null rule from the
+        # eigenvalues of T^T T (lam <= n eps lam_max)
+        p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, b2]),
+                        WeightOperator.diagonal(np.ones(2)),
+                        RegularizerSpec.dense(np.diag([10.0**e, 1.0])))
+        assert p.T.svd[2].tolist() == [False, e >= 10]
+        report, search = _report_and_search(p)
+        assert report.objective == objective
+        assert report.status == "heuristic" and search.hit_cap is False
+        if e < 10:
+            assert search.doublings == 0
+
+    def test_first_grid_point_below_a_subnormal_scan_end(self, monkeypatch, tmp_path):
+        # |b|_W^2 = 5e-320, so u_max is subnormal and 1e-12 u_max rounds to
+        # 0: the first point stays at or below the second, and the report is
+        # finite, under warnings as errors
+        scans, scan = [], solver.sphere_scan
+        monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(us) or scan(p, us))
+        p = ProblemSpec(np.eye(2), np.array([1e-160, 2e-160]), WeightOperator.diagonal(np.ones(2)),
+                        RegularizerSpec.dense(np.eye(2)))
+        rio.save_problem(tmp_path / "p.json", p)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--problem", str(tmp_path / "p.json"), "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert all(math.isfinite(v) for v in (*report["x"], report["objective"]))
+        u_max = scans[0][-1]
+        assert 0.0 < u_max < np.finfo(float).tiny
+        for us in scans:
+            assert (np.diff(us) >= 0.0).all()
 
     def test_slope_root_matches_golden_reference(self):
         # golden section on the values of a grid twice as fine against the
@@ -678,7 +725,7 @@ class TestGeneralTGlobal:
         for seed in range(44):
             p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
                                 seed)
-            report, search = solve_rtls_general_t(p)
+            report, search = _report_and_search(p)
             g_hermite = sphere_min(p, math.log1p(search.alpha))[1]
             g_golden, g_grid, evaluations = _golden_reference(p)
             # the Hermite point moved off the grid, in fewer solves than golden
@@ -702,7 +749,7 @@ class TestGeneralTGlobal:
     @pytest.mark.parametrize("order", [32, 64])
     def test_nonexistence_model_is_stationary(self, order):
         p = default_rtls_nonexistence_model().build(order)
-        report, _ = solve_rtls_general_t(p)
+        report, _ = solve_problem(p)
         assert report.residual_normal_eq <= 1e-12
 
 
@@ -793,7 +840,7 @@ class TestRefinedScan:
         for seed in range(4):
             calls.clear()
             scans.clear()
-            _, search = solve_rtls_general_t(_dense_t_family(kind, seed))
+            _, search = _report_and_search(_dense_t_family(kind, seed))
             assert search.doublings == 0
             assert calls == [(16,), (16,)] + [()] * search.trs_solves
             (coarse, g, _, _), (fine, *_) = scans
@@ -947,7 +994,7 @@ def _polish_starts():
     for kind in ("dense", "rank_deficient", "singular_w", "hard_case", "orthogonal_b", "strong_t"):
         for seed in range(4):
             p = _dense_t_family(kind, seed)
-            x_found = solve_rtls_general_t(p)[0].x
+            x_found = solve_problem(p)[0].x
             n = p.shape[1]
             scale = 1.0 + np.linalg.norm(x_found)
             starts += [(p, x_found), (p, scale * rng.normal(size=n))]

@@ -11,7 +11,6 @@ from rtls.trs import (
     eigen_split,
     min_space,
     quartic_minimizer,
-    radial_solutions,
     radial_values,
     secular_setup,
 )
@@ -68,7 +67,7 @@ class TestTrsEquality:
         assert not got.hard_case
         assert_allclose(got.x, want.x, rtol=1e-12)
         assert got.lam / k == pytest.approx(want.lam, rel=1e-12)
-        _, z, _ = radial_solutions(k * lam, k * c, np.array([0.5]))
+        _, z, _ = radial_values(k * lam, k * c, np.array([0.5]))
         assert_allclose(z[0], want.x, rtol=1e-12)
 
     def test_norm_constraint_and_stationarity(self, rng):
@@ -112,7 +111,7 @@ class TestRadialValues:
             lam = np.clip(lam, 0.0, None)
             d = q.T @ c
             rs = np.concatenate([[0.0], rng.uniform(0.01, 8.0, size=40)])
-            vals = radial_values(lam, d, rs)
+            vals, _, _ = radial_values(lam, d, rs)
             for r, val in zip(rs, vals):
                 sol = trs_equality(s_mat, c, r, eig=(lam, q))
                 direct = sol.x @ s_mat @ sol.x - 2 * c @ sol.x
@@ -122,7 +121,7 @@ class TestRadialValues:
         lam = np.array([1.0, 4.0])
         d = np.array([0.0, 2.0])
         rs = np.array([0.5, 3.0])  # secular regime, then hard case
-        vals = radial_values(lam, d, rs)
+        vals, _, _ = radial_values(lam, d, rs)
         sol0 = trs_equality(np.diag(lam), np.diag([1.0, 1.0]) @ np.array([0.0, 2.0]), 0.5)
         direct0 = sol0.x @ np.diag(lam) @ sol0.x - 2 * np.array([0.0, 2.0]) @ sol0.x
         assert_allclose(vals[0], direct0, rtol=1e-9)
@@ -136,7 +135,7 @@ class TestRadialValues:
         lam = np.array([1.0, 2.0, 3.0])
         d = np.array([0.0, 1.0, 2.0])
         r = math.sqrt(2.0 / (1.0 + 5e-13))
-        vals, z, _ = radial_solutions(lam, d, np.array([r]))
+        vals, z, _ = radial_values(lam, d, np.array([r]))
         sol = trs_equality(None, d, r, eig=(lam, np.eye(3)))
         assert sol.hard_case
         assert np.linalg.norm(z[0]) == pytest.approx(r, rel=1e-15)
@@ -145,7 +144,7 @@ class TestRadialValues:
 
     def test_zero_rhs(self):
         lam = np.array([0.5, 2.0])
-        vals = radial_values(lam, np.zeros(2), np.array([0.0, 1.0, 2.0]))
+        vals, _, _ = radial_values(lam, np.zeros(2), np.array([0.0, 1.0, 2.0]))
         assert_allclose(vals, [0.0, 0.5, 2.0], rtol=1e-12)
 
     def test_batch_matches_one_at_a_time(self, rng):
@@ -156,9 +155,9 @@ class TestRadialValues:
         d[::3, 0] = 0.0
         rs = rng.uniform(0.0, 6.0, size=30)
         rs[0] = 0.0
-        vals, z, _ = radial_solutions(lam, d, rs)
+        vals, z, _ = radial_values(lam, d, rs)
         for k in range(30):
-            one, z_one, _ = radial_solutions(lam[k], d[k], rs[k : k + 1])
+            one, z_one, _ = radial_values(lam[k], d[k], rs[k : k + 1])
             assert vals[k] == one[0]
             assert_array_equal(z[k], z_one[0])
             sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
@@ -172,7 +171,7 @@ class TestRadialValues:
         rs = rng.uniform(0.5, 5.0, size=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, z, _ = radial_solutions(lam, d, rs)
+            _, z, _ = radial_values(lam, d, rs)
             assert np.all(np.isfinite(z))
             assert_allclose(np.linalg.norm(z, axis=1), rs, rtol=1e-12)
             for k in range(40):
@@ -198,7 +197,7 @@ class TestRadialValues:
 
 
 def _bisection_reference(lam, d, rs):
-    """radial_solutions as it was with 70 bisection sweeps of the secular bracket."""
+    """radial_values as it was with 70 bisection sweeps of the secular bracket."""
     n = lam.shape[-1]
     shape = np.broadcast_shapes(lam.shape[:-1], d.shape[:-1], np.shape(rs))
     rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
@@ -249,12 +248,12 @@ class TestSecularNewton:
         # of its terms; sweeps past 16 change no bit of values or z
         rows = 0
         for lam, d, rs in _secular_batches(17, 1800):
-            vals, z, _ = radial_solutions(lam, d, rs)
+            vals, z, _ = radial_values(lam, d, rs)
             scale = lam[:, -1] * rs * rs + 2.0 * np.linalg.norm(d, axis=1) * rs
             assert np.all(vals <= _bisection_reference(lam, d, rs) + 1e-15 * scale)
             with monkeypatch.context() as m:
                 m.setattr(trs, "_SWEEPS", 16)
-                capped, z_capped, _ = radial_solutions(lam, d, rs)
+                capped, z_capped, _ = radial_values(lam, d, rs)
             assert capped.tobytes() == vals.tobytes() and z_capped.tobytes() == z.tobytes()
             rows += rs.size
         assert rows >= 10_000
@@ -271,7 +270,7 @@ class TestSecularNewton:
         # d_min ~ 1e-14: the root sits nearer the pole than 2^-70 of the
         # bracket, where 70 bisections leave the value 1e-8 to 1e-6 too high
         lam, d = np.array(lam), np.array(d)
-        val = radial_values(lam, d, np.array([r]))[0]
+        val = radial_values(lam, d, np.array([r]))[0][0]
         sol = trs_equality(None, d, r, eig=(lam, np.eye(2)))
         assert not sol.hard_case
         assert val == pytest.approx(sol.x @ (lam * sol.x) - 2.0 * d @ sol.x, rel=1e-15)
@@ -284,7 +283,7 @@ class TestRadialMultiplier:
         # trs_equality's lam, over clustered, degenerate and near-hard rows
         counts = {"hard": 0, "zero": 0, "solved": 0}
         for lam, d, rs in _secular_batches(23, 300):
-            _, _, mu = radial_solutions(lam, d, rs)
+            _, _, mu = radial_values(lam, d, rs)
             for k in range(rs.size):
                 sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(lam.shape[1])))
                 assert_array_equal(mu[k], sol.lam)
@@ -293,7 +292,7 @@ class TestRadialMultiplier:
 
     def test_broadcasts_with_the_values(self):
         lam, d = np.array([1.0, 4.0]), np.array([0.0, 2.0])
-        vals, z, mu = radial_solutions(lam, d, np.array([[0.0, 0.5], [3.0, 1.0]]))
+        vals, z, mu = radial_values(lam, d, np.array([[0.0, 0.5], [3.0, 1.0]]))
         assert vals.shape == mu.shape == (2, 2) and z.shape == (2, 2, 2)
         assert math.isnan(mu[0, 0])
         assert mu[1, 0] == -1.0  # hard case: the pole
