@@ -249,7 +249,7 @@ def dual_tstar(p):
                          eig=p.gram_eig).x
     t_dual = _tau(p, rho, beta, x)
 
-    x = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
+    x, _ = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
     return DualSolution(eval_g(p, x).g, x, t_dual, beta, steps)
 
 

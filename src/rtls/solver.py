@@ -26,11 +26,12 @@ that proves t*, into the pair status.
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
 dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`), on 16
-points and then on 16 more inside the two cells beside the least G.  Each
-cell of the merged grid where the slope rises through zero brackets a
-basin, solved once at the minimizer of the cubic Hermite interpolant of g
-on the cell (:func:`hermite_argmin`, :func:`sphere_min`); the least G seen
-is handed to the Newton polish, which sets the reported bits
+points.  Each cell where the slope rises through zero brackets a basin,
+solved once at the minimizer of the cubic Hermite interpolant of g on the
+cell (:func:`hermite_argmin`, :func:`sphere_min`); the least G seen is
+handed to the Newton polish, which sets the reported bits.  Only where the
+polish does not converge does the search scan 16 more points inside the
+two cells beside the least G and solve the merged grid the same way
 (:func:`solve_rtls_general_t`).  A grid proves no global minimum, so those
 pairs are ``heuristic`` unless the instance is trivial.
 """
@@ -139,7 +140,7 @@ def solve_tstar(p):
             t = lo + step
     else:
         raise RuntimeError(f"Dinkelbach iteration did not converge in {_MAX_ITER} steps")
-    x = newton_polish(p, x)
+    x, _ = newton_polish(p, x)
     return DinkelbachSolution(eval_g(p, x).g, x, k)
 
 
@@ -235,14 +236,18 @@ def newton_polish(p, x):
     :func:`newton_step`: O(n^2) from the shared eigendecomposition of
     A^T W A for the scaled identity, a dense O(n^3) solve for a general T.
     A non-finite step (hard case) ends it: each halving has a NaN gradient.
-    Returns the polished point when G there is at most G(x) (1 + 1e-14),
-    and x otherwise: the one rule by which every route keeps a polish.
+    Returns (the polished point, converged) when G there is at most G(x) (1
+    + 1e-14), and (x, False) otherwise: the one rule by which every route
+    keeps a polish.  ``converged`` says that the polish was kept and ended
+    at a zero gradient or on a tried step of at most 4 eps |x|: Newton had
+    nothing left above the rounding level of x.
     """
     x0 = np.asarray(x, dtype=float)
     x = x0.copy()
     parts = _gradient_parts(p, x)
     g0 = parts[2] / parts[3] + p.T.value(x)  # G(x), as eval_g forms it
     gnorm = math.sqrt(float(parts[0] @ parts[0]))  # the bits of np.linalg.norm
+    last = False
     for _ in range(_POLISH_ITERS):
         if gnorm == 0.0:
             break
@@ -264,7 +269,9 @@ def newton_polish(p, x):
                 break
         if last or x is not x_new:  # at the rounding level of x, or no step accepted
             break
-    return x if parts[2] / parts[3] + p.T.value(x) <= g0 + _POLISH_REL * abs(g0) else x0
+    if parts[2] / parts[3] + p.T.value(x) > g0 + _POLISH_REL * abs(g0):
+        return x0, False
+    return x, gnorm == 0.0 or last
 
 
 def minimize(fun, x0, **kw):
@@ -284,16 +291,19 @@ class AlphaSearch:
 
     doublings    rescans after the scan interval doubled
     trs_solves   scalar equality-TRS solves off the grid: one at each
-                 bracket cell's Hermite point
+                 bracket cell's Hermite point, over both passes
     hit_cap      the least G of the last coarse scan sat at its largest |x|^2
-    alpha        |x|^2 of the point handed to the Newton polish: the least
-                 G over the grid and the Hermite points
+    alpha        |x|^2 of the point handed to the last Newton polish: the
+                 least G over its grid and the Hermite points
+    refined      the polish from the coarse scan did not converge, so the
+                 search scanned again beside the least coarse G
     """
 
     doublings: int
     trs_solves: int
     hit_cap: bool
     alpha: float
+    refined: bool
 
 
 def sphere_min(p, u):
@@ -370,19 +380,22 @@ def solve_rtls_general_t(p):
     G(x*) <= G(0) bound alpha* by |b|_W^2 / sigma_min(T)^2, and the scan
     ends there.  When T has a null direction (:attr:`RegularizerSpec.svd`,
     the rule of :func:`rtls.model.is_trivial_rtls`) that bounds only the
-    part of x* in the range of T: the scan ends at |x|^2 >= 1 and doubles
+    part of x* in the range of T, and where sigma_min^2 underflows or the
+    bound overflows there is none: the scan ends at |x|^2 >= 1 and doubles
     in u while its least G sits at its upper end, up to |x|^2 = 1e8, where
-    it stops with ``hit_cap``.  A second batched scan puts 16 points
-    strictly inside the cells on either side of the least G (one cell at an
-    end of the grid), so that resolution goes where the winning basin is,
-    and the two merge into one sorted grid.  Each cell of it whose slope
-    rises from negative to positive brackets a basin, and the grid's exact
-    g and dg/du at its ends give one TRS solve at the minimizer of their
-    cubic Hermite interpolant (:func:`hermite_argmin`).  No root is refined
+    it stops with ``hit_cap``.  Each cell of the grid whose slope rises
+    from negative to positive brackets a basin, and the grid's exact g and
+    dg/du at its ends give one TRS solve at the minimizer of their cubic
+    Hermite interpolant (:func:`hermite_argmin`).  No root is refined
     further: the least G seen, over the grid and those points, is
     Newton-polished in the full space from its own x, which sets every
-    reported bit.  A grid proves no global minimum, so the pair is flagged
-    heuristic.  Returns (x, status, :class:`AlphaSearch`), or (witness,
+    reported bit.  Where that polish does not converge (no rounding-level
+    step), resolution goes where the winning basin is: a second batched
+    scan puts 16 points strictly inside the cells on either side of the
+    least coarse G (one cell at an end of the grid), the two merge into one
+    sorted grid, and its cells, Hermite solves and polish give the result.
+    A grid proves no global minimum, so the pair is flagged heuristic.
+    Returns (x, status, :class:`AlphaSearch`), or (witness,
     trivial, None) without a search when b lies in A(N(T)) + N(W) with a
     witness whose G is at most 1e-10 |b|_W^2
     (:func:`rtls.model.is_trivial_rtls`).
@@ -391,13 +404,14 @@ def solve_rtls_general_t(p):
     if trivial:
         return witness, STATUS_TRIVIAL, None
     sigma, _, null = p.T.svd
-    s_min = sigma[~null][-1] if not null.all() else 0.0
+    s_min = float(sigma[~null][-1]) if not null.all() else 0.0
     lam_min = s_min * s_min  # 0 also where it underflows, as in T^T T
-    alpha_max = p.b_norm_w_sq / lam_min if lam_min > 0.0 else 1.0
-    if lam_min > 0.0 and not null.any():
+    # inf, no bound, where lam_min is 0 or the quotient overflows
+    alpha_max = p.b_norm_w_sq / lam_min if lam_min > 0.0 else math.inf
+    if alpha_max < math.inf and not null.any():
         u_max = u_cap = math.log1p(alpha_max)
     else:  # the bound covers only the range of T, or nothing: scan |x|^2 up to 1 at least
-        u_max = math.log1p(max(alpha_max, 1.0))
+        u_max = math.log1p(alpha_max if 1.0 < alpha_max < math.inf else 1.0)
         u_cap = max(u_max, math.log1p(_ALPHA_CAP))
     doublings = 0
     while True:
@@ -412,29 +426,35 @@ def solve_rtls_general_t(p):
     hit_cap = bool(us[i_best] > 0.99 * u_max)
     if hit_cap:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
-    # a second scan of as many points strictly inside the one or two cells
-    # beside the least G, merged with the first into one sorted grid
-    lo, hi = us[max(i_best - 1, 0)], us[min(i_best + 1, _ALPHA_GRID - 1)]
-    fine = np.linspace(lo, hi, _ALPHA_GRID + 2)[1:-1]
-    order = np.argsort(np.concatenate((us, fine)))
-    us, vals, slopes, xs = (
-        np.concatenate(pair, axis=-1)[..., order]
-        for pair in zip((us, vals, slopes, xs), (fine, *sphere_scan(p, fine)))
-    )
-    i_best = int(np.argmin(vals))
-    us = us.tolist()
+    x, converged, u, trs_solves = _polish_least(p, us, vals, slopes, xs)
+    if not converged:
+        # a second scan of as many points strictly inside the one or two
+        # cells beside the least coarse G, merged with the first into one
+        # sorted grid
+        lo, hi = us[max(i_best - 1, 0)], us[min(i_best + 1, _ALPHA_GRID - 1)]
+        fine = np.linspace(lo, hi, _ALPHA_GRID + 2)[1:-1]
+        order = np.argsort(np.concatenate((us, fine)))
+        x, _, u, solves = _polish_least(p, *(
+            np.concatenate(pair, axis=-1)[..., order]
+            for pair in zip((us, vals, slopes, xs), (fine, *sphere_scan(p, fine)))
+        ))
+        trs_solves += solves
+    search = AlphaSearch(doublings=doublings, trs_solves=trs_solves, hit_cap=hit_cap,
+                         alpha=math.expm1(u), refined=not converged)
+    return x, STATUS_HEURISTIC, search
 
-    # a cell whose slope rises through zero holds a basin, and one TRS solve
-    # at its Hermite point stands for it
+
+def _polish_least(p, us, vals, slopes, xs):
+    """One Hermite TRS solve per bracket cell of a scanned grid, then the polish
+    from the least G seen, ties to the grid; returns (x, converged, u of that
+    start, TRS solves)."""
+    i_best = int(np.argmin(vals))
     cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
-    vals, slopes = vals.tolist(), slopes.tolist()
+    us, vals, slopes = us.tolist(), vals.tolist(), slopes.tolist()
     seen = [(vals[i_best], us[i_best], xs[:, i_best])]  # (G, u, x)
     for i in cells:
         u = hermite_argmin(us[i], us[i + 1], vals[i], vals[i + 1], slopes[i], slopes[i + 1])
         x, g, _ = sphere_min(p, u)
         seen.append((g, u, x))
-    _, u, x = min(seen, key=lambda point: point[0])  # the least G seen wins, ties to the grid
-    search = AlphaSearch(
-        doublings=doublings, trs_solves=len(seen) - 1, hit_cap=hit_cap, alpha=math.expm1(u)
-    )
-    return newton_polish(p, x), STATUS_HEURISTIC, search
+    _, u, x = min(seen, key=lambda point: point[0])
+    return *newton_polish(p, x), u, len(seen) - 1

@@ -15,7 +15,6 @@ from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import COMMANDS, build_parser, main
 from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import load_model_file
-from rtls.solver import sphere_scan
 from rtls import io as rio
 
 
@@ -166,23 +165,21 @@ class TestSolveCommand:
         assert "starts" not in report["meta"]
         assert report["residual_normal_eq"] <= 1e-12
         search = report["meta"]["alpha_search"]
-        assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha"]
+        assert list(search) == ["doublings", "trs_solves", "hit_cap", "alpha", "refined"]
         assert 0 < search["trs_solves"] <= 2
         assert search["hit_cap"] is False
-        # the Hermite point and the polished |x|^2 share a cell of the refined
-        # grid: the 16-point scan and 16 points inside the cells beside its least G
+        # the Hermite point and the polished |x|^2 share a cell of the grid the
+        # search used: here the polish from the 16-point scan converges, so
+        # that scan is the grid
         p = rio.load_problem(workdir / "dense_t.json")
-        assert search["doublings"] == 0
+        assert search["doublings"] == 0 and search["refined"] is False
         sigma = p.T.svd[0]
         u_max = math.log1p(p.b_norm_w_sq / (sigma[-1] * sigma[-1]))
-        us = np.linspace(0.0, u_max, 16)
-        us[0] = 1e-12 * u_max
-        i = int(np.argmin(sphere_scan(p, us)[0]))
-        lo, hi = us[max(i - 1, 0)], us[min(i + 1, 15)]
-        grid = np.sort(np.concatenate((us, np.linspace(lo, hi, 18)[1:-1])))
+        grid = np.linspace(0.0, u_max, 16)
+        grid[0] = 1e-12 * u_max
         x = np.array(report["x"])
         cell = np.searchsorted(grid, math.log1p(search["alpha"]))
-        assert lo <= grid[cell - 1] < grid[cell] <= hi
+        assert 0 < cell < grid.size
         assert cell == np.searchsorted(grid, math.log1p(float(x @ x)))
         again = workdir / "again.json"
         main(["solve", "--problem", str(workdir / "dense_t.json"), "--out", str(again)])
@@ -204,6 +201,19 @@ class TestSolveCommand:
         assert report["objective"] == pytest.approx(reference, rel=1e-12, abs=0.0)
         search = report["meta"]["alpha_search"]
         assert search["doublings"] <= 5 and search["hit_cap"] is False
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-170, 1e-160, 1e-100])
+    def test_tiny_dense_t_scans_without_overflow(self, workdir, s):
+        # sigma_min^2 underflows to 0 below s ~ 1e-162, and |b|_W^2 /
+        # sigma_min^2 overflows above it at s = 1e-160: either way the scan
+        # has no bound and starts at |x|^2 = 1
+        p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 2.0]),
+                        WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(s * np.eye(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = _run(workdir, "solve", p)
+        assert (code, report["status"]) == (2, "heuristic")
+        assert all(math.isfinite(v) for v in (*report["x"], report["objective"]))
 
     def test_scaled_identity_meta_has_no_search_record(self, workdir):
         out = workdir / "rep.json"

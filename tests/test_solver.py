@@ -248,7 +248,7 @@ class TestHardCase:
         starts += [x_dual + eps * rng.normal(size=order) for eps in (1e-8, 1e-4, 1e-2)]
         for x0 in starts:
             g0 = eval_g(p, x0).g
-            assert eval_g(p, newton_polish(p, x0)).g <= g0
+            assert eval_g(p, newton_polish(p, x0)[0]).g <= g0
 
 
 class TestClassification:
@@ -409,7 +409,7 @@ def _multistart_reference(p, starts=8, seed=0):
             lambda z: eval_g(p, z).g, x0, jac=lambda z: grad_g(p, z),
             method="L-BFGS-B", options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14},
         )
-        best = min(best, eval_g(p, newton_polish(p, res.x)).g)
+        best = min(best, eval_g(p, newton_polish(p, res.x)[0]).g)
     return best
 
 
@@ -458,7 +458,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_reference(p):
-    """min G over a grid twice as fine as the dense-T search's, refined by values alone.
+    """min G over a 128-point grid, refined by values alone.
 
     A scan like that of :func:`solve_rtls_general_t`, on 128 points taken
     one by one with :func:`sphere_min`; each grid-local minimum is refined
@@ -644,8 +644,9 @@ class TestGeneralTGlobal:
 
     def test_one_solve_per_bracket_cell(self, monkeypatch):
         # the slopes of the last coarse scan, whose first point is u = 1e-12
-        # u_max, and of its refinement, merged into one sorted grid, give the
-        # bracket cells: each gets one Hermite solve strictly inside it
+        # u_max, give the bracket cells, and where the search refines, so do
+        # those of the coarse scan and its refinement merged into one sorted
+        # grid: each cell gets one Hermite solve strictly inside it
         scans, solves = [], []
         scan, one = solver.sphere_scan, solver.sphere_min
         monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
@@ -659,27 +660,34 @@ class TestGeneralTGlobal:
                 scans.clear()
                 solves.clear()
                 _, search = _report_and_search(_dense_t_family(kind, seed))
-                (coarse_us, _, coarse_slopes, _), (fine_us, _, fine_slopes, _) = scans[-2:]
+                coarse_us, _, coarse_slopes, _ = scans[-1 - search.refined]
                 assert coarse_us[0] == 1e-12 * coarse_us[-1]
-                order = np.argsort(np.concatenate((coarse_us, fine_us)))
-                us = np.concatenate((coarse_us, fine_us))[order]
-                slopes = np.concatenate((coarse_slopes, fine_slopes))[order]
-                assert not np.isnan(slopes).any()
-                cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
-                assert search.trs_solves == len(solves) == len(cells)
-                for (u, *_), i in zip(solves, cells):
-                    assert us[i] < u < us[i + 1]
+                grids = [(coarse_us, coarse_slopes)]
+                if search.refined:
+                    fine_us, _, fine_slopes, _ = scans[-1]
+                    order = np.argsort(np.concatenate((coarse_us, fine_us)))
+                    grids.append((np.concatenate((coarse_us, fine_us))[order],
+                                  np.concatenate((coarse_slopes, fine_slopes))[order]))
+                bounds = []
+                for us, slopes in grids:
+                    assert not np.isnan(slopes).any()
+                    cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
+                    bounds += [(us[i], us[i + 1]) for i in cells]
+                assert search.trs_solves == len(solves) == len(bounds)
+                for (u, *_), (lo, hi) in zip(solves, bounds):
+                    assert lo < u < hi
+                # cells: those of the grid the search used last
                 strong_first += kind == "strong_t" and 0 in cells
         assert strong_first > 0
 
     @pytest.mark.parametrize("e, b2, objective", [
         (6, 1.0, 0.8287861732806872), (6, 2.0, 1.62378379441569),
         (7, 1.0, 0.8287861732809052), (7, 2.0, 1.6237837944157567),
-        (8, 1.0, 0.8287861732809073), (8, 2.0, 1.6237837944157574),
-        (9, 1.0, 0.8287861732809074), (9, 2.0, 1.6237837944157574),
-        (10, 1.0, 0.8287861732809074), (10, 2.0, 1.6237837944157574),
-        (11, 1.0, 0.8287861732809074), (11, 2.0, 1.6237837944157574),
-        (12, 1.0, 0.8287861732809074), (12, 2.0, 1.6237837944157574),
+        (8, 1.0, 0.8287861732809073), (8, 2.0, 1.6237837944157576),
+        (9, 1.0, 0.8287861732809074), (9, 2.0, 1.6237837944157576),
+        (10, 1.0, 0.8287861732809074), (10, 2.0, 1.6237837944157576),
+        (11, 1.0, 0.8287861732809074), (11, 2.0, 1.6237837944157576),
+        (12, 1.0, 0.8287861732809074), (12, 2.0, 1.6237837944157576),
     ])
     def test_anisotropic_rows_pin_the_null_rule(self, e, b2, objective):
         # T = diag(10^e, 1): below e = 10 no singular value is within 1e-10
@@ -687,7 +695,9 @@ class TestGeneralTGlobal:
         # |b|_W^2 / sigma_min^2 without doubling; from e = 10 e2 is null in
         # T, for the triviality test and the scan alike.  The objectives are
         # the bits of the search whose scan took its null rule from the
-        # eigenvalues of T^T T (lam <= n eps lam_max)
+        # eigenvalues of T^T T (lam <= n eps lam_max), except that from e = 8
+        # with b = (1, 2) the polish from the coarse scan settles one ulp
+        # higher, on the scipy reference of test_cli's test_anisotropic_dense_t
         p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, b2]),
                         WeightOperator.diagonal(np.ones(2)),
                         RegularizerSpec.dense(np.diag([10.0**e, 1.0])))
@@ -719,19 +729,37 @@ class TestGeneralTGlobal:
         for us in scans:
             assert (np.diff(us) >= 0.0).all()
 
-    def test_slope_root_matches_golden_reference(self):
-        # golden section on the values of a grid twice as fine against the
+    def test_slope_root_matches_golden_reference(self, monkeypatch):
+        # golden section on the values of a 128-point grid against the
         # search's Hermite point and its polished report
+        scans, scan = [], solver.sphere_scan
+        monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
+            (us, *scan(p, us))) or scans[-1][1:])
+        grid_starts = []
         for seed in range(44):
             p = _dense_t_family(("dense", "rank_deficient", "singular_w", "hard_case")[seed % 4],
                                 seed)
+            scans.clear()
             report, search = _report_and_search(p)
-            g_hermite = sphere_min(p, math.log1p(search.alpha))[1]
-            g_golden, g_grid, evaluations = _golden_reference(p)
-            # the Hermite point moved off the grid, in fewer solves than golden
-            assert g_hermite < g_grid
+            # the grid the search solved on: the last coarse scan, merged
+            # with its refinement where the search refined
+            us, g = (np.concatenate(arrays) for arrays in zip(
+                *[scan[:2] for scan in scans[-1 - search.refined:]]))
+            i = int(np.argmin(g))
+            g_golden, _, evaluations = _golden_reference(p)
+            if search.alpha == math.expm1(us[i]):
+                # no Hermite point beat the grid: the polish from its least
+                # G leaves it for a lower basin
+                grid_starts.append(seed)
+                assert report.objective < g[i]
+            else:
+                # the Hermite point moved off the grid, below its least G
+                assert sphere_min(p, math.log1p(search.alpha))[1] < g[i]
             assert search.trs_solves < evaluations
             assert report.objective <= g_golden * (1.0 + 1e-12)
+        # on each the one bracket is the first cell, whose slope at u = 1e-12
+        # u_max is of order -1e6, and its Hermite point lies above the grid
+        assert grid_starts == [4, 10, 16, 30]
 
     @pytest.mark.parametrize("kind", ["dense", "rank_deficient", "singular_w", "hard_case"])
     def test_sphere_min_is_finite_at_large_alpha(self, kind):
@@ -826,7 +854,8 @@ class TestSplitEigh:
 
 
 class TestRefinedScan:
-    """The dense-T search decomposes 16 spheres, then 16 more beside the least G."""
+    """The dense-T search decomposes 16 spheres, and 16 more beside the least
+    G only where the polish from the first scan does not converge."""
 
     @pytest.mark.parametrize(
         "kind", ["dense", "singular_w", "hard_case", "orthogonal_b", "strong_t"]
@@ -837,17 +866,43 @@ class TestRefinedScan:
         scans, scan = [], solver.sphere_scan
         monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(
             (us, *scan(p, us))) or scans[-1][1:])
+        refined = 0
         for seed in range(4):
             calls.clear()
             scans.clear()
             _, search = _report_and_search(_dense_t_family(kind, seed))
             assert search.doublings == 0
-            assert calls == [(16,), (16,)] + [()] * search.trs_solves
-            (coarse, g, _, _), (fine, *_) = scans
-            i = int(np.argmin(g))
-            lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, 15)]
-            assert fine.size == 16 and ((lo < fine) & (fine < hi)).all()
-            assert not np.isin(fine, coarse).any()
+            batches = 1 + search.refined
+            assert len(scans) == calls.count((16,)) == batches and calls[0] == (16,)
+            assert len(calls) == batches + search.trs_solves
+            if search.refined:
+                (coarse, g, _, _), (fine, *_) = scans
+                i = int(np.argmin(g))
+                lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, 15)]
+                assert fine.size == 16 and ((lo < fine) & (fine < hi)).all()
+                assert not np.isin(fine, coarse).any()
+            refined += search.refined
+        # the refinement runs on some seeds of these kinds and none of the others
+        assert (refined > 0) == (kind in ("orthogonal_b", "strong_t"))
+
+    @pytest.mark.parametrize("kind", ["dense", "singular_w", "hard_case"])
+    def test_converged_search_decomposes_one_batch(self, monkeypatch, kind):
+        # a polish that settles at the rounding level of x ends the search
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[:-2]) or eigh(a))
+        for seed in range(4):
+            calls.clear()
+            _, search = _report_and_search(_dense_t_family(kind, seed))
+            assert search.refined is False
+            assert calls == [(16,)] * (1 + search.doublings) + [()] * search.trs_solves
+
+    def test_flat_valley_refines_to_the_same_bits(self):
+        # rank_deficient seed 1 (|x|^2 ~ 1.6e7): the polish from the coarse
+        # scan does not settle, and the refined search keeps the objective
+        # of the search that always refined
+        report, search = _report_and_search(_dense_t_family("rank_deficient", 1))
+        assert search.refined is True
+        assert report.objective == 3.375554370812603
 
 
 class TestDegenerateInstances:
@@ -905,7 +960,8 @@ class TestSpectralStep:
         seen = _counted_gradients(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(newton_polish(p, x), x)
+            x_polished, converged = newton_polish(p, x)
+            assert np.array_equal(x_polished, x) and not converged
         assert len(seen) == 1
 
 
@@ -918,7 +974,7 @@ class TestNewtonPolish:
     def test_does_not_leave_basin(self, rng):
         p = random_problem(rng, 3, rho_factor=1.5)
         trace = solve_tstar(p)
-        x = newton_polish(p, trace.x_star + 1e-3 * rng.normal(size=3))
+        x, _ = newton_polish(p, trace.x_star + 1e-3 * rng.normal(size=3))
         assert eval_g(p, x).g <= trace.t_star + 1e-8
 
 
@@ -931,7 +987,8 @@ def _reference_polish(p, x, iters=8):
     tried.  Returns (the polished point, the gradients evaluated, how many
     of them were at a trial point equal to the current x in every entry,
     how many at a trial point with a non-finite entry, whether the polish
-    stopped after accepting such a step).
+    stopped after accepting such a step, whether it converged: the point
+    is kept and the gradient there is zero or such a step was tried).
     """
     def parts_at(z):
         v = 1.0 + float(z @ z)
@@ -970,7 +1027,8 @@ def _reference_polish(p, x, iters=8):
         if last or not accepted:
             break
     keep = parts[2] / parts[3] + p.T.value(x) <= g0 + 1e-14 * abs(g0)
-    return (x if keep else x0), evals, at_x, nonfinite, last and accepted
+    converged = keep and (gnorm == 0.0 or last)
+    return (x if keep else x0), evals, at_x, nonfinite, last and accepted, converged
 
 
 def _polish_starts():
@@ -1029,15 +1087,18 @@ class TestPolishMatchesReference:
         assert len(starts) >= 200
         want = [_reference_polish(p, x0) for p, x0 in starts]
         seen = _counted_gradients(monkeypatch)
-        skipped = skipped_nonfinite = at_floor = 0
-        for (p, x0), (x_ref, evals, at_x, nonfinite, last) in zip(starts, want):
+        skipped = skipped_nonfinite = at_floor = settled = 0
+        for (p, x0), (x_ref, evals, at_x, nonfinite, last, converged) in zip(starts, want):
             seen.clear()
-            assert newton_polish(p, x0).tobytes() == x_ref.tobytes()
+            x, flag = newton_polish(p, x0)
+            assert x.tobytes() == x_ref.tobytes() and flag == converged
             assert len(seen) == evals - at_x - nonfinite
             skipped += at_x
             skipped_nonfinite += nonfinite
             at_floor += last
+            settled += flag
         assert skipped > len(starts)
+        assert 0 < settled < len(starts)
         assert skipped_nonfinite >= 12
         assert at_floor >= 100
 
