@@ -28,10 +28,11 @@ log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
 dg/du = |Tx|^2 - mu - g at every grid point (:func:`sphere_scan`), on 16
 points.  Each cell where the slope rises through zero brackets a basin,
 solved once at the minimizer of the cubic Hermite interpolant of g on the
-cell (:func:`hermite_argmin`, :func:`sphere_min`); the least G seen is
-handed to the Newton polish, which sets the reported bits.  Only where the
-polish does not converge does the search scan 16 more points inside the
-two cells beside the least G and solve the merged grid the same way
+cell (:func:`hermite_argmin`, :func:`sphere_min`), taken in sqrt(u) on the
+first cell, where g falls like sqrt(u); the least G seen is handed to the
+Newton polish, which sets the reported bits.  Only where the polish does
+not converge does the search scan 16 more points inside the two cells
+beside the least G and solve the merged grid the same way
 (:func:`solve_rtls_general_t`).  A grid proves no global minimum, so those
 pairs are ``heuristic`` unless the instance is trivial.
 """
@@ -386,14 +387,18 @@ def solve_rtls_general_t(p):
     it stops with ``hit_cap``.  Each cell of the grid whose slope rises
     from negative to positive brackets a basin, and the grid's exact g and
     dg/du at its ends give one TRS solve at the minimizer of their cubic
-    Hermite interpolant (:func:`hermite_argmin`).  No root is refined
-    further: the least G seen, over the grid and those points, is
-    Newton-polished in the full space from its own x, which sets every
-    reported bit.  Where that polish does not converge (no rounding-level
-    step), resolution goes where the winning basin is: a second batched
-    scan puts 16 points strictly inside the cells on either side of the
-    least coarse G (one cell at an end of the grid), the two merge into one
-    sorted grid, and its cells, Hermite solves and polish give the result.
+    Hermite interpolant (:func:`hermite_argmin`).  On the first cell g
+    falls like g(0) - 2 |A^T W b| sqrt(u), its slope at 1e-12 u_max is of
+    order -1e6, and the cubic is taken in r = sqrt(u), where g is smooth,
+    with dg/dr = 2 r dg/du.  No root is refined further: the least G seen,
+    over the grid and those points, is Newton-polished in the full space
+    from its own x, which sets every reported bit.  Where that polish does
+    not converge (no rounding-level step), resolution goes where the
+    winning basin is: a second batched scan puts 16 points strictly inside
+    the cells on either side of the least coarse G (one cell at an end of
+    the grid), the two merge into one sorted grid, and its cells, Hermite
+    solves and polish give the result; where its least G is the coarse
+    start, that start's polish stands.
     A grid proves no global minimum, so the pair is flagged heuristic.
     Returns (x, status, :class:`AlphaSearch`), or (witness,
     trivial, None) without a search when b lies in A(N(T)) + N(W) with a
@@ -426,7 +431,8 @@ def solve_rtls_general_t(p):
     hit_cap = bool(us[i_best] > 0.99 * u_max)
     if hit_cap:
         logger.info("alpha search stopped at |x|^2 = %g", math.expm1(u_cap))
-    x, converged, u, trs_solves = _polish_least(p, us, vals, slopes, xs)
+    start, u, trs_solves = _least_seen(p, us, vals, slopes, xs)
+    x, converged = newton_polish(p, start)
     if not converged:
         # a second scan of as many points strictly inside the one or two
         # cells beside the least coarse G, merged with the first into one
@@ -434,27 +440,33 @@ def solve_rtls_general_t(p):
         lo, hi = us[max(i_best - 1, 0)], us[min(i_best + 1, _ALPHA_GRID - 1)]
         fine = np.linspace(lo, hi, _ALPHA_GRID + 2)[1:-1]
         order = np.argsort(np.concatenate((us, fine)))
-        x, _, u, solves = _polish_least(p, *(
+        fine_start, u, solves = _least_seen(p, *(
             np.concatenate(pair, axis=-1)[..., order]
             for pair in zip((us, vals, slopes, xs), (fine, *sphere_scan(p, fine)))
         ))
         trs_solves += solves
+        if not np.array_equal(fine_start, start):  # else x is already its polish
+            x, _ = newton_polish(p, fine_start)
     search = AlphaSearch(doublings=doublings, trs_solves=trs_solves, hit_cap=hit_cap,
                          alpha=math.expm1(u), refined=not converged)
     return x, STATUS_HEURISTIC, search
 
 
-def _polish_least(p, us, vals, slopes, xs):
-    """One Hermite TRS solve per bracket cell of a scanned grid, then the polish
-    from the least G seen, ties to the grid; returns (x, converged, u of that
-    start, TRS solves)."""
+def _least_seen(p, us, vals, slopes, xs):
+    """One Hermite TRS solve per bracket cell of a scanned grid; returns the x
+    and u of the least G seen, ties to the grid, and the number of solves."""
     i_best = int(np.argmin(vals))
     cells = np.flatnonzero((slopes[:-1] < 0.0) & (slopes[1:] > 0.0)).tolist()
     us, vals, slopes = us.tolist(), vals.tolist(), slopes.tolist()
     seen = [(vals[i_best], us[i_best], xs[:, i_best])]  # (G, u, x)
     for i in cells:
-        u = hermite_argmin(us[i], us[i + 1], vals[i], vals[i + 1], slopes[i], slopes[i + 1])
+        if i == 0:  # g ~ g(0) - 2 |A^T W b| sqrt(u) near u = 0: a cubic in r = sqrt(u)
+            r0, r1 = math.sqrt(us[0]), math.sqrt(us[1])
+            u = hermite_argmin(r0, r1, vals[0], vals[1], 2.0 * r0 * slopes[0],
+                               2.0 * r1 * slopes[1]) ** 2
+        else:
+            u = hermite_argmin(us[i], us[i + 1], vals[i], vals[i + 1], slopes[i], slopes[i + 1])
         x, g, _ = sphere_min(p, u)
         seen.append((g, u, x))
     _, u, x = min(seen, key=lambda point: point[0])
-    return *newton_polish(p, x), u, len(seen) - 1
+    return x, u, len(seen) - 1
