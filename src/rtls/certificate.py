@@ -38,7 +38,9 @@ and t* = max tau (Beck, Ben-Tal & Teboulle, SIAM J. Matrix Anal. Appl. 28
 tau'(beta) = rho (1 + |x(beta)|^2) / sqrt(rho F(beta)) - 1, so its maximizer
 beta* is one bracketed scalar root, at O(n) per step after a single eigh.
 x(beta*) is a primal point, and the duality gap G(x*) - tau(beta*) >= 0
-bounds how far G(x*) lies above t*.
+bounds how far G(x*) lies above t*.  :func:`certify_tstar` checks that gap
+at x(beta*) itself and Newton-polishes only where it misses;
+:func:`dual_tstar`, the solve route, always polishes.
 
 Each "proven" rule here is relative to the problem's own scale, so no
 result depends on the units of (A, b, rho) or of (W, rho): the gap proves
@@ -47,8 +49,9 @@ PSD when lambda_min >= -1e-9 |C|_F, and :func:`classify_existence` turns
 a proven t* into the status ``trivial``, ``solved`` or ``heuristic``.
 
 The Dinkelbach reference of ``rtls certify`` shares the one eigh of
-A^T W A with this module and no other computed value: it takes each phi(t)
-from its own secular root in :mod:`rtls.trs`, without tau or _Spectrum.
+A^T W A with this module and no other computed value: it starts at the
+ridge point and takes each phi(t) from its own slope root in
+:mod:`rtls.trs`, without tau or _Spectrum.
 """
 
 from __future__ import annotations
@@ -221,19 +224,16 @@ def _tau(p, rho, beta, x):
     return gamma + 2.0 * (m - gamma) / (1.0 + math.sqrt(max(beta + m, 0.0)) / math.sqrt(rho))
 
 
-def dual_tstar(p):
-    """Maximize tau, recover and Newton-polish x*, and report the gap.
+def _dual_point(p, rho):
+    """The maximizer beta* of tau and its own primal point x*, unpolished.
 
     x* = Q d / (lam + beta*); in the hard case beta* = -lam_min and x* is
     completed inside the minimal eigenspace by :func:`trs_equality` at
     |x*|^2 = (t* + beta* - rho) / (2 rho).  No radius enters otherwise.
-    The polish (:func:`rtls.solver.newton_polish`) takes O(n^2) steps from
-    the same eigendecomposition and is kept by its own rule.
+    Returns (x*, tau(beta*), beta*, evaluations of the scalar dual), the
+    fields of :class:`DualSolution` after ``t_star``; |b|_W^2 > 0.
     """
-    rho = require_identity_scaled(p, "dual_tstar")
     b_sq = p.b_norm_w_sq
-    if b_sq == 0.0:
-        return DualSolution(0.0, np.zeros(p.shape[1]), 0.0, rho, 0)
     spec = _Spectrum(p)
 
     def psi(beta, s, s3, m):  # rho (1 + |x|^2)^2 - F: the sign of tau'
@@ -247,10 +247,26 @@ def dual_tstar(p):
         r_sq = math.sqrt(max(beta + m, 0.0)) / math.sqrt(rho) - 1.0
         x = trs_equality(None, p.gram_rhs, math.sqrt(max(r_sq, spec.limit_sq)),
                          eig=p.gram_eig).x
-    t_dual = _tau(p, rho, beta, x)
+    return x, _tau(p, rho, beta, x), beta, steps
 
+
+def _polished(p, x, t_dual, beta, steps):
+    """The :class:`DualSolution` at the Newton polish of the dual's point x."""
     x, _ = solver.newton_polish(p, x)  # module attribute: wrappers on it apply
     return DualSolution(eval_g(p, x).g, x, t_dual, beta, steps)
+
+
+def dual_tstar(p):
+    """Maximize tau, recover and Newton-polish x*, and report the gap.
+
+    The point is :func:`_dual_point`'s; the polish
+    (:func:`rtls.solver.newton_polish`) takes O(n^2) steps from the same
+    eigendecomposition and is kept by its own rule.
+    """
+    rho = require_identity_scaled(p, "dual_tstar")
+    if p.b_norm_w_sq == 0.0:
+        return DualSolution(0.0, np.zeros(p.shape[1]), 0.0, rho, 0)
+    return _polished(p, *_dual_point(p, rho))
 
 
 def assemble_c(p, t, alpha, beta):
@@ -347,11 +363,21 @@ def classify_existence(p, sol):
 def certify_tstar(p):
     """Certificate at t = tau(beta*), the maximum of the scalar dual.
 
-    The dual's primal point must bring G within :func:`default_tol_t` of t, and
-    C(t, 1, beta*) must be PSD; otherwise RuntimeError names the failed check.
+    G must come within :func:`default_tol_t` of t at the dual's own point
+    x(beta*), or else at its Newton polish, taken only there; C(t, 1, beta*)
+    must be PSD.  Otherwise RuntimeError names the failed check.  t and
+    beta are fixed before any polish, and the polish keeps a point only
+    where G rises by at most 1e-14 relative, so the unpolished check is
+    tighter or looser than the polished one by at most that much.
     """
-    require_identity_scaled(p, "certify_tstar")
-    sol = dual_tstar(p)
+    rho = require_identity_scaled(p, "certify_tstar")
+    if p.b_norm_w_sq == 0.0:
+        sol = dual_tstar(p)
+    else:
+        point = _dual_point(p, rho)
+        sol = DualSolution(eval_g(p, point[0]).g, *point)
+        if not sol.gap <= default_tol_t(p):
+            sol = _polished(p, *point)
     _require_gap(p, sol)
     psd, cert = _certificate(p, sol.t_dual, sol.beta)
     if not psd:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.instances import random_problem
 
 
@@ -87,3 +88,19 @@ def certified_instances(count, dims=(2, 3, 4, 5, 6), seed=20240404):
         n = int(dims[i % len(dims)])
         out.append(random_problem(rng, n, rho_factor=float(rng.uniform(1.0, 3.0))))
     return out
+
+
+def hard_case_family(order, rho):
+    """b = e1, A = diag(1/k) with its smallest entry repeated, W = diag(1/k^2).
+
+    c = A^T W b misses the two-dimensional minimal eigenspace of A^T W A.
+    """
+    k = np.arange(1.0, order + 1.0)
+    a = 1.0 / k
+    a[-1] = a[-2]
+    b = np.zeros(order)
+    b[0] = 1.0
+    return ProblemSpec(
+        np.diag(a), b, WeightOperator.diagonal(k**-2.0),
+        RegularizerSpec.identity_scaled(rho),
+    )

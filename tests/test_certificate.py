@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import certified_instances
+from conftest import certified_instances, hard_case_family
 from rtls import (
     DualSolution,
     ProblemSpec,
@@ -17,6 +17,8 @@ from rtls import (
     feasible_at_t,
     solve_tstar,
 )
+from rtls import certificate, solver
+from rtls.certificate import default_tol_t
 from rtls.instances import closed_form_problem, random_problem, random_weight
 
 # derandomized so that the suite is reproducible; each example runs Dinkelbach
@@ -151,6 +153,36 @@ class TestCertifyTstar:
         cert = certify_tstar(p)
         assert cert.t == pytest.approx(9.0, abs=1e-4)
         assert cert.alpha >= 0 and cert.beta >= 0
+
+    def test_unpolished_point_gives_the_polished_certificate(self, monkeypatch):
+        # t = tau(beta*) and beta* are fixed before any polish, so (t, beta,
+        # lambda_min, C) are bitwise those of dual_tstar's polished point;
+        # certify_tstar checks the gap at x(beta*) and polishes only where
+        # it misses default_tol_t, which none of these problems does
+        problems = [random_problem(np.random.default_rng(seed), n, rho_factor=f)
+                    for seed in range(8) for n in (2, 3, 6, 12, 24)
+                    for f in (1e-4, 0.02, 0.2, 1.5, 10.0)]
+        problems += [hard_case_family(order, rho)
+                     for order in (4, 8, 16, 32) for rho in (1e-3, 1e-2, 0.1, 1.0, 5.0)]
+        # A = 0 with |b|^2 = 25 > rho: beta* = -lambda_min, the hard case
+        problems += [closed_form_problem(rho) for rho in (1e-3, 0.01, 0.1, 1.0, 5.0, 30.0)]
+        wants = []
+        for p in problems:
+            sol = dual_tstar(p)
+            assert sol.gap <= default_tol_t(p)
+            wants.append(certificate._certificate(p, sol.t_dual, sol.beta)[1])
+        polishes = []
+        polish = solver.newton_polish
+        monkeypatch.setattr(solver, "newton_polish", lambda p, x: polishes.append(x) or polish(p, x))
+        hard = 0
+        for p, want in zip(problems, wants):
+            cert = certify_tstar(p)
+            got = [float(v).hex() for v in (cert.t, cert.beta, cert.lambda_min)]
+            assert got == [float(v).hex() for v in (want.t, want.beta, want.lambda_min)]
+            assert cert.C.tobytes() == want.C.tobytes()
+            hard += cert.beta == -p.gram_eig[0][0]
+        assert len(problems) >= 200 and hard >= 5
+        assert polishes == []
 
     def test_agrees_with_dinkelbach(self):
         for p in certified_instances(20, dims=(3,), seed=31):

@@ -330,6 +330,41 @@ class TestCertifyCommand:
         if tiny.T.rho >= np.finfo(float).tiny:  # t* = rho, to its precision
             assert meta["t_dinkelbach"] == pytest.approx(tiny.T.rho, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [1e-300, 1e-308, 5e-324])
+    def test_tiny_rho_certifies_quietly(self, workdir, rho):
+        # A = I, b = (1, 2): t* = 5 rho, which the reference's ridge start
+        # reaches at once; from t = |b|_W^2 it did not converge (1e-300) or
+        # overflowed in its slope root (1e-308, 5e-324)
+        tiny = ProblemSpec(np.eye(2), np.array([1.0, 2.0]), WeightOperator.diagonal(np.ones(2)),
+                           RegularizerSpec.identity_scaled(rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cert = _run(workdir, "certify", tiny)
+        assert code == 0
+        assert cert["meta"]["agreement_gap"] <= 1e-10 * tiny.b_norm_w_sq
+
+    @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    def test_tiny_rho_off_the_range_ends_without_traceback(self, workdir, rho, flags):
+        # b = (1, 2, 0) lies outside R(A): above t* the inner minimizer sits at
+        # |x| ~ 1e53 to 1e100, where the polish squared 1 + |x|^2 with a Python
+        # ** and raised OverflowError.  The reference still disagrees there
+        # (t_dinkelbach 1 against t* = 0.7733), so certify exits 2
+        p = ProblemSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 0.0]),
+                        WeightOperator.diagonal(np.ones(3)), RegularizerSpec.identity_scaled(rho))
+        rio.save_problem(workdir / "off-range.json", p)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "rtls", "certify", "--problem",
+             str(workdir / "off-range.json"), "--out", str(workdir / "off-range-cert.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert "Traceback" not in result.stderr
+        assert result.returncode in (0, 1, 2)
+
     def test_keep_c(self, workdir):
         out = workdir / "cert.json"
         code = main(["certify", "--problem", str(workdir / "trivial.json"),
