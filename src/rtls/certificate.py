@@ -366,9 +366,10 @@ def certify_tstar(p):
     G must come within :func:`default_tol_t` of t at the dual's own point
     x(beta*), or else at its Newton polish, taken only there; C(t, 1, beta*)
     must be PSD.  Otherwise RuntimeError names the failed check.  t and
-    beta are fixed before any polish, and the polish keeps a point only
-    where G rises by at most 1e-14 relative, so the unpolished check is
-    tighter or looser than the polished one by at most that much.
+    beta are fixed before any polish.  The polish keeps a point only where
+    G rises by at most 1e-14 relative, so the unpolished check can be
+    looser than the polished one by at most that much; it can be stricter
+    by any amount, which the polish taken where it misses covers.
     """
     rho = require_identity_scaled(p, "certify_tstar")
     if p.b_norm_w_sq == 0.0:

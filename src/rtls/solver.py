@@ -14,15 +14,14 @@ phi(t) is evaluated globally through a spherical reduction: the inner
 minimum m(s) over each sphere |x|^2 = s is an equality trust-region
 subproblem, convex in s by strong duality, so the remaining problem in s
 has one stationary point, a single monotone secular root in the TRS
-multiplier, taken by monotone Newton (:func:`rtls.trs.quartic_minimizer`).
-Since phi'(t) = -(1 + |x_t|^2) at the inner minimizer x_t, the classical
-Dinkelbach update t <- G(x_t) is exactly Newton's step on phi;
-:func:`solve_tstar` starts it at the ridge point's G, takes it inside the
-sign bracket [0, t] and bisects where it would leave the bracket or shrink
-it more slowly than bisection.  If rho >= t* the inner problem
-at t* is strictly convex and the minimizer of G is unique;
-:func:`rtls.certificate.classify_existence` turns that, and the duality gap
-that proves t*, into the pair status.
+multiplier (:func:`rtls.trs.quartic_minimizer`).  Since phi'(t) = -(1 +
+|x_t|^2) at the inner minimizer x_t, the classical Dinkelbach update t <-
+G(x_t) is exactly Newton's step on phi; :func:`solve_tstar` starts it at
+the ridge point's G, takes it inside the sign bracket [0, t] and bisects
+where it would leave the bracket or shrink it more slowly than bisection.
+If rho >= t* the inner problem at t* is strictly convex and the minimizer
+of G is unique; :func:`rtls.certificate.classify_existence` turns that, and
+the duality gap that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
@@ -82,16 +81,12 @@ def require_identity_scaled(p, op):
     return p.T.rho
 
 
-def eval_phi(p, t, nu_lo=0.0):
+def eval_phi(p, t):
     """Evaluate phi(t) globally; returns (phi, argmin x).
 
     Up to constants the inner objective is <Sx,x> - 2<c,x> + rho |x|^4 +
     (rho - t)|x|^2 with S = A^T W A = Q diag(lam) Q^T, c = A^T W b; its one
     stationary point is global also for t > rho, where it is nonconvex in x.
-    It is x = Q d / (lam - lam_min + nu) at the slope root nu of
-    :func:`rtls.trs.quartic_root`, taken by monotone Newton from a proven
-    lower end, or from ``nu_lo`` where that is larger: the root at a larger
-    t is one, since the root rises as t falls.
     phi is summed in the eigenbasis, z = Q^T x, with the |x|^2 terms grouped
     as (lam + rho - t) z^2: apart, |Ax - b|_W^2 and -t |x|^2 cancel where
     |x| is large.  phi(rho) + rho is min |Ax - b|_W^2 + rho |x|^4, so phi(rho)
@@ -99,7 +94,7 @@ def eval_phi(p, t, nu_lo=0.0):
     """
     rho = require_identity_scaled(p, "eval_phi")
     lam, q = p.gram_eig
-    x = quartic_minimizer(p.gram_split, rho, rho - t, nu_lo)
+    x = quartic_minimizer(p.gram_split, rho, rho - t)
     z = q.T @ x
     r2 = float(x @ x)
     quad = float((lam + (rho - t)) @ (z * z)) - 2.0 * float(p.gram_rhs @ x)
@@ -117,12 +112,10 @@ def solve_tstar(p):
     strictly inside the bracket and shrinks it at least as fast as
     bisection would: by the rtsafe test, it is at most half the step before
     last, so the first two always pass.  Otherwise the bracket is bisected.
-    Where t fell, the inner slope root at the last t is the next one's
-    lower end (:func:`eval_phi`).  G(x_t) can round to t far above t*,
-    where only bisection moves on.  The iteration stops when |phi(t)| <=
-    1e-9 |b|_W^2 (which scales with phi) or the bracket is narrower than
-    1e-15 of its upper end; x_t is then Newton-polished.  Raises
-    RuntimeError after 60 phi values.
+    G(x_t) can round to t far above t*, where only bisection moves on.  The
+    iteration stops when |phi(t)| <= 1e-9 |b|_W^2 (which scales with phi)
+    or the bracket is narrower than 1e-15 of its upper end; x_t is then
+    Newton-polished.  Raises RuntimeError after 60 phi values.
     """
     rho = require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
@@ -132,10 +125,10 @@ def solve_tstar(p):
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G bounds nothing
         ridge = eval_g(p, q @ (p.gram_split[2] / (lam + rho))).g
     lo, hi = 0.0, ridge if ridge < b_sq else b_sq
-    t, nu = hi, 0.0
+    t = hi
     step = step_old = math.inf
     for k in range(1, _MAX_ITER + 1):
-        phi, x = eval_phi(p, t, nu)
+        phi, x = eval_phi(p, t)
         if abs(phi) <= _TOL_PHI_REL * b_sq:
             break
         if phi > 0.0:
@@ -145,27 +138,30 @@ def solve_tstar(p):
         if hi - lo <= 1e-15 * hi:
             break
         g = eval_g(p, x).g
-        t_last = t
         if lo < g < hi and 2.0 * abs(g - t) <= step_old:
             step_old, step = step, abs(g - t)
             t = g
         else:
             step_old, step = step, 0.5 * (hi - lo)
             t = lo + step
-        # the slope root nu = lam_min + rho - t + 2 rho |x_t|^2 at the last t
-        nu = float(lam[0]) + (rho - t_last) + 2.0 * rho * float(x @ x) if t < t_last else 0.0
     else:
         raise RuntimeError(f"Dinkelbach iteration did not converge in {_MAX_ITER} steps")
     x, _ = newton_polish(p, x)
     return DinkelbachSolution(eval_g(p, x).g, x, k)
 
 
+def _power(v, k):
+    """The float v ** k, or inf where it overflows: a float ** raises OverflowError."""
+    try:
+        return v**k
+    except OverflowError:
+        return math.inf
+
+
 def _gradient_parts(p, x):
     """(grad G, grad u, u, v) at x, for G = u / v + |Tx|^2.
 
     u = |Ax - b|_W^2 and v = 1 + |x|^2; the Newton step reuses all four.
-    Powers of v here, in :func:`hess_g` and in :func:`newton_step` are
-    products: they overflow to inf where a Python float ** raises.
     """
     v = 1.0 + float(x @ x)
     resid = p.A @ x - p.b
@@ -173,7 +169,7 @@ def _gradient_parts(p, x):
     root = math.sqrt(max(float(w_resid @ resid), 0.0))
     u = root * root  # as w_vec_seminorm_sq(W, r)
     grad_u = 2.0 * (p.A.T @ w_resid)
-    grad = (grad_u * v - 2.0 * u * x) / (v * v) + 2.0 * p.T.gram_dot(x)
+    grad = (grad_u * v - 2.0 * u * x) / _power(v, 2) + 2.0 * p.T.gram_dot(x)
     return grad, grad_u, u, v
 
 
@@ -194,12 +190,12 @@ def hess_g(p, x, parts=None):
     grad_v = 2.0 * x
     hess_u = 2.0 * p.gram_matrix
     cross = np.outer(grad_u, grad_v)
-    v2 = v * v
+    v2 = _power(v, 2)
     quotient = (
         hess_u / v
         - (cross + cross.T) / v2
         - u * 2.0 * np.eye(n) / v2
-        + 2.0 * u * np.outer(grad_v, grad_v) / (v2 * v)
+        + 2.0 * u * np.outer(grad_v, grad_v) / _power(v, 3)
     )
     return quotient + 2.0 * p.T.gram(n)
 
@@ -228,11 +224,11 @@ def newton_step(p, x, parts=None):
     lam, q = p.gram_eig
     with np.errstate(divide="ignore", invalid="ignore"):  # hard case: D singular
         proj = q.T @ np.column_stack((grad, grad_u, 2.0 * x))
-        v2 = v * v
+        v2 = _power(v, 2)
         y = proj / ((2.0 / v) * lam + (2.0 * p.T.rho - 2.0 * u / v2))[:, None]
         # r_i = <U_i, D^-1 grad> and m_ij = <U_i, D^-1 U_j> in the eigenbasis
         (r1, m11, m12), (r2, m21, m22) = (proj[:, 1:].T @ y).tolist()
-        c12, c22 = -1.0 / v2, 2.0 * u / (v2 * v)
+        c12, c22 = -1.0 / v2, 2.0 * u / _power(v, 3)
         # w = (I + C M)^-1 C r; the step is D^-1 grad - D^-1 U w
         k11, k12 = 1.0 + c12 * m21, c12 * m22
         k21, k22 = c12 * m11 + c22 * m21, 1.0 + c12 * m12 + c22 * m22

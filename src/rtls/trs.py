@@ -15,13 +15,11 @@ root, by Newton's method on 1/|z(mu)| - 1/r (J. J. More and D. C. Sorensen,
 SIAM J. Sci. Stat. Comput. 4 (1983) 553-572), for one S or a batch: the
 scalar :func:`trs_equality` and the batched :func:`radial_values` share both.
 
-The slope root of :func:`quartic_minimizer`, the Dinkelbach inner problem,
-is :func:`quartic_root`: Newton's method on a concave increasing function of
-the same form, from a proven lower end.  :func:`brentq` (R. P. Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 4), a pure-Python
-port step for step as in scipy's ``brentq.c`` whose roots are bit-identical
-to ``scipy.optimize.brentq``, is on no solver path: it is kept only for the
-benchmark trace (``perfbench/tracing.py`` wraps it by name) and its tests.
+:func:`brentq` (R. P. Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4) finds only the slope root of :func:`quartic_minimizer`, the
+Dinkelbach inner problem; a pure-Python port step for step as in scipy's
+``brentq.c``, its roots are bit-identical to ``scipy.optimize.brentq``
+without scipy.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ import numpy as np
 _EIGENGAP_REL = 1e-12  # relative width of the minimal eigenspace
 _HARD_CASE_REL = 1e-13  # d's minimal-eigenspace part below this times |d| counts as zero
 _SWEEPS = 70  # cap on the Newton sweeps of secular_root, for every TRS
-_ROOT_STEPS = 200  # cap on the Newton steps of quartic_root
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -215,17 +211,15 @@ def eigen_split(eig, c):
     return eig, c, d, min_space(eig[0], d)
 
 
-def quartic_minimizer(split, rho, shift=0.0, nu_lo=0.0):
+def quartic_minimizer(split, rho, shift=0.0):
     """Global minimizer of <Sx,x> - 2<c,x> + rho |x|^4 + shift |x|^2, rho > 0.
 
     ``split`` is :func:`eigen_split` of S and c.  The TRS minimum m(s) over
     |x|^2 = s is convex in s (strong duality), so there is one stationary
     point: x = Q d / (lam - lam_min + nu) at the root of the increasing
     nu - lam_min - shift - 2 rho |x|^2, with the minimal eigenspace lumped
-    into one eigenvalue (:func:`quartic_root`).  ``nu_lo`` is a known lower
-    end of that root, such as the root at a smaller shift.  In the hard
-    case (d misses that eigenspace and the root lies below nu = 0) x is
-    completed there at nu = 0.
+    into one eigenvalue.  In the hard case (d misses that eigenspace and
+    the root lies below nu = 0) x is completed there at nu = 0.
     """
     (lam, q), c, d, (in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate) = split
     floor = float(lam[0]) + shift
@@ -233,55 +227,24 @@ def quartic_minimizer(split, rho, shift=0.0, nu_lo=0.0):
         s_hard = -floor / (2.0 * rho)
         if s_hard >= limit_sq:
             return trs_equality(None, c, math.sqrt(s_hard), eig=(lam, q)).x
-        d, d_min_norm = d_eff, 0.0
+        d = d_eff
     else:
         gaps = np.where(in_min, 0.0, gaps)
-    nu, _ = quartic_root(d, gaps, floor, rho, float(d_min_norm), nu_lo)
+
+    def slope(nu):
+        z = d / (gaps + nu)
+        return nu - floor - 2.0 * rho * float(z @ z)
+
+    # |x|^2 <= |d|^2 / nu^2 makes slope >= 0 here, up to rounding, and the
+    # minimal block alone makes slope(lo) <= 0
+    nu = max(floor, 0.0) + (2.0 * rho) ** (1 / 3) * float(np.linalg.norm(d)) ** (2 / 3)
+    if slope(nu) > 0.0:
+        lo = 0.0 if degenerate else d_min_norm * math.sqrt(2.0 * rho / (nu - floor))
+        if slope(lo) < 0.0:
+            nu = brentq(slope, lo, nu, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        else:
+            nu = lo
     return q @ (d / (gaps + nu))
-
-
-def quartic_root(d, gaps, floor, rho, d_min_norm, nu_lo=0.0):
-    """The root nu > max(floor, 0) of nu - floor - 2 rho |z(nu)|^2, z = d / (gaps + nu).
-
-    ``gaps`` >= 0 holds lam - lam_min and ``d_min_norm`` the norm of d where
-    gaps is zero (0 where d, which must not vanish, misses that eigenspace).
-    |z| falls in nu, so the root lies below nu_hi = max(floor, 0) + (2
-    rho)^(1/3) |d|^(2/3), where |z|^2 <= |d|^2 / nu^2 makes the slope
-    nonnegative (nu_hi is returned where rounding makes it nonpositive).  It
-    lies above floor + 2 rho |z(nu_hi)|^2, above d_min_norm sqrt(2 rho /
-    (nu_hi - floor)), from the minimal block alone, and above ``nu_lo``.
-    From the largest of those ends the root is taken by Newton's method on
-
-        h(nu) = 1/|z(nu)| - sqrt(2 rho / (nu - floor)),
-
-    concave and increasing right of max(floor, pole), as the secular
-    function of :func:`secular_root` is (More and Sorensen), so no iterate
-    passes the root and no bracket is kept.  A step of at most 4 eps nu is
-    the last, and so is a step back, which rounding alone gives at the
-    root; it stops at the lower end, where the root rounds below it (nu -
-    floor below an ulp of floor).  |z| is taken by ``math.hypot``, whose
-    square cannot overflow.  Returns (nu, slope values taken).
-    """
-    nu_hi = max(floor, 0.0) + (2.0 * rho) ** (1 / 3) * float(np.linalg.norm(d)) ** (2 / 3)
-    z = d / (gaps + nu_hi)
-    s_hi = float(z @ z)
-    if not nu_hi - floor - 2.0 * rho * s_hi > 0.0:
-        return nu_hi, 1
-    lo = max(nu_lo, floor + 2.0 * rho * s_hi, d_min_norm * math.sqrt(2.0 * rho / (nu_hi - floor)),
-             math.nextafter(floor, math.inf))
-    nu = lo
-    for k in range(2, _ROOT_STEPS + 2):
-        den = gaps + nu
-        z = d / den
-        norm = math.hypot(*z.tolist())
-        gap = nu - floor
-        target = math.sqrt(2.0 * rho / gap)  # 1/|z| at the root
-        y = z / norm
-        step = (target - 1.0 / norm) / (float(y @ (y / den)) / norm + 0.5 * target / gap)
-        if step <= 4.0 * _EPS * nu:  # h(nu) >= 0 only where rounding puts nu at the root
-            return max(nu + step, lo), k
-        nu += step
-    raise RuntimeError(f"quartic_root did not converge in {_ROOT_STEPS} steps")
 
 
 def radial_values(lam, d, rs):

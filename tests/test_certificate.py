@@ -184,6 +184,28 @@ class TestCertifyTstar:
         assert len(problems) >= 200 and hard >= 5
         assert polishes == []
 
+    def test_polishes_where_the_dual_point_misses(self, monkeypatch):
+        # sigma(A) = (0.068, 2.3e-8) and rho = 1.6e-29: x(beta*) misses
+        # default_tol_t, so certify_tstar polishes it and fails as the
+        # polished point of dual_tstar does
+        p = ProblemSpec(
+            np.array([[0.06293765866560957, 0.019653069692738966],
+                      [0.01423674941826218, 0.004445627732411156]]),
+            np.array([-4.826974011419779e-05, 0.00021339020735964588]),
+            WeightOperator.diagonal(np.ones(2)), RegularizerSpec.identity_scaled(1.5662067897076584e-29),
+        )
+        x = certificate._dual_point(p, p.T.rho)[0]
+        assert eval_g(p, x).g - dual_tstar(p).t_dual > default_tol_t(p)
+        with pytest.raises(RuntimeError) as want:
+            certificate._require_gap(p, dual_tstar(p))
+        polishes = []
+        polish = solver.newton_polish
+        monkeypatch.setattr(solver, "newton_polish", lambda p, x: polishes.append(x) or polish(p, x))
+        with pytest.raises(RuntimeError) as got:
+            certify_tstar(p)
+        assert str(got.value) == str(want.value)
+        assert len(polishes) == 1 and polishes[0].tobytes() == x.tobytes()
+
     def test_agrees_with_dinkelbach(self):
         for p in certified_instances(20, dims=(3,), seed=31):
             trace = solve_tstar(p)

@@ -125,8 +125,7 @@ def _recorded_ts(monkeypatch):
     """A list to which every later call of solver.eval_phi appends its t."""
     ts = []
     eval_phi = solver.eval_phi
-    monkeypatch.setattr(solver, "eval_phi",
-                        lambda p, t, nu_lo=0.0: ts.append(t) or eval_phi(p, t, nu_lo))
+    monkeypatch.setattr(solver, "eval_phi", lambda p, t: ts.append(t) or eval_phi(p, t))
     return ts
 
 
@@ -1029,7 +1028,7 @@ def _reference_polish(p, x, iters=8):
         resid = p.A @ z - p.b
         u = w_vec_seminorm(p.W, resid) ** 2
         grad_u = 2.0 * (p.A.T @ p.W.apply(resid))
-        grad = (grad_u * v - 2.0 * u * z) / (v * v) + 2.0 * p.T.gram_dot(z)
+        grad = (grad_u * v - 2.0 * u * z) / v**2 + 2.0 * p.T.gram_dot(z)
         return grad, grad_u, u, v
 
     x0 = np.asarray(x, dtype=float)
@@ -1132,7 +1131,7 @@ class TestPolishMatchesReference:
             skipped_nonfinite += nonfinite
             at_floor += last
             settled += flag
-        assert skipped >= 200 and skipping >= 25
+        assert skipped > len(starts) and skipping >= 25
         assert 0 < settled < len(starts)
         assert skipped_nonfinite >= 12
         assert at_floor >= 100
@@ -1173,8 +1172,9 @@ class TestSplitOnce:
         monkeypatch.setattr(trs, "min_space", lambda lam, d: splits.append(d) or min_space(lam, d))
         monkeypatch.setattr(
             trs, "trs_equality", lambda *a, **k: completions.append(a) or trs_eq(*a, **k))
-        # A = 0 with |b|^2 > rho: every phi(t) at t >= rho completes x in the
-        # minimal eigenspace, which is all of R^2
+        # from the ridge start no phi(t) of the other problems completes x;
+        # A = 0 with |b|^2 > rho does at every t >= rho, in the minimal
+        # eigenspace, which is all of R^2
         problems = certified_instances(6) + [hard_case_family(8, rho) for rho in (1e-3, 0.1)]
         problems += [random_problem(np.random.default_rng(n), n, rho_factor=0.05) for n in (3, 8)]
         problems += [closed_form_problem(rho) for rho in (0.1, 1.0)]

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rtls import trs, trs_equality
@@ -12,7 +11,6 @@ from rtls.trs import (
     eigen_split,
     min_space,
     quartic_minimizer,
-    quartic_root,
     radial_values,
     secular_setup,
 )
@@ -342,79 +340,6 @@ class TestQuarticMinimizer:
             scale = 1.0 + abs(best)
             for z in x + rng.normal(size=(50, n)) * rng.uniform(0.01, 3.0, size=(50, 1)):
                 assert self.objective(s_mat, c, rho, shift, z) >= best - 1e-12 * scale
-
-
-def _brent_slope_root(d, gaps, floor, rho, d_min_norm):
-    """The slope root of quartic_root by trs.brentq, in the bracket that
-    quartic_minimizer searched with it; returns (nu, slope values taken)."""
-    values = []
-
-    def slope(nu):
-        z = d / (gaps + nu)
-        values.append(nu)
-        return nu - floor - 2.0 * rho * float(z @ z)
-
-    nu = max(floor, 0.0) + (2.0 * rho) ** (1 / 3) * float(np.linalg.norm(d)) ** (2 / 3)
-    if slope(nu) > 0.0:
-        lo = d_min_norm * math.sqrt(2.0 * rho / (nu - floor))
-        if slope(lo) < 0.0:
-            nu = brentq(slope, lo, nu, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-        else:
-            nu = lo
-    return nu, len(values)
-
-
-class TestQuarticRoot:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        repeated=st.integers(1, 6),
-        miss_min=st.booleans(),
-        zeros=st.booleans(),
-        log_rho=st.floats(-6.0, 3.0),
-        side=st.sampled_from([-1.0, 1.0]),
-        log_floor=st.floats(-4.0, 3.0),
-        log_lam=st.floats(-3.0, 3.0),
-        log_d=st.floats(-3.0, 3.0),
-    )
-    def test_newton_matches_brent(self, seed, n, repeated, miss_min, zeros, log_rho, side,
-                                  log_floor, log_lam, log_d):
-        # random eigen-splits: a repeated minimal eigenvalue, d missing the
-        # minimal eigenspace (degenerate) or other entries, rho from 1e-6 to
-        # 1e3 and floor = lam_min + shift on either side of the pole nu = 0.
-        # The slope is rounded at the scale nu + |floor|, and each root lies
-        # within 3.4 of its ulps of the exact one over 3k mpmath checks
-        rng = np.random.default_rng(seed)
-        lam = np.sort(rng.uniform(0.0, 3.0, size=n)) * 10.0**log_lam
-        lam[:min(repeated, n)] = lam[0]
-        d = rng.normal(size=n) * 10.0**log_d
-        if miss_min:
-            d[:min(repeated, n)] = 0.0
-        if zeros:
-            d[rng.uniform(size=n) < 0.5] = 0.0
-        assume(d.any())
-        rho, floor = 10.0**log_rho, side * 10.0**log_floor
-        _, _, d, (in_min, d_min_norm, d_eff, gaps, limit_sq, degenerate) = eigen_split(
-            (lam, np.eye(n)), d)
-        if degenerate:  # as quartic_minimizer: the root exists outside the hard case
-            assume(-floor / (2.0 * rho) < limit_sq)
-            d, d_min_norm = d_eff, 0.0
-        else:
-            gaps = np.where(in_min, 0.0, gaps)
-        nu, values = quartic_root(d, gaps, floor, rho, float(d_min_norm))
-        want, brent_values = _brent_slope_root(d, gaps, floor, rho, float(d_min_norm))
-        assert abs(nu - want) <= 4.0 * np.spacing(want + abs(floor))
-        assert values <= min(12, brent_values + 1)
-
-    def test_root_below_an_ulp_of_floor_stops_at_the_lower_end(self):
-        # nu - floor = 2 rho |z|^2 ~ 2e-12 at floor ~ 1.6e11, below its ulp:
-        # Newton from nextafter(floor) steps back and stops there
-        d = np.array([-129090.11276103, -444260.65983003, -625083.2591447])
-        gaps = np.array([0.0, 1.70343698e12, 4.66740853e12])
-        floor = 156493251421.76065
-        nu, values = quartic_root(d, gaps, floor, 0.035620157371542865, 129090.11276102817)
-        assert nu == math.nextafter(floor, math.inf) and values == 2
 
 
 class TestMinSpace:
