@@ -14,7 +14,6 @@ from .model import (
     PairReport,
     ProblemFormatError,
     ProblemSpec,
-    RankOneLift,
     RegularizerSpec,
     WeightOperator,
     frechet_check,
@@ -27,6 +26,7 @@ from .model import (
 )
 from .reduction import (
     GValue,
+    correction_vector,
     eval_g,
     lift_operator,
     normal_residual,

@@ -253,6 +253,12 @@ def _matrix_from_spec(obj, name):
     return data.reshape(rows, cols)
 
 
+def _matrix_to_spec(mat):
+    """The {"rows", "cols", "data"} object that :func:`_matrix_from_spec` reads."""
+    rows, cols = mat.shape
+    return {"rows": rows, "cols": cols, "data": mat.ravel().tolist()}
+
+
 def problem_from_dict(obj):
     if not isinstance(obj, dict):
         raise ProblemFormatError("problem file must contain a JSON object")
@@ -297,28 +303,16 @@ def load_problem(path):
 
 
 def problem_to_dict(p):
-    m, n = p.shape
     if p.W.kind == "diagonal":
         w_obj = {"kind": "diagonal", "data": p.W.data.tolist()}
     else:
-        w_obj = {
-            "kind": "dense",
-            "rows": m,
-            "cols": m,
-            "data": p.W.data.ravel().tolist(),
-        }
+        w_obj = {"kind": "dense", **_matrix_to_spec(p.W.data)}
     if p.T.kind == "identity_scaled":
         t_obj = {"kind": "identity_scaled", "rho": float(p.T.rho)}
     else:
-        rows, cols = p.T.matrix.shape
-        t_obj = {
-            "kind": "dense",
-            "rows": rows,
-            "cols": cols,
-            "data": p.T.matrix.ravel().tolist(),
-        }
+        t_obj = {"kind": "dense", **_matrix_to_spec(p.T.matrix)}
     out = {
-        "A": {"rows": m, "cols": n, "data": p.A.ravel().tolist()},
+        "A": _matrix_to_spec(p.A),
         "b": p.b.tolist(),
         "W": w_obj,
         "T": t_obj,

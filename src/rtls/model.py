@@ -284,21 +284,6 @@ class ProblemSpec:
         return max(float(self.W.apply(self.b) @ self.b), 0.0)
 
 
-@dataclass(frozen=True)
-class RankOneLift:
-    """Operator A + <., x> c stored without materializing the update."""
-
-    base: np.ndarray
-    x: np.ndarray
-    correction_vector: np.ndarray
-
-    def materialize(self):
-        return self.base + np.outer(self.correction_vector, self.x)
-
-    def apply(self, v):
-        return self.base @ v + self.correction_vector * float(self.x @ v)
-
-
 # status of a candidate pair
 STATUS_SOLVED = "solved"
 STATUS_TRIVIAL = "trivial"

@@ -11,9 +11,9 @@ and the attained value is
     G(x) = |A x - b|_W^2 / (1 + |x|^2) + |T x|^2.
 
 A pair (A_0, x_0) solves the full problem exactly when x_0 minimizes G and
-A_0 = A_{x_0}.  This module evaluates G, builds the lift, and measures the
-identities and first-order conditions that a candidate minimizer must
-satisfy.
+A_0 = A_{x_0}.  This module evaluates G, builds the lift from its one
+correction vector c = (b - A x)/(1 + |x|^2), and measures the identities
+and first-order conditions that a candidate minimizer must satisfy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .model import (
     PairReport,
-    RankOneLift,
     STATUS_HEURISTIC,
     w_hs_seminorm,
     w_vec_seminorm_sq,
@@ -36,7 +35,6 @@ from .model import (
 class GValue:
     """Value of the reduced objective split into its two terms."""
 
-    x: np.ndarray
     g: float
     data_term: float
     reg_term: float
@@ -67,27 +65,29 @@ def _check_x(p, x):
     return x
 
 
-def eval_g(p, x, ax=None):
-    """Evaluate G(x) = |Ax-b|_W^2/(1+|x|^2) + |Tx|^2; ``ax`` may pass A x."""
+def eval_g(p, x):
+    """Evaluate G(x) = |Ax-b|_W^2/(1+|x|^2) + |Tx|^2."""
     x = _check_x(p, x)
-    misfit = w_vec_seminorm_sq(p.W, (p.A @ x if ax is None else ax) - p.b)
-    data_term = misfit / (1.0 + float(x @ x))
+    data_term = w_vec_seminorm_sq(p.W, p.A @ x - p.b) / (1.0 + float(x @ x))
     reg_term = p.T.value(x)
-    return GValue(x, data_term + reg_term, data_term, reg_term)
+    return GValue(data_term + reg_term, data_term, reg_term)
 
 
-def lift_operator(p, x, ax=None):
-    """Rank-one lift A_x = A + <., x>(b - Ax)/(1 + |x|^2); ``ax`` may pass A x."""
+def correction_vector(p, x):
+    """c = (b - Ax)/(1 + |x|^2), the lift's update: A_x = A + <., x> c."""
     x = _check_x(p, x)
-    correction = (p.b - (p.A @ x if ax is None else ax)) / (1.0 + float(x @ x))
-    return RankOneLift(p.A, x, correction)
+    return (p.b - p.A @ x) / (1.0 + float(x @ x))
+
+
+def lift_operator(p, x):
+    """The rank-one lift A_x = A + c x^T as a matrix, c of :func:`correction_vector`."""
+    return p.A + np.outer(correction_vector(p, x), x)
 
 
 def verify_lift_identities(p, x):
     """Evaluate both lift identities and return their relative gaps."""
     x = _check_x(p, x)
-    lift = lift_operator(p, x)
-    ax = lift.materialize()
+    ax = lift_operator(p, x)
     r2 = float(x @ x)
     axx_b = ax @ x - p.b
     misfit_lift = w_vec_seminorm_sq(p.W, axx_b)
@@ -117,18 +117,18 @@ def verify_lift_identities(p, x):
     )
 
 
-def normal_residual(p, x, ax=None):
+def normal_residual(p, x):
     """Scaled residual of the stationarity equation for G:
 
         (1+|x|^2) T^T T x + A^T W (Ax - b) = (|Ax-b|_W^2 / (1+|x|^2)) x.
 
     The Euclidean norm of LHS - RHS is divided by 1 + |x| + |A^T W b| so the
     returned number is comparable across instances.  It vanishes at critical
-    points of G; it is a necessary condition only.  ``ax`` may pass A x.
+    points of G; it is a necessary condition only.
     """
     x = _check_x(p, x)
     r2 = float(x @ x)
-    residual_vec = (p.A @ x if ax is None else ax) - p.b
+    residual_vec = p.A @ x - p.b
     w_resid = p.W.apply(residual_vec)
     lhs = (1.0 + r2) * p.T.gram_dot(x) + p.A.T @ w_resid
     resid_norm = math.sqrt(max(float(w_resid @ residual_vec), 0.0))
@@ -149,18 +149,17 @@ def recover_pair(p, x, status=STATUS_HEURISTIC):
     is not reported: the normal-equation and rank-one residuals imply it.
     """
     x = _check_x(p, x)
-    ax = p.A @ x
-    c = lift_operator(p, x, ax).correction_vector
-    gval = eval_g(p, x, ax)
+    c = correction_vector(p, x)
+    gval = eval_g(p, x)
     # W(A_x - A) + W(A_x x - b) x^T = W(c + A_x x - b) x^T for A_x = A + c x^T
-    rank_one = p.W.apply(c + (ax + c * float(x @ x)) - p.b)
+    rank_one = p.W.apply(c + (p.A @ x + c * float(x @ x)) - p.b)
     return PairReport(
         x=x,
         correction_vector=c,
         objective=gval.g,
         data_term=gval.data_term,
         reg_term=gval.reg_term,
-        residual_normal_eq=normal_residual(p, x, ax),
+        residual_normal_eq=normal_residual(p, x),
         residual_rank_one=float(np.linalg.norm(rank_one) * np.linalg.norm(x)) / _report_scale(p),
         status=status,
     )

@@ -179,7 +179,10 @@ def trs_equality(S, c, r, eig=None):
     (ascending); S itself is then ignored.  r = 0 returns x = 0 with the
     multiplier undefined (NaN).  The multiplier is :func:`secular_root`'s,
     as in :func:`radial_values`, but x = Q z is rescaled onto |x| = r in
-    x-coordinates.
+    x-coordinates.  Both solve at the radius in [1/2, 1) that a power of
+    two takes r to, with d scaled alike: |d / (lam + mu)| = r is homogeneous
+    in (d, r), so mu is unchanged, and no square of a tiny or huge z leaves
+    the double range.  The power of two scales x back exactly.
     """
     if eig is None:
         lam, q = np.linalg.eigh(np.asarray(S, dtype=float))
@@ -192,6 +195,8 @@ def trs_equality(S, c, r, eig=None):
     if r == 0.0:
         return TrsSolution(np.zeros(lam.shape[0]), float("nan"), False)
 
+    r, e = math.frexp(r)
+    d = np.ldexp(d, -e)
     hard, z, lo, hi = secular_setup(lam, d, r)
     if hard:
         mu = -lam[0]
@@ -202,7 +207,7 @@ def trs_equality(S, c, r, eig=None):
     nrm = np.linalg.norm(x)
     if nrm > 0:
         x *= r / nrm
-    return TrsSolution(x, float(mu), bool(hard))
+    return TrsSolution(np.ldexp(x, e), float(mu), bool(hard))
 
 
 def eigen_split(eig, c):
@@ -256,7 +261,8 @@ def radial_values(lam, d, rs):
     axes, one S per entry, and ``rs`` broadcasts against them (one S at many
     radii, or each S at its own).  Returns (values, z, mu), x = Q z, with mu
     the multiplier of :func:`trs_equality`: the secular root, -lam_min on
-    hard rows and NaN where r = 0.
+    hard rows and NaN where r = 0.  Each row is solved in the scaled units
+    of :func:`trs_equality`; z is scaled back once and the values twice.
     """
     lam = np.asarray(lam, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -265,8 +271,8 @@ def radial_values(lam, d, rs):
     rs = np.broadcast_to(np.asarray(rs, dtype=float), shape)
     pos = rs > 0.0
     lam = np.broadcast_to(lam, shape + (n,))[pos]
-    d = np.broadcast_to(d, shape + (n,))[pos]
-    r = rs[pos]
+    r, e = np.frexp(rs[pos])
+    d = np.ldexp(np.broadcast_to(d, shape + (n,))[pos], -e[:, None])
 
     hard, x, lo, hi = secular_setup(lam, d, r)
     solve = ~hard
@@ -279,7 +285,7 @@ def radial_values(lam, d, rs):
     out = np.zeros(shape)
     z = np.zeros(shape + (n,))
     mus = np.full(shape, np.nan)
-    out[pos] = np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1)
-    z[pos] = x
+    out[pos] = np.ldexp(np.sum(lam * x * x, axis=1) - 2.0 * np.sum(d * x, axis=1), 2 * e)
+    z[pos] = np.ldexp(x, e[:, None])
     mus[pos] = mu
     return out, z, mus

@@ -102,7 +102,7 @@ def test_criterion_3_reduction_identities():
         x = rng.normal(size=n) * float(rng.uniform(0.1, 4.0))
         rep = verify_lift_identities(p, x)
         worst = max(worst, rep.contraction_gap, rep.correction_gap, rep.vector_gap)
-        lifted = lift_operator(p, x).materialize()
+        lifted = lift_operator(p, x)
         g_val = eval_g(p, x).g
         obj = objective_rtls(p, lifted, x)
         gap = abs(g_val - obj) / max(abs(g_val), 1e-30)

@@ -259,6 +259,21 @@ class TestSolveCommand:
         assert report["status"] == "solved"
         assert report["objective"] == pytest.approx(1e-300, rel=1e-12)
 
+    def test_tiny_equality_trs_solution_ends_without_traceback(self, workdir):
+        # dense T = 1e10 I and b ~ 1e-150 put |x*|^2 near 1e-320: no square of
+        # a subnormal z may reach the secular root, or -W error raises there
+        p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1e-150, 2e-150]),
+                        WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(1e10 * np.eye(2)))
+        rio.save_problem(workdir / "tiny-x.json", p)
+        reports = []
+        for flags in ([], ["-W", "error"]):
+            out = workdir / f"tiny-x-{len(flags)}.json"
+            result = _run_module(flags, "solve", "--problem", str(workdir / "tiny-x.json"),
+                                 "--out", str(out))
+            assert (result.returncode, result.stderr) == (2, "")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestCertifyCommand:
     def test_closed_form(self, workdir):
@@ -353,15 +368,8 @@ class TestCertifyCommand:
         p = ProblemSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 0.0]),
                         WeightOperator.diagonal(np.ones(3)), RegularizerSpec.identity_scaled(rho))
         rio.save_problem(workdir / "off-range.json", p)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
-        result = subprocess.run(
-            [sys.executable, *flags, "-m", "rtls", "certify", "--problem",
-             str(workdir / "off-range.json"), "--out", str(workdir / "off-range-cert.json")],
-            env=env, capture_output=True, text=True,
-        )
+        result = _run_module(flags, "certify", "--problem", str(workdir / "off-range.json"),
+                             "--out", str(workdir / "off-range-cert.json"))
         assert "Traceback" not in result.stderr
         assert result.returncode in (0, 1, 2)
 
@@ -373,6 +381,20 @@ class TestCertifyCommand:
         cert = json.loads(out.read_text())
         assert list(cert) == ["t", "alpha", "beta", "lambda_min", "C", "meta"]
         assert len(cert["C"]) == 5
+
+
+def _subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
+def _run_module(flags, *argv):
+    """``python <flags> -m rtls <argv>`` in a fresh interpreter, output captured."""
+    return subprocess.run([sys.executable, *flags, "-m", "rtls", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True)
 
 
 def _run(workdir, command, p):
@@ -590,6 +612,16 @@ class TestDemoCommands:
          "error: field 'rho' must be a positive real\n"),
         ('{"a": "1/k", "w": 1, "b": [1], "rho": 1e400}',
          "error: field 'rho' must be a positive real\n"),
+        ('[{"a": "1/k", "w": 1, "b": [1], "rho": 1}]',
+         "error: model spec must be a JSON object\n"),
+        ('{"a": "1/k^2.5", "w": 1, "b": [1], "rho": 1}',
+         "error: field 'a' has unsupported sequence formula '1/k^2.5'\n"),
+        ('{"a": {"formula": "1/k", "zero": 1}, "w": 1, "b": [1], "rho": 1}',
+         "error: field 'a' has unknown sequence keys ['zero']\n"),
+        ('{"a": {"zeros": 1}, "w": 1, "b": [1], "rho": 1}',
+         "error: field 'a' is missing its 'formula'\n"),
+        ('{"w": 1, "b": [1], "rho": 1}',
+         "error: model spec missing keys ['a']\n"),
     ])
     def test_diagonal_and_sweep_share_the_model_rules(self, workdir, capsys, text, error):
         model = workdir / "model.json"
@@ -943,13 +975,10 @@ def test_readme_command_line_lists_each_parsers_flags():
 
 def _modules_after(code, packages=("scipy", "orjson")):
     """Run code in a fresh interpreter; return the modules of ``packages`` it loaded."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     code += f"; print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+        check=True,
     )
     return result.stdout.strip().splitlines()[-1]
 

@@ -485,6 +485,27 @@ class TestMalformedProblemExitOne:
                         ' "T": {"kind": "identity_scaled", "rho": 1.0}}')
         assert self._solve(path, capsys) == (1, "error: field 'W.data' must be a list of numbers\n")
 
+    _VALID = {"A": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}, "b": [1.0, 2.0],
+              "W": {"kind": "diagonal", "data": [1.0, 1.0]},
+              "T": {"kind": "identity_scaled", "rho": 1.0}}
+
+    @pytest.mark.parametrize("fields, message", [
+        (None, "problem file must contain a JSON object"),
+        ({"A": [1, 2]}, "field 'A' must be an object"),
+        ({"T": {"kind": "identity_scaled"}}, "field 'T.rho' is missing"),
+        ({"T": {"kind": "tikhonov"}}, "field 'T.kind' must be 'identity_scaled' or 'dense'"),
+        ({"origin": [1]}, "field 'origin' must be an object"),
+        ({"W": {"kind": "dense", "rows": 2, "cols": 1, "data": [1.0, 1.0]}},
+         "field 'W.data' must be square"),
+        ({"A": {"rows": 0, "cols": 2, "data": []}, "b": []},
+         "'A' must have at least one row and column"),
+    ], ids=["array", "A-list", "T-no-rho", "T-kind", "origin-list", "W-not-square", "A-no-rows"])
+    def test_malformed_field_is_named(self, tmp_path, capsys, fields, message):
+        # fields=None writes a top-level array in place of the object
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([self._VALID] if fields is None else {**self._VALID, **fields}))
+        assert self._solve(path, capsys) == (1, f"error: {message}\n")
+
     def _problem_bytes(self, tmp_path):
         path = tmp_path / "p.json"
         rio.save_problem(path, random_problem(np.random.default_rng(2), 3, m=4))

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from conftest import elementwise_objective
 from rtls import (
     ProblemSpec,
-    RankOneLift,
     RegularizerSpec,
     WeightOperator,
+    correction_vector,
     eval_g,
     lift_operator,
     normal_residual,
@@ -89,8 +89,7 @@ class TestEvalG:
 class TestLiftOperator:
     def test_x_zero_returns_base(self, rng):
         p = random_problem(rng, 3)
-        lift = lift_operator(p, np.zeros(3))
-        assert_allclose(lift.materialize(), p.A, rtol=0, atol=0)
+        assert_allclose(lift_operator(p, np.zeros(3)), p.A, rtol=0, atol=0)
 
     def test_consistent_x_returns_base(self, rng):
         a_mat = rng.normal(size=(3, 3)) + 3 * np.eye(3)
@@ -100,26 +99,18 @@ class TestLiftOperator:
             WeightOperator.diagonal(np.ones(3)),
             RegularizerSpec.identity_scaled(1.0),
         )
-        lift = lift_operator(p, x)
-        assert np.max(np.abs(lift.correction_vector)) <= 1e-12
+        assert np.max(np.abs(correction_vector(p, x))) <= 1e-12
 
     def test_stationarity_equation(self, rng):
         # W(X - A) + <., x> W(Xx - b) = 0 holds for the lift at every x
         for _ in range(30):
             p = random_problem(rng, 2, m=3)
             x = rng.normal(size=2)
-            ax = lift_operator(p, x).materialize()
+            ax = lift_operator(p, x)
             resid = p.W.apply(ax - p.A) + np.outer(p.W.apply(ax @ x - p.b), x)
             lam_max = np.linalg.eigvalsh(p.W.as_matrix())[-1]
             scale = lam_max * np.linalg.norm(p.A) + p.b_norm_w_sq
             assert np.linalg.norm(resid) <= 1e-10 * scale
-
-    def test_materialize_agrees_with_apply(self, rng):
-        p = random_problem(rng, 4, m=5)
-        x = rng.normal(size=4)
-        lift = lift_operator(p, x)
-        v = rng.normal(size=4)
-        assert_allclose(lift.apply(v), lift.materialize() @ v, rtol=1e-12)
 
 
 class TestLiftIdentities:
@@ -147,7 +138,7 @@ class TestLiftIdentities:
             n = int(rng.integers(1, 6))
             p = random_problem(rng, n, m=int(rng.integers(1, 6)))
             x = rng.normal(size=n)
-            lifted = lift_operator(p, x).materialize()
+            lifted = lift_operator(p, x)
             assert_allclose(
                 objective_rtls(p, lifted, x), eval_g(p, x).g, rtol=1e-10
             )
@@ -160,7 +151,7 @@ class TestLiftIdentities:
         # F_x(X) = F_x(A_x) + |A_x - X|_{2,W}^2 + |Xx - A_x x|_W^2
         p = random_problem(rng, 3, m=4)
         x = rng.normal(size=3)
-        ax = lift_operator(p, x).materialize()
+        ax = lift_operator(p, x)
         base = objective_rtls(p, ax, x)
         for _ in range(100):
             y_mat = rng.normal(size=(4, 3)) * float(rng.uniform(0.01, 2.0))
@@ -219,7 +210,7 @@ class TestRecoverPair:
         # at a minimizer, A0^T W (A0 - A) equals (T^T T x) x^T
         p = closed_form_problem()
         x = np.array([2.0, 0.0])
-        ax = lift_operator(p, x).materialize()
+        ax = lift_operator(p, x)
         raw = ax.T @ p.W.apply(ax - p.A)
         assert_allclose(raw, np.outer(p.T.gram_dot(x), x), atol=1e-12)
 
@@ -233,7 +224,7 @@ class TestRecoverPair:
             if k % 4 >= 2:
                 p = ProblemSpec(p.A, p.b, p.W, RegularizerSpec.dense(rng.normal(size=(n, n))))
             x = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
-            yield p, x, lift_operator(p, x).materialize()
+            yield p, x, lift_operator(p, x)
 
     def test_rank_one_matches_materialized_formula(self, rng):
         # the O(m^2 + mn) form against W(A_x - A) + W(A_x x - b) x^T
@@ -243,7 +234,7 @@ class TestRecoverPair:
             assert abs(recover_pair(p, x).residual_rank_one - expected) <= 1e-12
 
     def test_shared_product_keeps_every_bit(self, rng):
-        # A x formed once gives the numbers of A x - b formed per term
+        # the report's numbers equal the reference's, which forms A x - b per term
         cases = [(p, x) for p, x, _ in self._materialized_cases(rng)]
         for k in range(8):
             n = int(rng.integers(10, 40))
@@ -267,7 +258,7 @@ class TestRecoverPair:
 
 
 def _reference_report_numbers(p, x):
-    """recover_pair's serialized numbers as formed before A x was shared.
+    """recover_pair's serialized numbers, written out term by term.
 
     Each term forms A x - b (or b - A x) on its own.  Returns the bytes of
     the lift's correction vector, G, its two terms and the two residuals.
@@ -283,7 +274,7 @@ def _reference_report_numbers(p, x):
     normal = float(np.linalg.norm(lhs - rhs))
     normal /= 1.0 + np.linalg.norm(x) + np.linalg.norm(p.gram_rhs)
     lift_c = (p.b - p.A @ x) / (1.0 + float(x @ x))
-    rank_one = p.W.apply(lift_c + RankOneLift(p.A, x, lift_c).apply(x) - p.b)
+    rank_one = p.W.apply(lift_c + (p.A @ x + lift_c * float(x @ x)) - p.b)
     return (
         c.tobytes(), data_term + reg_term, data_term, reg_term, normal,
         float(np.linalg.norm(rank_one) * np.linalg.norm(x)) / _report_scale(p),

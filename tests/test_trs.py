@@ -177,6 +177,13 @@ class TestRadialValues:
             for k in range(40):
                 sol = trs_equality(None, d[k], rs[k], eig=(lam[k], np.eye(5)))
                 assert_allclose(z[k], sol.x, atol=1e-7 * (1.0 + rs[k]))
+            # a sphere of radius 1e-160, where z^2 underflows unless the whole
+            # solve runs with (d, r) scaled by a power of two to r ~ 1
+            lam, d, r = np.array([1e20, 1.25e20]), np.array([1e-150, 2e-150]), 1e-160
+            _, z, _ = radial_values(lam, d, np.array([r]))
+            sol = trs_equality(None, d, r, eig=(lam, np.eye(2)))
+            assert math.hypot(*z[0]) == pytest.approx(r, rel=1e-15)
+            assert_allclose(z[0], sol.x, rtol=1e-15)
 
     def test_rows_split_like_min_space(self, rng):
         # clustered spectra widen the minimal eigenspace; zeroed leading
