@@ -113,9 +113,9 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    """Certify t* and cross-check it against the Dinkelbach reference: the two agree
-    within 1e-10 |b|_W^2 (:func:`default_tol_t`) and share no computed value but
-    the eigh of A^T W A."""
+    """Certify t* and cross-check it against the Dinkelbach reference, G at its last
+    inner minimizer, unpolished: the two agree within 1e-10 |b|_W^2
+    (:func:`default_tol_t`) and share no computed value but the eigh of A^T W A."""
     p = rio.load_problem(args.problem)
     if p.T.kind != "identity_scaled":
         raise ProblemFormatError(

@@ -123,7 +123,10 @@ def real_vector(value, name):
     if isinstance(value, np.ndarray):
         arr = value
     else:
-        arr = np.asarray(value) if isinstance(value, list) else None
+        try:
+            arr = np.asarray(value) if isinstance(value, list) else None
+        except ValueError:  # a ragged list: numpy gives it no shape
+            arr = None
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
             raise ProblemFormatError(f"field '{name}' must be a list of numbers")
         arr = arr.astype(float)
@@ -137,10 +140,13 @@ def real_vector(value, name):
 
 
 def real_number(value, name):
-    """A JSON number (not a boolean) as a float."""
+    """A JSON number (not a boolean) as a float; an int past its range is +-inf, as 1e400 is."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProblemFormatError(f"field '{name}' must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def read_json(path):

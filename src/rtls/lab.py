@@ -61,7 +61,7 @@ def _sequence(spec_val, n, name):
     the field named.
     """
     if isinstance(spec_val, (int, float)) and not isinstance(spec_val, bool):
-        return np.full(n, float(spec_val))
+        return np.full(n, real_number(spec_val, name))
     if isinstance(spec_val, str):
         match = _POWER_RE.match(spec_val.strip())
         if not match:

@@ -17,11 +17,12 @@ has one stationary point, a single monotone secular root in the TRS
 multiplier (:func:`rtls.trs.quartic_minimizer`).  Since phi'(t) = -(1 +
 |x_t|^2) at the inner minimizer x_t, the classical Dinkelbach update t <-
 G(x_t) is exactly Newton's step on phi; :func:`solve_tstar` starts it at
-the ridge point's G, takes it inside the sign bracket [0, t] and bisects
-where it would leave the bracket or shrink it more slowly than bisection.
-If rho >= t* the inner problem at t* is strictly convex and the minimizer
-of G is unique; :func:`rtls.certificate.classify_existence` turns that, and
-the duality gap that proves t*, into the pair status.
+the ridge point's G, takes it inside the sign bracket [0, t], bisects
+where it would leave the bracket or shrink it more slowly than bisection,
+and returns its last inner minimizer x_t unpolished.  If rho >= t* the
+inner problem at t* is strictly convex and the minimizer of G is unique;
+:func:`rtls.certificate.classify_existence` turns that, and the duality
+gap that proves t*, into the pair status.
 
 A general dense T fixes alpha = |x|^2 instead: a grid scan over u =
 log1p(alpha) gives g(u) = min G over the sphere and its closed-form slope
@@ -67,7 +68,8 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class DinkelbachSolution:
-    """t* = G(x_star) from :func:`solve_tstar`, after ``iterations`` phi values."""
+    """G(x_star) >= t* at the last, unpolished x_t of :func:`solve_tstar`, after
+    ``iterations`` phi values."""
 
     t_star: float
     x_star: np.ndarray
@@ -114,8 +116,8 @@ def solve_tstar(p):
     last, so the first two always pass.  Otherwise the bracket is bisected.
     G(x_t) can round to t far above t*, where only bisection moves on.  The
     iteration stops when |phi(t)| <= 1e-9 |b|_W^2 (which scales with phi)
-    or the bracket is narrower than 1e-15 of its upper end; x_t is then
-    Newton-polished.  Raises RuntimeError after 60 phi values.
+    or the bracket is narrower than 1e-15 of its upper end; x_t there is not
+    polished, and G(x_t) >= t*.  Raises RuntimeError after 60 phi values.
     """
     rho = require_identity_scaled(p, "solve_tstar")
     b_sq = p.b_norm_w_sq
@@ -146,7 +148,6 @@ def solve_tstar(p):
             t = lo + step
     else:
         raise RuntimeError(f"Dinkelbach iteration did not converge in {_MAX_ITER} steps")
-    x, _ = newton_polish(p, x)
     return DinkelbachSolution(eval_g(p, x).g, x, k)
 
 
@@ -212,17 +213,18 @@ def newton_step(p, x, parts=None):
     so the step costs one n x 3 and one n x 1 product with the shared
     ``p.gram_eig`` plus a 2 x 2 Woodbury solve in closed form: O(n^2).  D
     equals (2/v)(lam + rho v - u/v), positive near a minimizer except in the
-    hard case; where an entry vanishes the step comes out non-finite.  A
-    dense T solves with the assembled Hessian in O(n^3).  ``parts`` is
-    ``_gradient_parts(p, x)`` when the caller has it.  Raises LinAlgError or
-    ZeroDivisionError when a solve meets an exactly singular matrix.
+    hard case; where an entry vanishes, or a huge |x| overflows a product, the
+    step comes out non-finite.  A dense T solves with the assembled Hessian in
+    O(n^3).  ``parts`` is ``_gradient_parts(p, x)`` when the caller has it.
+    Raises LinAlgError or ZeroDivisionError when a solve meets an exactly
+    singular matrix.
     """
     x = np.asarray(x, dtype=float)
     grad, grad_u, u, v = parts = _gradient_parts(p, x) if parts is None else parts
     if p.T.kind != "identity_scaled":
         return np.linalg.solve(hess_g(p, x, parts), grad)
     lam, q = p.gram_eig
-    with np.errstate(divide="ignore", invalid="ignore"):  # hard case: D singular
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # D singular or tiny
         proj = q.T @ np.column_stack((grad, grad_u, 2.0 * x))
         v2 = _power(v, 2)
         y = proj / ((2.0 / v) * lam + (2.0 * p.T.rho - 2.0 * u / v2))[:, None]

@@ -361,10 +361,10 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("rho", [1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
     def test_tiny_rho_off_the_range_ends_without_traceback(self, workdir, rho, flags):
-        # b = (1, 2, 0) lies outside R(A): above t* the inner minimizer sits at
-        # |x| ~ 1e53 to 1e100, where the polish squared 1 + |x|^2 with a Python
-        # ** and raised OverflowError.  The reference still disagrees there
-        # (t_dinkelbach 1 against t* = 0.7733), so certify exits 2
+        # b = (1, 2, 0) lies outside R(A): above t* the Dinkelbach reference's
+        # inner minimizer sits at |x| ~ 1e53 to 1e100, and it disagrees there
+        # (t_dinkelbach 1 against t* = 0.7733), so certify exits 2.  The Newton
+        # polish from such a point is TestNewtonPolish's in test_solver.py
         p = ProblemSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 0.0]),
                         WeightOperator.diagonal(np.ones(3)), RegularizerSpec.identity_scaled(rho))
         rio.save_problem(workdir / "off-range.json", p)
@@ -622,6 +622,15 @@ class TestDemoCommands:
          "error: field 'a' is missing its 'formula'\n"),
         ('{"w": 1, "b": [1], "rho": 1}',
          "error: model spec missing keys ['a']\n"),
+        # a JSON int too large for a double reads as the token 1e400 does
+        ('{"a": "1/k", "w": 1, "b": [1], "rho": 1' + "0" * 400 + '}',
+         "error: field 'rho' must be a positive real\n"),
+        ('{"a": 1' + "0" * 400 + ', "w": 1, "b": [1], "rho": 1}',
+         "error: non-finite value in field 'A'\n"),
+        ('{"a": "1/k", "w": 1, "b": [1.0, [2.0]], "rho": 1}',
+         "error: field 'b' must be a list of numbers\n"),
+        ('{"a": [[1.0], [2.0, 3.0]], "w": 1, "b": [1], "rho": 1}',
+         "error: field 'a' must be a list of numbers\n"),
     ])
     def test_diagonal_and_sweep_share_the_model_rules(self, workdir, capsys, text, error):
         model = workdir / "model.json"
@@ -630,7 +639,7 @@ class TestDemoCommands:
         for demo in ("diagonal", "sweep"):
             code = main(["demo", demo, "--model", str(model), "--N", "4"])
             outcomes.append((code, capsys.readouterr().err))
-        assert outcomes == [(0, "")] * 2 if error is None else [(1, error)] * 2
+        assert outcomes == ([(0, "")] * 2 if error is None else [(1, error)] * 2)
 
     def test_missing_model_file_exit_one(self, workdir, capsys):
         missing = str(workdir / "nope.json")

@@ -499,7 +499,11 @@ class TestMalformedProblemExitOne:
          "field 'W.data' must be square"),
         ({"A": {"rows": 0, "cols": 2, "data": []}, "b": []},
          "'A' must have at least one row and column"),
-    ], ids=["array", "A-list", "T-no-rho", "T-kind", "origin-list", "W-not-square", "A-no-rows"])
+        ({"T": {"kind": "identity_scaled", "rho": 10**400}}, "field 'T.rho' must be a positive real"),
+        ({"b": [1.0, [2.0]]}, "field 'b' must be a list of numbers"),
+        ({"b": [[1.0], [2.0, 3.0]]}, "field 'b' must be a list of numbers"),
+    ], ids=["array", "A-list", "T-no-rho", "T-kind", "origin-list", "W-not-square", "A-no-rows",
+            "T-rho-401-digits", "b-ragged", "b-ragged-rows"])
     def test_malformed_field_is_named(self, tmp_path, capsys, fields, message):
         # fields=None writes a top-level array in place of the object
         path = tmp_path / "p.json"

@@ -165,18 +165,19 @@ class TestSolveTstar:
             assert -1e-12 <= trace.t_star <= p.b_norm_w_sq + 1e-9
 
     def test_few_outer_steps_on_the_certify_pool(self, tmp_path, monkeypatch):
-        # the benchmark's seed-1 certify pool: from the ridge start, phi is
-        # taken 3.125 times per problem on average (4.56 from |b|_W^2)
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"
-        spec = importlib.util.spec_from_file_location("perfbench_problems", path)
-        problems = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, problems)  # for its dataclasses
-        spec.loader.exec_module(problems)
-        steps = []
-        for i, inst in enumerate(problems.certify(np.random.default_rng(1))):
-            inst.write(tmp_path / f"p{i}.json")
-            steps.append(solve_tstar(rio.load_problem(tmp_path / f"p{i}.json")).iterations)
+        # from the ridge start, phi is taken 3.125 times per problem on
+        # average (4.56 from |b|_W^2)
+        steps = [solve_tstar(p).iterations for p in _certify_pool(tmp_path, monkeypatch)]
         assert len(steps) == 16 and sum(steps) <= 3.5 * len(steps)
+
+    def test_returns_its_last_inner_minimizer_unpolished(self, tmp_path, monkeypatch):
+        polishes = []
+        polish = solver.newton_polish
+        monkeypatch.setattr(solver, "newton_polish", lambda p, x: polishes.append(x) or polish(p, x))
+        for p in _certify_pool(tmp_path, monkeypatch):
+            trace = solve_tstar(p)
+            assert trace.t_star == eval_g(p, trace.x_star).g
+        assert polishes == []
 
     def test_root_identity(self, rng):
         p = random_problem(rng, 5)
@@ -1001,14 +1002,28 @@ class TestSpectralStep:
 class TestNewtonPolish:
     def test_reaches_machine_stationarity(self, rng):
         p = random_problem(rng, 4, rho_factor=2.0)
-        trace = solve_tstar(p)
-        assert normal_residual(p, trace.x_star) <= 1e-12
+        x_star, _ = newton_polish(p, solve_tstar(p).x_star)
+        assert normal_residual(p, x_star) <= 1e-12
 
     def test_does_not_leave_basin(self, rng):
         p = random_problem(rng, 3, rho_factor=1.5)
-        trace = solve_tstar(p)
-        x, _ = newton_polish(p, trace.x_star + 1e-3 * rng.normal(size=3))
-        assert eval_g(p, x).g <= trace.t_star + 1e-8
+        x_star, _ = newton_polish(p, solve_tstar(p).x_star)
+        x, _ = newton_polish(p, x_star + 1e-3 * rng.normal(size=3))
+        assert eval_g(p, x).g <= eval_g(p, x_star).g + 1e-8
+
+    @pytest.mark.parametrize("x", [(-1.07721735e53, 1.07721735e53), (-5e99, 5e99), (1e100, 1e100)])
+    def test_huge_x_off_the_range_ends_without_overflow(self, x):
+        # b = (1, 2, 0) lies outside R(A); at |x| ~ 1e53 the float (1 + |x|^2) ** 3
+        # overflows, at |x| ~ 1e100 its square does, and the Woodbury products with it
+        p = ProblemSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 0.0]),
+                        WeightOperator.diagonal(np.ones(3)), RegularizerSpec.identity_scaled(1e-160))
+        x = np.array(x)
+        with pytest.raises(OverflowError):
+            (1.0 + float(x @ x)) ** 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_polished, _ = newton_polish(p, x)
+        assert np.isfinite(x_polished).all() and eval_g(p, x_polished).g <= eval_g(p, x).g
 
 
 def _reference_polish(p, x, iters=8):
@@ -1101,6 +1116,20 @@ def _polish_starts():
         WeightOperator.diagonal(np.ones(2)), RegularizerSpec.identity_scaled(6.25),
     )
     return starts + [(singular, np.array([1.0, 0.0]))]
+
+
+def _certify_pool(tmp_path, monkeypatch):
+    """The benchmark's seed-1 certify pool, each problem read back from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+    problems = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, problems)  # for its dataclasses
+    spec.loader.exec_module(problems)
+    pool = []
+    for i, inst in enumerate(problems.certify(np.random.default_rng(1))):
+        inst.write(tmp_path / f"p{i}.json")
+        pool.append(rio.load_problem(tmp_path / f"p{i}.json"))
+    return pool
 
 
 def _counted_gradients(monkeypatch):
