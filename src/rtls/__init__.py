@@ -16,7 +16,6 @@ from .model import (
     ProblemSpec,
     RegularizerSpec,
     WeightOperator,
-    frechet_check,
     is_trivial_rtls,
     is_trivial_tls,
     objective_rtls,
@@ -28,16 +27,13 @@ from .reduction import (
     GValue,
     correction_vector,
     eval_g,
-    lift_operator,
     normal_residual,
     recover_pair,
-    verify_lift_identities,
 )
 from .trs import TrsSolution, trs_equality
 from .solver import (
     DinkelbachSolution,
     eval_phi,
-    grad_g,
     solve_rtls_general_t,
     solve_tstar,
 )
@@ -62,9 +58,6 @@ from .lab import (
     IntegralModel,
     SequencePoint,
     SweepRow,
-    default_diagonal_model,
-    default_rtls_nonexistence_model,
-    default_tls_nonexistence_model,
     diagonal_audit,
     diagonal_problem,
     nonexistence_rtls_sequence,

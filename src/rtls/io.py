@@ -155,7 +155,9 @@ def read_json(path):
     Each flat array of JSON floats comes back as a float ndarray (see
     :func:`_loads_float_arrays`); every other value, and every error, is
     exactly what ``json.load`` on the file opened as UTF-8 text gives,
-    except that nesting too deep for its recursion is invalid JSON too.
+    except that nesting too deep for its recursion is invalid JSON too, and
+    an integer with more digits than ``int`` converts reads as +-inf, as
+    the token 1e400 does (see :func:`_parse_int`).
     """
     try:
         with open(path, "rb") as fh:
@@ -168,7 +170,8 @@ def read_json(path):
     try:
         # text mode turns \r\n and \r into \n, which moves the positions
         # that a JSONDecodeError reports
-        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"),
+                          parse_int=_parse_int)
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"input file {path} is not UTF-8: {exc.reason} "
                                  f"at byte {exc.start}") from exc
@@ -176,6 +179,14 @@ def read_json(path):
         raise ProblemFormatError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ProblemFormatError(f"invalid JSON in {path}: nesting too deep") from exc
+
+
+def _parse_int(text):
+    """A JSON integer token as an int, or as the float it rounds to (+-inf) past int's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 _UNPARSED = object()
@@ -236,7 +247,8 @@ def _loads_float_arrays(raw):
         return arrays[d[_ARRAY_KEY]] if _ARRAY_KEY in d else d
 
     try:
-        return json.loads(b"".join(pieces).decode("utf-8"), object_hook=restore)
+        return json.loads(b"".join(pieces).decode("utf-8"), object_hook=restore,
+                          parse_int=_parse_int)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return _UNPARSED
 
@@ -257,12 +269,6 @@ def _matrix_from_spec(obj, name):
             f"field '{name}.data' has {data.size} entries, expected {rows * cols}"
         )
     return data.reshape(rows, cols)
-
-
-def _matrix_to_spec(mat):
-    """The {"rows", "cols", "data"} object that :func:`_matrix_from_spec` reads."""
-    rows, cols = mat.shape
-    return {"rows": rows, "cols": cols, "data": mat.ravel().tolist()}
 
 
 def problem_from_dict(obj):
@@ -306,27 +312,3 @@ def problem_from_dict(obj):
 
 def load_problem(path):
     return problem_from_dict(read_json(path))
-
-
-def problem_to_dict(p):
-    if p.W.kind == "diagonal":
-        w_obj = {"kind": "diagonal", "data": p.W.data.tolist()}
-    else:
-        w_obj = {"kind": "dense", **_matrix_to_spec(p.W.data)}
-    if p.T.kind == "identity_scaled":
-        t_obj = {"kind": "identity_scaled", "rho": float(p.T.rho)}
-    else:
-        t_obj = {"kind": "dense", **_matrix_to_spec(p.T.matrix)}
-    out = {
-        "A": _matrix_to_spec(p.A),
-        "b": p.b.tolist(),
-        "W": w_obj,
-        "T": t_obj,
-    }
-    if p.origin is not None:
-        out["origin"] = p.origin
-    return out
-
-
-def save_problem(path, p):
-    return write_json(path, problem_to_dict(p))

@@ -226,37 +226,6 @@ def load_model_file(path):
     return model_from_dict(read_json(path))
 
 
-def default_diagonal_model(rho=1.0):
-    """Default decaying family a_k = 1/k, w_k = 1/k^2, b = e1.
-
-    The weights are square-summable, so the limit weight has a Hilbert-
-    Schmidt square root; the minimal direction value of A^T W A decays like
-    k^-2 with the truncation order.
-    """
-    return DiagonalModel("1/k", "1/k^2", (1.0,), rho=rho)
-
-
-def default_tls_nonexistence_model(rho=1.0):
-    """Default family for the unregularized unattained-infimum demo.
-
-    Same decay as :func:`default_diagonal_model` but with a_1 = 0, so that
-    b = e1 stays outside R(A) + N(W) at every truncation; an invertible
-    diagonal A would make every truncated instance trivial and the
-    construction would correctly refuse to run.
-    """
-    return DiagonalModel({"formula": "1/k", "zeros": 1}, "1/k^2", (1.0,), rho=rho)
-
-
-def default_rtls_nonexistence_model():
-    """Decaying diagonal regularizer t_k = 1/k^2, so T^T T = diag(1/k^4).
-
-    The regularizer is injective, hence the instance is nontrivial at every
-    truncation (b = e1 never lies in N(W)), while the combined form
-    T^T T + A^T W A = diag(2/k^4) has minimal direction value sqrt(2)/n^2.
-    """
-    return DiagonalModel("1/k", "1/k^2", (1.0,), t="1/k^2")
-
-
 # ---------------------------------------------------------------------------
 # unattained-infimum sequences
 # ---------------------------------------------------------------------------

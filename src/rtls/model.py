@@ -409,40 +409,3 @@ def is_trivial_rtls(p):
     w = basis @ coeffs
     g = w_vec_seminorm_sq(p.W, p.A @ w - p.b) / (1.0 + float(w @ w)) + p.T.value(w)
     return (True, w) if g <= TRIVIAL_TOL * p.b_norm_w_sq else (False, None)
-
-
-def frechet_check(W1, W2, x0, X, Y, h):
-    """Central-difference check of the two derivative formulas
-
-        D |W1^{1/2} X|_F^2 (Y)      = 2 tr(X^T W1 Y)
-        D <W2 X x0, X x0> (Y)       = 2 <W2 X x0, Y x0>
-
-    Returns the pair of errors, relative to the analytic value when it
-    exceeds 1e-8 in magnitude, absolute otherwise.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-
-    def big_k(M):
-        norm = w_hs_seminorm(W1, M)
-        return norm * norm
-
-    def small_k(M):
-        mx = M @ x0
-        return float(W2.apply(mx) @ mx)
-
-    diff_k = (big_k(X + h * Y) - big_k(X - h * Y)) / (2.0 * h)
-    analytic_k = 2.0 * float(np.tensordot(W1.as_matrix() @ Y, X, axes=2))
-    diff_l = (small_k(X + h * Y) - small_k(X - h * Y)) / (2.0 * h)
-    analytic_l = 2.0 * float(W2.apply(X @ x0) @ (Y @ x0))
-
-    def rel(diff, analytic):
-        gap = abs(diff - analytic)
-        if abs(analytic) < 1e-8:
-            return gap
-        return gap / abs(analytic)
-
-    return rel(diff_k, analytic_k), rel(diff_l, analytic_l)

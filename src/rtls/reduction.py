@@ -12,8 +12,8 @@ and the attained value is
 
 A pair (A_0, x_0) solves the full problem exactly when x_0 minimizes G and
 A_0 = A_{x_0}.  This module evaluates G, builds the lift from its one
-correction vector c = (b - A x)/(1 + |x|^2), and measures the identities
-and first-order conditions that a candidate minimizer must satisfy.
+correction vector c = (b - A x)/(1 + |x|^2), and measures the first-order
+conditions that a candidate minimizer must satisfy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from .model import (
     PairReport,
     STATUS_HEURISTIC,
-    w_hs_seminorm,
     w_vec_seminorm_sq,
 )
 
@@ -38,24 +37,6 @@ class GValue:
     g: float
     data_term: float
     reg_term: float
-
-
-@dataclass(frozen=True)
-class LiftIdentityReport:
-    """Relative gaps in the algebraic identities satisfied by the lift.
-
-    contraction: (1+|x|^2)^2 |A_x x - b|_W^2 = |Ax - b|_W^2
-    correction:  |A - A_x|_{2,W}^2 = |x|^2 |A_x x - b|_W^2
-    vector:      A_x x - b = (Ax - b) / (1+|x|^2), componentwise
-    """
-
-    contraction_lhs: float
-    contraction_rhs: float
-    contraction_gap: float
-    correction_lhs: float
-    correction_rhs: float
-    correction_gap: float
-    vector_gap: float
 
 
 def _check_x(p, x):
@@ -77,44 +58,6 @@ def correction_vector(p, x):
     """c = (b - Ax)/(1 + |x|^2), the lift's update: A_x = A + <., x> c."""
     x = _check_x(p, x)
     return (p.b - p.A @ x) / (1.0 + float(x @ x))
-
-
-def lift_operator(p, x):
-    """The rank-one lift A_x = A + c x^T as a matrix, c of :func:`correction_vector`."""
-    return p.A + np.outer(correction_vector(p, x), x)
-
-
-def verify_lift_identities(p, x):
-    """Evaluate both lift identities and return their relative gaps."""
-    x = _check_x(p, x)
-    ax = lift_operator(p, x)
-    r2 = float(x @ x)
-    axx_b = ax @ x - p.b
-    misfit_lift = w_vec_seminorm_sq(p.W, axx_b)
-    misfit = w_vec_seminorm_sq(p.W, p.A @ x - p.b)
-
-    contraction_lhs = (1.0 + r2) ** 2 * misfit_lift
-    contraction_rhs = misfit
-    correction_norm = w_hs_seminorm(p.W, p.A - ax)
-    correction_lhs = correction_norm * correction_norm
-    correction_rhs = r2 * misfit_lift
-
-    def rel_gap(lhs, rhs):
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-
-    predicted = (p.A @ x - p.b) / (1.0 + r2)
-    vector_gap = float(np.max(np.abs(axx_b - predicted), initial=0.0))
-    vector_gap /= 1.0 + float(np.max(np.abs(predicted), initial=0.0))
-
-    return LiftIdentityReport(
-        contraction_lhs,
-        contraction_rhs,
-        rel_gap(contraction_lhs, contraction_rhs),
-        correction_lhs,
-        correction_rhs,
-        rel_gap(correction_lhs, correction_rhs),
-        vector_gap,
-    )
 
 
 def normal_residual(p, x):

@@ -174,15 +174,6 @@ def _gradient_parts(p, x):
     return grad, grad_u, u, v
 
 
-def grad_g(p, x):
-    """Analytic gradient of G for any regularizer:
-
-        grad G = [2 A^T W (Ax-b) (1+|x|^2) - 2 |Ax-b|_W^2 x] / (1+|x|^2)^2
-                 + 2 T^T T x.
-    """
-    return _gradient_parts(p, np.asarray(x, dtype=float))[0]
-
-
 def hess_g(p, x, parts=None):
     """Analytic Hessian of G (quotient rule); ``parts`` as in :func:`newton_step`."""
     x = np.asarray(x, dtype=float)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import random_problem
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
-from rtls.instances import random_problem
 
 
 @pytest.fixture

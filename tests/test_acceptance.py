@@ -11,6 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import certified_instances, grid_tstar_oracle
+from oracles import (
+    closed_form_problem,
+    default_rtls_nonexistence_model,
+    default_tls_nonexistence_model,
+    frechet_check,
+    grad_g,
+    lift_operator,
+    random_problem,
+    random_weight,
+    verify_lift_identities,
+)
 from rtls import (
     NongenericTlsError,
     RepeatedSingularValueError,
@@ -18,23 +29,16 @@ from rtls import (
     certify_tstar,
     dual_tstar,
     eval_g,
-    frechet_check,
-    grad_g,
-    lift_operator,
     nonexistence_rtls_sequence,
     nonexistence_tls_sequence,
     objective_rtls,
     recover_pair,
     solve_classic_tls,
     solve_tstar,
-    verify_lift_identities,
     weak_continuity_demo,
 )
 from rtls.cli import main
-from rtls.instances import closed_form_problem, random_problem, random_weight
 from rtls.lab import (
-    default_rtls_nonexistence_model,
-    default_tls_nonexistence_model,
     _h_value,
 )
 from rtls.model import ProblemSpec, RegularizerSpec, is_trivial_rtls, is_trivial_tls

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import certified_instances, hard_case_family
+from oracles import closed_form_problem, random_problem, random_weight
 from rtls import (
     DualSolution,
     ProblemSpec,
@@ -19,7 +20,6 @@ from rtls import (
 )
 from rtls import certificate, solver
 from rtls.certificate import default_tol_t
-from rtls.instances import closed_form_problem, random_problem, random_weight
 
 # derandomized so that the suite is reproducible; each example runs Dinkelbach
 dual_settings = settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -11,32 +11,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import closed_form_problem, problem_to_dict, random_problem, save_problem
 from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import COMMANDS, build_parser, main
-from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import load_model_file
 from rtls import io as rio
 
 
 @pytest.fixture
 def workdir(tmp_path):
-    rio.save_problem(tmp_path / "closedform.json", closed_form_problem())
-    rio.save_problem(tmp_path / "certified.json", closed_form_problem(rho=30.0))
+    save_problem(tmp_path / "closedform.json", closed_form_problem())
+    save_problem(tmp_path / "certified.json", closed_form_problem(rho=30.0))
     trivial = ProblemSpec(
         np.zeros((2, 2)),
         np.array([0.0, 5.0]),
         WeightOperator.diagonal([1.0, 0.0]),
         RegularizerSpec.identity_scaled(2.0),
     )
-    rio.save_problem(tmp_path / "trivial.json", trivial)
+    save_problem(tmp_path / "trivial.json", trivial)
     # rho = 0.02 |b|_W^2 with a tall A: the multiplier beta* is negative
-    rio.save_problem(
+    save_problem(
         tmp_path / "negative_beta.json",
         random_problem(np.random.default_rng(5), 3, m=6, rho_factor=0.02),
     )
     base = random_problem(np.random.default_rng(9), 4, m=6)
     dense_t = RegularizerSpec.dense(np.random.default_rng(10).normal(size=(4, 4)))
-    rio.save_problem(tmp_path / "dense_t.json", ProblemSpec(base.A, base.b, base.W, dense_t))
+    save_problem(tmp_path / "dense_t.json", ProblemSpec(base.A, base.b, base.W, dense_t))
     (tmp_path / "diag_default.json").write_text(json.dumps(
         {"a": {"formula": "1/k", "zeros": 1}, "w": "1/k^2", "b": [1.0], "rho": 1.0}
     ))
@@ -75,7 +75,7 @@ class TestSolveCommand:
         # W's PSD check takes eigenvalues only and its root is never needed:
         # the one eigh is that of A^T W A
         p = random_problem(np.random.default_rng(3), 5, m=7, weight_kind="dense")
-        rio.save_problem(workdir / "dense_w.json", p)
+        save_problem(workdir / "dense_w.json", p)
         shapes, real_eigh = [], np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
@@ -149,7 +149,7 @@ class TestSolveCommand:
         ("A", {"rows": 2, "cols": 2, "data": [0.0, False, 0.0, 0.0]}, "'A.data'"),
     ])
     def test_wrong_json_type_exit_one(self, workdir, capsys, field, value, named):
-        obj = rio.problem_to_dict(closed_form_problem())
+        obj = problem_to_dict(closed_form_problem())
         obj[field] = value
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -249,7 +249,7 @@ class TestSolveCommand:
             WeightOperator.diagonal([1.0]),
             RegularizerSpec.identity_scaled(1e-300),
         )
-        rio.save_problem(workdir / "tiny.json", tiny)
+        save_problem(workdir / "tiny.json", tiny)
         out = workdir / "rep.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -264,7 +264,7 @@ class TestSolveCommand:
         # a subnormal z may reach the secular root, or -W error raises there
         p = ProblemSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1e-150, 2e-150]),
                         WeightOperator.diagonal(np.ones(2)), RegularizerSpec.dense(1e10 * np.eye(2)))
-        rio.save_problem(workdir / "tiny-x.json", p)
+        save_problem(workdir / "tiny-x.json", p)
         reports = []
         for flags in ([], ["-W", "error"]):
             out = workdir / f"tiny-x-{len(flags)}.json"
@@ -334,7 +334,7 @@ class TestCertifyCommand:
             WeightOperator.diagonal([1.0]),
             RegularizerSpec.identity_scaled(1e-300 * s * s),
         )
-        rio.save_problem(workdir / "tiny.json", tiny)
+        save_problem(workdir / "tiny.json", tiny)
         out = workdir / "cert.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -367,7 +367,7 @@ class TestCertifyCommand:
         # polish from such a point is TestNewtonPolish's in test_solver.py
         p = ProblemSpec(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 0.0]),
                         WeightOperator.diagonal(np.ones(3)), RegularizerSpec.identity_scaled(rho))
-        rio.save_problem(workdir / "off-range.json", p)
+        save_problem(workdir / "off-range.json", p)
         result = _run_module(flags, "certify", "--problem", str(workdir / "off-range.json"),
                              "--out", str(workdir / "off-range-cert.json"))
         assert "Traceback" not in result.stderr
@@ -399,7 +399,7 @@ def _run_module(flags, *argv):
 
 def _run(workdir, command, p):
     """Exit code and report of ``rtls <command>`` on problem p."""
-    rio.save_problem(workdir / "p.json", p)
+    save_problem(workdir / "p.json", p)
     out = workdir / "out.json"
     code = main([command, "--problem", str(workdir / "p.json"), "--out", str(out)])
     return code, json.loads(out.read_text())
@@ -901,7 +901,7 @@ class TestClassicCommand:
             WeightOperator.diagonal(np.ones(6)),
             RegularizerSpec.identity_scaled(1.0),
         )
-        rio.save_problem(workdir / "generic.json", p)
+        save_problem(workdir / "generic.json", p)
         out = workdir / "classic.json"
         code = main(["classic-tls", "--problem", str(workdir / "generic.json"),
                      "--out", str(out)])
@@ -929,7 +929,7 @@ class TestClassicCommand:
         a_mat = np.array([[1.0, 0.2], [0.3, 2.0], [0.5, -0.4]])
         p = ProblemSpec(a_mat, np.array([1.0, -1.0, 0.5]), weight,
                         RegularizerSpec.dense(np.array([[1.0, 2.0], [0.0, 3.0]])))
-        rio.save_problem(workdir / "w.json", p)
+        save_problem(workdir / "w.json", p)
         with caplog.at_level(logging.WARNING, logger="rtls.cli"):
             assert main(["classic-tls", "--problem", str(workdir / "w.json"),
                          "--out", str(workdir / "c.json")]) == 0
@@ -950,7 +950,7 @@ class TestClassicCommand:
         # numpy scalars printed their repr: np.float64(0.0)
         p = ProblemSpec(np.diag(a_diag), np.array([1.0, 2.0]), WeightOperator.diagonal(np.ones(2)),
                         RegularizerSpec.identity_scaled(1.0))
-        rio.save_problem(workdir / "degenerate.json", p)
+        save_problem(workdir / "degenerate.json", p)
         assert main(["classic-tls", "--problem", str(workdir / "degenerate.json")]) == 1
         assert capsys.readouterr() == ("", f"error: {error}\n")
 

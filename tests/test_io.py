@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import closed_form_problem, problem_to_dict, random_problem, save_problem
 from rtls import ProblemFormatError, recover_pair
 from rtls.cli import main
-from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import DiagonalAudit, SequencePoint, SequenceResult, SkippedEps
 from rtls import io as rio
 
@@ -28,7 +28,7 @@ class TestProblemFiles:
     def test_round_trip(self, tmp_path, rng):
         p = random_problem(rng, 3, m=4)
         path = tmp_path / "p.json"
-        rio.save_problem(path, p)
+        save_problem(path, p)
         q = rio.load_problem(path)
         assert_allclose(q.A, p.A)
         assert_allclose(q.b, p.b)
@@ -37,7 +37,7 @@ class TestProblemFiles:
 
     def test_dense_weight_and_regularizer_round_trip(self, tmp_path, rng):
         from rtls import ProblemSpec, RegularizerSpec
-        from rtls.instances import random_weight
+        from oracles import random_weight
 
         p0 = ProblemSpec(
             rng.normal(size=(3, 2)),
@@ -46,7 +46,7 @@ class TestProblemFiles:
             RegularizerSpec.dense(rng.normal(size=(2, 2))),
         )
         path = tmp_path / "p.json"
-        rio.save_problem(path, p0)
+        save_problem(path, p0)
         p1 = rio.load_problem(path)
         assert_allclose(p1.W.as_matrix(), p0.W.as_matrix())
         assert_allclose(p1.T.matrix, p0.T.matrix)
@@ -365,7 +365,7 @@ class TestReadJson:
     def test_byte_mutations_of_problem_file(self, oracle_path, seed, edits):
         rng = np.random.default_rng(seed)
         p = random_problem(rng, 3, m=4, weight_kind=("diagonal", "dense")[seed % 2])
-        raw = bytearray(rio.canonical_json(rio.problem_to_dict(p)).encode())
+        raw = bytearray(rio.canonical_json(problem_to_dict(p)).encode())
         for op, where, byte in edits:
             pos = int(where * len(raw))
             if op == "insert":
@@ -385,8 +385,8 @@ class TestReadJson:
 
     def test_float_arrays_come_back_as_arrays(self, tmp_path):
         path = tmp_path / "p.json"
-        rio.save_problem(path, random_problem(np.random.default_rng(1), 3, m=4,
-                                              weight_kind="dense"))
+        save_problem(path, random_problem(np.random.default_rng(1), 3, m=4,
+                                          weight_kind="dense"))
         text = path.read_text()
         path.write_text(text[:-2] + ',\n  "origin": {"s": "[1.5] ]", "v": [[0.5], [1, 2.5], [1, 2]]}\n}\n')
         obj, _ = assert_loads_like_json(path)
@@ -431,7 +431,7 @@ class TestReadJson:
     def test_integral_entry_loads_like_the_list_path(self, tmp_path):
         # canonical_json writes 0.0 as 0, so a saved problem can hold int tokens
         p = random_problem(np.random.default_rng(3), 3, m=4)
-        obj = rio.problem_to_dict(p)
+        obj = problem_to_dict(p)
         obj["A"]["data"][0] = 0
         obj["W"]["data"][1] = 2
         path = tmp_path / "p.json"
@@ -488,6 +488,9 @@ class TestMalformedProblemExitOne:
     _VALID = {"A": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}, "b": [1.0, 2.0],
               "W": {"kind": "diagonal", "data": [1.0, 1.0]},
               "T": {"kind": "identity_scaled", "rho": 1.0}}
+    # json.dumps cannot write an int of more than 4,300 digits, so the file
+    # spells this number as one of 5,001
+    _HUGE_INT_MARK = 7e-77
 
     @pytest.mark.parametrize("fields, message", [
         (None, "problem file must contain a JSON object"),
@@ -502,17 +505,21 @@ class TestMalformedProblemExitOne:
         ({"T": {"kind": "identity_scaled", "rho": 10**400}}, "field 'T.rho' must be a positive real"),
         ({"b": [1.0, [2.0]]}, "field 'b' must be a list of numbers"),
         ({"b": [[1.0], [2.0, 3.0]]}, "field 'b' must be a list of numbers"),
+        ({"T": {"kind": "identity_scaled", "rho": _HUGE_INT_MARK}},
+         "field 'T.rho' must be a positive real"),
+        ({"b": [1.0, _HUGE_INT_MARK]}, "non-finite value in field 'b'"),
     ], ids=["array", "A-list", "T-no-rho", "T-kind", "origin-list", "W-not-square", "A-no-rows",
-            "T-rho-401-digits", "b-ragged", "b-ragged-rows"])
+            "T-rho-401-digits", "b-ragged", "b-ragged-rows", "T-rho-5001-digits", "b-5001-digits"])
     def test_malformed_field_is_named(self, tmp_path, capsys, fields, message):
         # fields=None writes a top-level array in place of the object
         path = tmp_path / "p.json"
-        path.write_text(json.dumps([self._VALID] if fields is None else {**self._VALID, **fields}))
+        text = json.dumps([self._VALID] if fields is None else {**self._VALID, **fields})
+        path.write_text(text.replace(repr(self._HUGE_INT_MARK), "1" + "0" * 5000))
         assert self._solve(path, capsys) == (1, f"error: {message}\n")
 
     def _problem_bytes(self, tmp_path):
         path = tmp_path / "p.json"
-        rio.save_problem(path, random_problem(np.random.default_rng(2), 3, m=4))
+        save_problem(path, random_problem(np.random.default_rng(2), 3, m=4))
         return path, path.read_bytes()
 
     def test_truncated_file(self, tmp_path, capsys):

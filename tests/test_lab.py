@@ -6,6 +6,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rtls.cli
+from oracles import (
+    default_diagonal_model,
+    default_rtls_nonexistence_model,
+    default_tls_nonexistence_model,
+)
 from rtls import (
     PairReport,
     ProblemFormatError,
@@ -20,9 +25,6 @@ from rtls.lab import (
     DiagonalModel,
     IntegralModel,
     _h_value,
-    default_diagonal_model,
-    default_rtls_nonexistence_model,
-    default_tls_nonexistence_model,
     diagonal_problem,
     load_model_file,
     model_from_dict,

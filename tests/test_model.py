@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 from scipy.linalg import qr
 
 from conftest import elementwise_objective
+from oracles import frechet_check, random_problem, random_weight
 from rtls import (
     ProblemFormatError,
     ProblemSpec,
     RegularizerSpec,
     WeightOperator,
-    frechet_check,
     is_trivial_rtls,
     is_trivial_tls,
     objective_rtls,
@@ -22,7 +22,6 @@ from rtls import (
     w_vec_seminorm,
 )
 from rtls.cli import main
-from rtls.instances import random_problem, random_weight
 
 
 def make_problem(A, b, w_diag, rho=1.0):

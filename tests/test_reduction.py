@@ -5,20 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import elementwise_objective
+from oracles import closed_form_problem, lift_operator, random_problem, verify_lift_identities
 from rtls import (
     ProblemSpec,
     RegularizerSpec,
     WeightOperator,
     correction_vector,
     eval_g,
-    lift_operator,
     normal_residual,
     objective_rtls,
     recover_pair,
-    verify_lift_identities,
     w_vec_seminorm,
 )
-from rtls.instances import closed_form_problem, random_problem
 from rtls.lab import DiagonalModel
 from rtls.reduction import _report_scale
 

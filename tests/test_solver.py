@@ -12,6 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import certified_instances, grid_phi_oracle, grid_tstar_oracle, hard_case_family
+from oracles import (
+    closed_form_problem,
+    default_rtls_nonexistence_model,
+    grad_g,
+    random_problem,
+    random_weight,
+    save_problem,
+)
 from rtls import (
     ProblemSpec,
     RegularizerSpec,
@@ -19,15 +27,12 @@ from rtls import (
     classify_existence,
     eval_g,
     eval_phi,
-    grad_g,
     normal_residual,
     recover_pair,
     solve_tstar,
 )
 from rtls.certificate import dual_tstar
 from rtls.cli import main, solve_problem
-from rtls.instances import closed_form_problem, random_problem, random_weight
-from rtls.lab import default_rtls_nonexistence_model
 from rtls import certificate, solver, trs
 from rtls import io as rio
 from rtls.certificate import DualSolution
@@ -739,7 +744,7 @@ class TestGeneralTGlobal:
         monkeypatch.setattr(solver, "sphere_scan", lambda p, us: scans.append(us) or scan(p, us))
         p = ProblemSpec(np.eye(2), np.array([1e-160, 2e-160]), WeightOperator.diagonal(np.ones(2)),
                         RegularizerSpec.dense(np.eye(2)))
-        rio.save_problem(tmp_path / "p.json", p)
+        save_problem(tmp_path / "p.json", p)
         out = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -855,7 +860,7 @@ class TestSplitEigh:
     def test_reports_equal_with_one_and_two_cpus(self, tmp_path, kind):
         problems = [tmp_path / f"p{seed}.json" for seed in range(3)]
         for seed, path in enumerate(problems):
-            rio.save_problem(path, _dense_t_family(kind, seed))
+            save_problem(path, _dense_t_family(kind, seed))
         usable = sorted(os.sched_getaffinity(0))
         reports = []
         for count in (1, 2):
@@ -943,7 +948,7 @@ class TestDegenerateInstances:
     def test_singular_weight_and_rank_deficient_operator(self, rng):
         # singular W, wide/tall A: A^T W b is always orthogonal to the
         # nullspace of A^T W A, so the spherical reduction stays consistent
-        from rtls.instances import random_weight
+        from oracles import random_weight
 
         worst = 0.0
         for trial in range(20):
