@@ -47,7 +47,9 @@ def solve_classic_tls(A, b):
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     augmented = np.column_stack([A, b])
-    u_mat, s, vt = np.linalg.svd(augmented, full_matrices=True)
+    # the reduced SVD of a tall (A|b) holds all of V; a wide one needs the
+    # full V^T, whose last row is a null vector
+    u_mat, s, vt = np.linalg.svd(augmented, full_matrices=m < n + 1)
     sigmas = np.zeros(n + 1)
     sigmas[: s.shape[0]] = s
 

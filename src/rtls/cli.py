@@ -11,7 +11,8 @@ Exit codes: 0 success (status solved or trivial, assertions passed),
 2 best-effort result whose existence/uniqueness is not certified,
 1 any error, usage errors included.  RTLS_LOG={debug,info,warning} controls verbosity.
 
-Each command's arguments are declared by one function in ``COMMANDS``.
+Each command's arguments are declared by one function in ``COMMANDS``, and each
+command imports what it runs: ``solve`` and ``certify`` load no lab or classic baseline.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ import numpy as np
 
 from . import io as rio
 from .certificate import certify_tstar, classify_existence, default_tol_t, dual_tstar
-from .classic import solve_classic_tls
-from .lab import (
-    SweepRow,
-    diagonal_audit,
-    diagonal_problem,
-    load_model_file,
-    nonexistence_rtls_sequence,
-    nonexistence_tls_sequence,
-    weak_continuity_demo,
-)
 from .model import ProblemFormatError, STATUS_SOLVED, STATUS_TRIVIAL
 from .reduction import recover_pair
 from .solver import solve_rtls_general_t, solve_tstar
@@ -131,8 +122,10 @@ def cmd_certify(args):
 
 
 def cmd_classic_tls(args):
+    from .classic import solve_classic_tls
     p = rio.load_problem(args.problem)
-    if not np.array_equal(p.W.as_matrix(), np.eye(p.W.dim)):
+    identity = 1.0 if p.W.kind == "diagonal" else np.eye(p.W.dim)
+    if not np.all(p.W.data == identity):
         logger.warning("classic-tls ignores the problem's weight, which is not the identity")
     _emit(solve_classic_tls(p.A, p.b), args.out)
     return EXIT_OK
@@ -153,7 +146,9 @@ def _emit_table(args, rows, obj=None):
 
 
 def cmd_nonexist(args):
-    result = args.construction(load_model_file(args.model).build(args.N), args.eps)
+    from . import lab
+    construction = getattr(lab, args.construction)
+    result = construction(lab.load_model_file(args.model).build(args.N), args.eps)
     for skip in result.skipped:
         logger.info("eps=%g skipped: %s", skip.eps, skip.reason)
     _emit_table(args, result.points, obj=result)
@@ -161,6 +156,7 @@ def cmd_nonexist(args):
 
 
 def cmd_diagonal(args):
+    from .lab import diagonal_audit, diagonal_problem, load_model_file
     model = load_model_file(args.model)
     p = diagonal_problem(model, args.N)
     report, _ = solve_problem(p)
@@ -169,6 +165,7 @@ def cmd_diagonal(args):
 
 
 def cmd_sweep(args):
+    from .lab import SweepRow, load_model_file
     model = load_model_file(args.model)
     rows = []
     for n in args.N:
@@ -180,6 +177,7 @@ def cmd_sweep(args):
 
 
 def cmd_weakcont(args):
+    from .lab import weak_continuity_demo
     _emit_table(args, weak_continuity_demo(args.n))
     return EXIT_OK
 
@@ -210,8 +208,8 @@ def _add_classic_tls(p):
 def _add_demo(p):
     demo_sub = p.add_subparsers(dest="demo_command", required=True)
     for name, construction in (
-        ("nonexist-tls", nonexistence_tls_sequence),
-        ("nonexist-rtls", nonexistence_rtls_sequence),
+        ("nonexist-tls", "nonexistence_tls_sequence"),
+        ("nonexist-rtls", "nonexistence_rtls_sequence"),
     ):
         d = demo_sub.add_parser(name)
         d.add_argument("--model", required=True)

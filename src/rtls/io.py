@@ -125,7 +125,9 @@ def real_vector(value, name):
     else:
         try:
             arr = np.asarray(value) if isinstance(value, list) else None
-        except ValueError:  # a ragged list: numpy gives it no shape
+            if arr is not None and arr.dtype == object:  # numpy keeps an int past 64 bits so
+                arr = np.array([real_number(v, name) for v in value])  # one past a double: +-inf
+        except ValueError:  # a ragged list (numpy gives it no shape), or an entry not a number
             arr = None
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
             raise ProblemFormatError(f"field '{name}' must be a list of numbers")

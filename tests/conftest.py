@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_problem
-from rtls import ProblemSpec, RegularizerSpec, WeightOperator
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator
 
 
 @pytest.fixture

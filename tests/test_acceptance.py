@@ -22,26 +22,24 @@ from oracles import (
     random_weight,
     verify_lift_identities,
 )
-from rtls import (
-    NongenericTlsError,
-    RepeatedSingularValueError,
-    assemble_c,
-    certify_tstar,
-    dual_tstar,
-    eval_g,
-    nonexistence_rtls_sequence,
-    nonexistence_tls_sequence,
-    objective_rtls,
-    recover_pair,
-    solve_classic_tls,
-    solve_tstar,
-    weak_continuity_demo,
-)
+from rtls.certificate import assemble_c, certify_tstar, dual_tstar
+from rtls.classic import NongenericTlsError, RepeatedSingularValueError, solve_classic_tls
 from rtls.cli import main
 from rtls.lab import (
     _h_value,
+    nonexistence_rtls_sequence,
+    nonexistence_tls_sequence,
+    weak_continuity_demo,
 )
-from rtls.model import ProblemSpec, RegularizerSpec, is_trivial_rtls, is_trivial_tls
+from rtls.model import (
+    ProblemSpec,
+    RegularizerSpec,
+    is_trivial_rtls,
+    is_trivial_tls,
+    objective_rtls,
+)
+from rtls.reduction import eval_g, recover_pair
+from rtls.solver import solve_tstar
 
 # t* values observed by the solved criteria, checked against the global
 # upper bound |b|_W^2 at the end

@@ -5,21 +5,19 @@ from numpy.testing import assert_allclose
 
 from conftest import certified_instances, hard_case_family
 from oracles import closed_form_problem, random_problem, random_weight
-from rtls import (
+from rtls import certificate, solver
+from rtls.certificate import (
     DualSolution,
-    ProblemSpec,
-    RegularizerSpec,
-    WeightOperator,
     assemble_c,
     certify_tstar,
     classify_existence,
+    default_tol_t,
     dual_tstar,
-    eval_g,
     feasible_at_t,
-    solve_tstar,
 )
-from rtls import certificate, solver
-from rtls.certificate import default_tol_t
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator
+from rtls.reduction import eval_g
+from rtls.solver import solve_tstar
 
 # derandomized so that the suite is reproducible; each example runs Dinkelbach
 dual_settings = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -137,12 +135,10 @@ class TestFeasibility:
 
 class TestCertifyTstar:
     def test_zero_data(self):
-        import rtls
-
-        p = rtls.ProblemSpec(
+        p = ProblemSpec(
             np.eye(2), np.zeros(2),
-            rtls.WeightOperator.diagonal(np.ones(2)),
-            rtls.RegularizerSpec.identity_scaled(1.0),
+            WeightOperator.diagonal(np.ones(2)),
+            RegularizerSpec.identity_scaled(1.0),
         )
         cert = certify_tstar(p)
         assert cert.t == 0.0

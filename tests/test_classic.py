@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rtls import (
+from rtls.classic import (
     NongenericTlsError,
     RepeatedSingularValueError,
     min_direction,
@@ -30,6 +30,14 @@ class TestClassicTls:
         assert sol.sigma_min <= 1e-12
         assert_allclose(sol.x, x0, atol=1e-8)
         assert_allclose(sol.X, a_mat, atol=1e-10)
+
+    def test_square_a_takes_the_null_vector(self, rng):
+        # (A|b) is m x (m + 1): only the full V^T holds its null vector, as its last row
+        a_mat, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        sol = solve_classic_tls(a_mat, b)
+        assert sol.sigma_min == 0.0
+        assert_allclose(sol.x, np.linalg.solve(a_mat, b), rtol=1e-10)
+        assert_allclose(sol.X, a_mat, rtol=0, atol=0)
 
     def test_repeated_sigma_min_errors(self):
         # (A|b) = I2 has a doubly repeated singular value 1

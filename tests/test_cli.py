@@ -1,10 +1,12 @@
 import argparse
+import ast
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 
 from oracles import closed_form_problem, problem_to_dict, random_problem, save_problem
-from rtls import ProblemSpec, RegularizerSpec, WeightOperator
+from rtls import io as rio
 from rtls.cli import COMMANDS, build_parser, main
 from rtls.lab import load_model_file
-from rtls import io as rio
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator
 
 
 @pytest.fixture
@@ -937,6 +939,23 @@ class TestClassicCommand:
             ["classic-tls ignores the problem's weight, which is not the identity"] if warns else []
         )
 
+    def test_tall_problem_takes_no_m_by_m_array(self, workdir):
+        # at m = 4000 one m x m array of doubles is 128 MB: neither the identity
+        # test of a diagonal W nor the SVD of (A|b) builds one
+        rng, m = np.random.default_rng(4), 4000
+        p = ProblemSpec(rng.normal(size=(m, 3)), rng.normal(size=m),
+                        WeightOperator.diagonal(np.ones(m)), RegularizerSpec.identity_scaled(1.0))
+        save_problem(workdir / "tall.json", p)
+        tracemalloc.start()
+        try:
+            code = main(["classic-tls", "--problem", str(workdir / "tall.json"),
+                         "--out", str(workdir / "c.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+
     def test_degenerate_exits_one(self, workdir):
         code = main(["classic-tls", "--problem", str(workdir / "closedform.json")])
         assert code == 1
@@ -1008,3 +1027,30 @@ def test_weakcont_loads_no_scipy(workdir):
     argv = ["demo", "weakcont", "--n", "1,2", "--out", str(workdir / "w.json")]
     code = f"import sys, rtls.cli; assert rtls.cli.main({argv!r}) == 0"
     assert _modules_after(code, ("scipy",)) == "[]"
+
+
+def _rtls_modules_after(argv=None):
+    """The rtls modules a fresh interpreter loads importing rtls and rtls.cli, then
+    running ``argv`` (which must exit 0), if given."""
+    code = "import sys, rtls, rtls.cli"
+    if argv is not None:
+        code += f"; assert rtls.cli.main({argv!r}) == 0"
+    return set(ast.literal_eval(_modules_after(code, ("rtls",))))
+
+
+@pytest.mark.parametrize("command", [None, "solve", "certify"])
+def test_import_solve_and_certify_load_neither_lab_nor_classic(workdir, command):
+    argv = command and [command, "--problem", str(workdir / "certified.json"),
+                        "--out", str(workdir / "r.json")]
+    loaded = _rtls_modules_after(argv)
+    assert "rtls.cli" in loaded
+    assert not loaded & {"rtls.lab", "rtls.classic"}
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["demo", "weakcont", "--n", "1,2"], "rtls.lab"),
+    (["classic-tls", "--problem", "negative_beta.json"], "rtls.classic"),
+], ids=["demo-weakcont", "classic-tls"])
+def test_each_command_imports_what_it_runs(workdir, argv, module):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert module in _rtls_modules_after([*argv, "--out", str(workdir / "r.json")])

@@ -27,8 +27,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import save_problem
-from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.cli import main
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator
 
 EXIT_FOR_STATUS = {"solved": 0, "trivial": 0, "heuristic": 2}
 

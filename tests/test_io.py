@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import closed_form_problem, problem_to_dict, random_problem, save_problem
-from rtls import ProblemFormatError, recover_pair
+from rtls import io as rio
 from rtls.cli import main
 from rtls.lab import DiagonalAudit, SequencePoint, SequenceResult, SkippedEps
-from rtls import io as rio
+from rtls.model import ProblemFormatError, ProblemSpec, RegularizerSpec
+from rtls.reduction import recover_pair
 
 # derandomized so that the suite is reproducible
 oracle_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -36,7 +37,6 @@ class TestProblemFiles:
         assert q.T.rho == p.T.rho
 
     def test_dense_weight_and_regularizer_round_trip(self, tmp_path, rng):
-        from rtls import ProblemSpec, RegularizerSpec
         from oracles import random_weight
 
         p0 = ProblemSpec(
@@ -446,6 +446,13 @@ class TestReadJson:
         assert got.W.as_matrix().tobytes() == want.W.as_matrix().tobytes()
         assert got.A[0, 0] == 0.0 and got.W.as_matrix()[1, 1] == 2.0
 
+    def test_ints_beyond_64_bits_load_as_floats(self, tmp_path):
+        # numpy keeps such ints as objects; each reads as the float it rounds to
+        obj = {**TestMalformedProblemExitOne._VALID, "b": [-(2**63) - 1, 10**20]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        assert rio.load_problem(path).b.tolist() == [-(2.0**63), 1e20]
+
     @pytest.mark.parametrize("text, value", [
         ('{"s": "a\\"[1.5]", "v": [0.5, 1.5]}', {"s": 'a"[1.5]', "v": [0.5, 1.5]}),
         ('{"v": [0.5, 1.5], "w": {"\\u0000": 0}}', {"v": [0.5, 1.5], "w": {"\0": 0}}),
@@ -508,8 +515,10 @@ class TestMalformedProblemExitOne:
         ({"T": {"kind": "identity_scaled", "rho": _HUGE_INT_MARK}},
          "field 'T.rho' must be a positive real"),
         ({"b": [1.0, _HUGE_INT_MARK]}, "non-finite value in field 'b'"),
+        ({"b": [1, 2 * 10**400]}, "non-finite value in field 'b'"),
     ], ids=["array", "A-list", "T-no-rho", "T-kind", "origin-list", "W-not-square", "A-no-rows",
-            "T-rho-401-digits", "b-ragged", "b-ragged-rows", "T-rho-5001-digits", "b-5001-digits"])
+            "T-rho-401-digits", "b-ragged", "b-ragged-rows", "T-rho-5001-digits", "b-5001-digits",
+            "b-401-digits"])
     def test_malformed_field_is_named(self, tmp_path, capsys, fields, message):
         # fields=None writes a top-level array in place of the object
         path = tmp_path / "p.json"

@@ -11,23 +11,26 @@ from oracles import (
     default_rtls_nonexistence_model,
     default_tls_nonexistence_model,
 )
-from rtls import (
-    PairReport,
-    ProblemFormatError,
-    SweepRow,
-    nonexistence_rtls_sequence,
-    nonexistence_tls_sequence,
-    weak_continuity_demo,
-)
 from rtls.cli import main
 from rtls.lab import (
     DiagonalAudit,
     DiagonalModel,
     IntegralModel,
+    SweepRow,
     _h_value,
     diagonal_problem,
     load_model_file,
     model_from_dict,
+    nonexistence_rtls_sequence,
+    nonexistence_tls_sequence,
+    weak_continuity_demo,
+)
+from rtls.model import (
+    PairReport,
+    ProblemFormatError,
+    ProblemSpec,
+    RegularizerSpec,
+    WeightOperator,
 )
 
 
@@ -139,13 +142,11 @@ class TestNonexistenceTls:
     def test_all_small_eps_raises(self):
         # nontrivial tall instance whose minimal direction value 1e-3 is not
         # below any requested eps: the construction must refuse
-        import rtls
-
-        p = rtls.ProblemSpec(
+        p = ProblemSpec(
             np.array([[1e-3], [0.0]]),
             np.array([0.0, 1.0]),
-            rtls.WeightOperator.diagonal(np.ones(2)),
-            rtls.RegularizerSpec.identity_scaled(1.0),
+            WeightOperator.diagonal(np.ones(2)),
+            RegularizerSpec.identity_scaled(1.0),
         )
         with pytest.raises(RuntimeError, match="construction unavailable"):
             nonexistence_tls_sequence(p, [1e-4, 1e-5])

@@ -9,7 +9,8 @@ from scipy.linalg import qr
 
 from conftest import elementwise_objective
 from oracles import frechet_check, random_problem, random_weight
-from rtls import (
+from rtls.cli import main
+from rtls.model import (
     ProblemFormatError,
     ProblemSpec,
     RegularizerSpec,
@@ -21,7 +22,6 @@ from rtls import (
     w_hs_seminorm,
     w_vec_seminorm,
 )
-from rtls.cli import main
 
 
 def make_problem(A, b, w_diag, rho=1.0):

@@ -6,19 +6,21 @@ from numpy.testing import assert_allclose
 
 from conftest import elementwise_objective
 from oracles import closed_form_problem, lift_operator, random_problem, verify_lift_identities
-from rtls import (
+from rtls.lab import DiagonalModel
+from rtls.model import (
     ProblemSpec,
     RegularizerSpec,
     WeightOperator,
+    objective_rtls,
+    w_vec_seminorm,
+)
+from rtls.reduction import (
+    _report_scale,
     correction_vector,
     eval_g,
     normal_residual,
-    objective_rtls,
     recover_pair,
-    w_vec_seminorm,
 )
-from rtls.lab import DiagonalModel
-from rtls.reduction import _report_scale
 
 
 def one_variable_oracle(b_norm_sq, rho, u_max=100.0, points=2_000_001):

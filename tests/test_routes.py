@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import random_problem, save_problem
-from rtls import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.certificate import dual_tstar
 from rtls.cli import main, solve_problem
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator
 from rtls.reduction import eval_g
 from rtls.solver import newton_polish, solve_tstar
 

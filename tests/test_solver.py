@@ -20,28 +20,19 @@ from oracles import (
     random_weight,
     save_problem,
 )
-from rtls import (
-    ProblemSpec,
-    RegularizerSpec,
-    WeightOperator,
-    classify_existence,
-    eval_g,
-    eval_phi,
-    normal_residual,
-    recover_pair,
-    solve_tstar,
-)
-from rtls.certificate import dual_tstar
-from rtls.cli import main, solve_problem
 from rtls import certificate, solver, trs
 from rtls import io as rio
-from rtls.certificate import DualSolution
-from rtls.model import w_vec_seminorm
+from rtls.certificate import DualSolution, classify_existence, dual_tstar
+from rtls.cli import main, solve_problem
+from rtls.model import ProblemSpec, RegularizerSpec, WeightOperator, w_vec_seminorm
+from rtls.reduction import eval_g, normal_residual, recover_pair
 from rtls.solver import (
+    eval_phi,
     hermite_argmin,
     hess_g,
     newton_polish,
     newton_step,
+    solve_tstar,
     sphere_min,
     sphere_scan,
 )

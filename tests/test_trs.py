@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rtls import trs, trs_equality
+from rtls import trs
 from rtls.trs import (
     brentq,
     eigen_split,
@@ -13,6 +13,7 @@ from rtls.trs import (
     quartic_minimizer,
     radial_values,
     secular_setup,
+    trs_equality,
 )
 
 
